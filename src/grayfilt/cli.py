@@ -9,19 +9,14 @@ files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import __version__
 from .bench import bench_convolve
-from .convolution import clamp_to_display, convolve, laplacian
-from .edges import binarize, bits_to_image, edge_points, image_add, shadow_invert, shadow_ne
-from .enhance import laplacian_sharpen, unsharp_mask
 from .errors import DomainError, FormatError
-from .imgio import load_pgm, load_text, parse_kernel, parse_lut, save_pgm, write_bytes_atomic
 from .histogram import compute_histogram, histogram_csv, render_histogram
-from .pipeline import parse_pipeline, run_pipeline
-from .point_ops import apply_lut, gray_stretch, negate
+from .imgio import load_pgm, load_text, save_pgm, write_bytes_atomic
+from .pipeline import FLAG, OPS, POSITIVE_INT, Kind, parse_pipeline, run_pipeline
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,49 +33,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Argument value types
-# ---------------------------------------------------------------------------
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _odd_positive_int(text: str) -> int:
-    value = _positive_int(text)
-    if value % 2 == 0:
-        raise argparse.ArgumentTypeError(f"must be odd, got {value}")
-    return value
-
-
-def _threshold(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= value <= 255:
-        raise argparse.ArgumentTypeError(f"must be in [0, 255], got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
-    return value
-
-
-# ---------------------------------------------------------------------------
 # Parser construction
 # ---------------------------------------------------------------------------
+
+def _arg_type(kind):
+    """argparse type for a parameter kind: parse the text, then apply the
+    kind's check; either failure becomes a usage error."""
+    def convert(text):
+        try:
+            return kind.check(kind.parse(text))
+        except FormatError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    convert.__name__ = kind.parse.__name__  # argparse: "invalid int value: 'x'"
+    return convert
+
+
+def _odd_size(value):
+    value = POSITIVE_INT.check(value)
+    if value % 2 == 0:
+        raise FormatError(f"must be odd, got {value}")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="grayfilt",
@@ -97,72 +70,17 @@ def build_parser() -> argparse.ArgumentParser:
     writes.add_argument("--format", choices=("p2", "p5"), default="p5",
                         help="output PGM encoding (default p5)")
 
-    p = sub.add_parser("negate", parents=[reads, writes],
-                       help="photographic negative (255 - pixel)")
-    p.set_defaults(handler=_cmd_negate)
-
-    p = sub.add_parser("stretch", parents=[reads, writes],
-                       help="power-law gray stretch: compress low end, expand high end")
-    p.add_argument("--gamma", type=_positive_float, default=2.0,
-                   help="exponent; > 1 darkens midtones (default 2.0)")
-    p.set_defaults(handler=_cmd_stretch)
-
-    p = sub.add_parser("lut", parents=[reads, writes],
-                       help="remap pixels through a 256-entry lookup table")
-    p.add_argument("--table", required=True, metavar="FILE",
-                   help="text file with 256 whitespace-separated entries in [0, 255]")
-    p.set_defaults(handler=_cmd_lut)
-
-    p = sub.add_parser("laplacian", parents=[reads, writes],
-                       help="second-derivative filter (display-mapped)")
-    p.add_argument("--variant", choices=("four", "eight"), default="four",
-                   help="4- or 8-neighbor stencil (default four)")
-    p.add_argument("--display", choices=("clamp", "rescale"), default="clamp",
-                   help="how to map signed output to gray levels (default clamp)")
-    p.set_defaults(handler=_cmd_laplacian)
-
-    p = sub.add_parser("sharpen", parents=[reads, writes],
-                       help="Laplacian sharpening: clamp(f - laplacian(f))")
-    p.add_argument("--variant", choices=("four", "eight"), default="four")
-    p.set_defaults(handler=_cmd_sharpen)
-
-    p = sub.add_parser("unsharp", parents=[reads, writes],
-                       help="unsharp masking: f minus a box-blurred copy of f")
-    p.add_argument("--radius", type=_positive_int, default=1,
-                   help="blur window radius (default 1 = 3x3)")
-    p.add_argument("--display", choices=("clamp", "rescale"), default="clamp")
-    p.set_defaults(handler=_cmd_unsharp)
-
-    p = sub.add_parser("convolve", parents=[reads, writes],
-                       help="convolve with a kernel from a text file")
-    p.add_argument("--kernel", required=True, metavar="FILE",
-                   help="kernel file: 'kheight kwidth' line, then coefficient rows")
-    p.add_argument("--border", choices=("replicate", "zero"), default="replicate")
-    p.add_argument("--display", choices=("clamp", "rescale"), default="clamp")
-    p.set_defaults(handler=_cmd_convolve)
-
-    p = sub.add_parser("binarize", parents=[reads, writes],
-                       help="threshold to a 0/255 image")
-    p.add_argument("--threshold", type=_threshold, default=128,
-                   help="pixels >= threshold become 255 (default 128)")
-    p.set_defaults(handler=_cmd_binarize)
-
-    p = sub.add_parser("edges", parents=[reads, writes],
-                       help="binary edge points (threshold, then XOR neighbor rule), rendered 0/255")
-    p.add_argument("--threshold", type=_threshold, default=128)
-    p.set_defaults(handler=_cmd_edges)
-
-    p = sub.add_parser("add", parents=[reads, writes],
-                       help="saturating pixelwise sum of two images")
-    p.add_argument("-j", "--second", required=True, metavar="PGM",
-                   help="second input image (same dimensions)")
-    p.set_defaults(handler=_cmd_add)
-
-    p = sub.add_parser("shadow", parents=[reads, writes],
-                       help="relief shadow on northeastern edge sides")
-    p.add_argument("--invert", action="store_true",
-                   help="negate the shadow rendering")
-    p.set_defaults(handler=_cmd_shadow)
+    for name, op in OPS.items():
+        p = sub.add_parser(name, parents=[reads, writes], help=op.help)
+        for param in op.params:
+            flags = param.flags or (f"--{param.name}",)
+            if param.kind is FLAG:
+                p.add_argument(*flags, dest=param.name, action="store_true", help=param.help)
+            else:
+                p.add_argument(*flags, dest=param.name, help=param.help, metavar=param.metavar,
+                               required=param.default is None, default=param.default,
+                               choices=param.kind.choices or None, type=_arg_type(param.kind))
+        p.set_defaults(handler=_cmd_filter)
 
     p = sub.add_parser("histogram", parents=[reads],
                        help="gray-level histogram as CSV and optional bar chart")
@@ -182,13 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench",
                        help="time the correlation engine on a seeded random image")
-    p.add_argument("--size", type=_positive_int, default=256,
+    positive = _arg_type(POSITIVE_INT)
+    p.add_argument("--size", type=positive, default=256,
                    help="image side length (default 256)")
-    p.add_argument("--ksize", type=_odd_positive_int, default=3,
+    p.add_argument("--ksize", type=_arg_type(Kind(_odd_size, int)), default=3,
                    help="ones-kernel side length, odd (default 3)")
-    p.add_argument("--iters", type=_positive_int, default=5,
+    p.add_argument("--iters", type=positive, default=5,
                    help="timed repetitions (default 5)")
-    p.add_argument("--workers", type=_positive_int, default=1,
+    p.add_argument("--workers", type=positive, default=1,
                    help="row-parallel workers; checksum is identical for any count")
     p.set_defaults(handler=_cmd_bench)
 
@@ -199,76 +118,25 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _pgm_format(args) -> str:
-    return "P2" if args.format == "p2" else "P5"
-
-
-def _save(args, img) -> int:
-    save_pgm(args.output, img, _pgm_format(args))
+def _cmd_filter(args):
+    op = OPS[args.command]
+    step = op.build({param.name: getattr(args, param.name) for param in op.params})
+    save_pgm(args.output, step(load_pgm(args.input)), args.format.upper())
     return EXIT_OK
-
-
-def _cmd_negate(args):
-    return _save(args, negate(load_pgm(args.input)))
-
-
-def _cmd_stretch(args):
-    return _save(args, gray_stretch(load_pgm(args.input), args.gamma))
-
-
-def _cmd_lut(args):
-    table = parse_lut(load_text(args.table))
-    return _save(args, apply_lut(load_pgm(args.input), table))
-
-
-def _cmd_laplacian(args):
-    signed = laplacian(load_pgm(args.input), args.variant)
-    return _save(args, clamp_to_display(signed, args.display))
-
-
-def _cmd_sharpen(args):
-    return _save(args, laplacian_sharpen(load_pgm(args.input), args.variant))
-
-
-def _cmd_unsharp(args):
-    return _save(args, unsharp_mask(load_pgm(args.input), args.radius, args.display))
-
-
-def _cmd_convolve(args):
-    kern = parse_kernel(load_text(args.kernel))
-    signed = convolve(load_pgm(args.input), kern, args.border)
-    return _save(args, clamp_to_display(signed, args.display))
-
-
-def _cmd_binarize(args):
-    return _save(args, bits_to_image(binarize(load_pgm(args.input), args.threshold)))
-
-
-def _cmd_edges(args):
-    bits = edge_points(binarize(load_pgm(args.input), args.threshold))
-    return _save(args, bits_to_image(bits))
-
-
-def _cmd_add(args):
-    return _save(args, image_add(load_pgm(args.input), load_pgm(args.second)))
-
-
-def _cmd_shadow(args):
-    op = shadow_invert if args.invert else shadow_ne
-    return _save(args, op(load_pgm(args.input)))
 
 
 def _cmd_histogram(args):
     hist = compute_histogram(load_pgm(args.input))
     write_bytes_atomic(args.csv, histogram_csv(hist).encode("ascii"))
     if args.render:
-        save_pgm(args.render, render_histogram(hist), _pgm_format(args))
+        save_pgm(args.render, render_histogram(hist), args.format.upper())
     return EXIT_OK
 
 
 def _cmd_pipeline(args):
     spec = parse_pipeline(load_text(args.spec))
-    return _save(args, run_pipeline(spec, load_pgm(args.input)))
+    save_pgm(args.output, run_pipeline(spec, load_pgm(args.input)), args.format.upper())
+    return EXIT_OK
 
 
 def _cmd_bench(args):
@@ -281,15 +149,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:
         print(f"grayfilt: {exc}", file=sys.stderr)
         return EXIT_IO
     except DomainError as exc:
         print(f"grayfilt: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"grayfilt: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -25,6 +25,9 @@ LAPLACIAN_EIGHT = Kernel([[1, 1, 1], [1, -8, 1], [1, 1, 1]])
 
 _LAPLACIANS = {"four": LAPLACIAN_FOUR, "eight": LAPLACIAN_EIGHT}
 
+#: Widest [min, max] span whose rescale numerator (values - min) * 255 cannot overflow.
+_RESCALE_EXACT_SPAN = np.finfo(np.float64).max / 255.0
+
 
 def rot180(kernel: Kernel) -> Kernel:
     """Rotate a kernel by 180 degrees: coefficient (i, j) moves to
@@ -40,12 +43,17 @@ def _check_border(border: str) -> str:
 
 def _correlate_rows(padded: np.ndarray, coeffs: np.ndarray, r0: int, r1: int,
                     width: int) -> np.ndarray:
-    """Correlate output rows [r0, r1); per-pixel tap order is row-major."""
+    """Correlate output rows [r0, r1); per-pixel tap order is row-major.
+
+    A sum that overflows becomes non-finite and SignedImage rejects it, so
+    numpy's float warnings are silenced. numpy keeps that setting per thread,
+    so it is made here, in the function each worker calls."""
     kh, kw = coeffs.shape
     out = np.zeros((r1 - r0, width))
-    for i in range(kh):
-        for j in range(kw):
-            out += coeffs[i, j] * padded[r0 + i:r1 + i, j:j + width]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(kh):
+            for j in range(kw):
+                out += coeffs[i, j] * padded[r0 + i:r1 + i, j:j + width]
     return out
 
 
@@ -112,7 +120,8 @@ def clamp_to_display(signed: SignedImage, mode: str = "clamp") -> Image:
 
     "clamp" rounds each value half away from zero and clips to [0, 255].
     "rescale" maps [min, max] affinely onto [0, 255] (an all-equal input
-    comes back as all zeros).
+    comes back as all zeros); this holds for any finite range, even one
+    wider than the largest double.
     """
     if mode == "clamp":
         return Image(clamp_round(signed.values))
@@ -121,8 +130,13 @@ def clamp_to_display(signed: SignedImage, mode: str = "clamp") -> Image:
         vmin, vmax = values.min(), values.max()
         if vmin == vmax:
             return Image(np.zeros(values.shape, dtype=np.uint8))
-        # Multiply before dividing: for integer-valued inputs the numerator
-        # stays exact, so half-way quotients round the same as exact rationals.
-        scaled = (values - vmin) * 255.0 / (vmax - vmin)
+        if float(vmax) - float(vmin) <= _RESCALE_EXACT_SPAN:
+            # Multiply before dividing: for integer-valued inputs the numerator
+            # stays exact, so half-way quotients round the same as exact rationals.
+            scaled = (values - vmin) * 255.0 / (vmax - vmin)
+        else:
+            # The product, or the span itself, would overflow: halve every term
+            # (exact for normal doubles) and divide first.
+            scaled = (values / 2 - vmin / 2) / (vmax / 2 - vmin / 2) * 255.0
         return Image(np.clip(round_half_away(scaled), 0, 255).astype(np.uint8))
     raise ValueError(f"mode must be 'clamp' or 'rescale', got {mode!r}")

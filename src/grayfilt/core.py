@@ -90,7 +90,7 @@ class SignedImage:
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"signed image dimensions must be >= 1, got {arr.shape}")
         if not np.isfinite(arr).all():
-            raise ValueError("signed image values must be finite")
+            raise DomainError("signed image values must be finite")
         self.values = _frozen(arr.copy())
 
     @property

@@ -1,4 +1,5 @@
-"""Shared test support: brute-force oracles and random input makers.
+"""Shared test support: brute-force oracles, random input makers, and an
+in-process CLI runner.
 
 The oracles are deliberately naive nested-loop implementations, written
 against the definitions rather than the library internals, so they can
@@ -11,6 +12,16 @@ from fractions import Fraction
 import numpy as np
 
 from grayfilt import BinaryImage, Image
+from grayfilt.cli import main
+
+
+def run_cli(argv):
+    """Run the CLI in process and return its exit code, usage errors included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
 
 # ---------------------------------------------------------------------------
 # Random input makers

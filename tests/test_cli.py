@@ -30,16 +30,7 @@ from grayfilt import (
     shadow_ne,
     unsharp_mask,
 )
-from grayfilt.cli import main
-
-from support import correlate_brute, rand_image
-
-
-def run_cli(argv):
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
+from support import correlate_brute, rand_image, run_cli
 
 
 @pytest.fixture
@@ -204,6 +195,17 @@ class TestExitCodes:
         save_pgm(b, Image([[0, 0]]))
         code = run_cli(["add", "-i", str(a), "-j", str(b), "-o", str(tmp_path / "out.pgm")])
         assert code == 3
+
+    def test_overflowing_kernel_is_domain_error(self, tmp_path, capsys):
+        img = tmp_path / "in.pgm"
+        save_pgm(img, Image(np.full((4, 4), 200, np.uint8)))
+        kern = tmp_path / "k.txt"
+        kern.write_text("1 3\n1e308 1e308 1e308\n")
+        code = run_cli(["convolve", "-i", str(img), "-o", str(tmp_path / "out.pgm"),
+                        "--kernel", str(kern)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite" in err
 
     def test_bad_flag_value_is_usage_error(self, tmp_path):
         code = run_cli(["stretch", "--gamma", "-2",

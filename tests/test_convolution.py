@@ -223,6 +223,14 @@ class TestClampToDisplay:
         expected = [round_half_away_exact(v * 255 / 14) for v in (0, 7, 14)]
         assert clamp_to_display(s, "rescale").pixels.tolist() == [expected]
 
+    @pytest.mark.parametrize("high", [1e307, 1e308, np.finfo(np.float64).max])
+    def test_rescale_of_range_too_wide_for_the_exact_path(self, high):
+        # (high - low) * 255, or the span itself, overflows a double; the
+        # middle value sits exactly half-way and rounds up to 128.
+        for low, middle in ((0.0, high / 2), (-high, 0.0)):
+            s = SignedImage([[low, middle, high]])
+            assert clamp_to_display(s, "rescale").pixels.tolist() == [[0, 128, 255]]
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             clamp_to_display(SignedImage([[0.0]]), "wrap")

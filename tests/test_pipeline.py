@@ -45,6 +45,7 @@ class TestSpecValidation:
         {"op": "binarize", "threshold": 300},
         {"op": "shadow", "invert": "yes"},
         {"op": "laplacian", "variant": "sixteen"},
+        {"op": "stretch", "gamma": 10**400},
     ])
     def test_bad_parameter_values(self, stage):
         with pytest.raises(FormatError):
@@ -163,3 +164,10 @@ class TestRunPipeline:
         wrong_size = Image(np.zeros((7, 9), dtype=np.uint8))
         with pytest.raises(DomainError, match="stage 2"):
             run_pipeline(spec, wrong_size)
+
+    def test_overflowing_kernel_reports_stage(self, tmp_path):
+        kern = tmp_path / "huge.kern"
+        kern.write_text("1 3\n1e308 1e308 1e308\n")
+        spec = PipelineSpec([{"op": "negate"}, {"op": "convolve", "kernel": str(kern)}])
+        with pytest.raises(DomainError, match=r"stage 2 \(convolve\)"):
+            run_pipeline(spec, Image(np.full((4, 4), 200, np.uint8)))
