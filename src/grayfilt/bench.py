@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .convolution import correlate
-from .core import Image, Kernel, SignedImage
+from .core import ODD_POSITIVE_INT, POSITIVE_INT, Image, Kernel, SignedImage
 
 #: Seed for the deterministic benchmark input.
 BENCH_SEED = 0xC0FFEE
@@ -35,12 +35,9 @@ def bench_convolve(size: int, ksize: int, iters: int, workers: int = 1) -> str:
     """Correlate the seeded image with a ksize x ksize ones kernel `iters`
     times; report min/median wall time, throughput in millions of
     kernel-tap multiply-adds per second, and the output checksum."""
-    if not isinstance(size, int) or size < 1:
-        raise ValueError(f"size must be a positive integer, got {size!r}")
-    if not isinstance(ksize, int) or ksize < 1 or ksize % 2 == 0:
-        raise ValueError(f"ksize must be an odd positive integer, got {ksize!r}")
-    if not isinstance(iters, int) or iters < 1:
-        raise ValueError(f"iters must be a positive integer, got {iters!r}")
+    size = POSITIVE_INT.check(size, "size")
+    ksize = ODD_POSITIVE_INT.check(ksize, "ksize")
+    iters = POSITIVE_INT.check(iters, "iters")
 
     img = bench_image(size)
     kern = Kernel(np.ones((ksize, ksize)))

@@ -13,10 +13,11 @@ import sys
 
 from . import __version__
 from .bench import bench_convolve
+from .core import ODD_POSITIVE_INT, POSITIVE_INT
 from .errors import DomainError, FormatError
 from .histogram import compute_histogram, histogram_csv, render_histogram
 from .imgio import load_pgm, load_text, save_pgm, write_bytes_atomic
-from .pipeline import FLAG, OPS, POSITIVE_INT, Kind, parse_pipeline, run_pipeline
+from .pipeline import FLAG, OPS, parse_pipeline, run_pipeline
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,19 +41,13 @@ def _arg_type(kind):
     """argparse type for a parameter kind: parse the text, then apply the
     kind's check; either failure becomes a usage error."""
     def convert(text):
+        value = kind.parse(text)
         try:
-            return kind.check(kind.parse(text))
-        except FormatError as exc:
+            return kind.check(value, "value")  # argparse's message names the flag
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     convert.__name__ = kind.parse.__name__  # argparse: "invalid int value: 'x'"
     return convert
-
-
-def _odd_size(value):
-    value = POSITIVE_INT.check(value)
-    if value % 2 == 0:
-        raise FormatError(f"must be odd, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     positive = _arg_type(POSITIVE_INT)
     p.add_argument("--size", type=positive, default=256,
                    help="image side length (default 256)")
-    p.add_argument("--ksize", type=_arg_type(Kind(_odd_size, int)), default=3,
+    p.add_argument("--ksize", type=_arg_type(ODD_POSITIVE_INT), default=3,
                    help="ones-kernel side length, odd (default 3)")
     p.add_argument("--iters", type=positive, default=5,
                    help="timed repetitions (default 5)")

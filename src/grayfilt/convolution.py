@@ -12,10 +12,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import Image, Kernel, SignedImage, clamp_round, round_half_away
+from .core import POSITIVE_INT, Image, Kernel, SignedImage, choice, clamp_round
 
 #: Pad modes implementing each border policy.
 _BORDER_MODES = {"replicate": "edge", "zero": "constant"}
+BORDER = choice(*_BORDER_MODES)
 
 #: Center -4 stencil: f(x+1,y) + f(x-1,y) + f(x,y+1) + f(x,y-1) - 4 f(x,y).
 LAPLACIAN_FOUR = Kernel([[0, 1, 0], [1, -4, 1], [0, 1, 0]])
@@ -24,7 +25,9 @@ LAPLACIAN_FOUR = Kernel([[0, 1, 0], [1, -4, 1], [0, 1, 0]])
 LAPLACIAN_EIGHT = Kernel([[1, 1, 1], [1, -8, 1], [1, 1, 1]])
 
 _LAPLACIANS = {"four": LAPLACIAN_FOUR, "eight": LAPLACIAN_EIGHT}
+VARIANT = choice(*_LAPLACIANS)
 
+DISPLAY = choice("clamp", "rescale")
 #: Widest [min, max] span whose rescale numerator (values - min) * 255 cannot overflow.
 _RESCALE_EXACT_SPAN = np.finfo(np.float64).max / 255.0
 
@@ -33,12 +36,6 @@ def rot180(kernel: Kernel) -> Kernel:
     """Rotate a kernel by 180 degrees: coefficient (i, j) moves to
     (kheight-1-i, kwidth-1-j). Applying it twice gives the original back."""
     return Kernel(kernel.coeffs[::-1, ::-1])
-
-
-def _check_border(border: str) -> str:
-    if border not in _BORDER_MODES:
-        raise ValueError(f"border must be one of {sorted(_BORDER_MODES)}, got {border!r}")
-    return _BORDER_MODES[border]
 
 
 def _correlate_rows(padded: np.ndarray, coeffs: np.ndarray, r0: int, r1: int,
@@ -75,9 +72,8 @@ def correlate(img: Image, kernel: Kernel, border: str = "replicate",
     Returns:
         A SignedImage with the same dimensions as the input.
     """
-    mode = _check_border(border)
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    mode = _BORDER_MODES[BORDER.check(border, "border")]
+    workers = POSITIVE_INT.check(workers, "workers")
     src = img.pixels.astype(np.float64)
     coeffs = kernel.coeffs
     ph, pw = kernel.kheight // 2, kernel.kwidth // 2
@@ -110,9 +106,7 @@ def laplacian(img: Image, variant: str = "four", border: str = "replicate",
     stencil that also spans diagonals. Both coefficient sets sum to zero,
     so constant regions map to exactly 0 under the replicate border.
     """
-    if variant not in _LAPLACIANS:
-        raise ValueError(f"variant must be one of {sorted(_LAPLACIANS)}, got {variant!r}")
-    return correlate(img, _LAPLACIANS[variant], border, workers)
+    return correlate(img, _LAPLACIANS[VARIANT.check(variant, "variant")], border, workers)
 
 
 def clamp_to_display(signed: SignedImage, mode: str = "clamp") -> Image:
@@ -123,20 +117,18 @@ def clamp_to_display(signed: SignedImage, mode: str = "clamp") -> Image:
     comes back as all zeros); this holds for any finite range, even one
     wider than the largest double.
     """
-    if mode == "clamp":
+    if DISPLAY.check(mode, "mode") == "clamp":
         return Image(clamp_round(signed.values))
-    if mode == "rescale":
-        values = signed.values
-        vmin, vmax = values.min(), values.max()
-        if vmin == vmax:
-            return Image(np.zeros(values.shape, dtype=np.uint8))
-        if float(vmax) - float(vmin) <= _RESCALE_EXACT_SPAN:
-            # Multiply before dividing: for integer-valued inputs the numerator
-            # stays exact, so half-way quotients round the same as exact rationals.
-            scaled = (values - vmin) * 255.0 / (vmax - vmin)
-        else:
-            # The product, or the span itself, would overflow: halve every term
-            # (exact for normal doubles) and divide first.
-            scaled = (values / 2 - vmin / 2) / (vmax / 2 - vmin / 2) * 255.0
-        return Image(np.clip(round_half_away(scaled), 0, 255).astype(np.uint8))
-    raise ValueError(f"mode must be 'clamp' or 'rescale', got {mode!r}")
+    values = signed.values
+    vmin, vmax = values.min(), values.max()
+    if vmin == vmax:
+        return Image(np.zeros(values.shape, dtype=np.uint8))
+    if float(vmax) - float(vmin) <= _RESCALE_EXACT_SPAN:
+        # Multiply before dividing: for integer-valued inputs the numerator
+        # stays exact, so half-way quotients round the same as exact rationals.
+        scaled = (values - vmin) * 255.0 / (vmax - vmin)
+    else:
+        # The product, or the span itself, would overflow: halve every term
+        # (exact for normal doubles) and divide first.
+        scaled = (values / 2 - vmin / 2) / (vmax / 2 - vmin / 2) * 255.0
+    return Image(clamp_round(scaled))

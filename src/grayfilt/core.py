@@ -1,4 +1,5 @@
-"""Shared value types (images, kernels, histograms) and the rounding rule.
+"""Shared value types (images, kernels, histograms), parameter kinds and the
+rounding rule.
 
 Every filter in this package moves pixels through exactly one rounding and
 clamping rule, :func:`clamp_round`, so results are reproducible bit for bit.
@@ -8,6 +9,9 @@ threads.
 """
 
 from __future__ import annotations
+
+import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,12 +24,96 @@ GRAY_LEVELS = 256
 MAX_GRAY = GRAY_LEVELS - 1
 
 
+class Kind(NamedTuple):
+    """A parameter kind. ``check(value, name)`` is its one validator, shared
+    by the library functions, the pipeline and the CLI: it returns the value
+    in canonical form or raises ValueError naming the parameter. ``parse``
+    turns CLI text into a value; ``choices`` lists the values of a choice kind."""
+
+    check: Callable[[object, str], object]
+    parse: Callable[[str], object] = str
+    choices: tuple = ()
+
+
+def _must(ok: bool, name: str, what: str, value):
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _is_int(v) -> bool:
+    """An integer, numpy integers included; bool is not a number here."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _int_kind(what: str, ok: Callable[[int], bool]) -> Kind:
+    return Kind(lambda v, name: int(_must(_is_int(v) and ok(v), name, what, v)), int)
+
+
+POSITIVE_INT = _int_kind("a positive integer", lambda v: v >= 1)
+ODD_POSITIVE_INT = _int_kind("an odd positive integer", lambda v: v >= 1 and v % 2 == 1)
+THRESHOLD = _int_kind(f"an integer in [0, {MAX_GRAY}]", lambda v: 0 <= v <= MAX_GRAY)
+
+
+def _positive_float(v, name: str) -> float:
+    # Compare numpy scalars as Python numbers (a float32 would cast the bound to
+    # inf and warn); the bound also rejects NaN and ints too large for a float.
+    num = v.item() if isinstance(v, np.generic) else v
+    ok = (_is_int(v) or isinstance(v, (float, np.floating))) and 0 < num <= sys.float_info.max
+    return float(_must(ok, name, "a finite positive number", v))
+
+
+POSITIVE_FLOAT = Kind(_positive_float, float)
+
+
+def choice(*options: str) -> Kind:
+    """The kind whose values are exactly ``options``."""
+    return Kind(lambda v, name: _must(isinstance(v, str) and v in options, name,
+                                      f"one of {options}", v), choices=options)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-class Image:
+class _Grid:
+    """Base of the 2-D value types. Each subclass keeps its read-only array
+    in its one slot (``pixels``, ``values``, ``bits`` or ``coeffs``)."""
+
+    __slots__ = ()
+
+    def _shape_checked(self, arr: np.ndarray) -> np.ndarray:
+        if arr.ndim != 2:
+            raise ValueError(f"{type(self).__name__} array must be 2-D, got {arr.ndim}-D")
+        if arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError(f"{type(self).__name__} array must be non-empty, got {arr.shape}")
+        return arr
+
+    @property
+    def _array(self) -> np.ndarray:
+        return getattr(self, self.__slots__[0])
+
+    @property
+    def width(self) -> int:
+        return self._array.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self._array.shape[0]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self._array, other._array)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.width}x{self.height})"
+
+
+class Image(_Grid):
     """An 8-bit grayscale raster.
 
     Pixels are stored row-major as a read-only ``uint8`` array of shape
@@ -35,11 +123,7 @@ class Image:
     __slots__ = ("pixels",)
 
     def __init__(self, pixels):
-        arr = np.asarray(pixels)
-        if arr.ndim != 2:
-            raise ValueError(f"image pixels must be 2-D, got {arr.ndim}-D")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"image dimensions must be >= 1, got {arr.shape}")
+        arr = self._shape_checked(np.asarray(pixels))
         if arr.dtype != np.uint8:
             if not np.issubdtype(arr.dtype, np.integer):
                 raise ValueError(f"pixel values must be integers, got dtype {arr.dtype}")
@@ -51,29 +135,11 @@ class Image:
         self.pixels = _frozen(arr.astype(np.uint8, copy=True))
 
     @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
     def max_gray(self) -> int:
         return MAX_GRAY
 
-    def __eq__(self, other):
-        if not isinstance(other, Image):
-            return NotImplemented
-        return np.array_equal(self.pixels, other.pixels)
 
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Image({self.width}x{self.height})"
-
-
-class SignedImage:
+class SignedImage(_Grid):
     """An unclamped intermediate raster holding signed filter outputs.
 
     Values are stored as ``float64``, which represents every integer a
@@ -84,35 +150,13 @@ class SignedImage:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"signed image values must be 2-D, got {arr.ndim}-D")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"signed image dimensions must be >= 1, got {arr.shape}")
+        arr = self._shape_checked(np.asarray(values, dtype=np.float64))
         if not np.isfinite(arr).all():
             raise DomainError("signed image values must be finite")
         self.values = _frozen(arr.copy())
 
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, SignedImage):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"SignedImage({self.width}x{self.height})"
-
-
-class Kernel:
+class Kernel(_Grid):
     """A small odd-dimension filter mask with real coefficients.
 
     Odd dimensions put the anchor at the exact center tap. At least one
@@ -122,48 +166,30 @@ class Kernel:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        arr = np.asarray(coeffs, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"kernel coefficients must be 2-D, got {arr.ndim}-D")
+        arr = self._shape_checked(np.asarray(coeffs, dtype=np.float64))
         kh, kw = arr.shape
-        if kh < 1 or kw < 1 or kh % 2 == 0 or kw % 2 == 0:
-            raise ValueError(f"kernel dimensions must be odd and positive, got {kh}x{kw}")
+        if kh % 2 == 0 or kw % 2 == 0:
+            raise ValueError(f"kernel dimensions must be odd, got {kh}x{kw}")
         if not np.isfinite(arr).all():
             raise ValueError("kernel coefficients must be finite")
         if not np.any(arr != 0.0):
             raise ValueError("kernel must have at least one nonzero coefficient")
         self.coeffs = _frozen(arr.copy())
 
-    @property
-    def kwidth(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
-    def kheight(self) -> int:
-        return self.coeffs.shape[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, Kernel):
-            return NotImplemented
-        return np.array_equal(self.coeffs, other.coeffs)
-
-    __hash__ = None
+    kwidth = _Grid.width
+    kheight = _Grid.height
 
     def __repr__(self):
         return f"Kernel({self.kheight}x{self.kwidth})"
 
 
-class BinaryImage:
+class BinaryImage(_Grid):
     """A raster whose elements are 0 or 1."""
 
     __slots__ = ("bits",)
 
     def __init__(self, bits):
-        arr = np.asarray(bits)
-        if arr.ndim != 2:
-            raise ValueError(f"binary image bits must be 2-D, got {arr.ndim}-D")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"binary image dimensions must be >= 1, got {arr.shape}")
+        arr = self._shape_checked(np.asarray(bits))
         if arr.dtype == np.bool_:
             arr = arr.astype(np.uint8)
         elif not np.issubdtype(arr.dtype, np.integer):
@@ -171,24 +197,6 @@ class BinaryImage:
         if not np.isin(arr, (0, 1)).all():
             raise ValueError("binary image elements must be 0 or 1")
         self.bits = _frozen(arr.astype(np.uint8, copy=True))
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryImage):
-            return NotImplemented
-        return np.array_equal(self.bits, other.bits)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"BinaryImage({self.width}x{self.height})"
 
 
 class Histogram:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .convolution import correlate
-from .core import BinaryImage, Image, Kernel, clamp_round
+from .core import THRESHOLD, BinaryImage, Image, Kernel, clamp_round
 from .errors import DomainError
 from .point_ops import negate
 
@@ -18,8 +18,7 @@ SHADOW_BIAS = 128
 
 def binarize(img: Image, threshold: int = 128) -> BinaryImage:
     """Threshold to bits: 1 where pixel >= threshold, else 0."""
-    if not isinstance(threshold, (int, np.integer)) or not 0 <= threshold <= img.max_gray:
-        raise ValueError(f"threshold must be an integer in [0, {img.max_gray}], got {threshold!r}")
+    threshold = THRESHOLD.check(threshold, "threshold")
     return BinaryImage((img.pixels >= threshold).astype(np.uint8))
 
 

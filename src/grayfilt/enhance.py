@@ -9,14 +9,13 @@ from __future__ import annotations
 import numpy as np
 
 from .convolution import clamp_to_display, correlate, laplacian
-from .core import Image, Kernel, SignedImage, clamp_round
+from .core import POSITIVE_INT, Image, Kernel, SignedImage, clamp_round
 
 
 def box_blur(img: Image, radius: int = 1, border: str = "replicate") -> Image:
     """Windowed mean: each pixel becomes the rounded average of its
     (2*radius+1)**2 neighborhood under the border policy."""
-    if not isinstance(radius, (int, np.integer)) or radius < 1:
-        raise ValueError(f"radius must be a positive integer, got {radius!r}")
+    radius = POSITIVE_INT.check(radius, "radius")
     n = 2 * radius + 1
     sums = correlate(img, Kernel(np.ones((n, n))), border).values
     return Image(clamp_round(sums / (n * n)))

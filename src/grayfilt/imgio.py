@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .core import GRAY_LEVELS, Image, Kernel
+from .core import GRAY_LEVELS, Image, Kernel, choice
 from .errors import FormatError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -87,6 +87,9 @@ def read_pgm(data: bytes) -> Image:
         pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
         return Image(pixels)
 
+    # A P2 pixel takes a separator and a digit: check the bytes before allocating.
+    if len(data) - pos < 2 * count:
+        raise FormatError(f"truncated raster: need {count} pixels, file ends at byte {len(data)}")
     values = np.empty(count, dtype=np.int64)
     filled = 0
     for match in re.finditer(rb"\S+", data[pos:]):
@@ -116,8 +119,7 @@ def write_pgm(img: Image, format: str = "P5") -> bytes:
     """Encode an Image canonically: magic line, "width height" line, "255"
     line, then the raster (raw bytes for P5; one space-separated text row
     per line for P2). read_pgm inverts this exactly for both formats."""
-    if format not in ("P2", "P5"):
-        raise ValueError(f"format must be 'P2' or 'P5', got {format!r}")
+    choice("P2", "P5").check(format, "format")
     header = f"{format}\n{img.width} {img.height}\n{img.max_gray}\n".encode("ascii")
     if format == "P5":
         return header + img.pixels.tobytes()

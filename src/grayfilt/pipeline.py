@@ -11,47 +11,18 @@ is bit-identical to composing the corresponding library calls by hand.
 from __future__ import annotations
 
 import json
-import sys
 from typing import Callable, NamedTuple
 
-from .convolution import clamp_to_display, convolve, laplacian
-from .core import Image
+from .convolution import BORDER, DISPLAY, VARIANT, clamp_to_display, convolve, laplacian
+from .core import POSITIVE_FLOAT, POSITIVE_INT, THRESHOLD, Image, Kind, _must
 from .edges import binarize, bits_to_image, edge_points, image_add, shadow_invert, shadow_ne
 from .enhance import laplacian_sharpen, unsharp_mask
 from .errors import DomainError, FormatError
 from .imgio import load_pgm, load_text, parse_kernel, parse_lut
 from .point_ops import apply_lut, gray_stretch, negate
 
-class Kind(NamedTuple):
-    """A parameter kind. ``check`` is its one validator: it takes a value
-    (from JSON, or CLI text converted by ``parse``) and returns it canonical
-    or raises FormatError. ``choices`` lists the values of a choice kind."""
-
-    check: Callable[[object], object]
-    parse: Callable[[str], object] = str
-    choices: tuple = ()
-
-
-def _must(ok: bool, what: str, value):
-    if not ok:
-        raise FormatError(f"must be {what}, got {value!r}")
-    return value
-
-
-POSITIVE_INT = Kind(lambda v: _must(type(v) is int and v >= 1, "a positive integer", v), int)
-THRESHOLD = Kind(lambda v: _must(type(v) is int and 0 <= v <= 255, "an integer in [0, 255]", v),
-                 int)
-# The upper bound also rejects NaN and integers too large for a float.
-POSITIVE_FLOAT = Kind(lambda v: float(_must(
-    not isinstance(v, bool) and isinstance(v, (int, float)) and 0 < v <= sys.float_info.max,
-    "a finite positive number", v)), float)
-PATH = Kind(lambda v: _must(isinstance(v, str) and v != "", "a file path", v))
-FLAG = Kind(lambda v: _must(isinstance(v, bool), "true or false", v))
-
-
-def choice(*options: str) -> Kind:
-    """The kind whose values are exactly ``options``."""
-    return Kind(lambda v: _must(v in options, f"one of {options}", v), choices=options)
+PATH = Kind(lambda v, name: _must(isinstance(v, str) and v != "", name, "a file path", v))
+FLAG = Kind(lambda v, name: _must(isinstance(v, bool), name, "true or false", v))
 
 
 class Param(NamedTuple):
@@ -91,8 +62,8 @@ def _add_step(p):
     return lambda img: image_add(img, second)
 
 
-_VARIANT = Param("variant", choice("four", "eight"), "four")
-_DISPLAY = Param("display", choice("clamp", "rescale"), "clamp")
+_VARIANT = Param("variant", VARIANT, "four")
+_DISPLAY = Param("display", DISPLAY, "clamp")
 
 #: op name -> Op, in CLI listing order.
 OPS = {
@@ -122,7 +93,7 @@ OPS = {
         "convolve with a kernel from a text file",
         (Param("kernel", PATH, help="kernel file: 'kheight kwidth' line, then coefficient rows",
                metavar="FILE"),
-         Param("border", choice("replicate", "zero"), "replicate"), _DISPLAY),
+         Param("border", BORDER, "replicate"), _DISPLAY),
         _convolve_step),
     "binarize": Op(
         "threshold to a 0/255 image",
@@ -153,17 +124,17 @@ class PipelineStage:
         if op not in OPS:
             raise FormatError(f"unknown op {op!r}; known ops: {', '.join(sorted(OPS))}")
         declared = OPS[op].params
-        unknown = set(params) - {param.name for param in declared}
+        unknown = set(params) - {p.name for p in declared}
         if unknown:
             raise FormatError(f"op {op!r} does not take parameter(s) {sorted(unknown)}")
         canonical = {}
-        for param in declared:
-            if param.name not in params and param.default is None:
-                raise FormatError(f"op {op!r} requires parameter {param.name!r}")
+        for p in declared:
+            if p.name not in params and p.default is None:
+                raise FormatError(f"op {op!r} requires parameter {p.name!r}")
             try:
-                canonical[param.name] = param.kind.check(params.get(param.name, param.default))
-            except FormatError as exc:
-                raise FormatError(f"op {op!r}: {param.name} {exc}") from None
+                canonical[p.name] = p.kind.check(params.get(p.name, p.default), p.name)
+            except ValueError as exc:
+                raise FormatError(f"op {op!r}: {exc}") from None
         self.op = op
         self.params = canonical
 

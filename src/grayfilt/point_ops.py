@@ -7,11 +7,9 @@ pass. Observable behavior is defined by the formulas, not the table mechanism.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import GRAY_LEVELS, Image, clamp_round
+from .core import GRAY_LEVELS, POSITIVE_FLOAT, Image, clamp_round
 
 
 def _as_lut(table) -> np.ndarray:
@@ -42,9 +40,8 @@ def gray_stretch(img: Image, gamma: float = 2.0) -> Image:
     gamma > 1 compresses the low end of the gray scale and expands the high
     end (the curve's slope increases with r); gamma = 1 is the identity.
     """
-    if not (isinstance(gamma, (int, float, np.integer)) and math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be a finite positive number, got {gamma!r}")
+    gamma = POSITIVE_FLOAT.check(gamma, "gamma")
     m = float(img.max_gray)
     levels = np.arange(GRAY_LEVELS, dtype=np.float64) / m
-    table = clamp_round(m * np.power(levels, float(gamma)))
+    table = clamp_round(m * np.power(levels, gamma))
     return Image(table[img.pixels])

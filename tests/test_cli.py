@@ -11,6 +11,7 @@ from grayfilt import (
     Image,
     Kernel,
     apply_lut,
+    bench_convolve,
     bench_image,
     binarize,
     bits_to_image,
@@ -167,6 +168,10 @@ class TestBench:
         expected = correlate_brute(img.pixels.tolist(), np.ones((3, 3)).tolist())
         assert checksum == int(sum(sum(row) for row in expected))
 
+    def test_library_takes_numpy_integers(self):
+        assert bench_convolve(8, np.int64(3), 1).endswith(
+            f"checksum={self._checksum(bench_convolve(8, 3, 1))}\n")
+
     def test_workers_do_not_change_checksum(self, capsys):
         sums = []
         for workers in ("1", "2", "4"):
@@ -188,6 +193,14 @@ class TestExitCodes:
         bad.write_bytes(b"P9\nnot a pgm\n")
         code = run_cli(["negate", "-i", str(bad), "-o", str(tmp_path / "out.pgm")])
         assert code == 2
+
+    def test_oversized_p2_header_is_io_error(self, tmp_path, capsys):
+        # The header declares 10**10 pixels; the reader must not allocate them.
+        bad = tmp_path / "huge.pgm"
+        bad.write_bytes(b"P2\n100000 100000\n255\n1 2 3\n")
+        code = run_cli(["negate", "-i", str(bad), "-o", str(tmp_path / "out.pgm")])
+        assert code == 2
+        assert "truncated raster" in capsys.readouterr().err
 
     def test_dimension_mismatch_is_domain_error(self, tmp_path):
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"

@@ -123,6 +123,8 @@ class TestCorrelate:
             correlate(img, Kernel([[1.0]]), border="wrap")
         with pytest.raises(ValueError):
             correlate(img, Kernel([[1.0]]), workers=0)
+        with pytest.raises(ValueError):
+            correlate(img, Kernel([[1.0]]), workers=True)
 
 
 class TestConvolve:

@@ -161,3 +161,37 @@ class TestHistogram:
         bins = np.zeros(256, dtype=np.int64)
         bins[0], bins[255] = 3, 4
         assert Histogram(bins).total == 7
+
+
+class TestValueTypes:
+    """What the 2-D value types share: repr, equality within one type only,
+    no hashing, and no attributes beyond their declared one."""
+
+    VALUES = [
+        Image(np.zeros((2, 3), np.uint8)),
+        SignedImage(np.zeros((2, 3))),
+        BinaryImage(np.zeros((2, 3), np.uint8)),
+        Kernel(np.ones((3, 5))),
+        Histogram(np.arange(256)),
+    ]
+    IDS = ["Image", "SignedImage", "BinaryImage", "Kernel", "Histogram"]
+
+    def test_reprs(self):
+        assert list(map(repr, self.VALUES)) == [
+            "Image(3x2)", "SignedImage(3x2)", "BinaryImage(3x2)", "Kernel(3x5)",
+            f"Histogram(total={255 * 256 // 2})"]
+
+    def test_different_types_are_never_equal(self):
+        for a in self.VALUES:
+            for b in self.VALUES:
+                assert (a == b) is (a is b)
+
+    @pytest.mark.parametrize("value", VALUES, ids=IDS)
+    def test_not_hashable(self, value):
+        with pytest.raises(TypeError):
+            hash(value)
+
+    @pytest.mark.parametrize("value", VALUES, ids=IDS)
+    def test_no_undeclared_attributes(self, value):
+        with pytest.raises(AttributeError):
+            value.label = "x"

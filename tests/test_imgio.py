@@ -40,6 +40,13 @@ class TestReadPgm:
         with pytest.raises(FormatError, match="truncated"):
             read_pgm(b"P2\n2 2\n255\n1 2 3\n")
 
+    def test_p2_header_larger_than_the_file(self):
+        # Rejected before a raster of 10**10 pixels is allocated.
+        with pytest.raises(FormatError, match="truncated raster"):
+            read_pgm(b"P2\n100000 100000\n255\n1 2 3\n")
+        # The bound is 2 bytes per pixel, which the shortest valid raster meets.
+        assert read_pgm(b"P2\n2 1\n255\n1 2").pixels.tolist() == [[1, 2]]
+
     def test_comments_between_header_tokens(self):
         data = b"P5\n# scanner output\n2 1 # inline\n255\n" + bytes([5, 6])
         assert read_pgm(data).pixels.tolist() == [[5, 6]]

@@ -75,16 +75,20 @@ CASES = [
     ("shadow", ["--invert"], {"invert": True}, lambda img, f: shadow_invert(img)),
 ]
 
-# (op, parameter, CLI text, pipeline value): rejected by both surfaces.
+# (op, parameter, CLI text, pipeline value, the library call given that value):
+# rejected by the CLI, the pipeline and the library alike. bool is not a number.
 BAD_VALUES = [
-    ("binarize", "threshold", "256", 256),
-    ("edges", "threshold", "256", 256),
-    ("stretch", "gamma", "0", 0),
-    ("stretch", "gamma", "nan", float("nan")),
-    ("stretch", "gamma", "inf", float("inf")),
-    ("unsharp", "radius", "0", 0),
-    ("laplacian", "variant", "sixteen", "sixteen"),
-    ("sharpen", "variant", "sixteen", "sixteen"),
+    ("binarize", "threshold", "256", 256, binarize),
+    ("binarize", "threshold", "false", False, binarize),
+    ("edges", "threshold", "256", 256, lambda img, v: edge_points(binarize(img, v))),
+    ("stretch", "gamma", "0", 0, gray_stretch),
+    ("stretch", "gamma", "nan", float("nan"), gray_stretch),
+    ("stretch", "gamma", "inf", float("inf"), gray_stretch),
+    ("stretch", "gamma", "true", True, gray_stretch),
+    ("unsharp", "radius", "0", 0, unsharp_mask),
+    ("unsharp", "radius", "true", True, unsharp_mask),
+    ("laplacian", "variant", "sixteen", "sixteen", laplacian),
+    ("sharpen", "variant", "sixteen", "sixteen", laplacian_sharpen),
 ]
 
 
@@ -127,11 +131,14 @@ def test_cli_pipeline_and_library_agree(files, tmp_path, op, flags, params, libr
     assert piped == expected
 
 
-@pytest.mark.parametrize("op,name,text,value", BAD_VALUES)
-def test_both_surfaces_reject_bad_values(files, tmp_path, op, name, text, value):
+@pytest.mark.parametrize("op,name,text,value,library", BAD_VALUES,
+                         ids=["-".join(map(str, case[:4])) for case in BAD_VALUES])
+def test_both_surfaces_reject_bad_values(files, tmp_path, op, name, text, value, library):
     img, paths, _ = files
     argv = [op, "-i", paths["input"], "-o", str(tmp_path / "out.pgm"), f"--{name}", text]
     assert run_cli(argv) == 1
     assert not (tmp_path / "out.pgm").exists()
     with pytest.raises(FormatError, match=rf"stage 1: .*\b{name}\b"):
         PipelineSpec([{"op": op, name: value}])
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        library(img, value)
