@@ -14,10 +14,15 @@ import time
 import numpy as np
 
 from .convolution import correlate
-from .core import ODD_POSITIVE_INT, POSITIVE_INT, Image, Kernel, SignedImage
+from .core import ODD_POSITIVE_INT, POSITIVE_INT, Image, Kernel, SignedImage, int_kind
 
 #: Seed for the deterministic benchmark input.
 BENCH_SEED = 0xC0FFEE
+
+#: Largest benchmark image side: 8192**2 pixels are 64 MB as uint8 and 256 MB
+#: as the int32 output, so a mistyped size cannot exhaust memory.
+MAX_BENCH_SIZE = 8192
+BENCH_SIZE = int_kind(f"an integer in [1, {MAX_BENCH_SIZE}]", lambda v: 1 <= v <= MAX_BENCH_SIZE)
 
 
 def bench_image(size: int) -> Image:
@@ -35,7 +40,7 @@ def bench_convolve(size: int, ksize: int, iters: int, workers: int = 1) -> str:
     """Correlate the seeded image with a ksize x ksize ones kernel `iters`
     times; report min/median wall time, throughput in millions of
     kernel-tap multiply-adds per second, and the output checksum."""
-    size = POSITIVE_INT.check(size, "size")
+    size = BENCH_SIZE.check(size, "size")
     ksize = ODD_POSITIVE_INT.check(ksize, "ksize")
     iters = POSITIVE_INT.check(iters, "iters")
 

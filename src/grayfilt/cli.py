@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import __version__
-from .bench import bench_convolve
+from .bench import BENCH_SIZE, MAX_BENCH_SIZE, bench_convolve
 from .core import ODD_POSITIVE_INT, POSITIVE_INT
 from .errors import DomainError, FormatError
 from .histogram import compute_histogram, histogram_csv, render_histogram
@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench",
                        help="time the correlation engine on a seeded random image")
     positive = _arg_type(POSITIVE_INT)
-    p.add_argument("--size", type=positive, default=256,
-                   help="image side length (default 256)")
+    p.add_argument("--size", type=_arg_type(BENCH_SIZE), default=256,
+                   help=f"image side length, at most {MAX_BENCH_SIZE} (default 256)")
     p.add_argument("--ksize", type=_arg_type(ODD_POSITIVE_INT), default=3,
                    help="ones-kernel side length, odd (default 3)")
     p.add_argument("--iters", type=positive, default=5,

@@ -1,18 +1,23 @@
 """General 2-D neighborhood filtering: correlation, convolution, Laplacians.
 
-The sliding-window sum is accumulated tap by tap in a fixed row-major order,
-so results are bit-identical to a per-pixel nested-loop evaluation in that
-same order, for integer and real coefficients alike. Filtering never clamps:
-outputs are :class:`SignedImage` and display mapping is a separate step.
+A kernel whose coefficients are all integers, with ``sum(|c|) * 255`` below
+2**53, is accumulated exactly in ``int32`` (``int64`` once that bound reaches
+2**31); every built-in kernel takes this path. Integer sums are exact in any
+order, so this equals the float64 evaluation bit for bit. Any other kernel is
+accumulated in ``float64`` tap by tap in a fixed row-major order, so results
+are bit-identical to a per-pixel nested-loop evaluation in that same order.
+Filtering never clamps: outputs are :class:`SignedImage` and display mapping
+is a separate step.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import POSITIVE_INT, Image, Kernel, SignedImage, choice, clamp_round
+from .core import MAX_GRAY, POSITIVE_INT, Image, Kernel, SignedImage, choice, clamp_round
 
 #: Pad modes implementing each border policy.
 _BORDER_MODES = {"replicate": "edge", "zero": "constant"}
@@ -38,19 +43,51 @@ def rot180(kernel: Kernel) -> Kernel:
     return Kernel(kernel.coeffs[::-1, ::-1])
 
 
+#: Pixels per strip of rows in the correlation loop: 512 KB per float64
+#: array, so a strip's accumulator and product fit in a core's L2 cache.
+_STRIP_PIXELS = 2**16
+
+
+def _accumulator(coeffs: np.ndarray) -> type:
+    """The dtype that sums this kernel's taps over 8-bit pixels exactly:
+    int32 or int64 for integer coefficients whose sums stay below 2**53,
+    else float64."""
+    with np.errstate(over="ignore"):  # huge finite coefficients sum to inf
+        bound = float(np.abs(coeffs).sum()) * MAX_GRAY
+    if bound >= 2.0**53 or not np.array_equal(coeffs, np.round(coeffs)):
+        return np.float64
+    return np.int32 if bound < 2.0**31 else np.int64
+
+
 def _correlate_rows(padded: np.ndarray, coeffs: np.ndarray, r0: int, r1: int,
                     width: int) -> np.ndarray:
-    """Correlate output rows [r0, r1); per-pixel tap order is row-major.
+    """Correlate output rows [r0, r1) of the uint8 ``padded`` source,
+    accumulating in ``coeffs.dtype``; per-pixel tap order is row-major.
 
-    A sum that overflows becomes non-finite and SignedImage rejects it, so
+    The rows are taken in strips of about ``_STRIP_PIXELS`` pixels, each
+    strip through all taps in turn, so its accumulator and product stay in
+    cache. Zero taps are skipped and ±1 taps added or subtracted directly;
+    the accumulator starts at +0.0 (or 0), so neither changes any sum. A float
+    sum that overflows becomes non-finite and SignedImage rejects it, so
     numpy's float warnings are silenced. numpy keeps that setting per thread,
     so it is made here, in the function each worker calls."""
     kh, kw = coeffs.shape
-    out = np.zeros((r1 - r0, width))
+    out = np.zeros((r1 - r0, width), coeffs.dtype)
+    step = max(1, _STRIP_PIXELS // width)
+    product = np.empty((min(step, r1 - r0), width), coeffs.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(kh):
-            for j in range(kw):
-                out += coeffs[i, j] * padded[r0 + i:r1 + i, j:j + width]
+        for s0 in range(r0, r1, step):
+            s1 = min(s0 + step, r1)
+            acc, prod = out[s0 - r0:s1 - r0], product[:s1 - s0]
+            for i in range(kh):
+                for j in range(kw):
+                    c, tap = coeffs[i, j], padded[s0 + i:s1 + i, j:j + width]
+                    if c == 1:
+                        acc += tap
+                    elif c == -1:
+                        acc -= tap
+                    elif c != 0:
+                        acc += np.multiply(tap, c, out=prod)
     return out
 
 
@@ -66,30 +103,32 @@ def correlate(img: Image, kernel: Kernel, border: str = "replicate",
         kernel: weights; odd dimensions, center anchor.
         border: "replicate" repeats the nearest in-range pixel, "zero"
             treats outside pixels as 0.
-        workers: number of row blocks to compute in parallel. Output is
-            bit-identical for every worker count.
+        workers: number of row blocks to compute in parallel, on at most
+            one thread per CPU. Output is bit-identical for every worker
+            count.
 
     Returns:
-        A SignedImage with the same dimensions as the input.
+        A SignedImage with the same dimensions as the input: integer values
+        for an integer kernel within the exact bound, else float64.
     """
     mode = _BORDER_MODES[BORDER.check(border, "border")]
     workers = POSITIVE_INT.check(workers, "workers")
-    src = img.pixels.astype(np.float64)
-    coeffs = kernel.coeffs
+    coeffs = kernel.coeffs.astype(_accumulator(kernel.coeffs))
     ph, pw = kernel.kheight // 2, kernel.kwidth // 2
-    padded = np.pad(src, ((ph, ph), (pw, pw)), mode=mode)
-    height, width = src.shape
+    padded = np.pad(img.pixels, ((ph, ph), (pw, pw)), mode=mode)
+    height, width = img.height, img.width
 
     if workers == 1 or height == 1:
-        return SignedImage(_correlate_rows(padded, coeffs, 0, height, width))
+        return SignedImage._trusted(_correlate_rows(padded, coeffs, 0, height, width))
 
     bounds = np.linspace(0, height, min(workers, height) + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(len(bounds) - 1, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         blocks = list(pool.map(
             lambda rr: _correlate_rows(padded, coeffs, rr[0], rr[1], width),
             zip(bounds[:-1], bounds[1:]),
         ))
-    return SignedImage(np.vstack(blocks))
+    return SignedImage._trusted(np.vstack(blocks))
 
 
 def convolve(img: Image, kernel: Kernel, border: str = "replicate",
@@ -118,17 +157,21 @@ def clamp_to_display(signed: SignedImage, mode: str = "clamp") -> Image:
     wider than the largest double.
     """
     if DISPLAY.check(mode, "mode") == "clamp":
-        return Image(clamp_round(signed.values))
+        return Image._trusted(clamp_round(signed.values))
     values = signed.values
-    vmin, vmax = values.min(), values.max()
+    # Python floats hold every float64 and every integer below 2**53 exactly;
+    # subtracting one from integer values gives float64.
+    vmin, vmax = float(values.min()), float(values.max())
     if vmin == vmax:
-        return Image(np.zeros(values.shape, dtype=np.uint8))
-    if float(vmax) - float(vmin) <= _RESCALE_EXACT_SPAN:
+        return Image._trusted(np.zeros(values.shape, dtype=np.uint8))
+    if vmax - vmin <= _RESCALE_EXACT_SPAN:
         # Multiply before dividing: for integer-valued inputs the numerator
         # stays exact, so half-way quotients round the same as exact rationals.
-        scaled = (values - vmin) * 255.0 / (vmax - vmin)
+        scaled = values - vmin
+        scaled *= 255.0
+        scaled /= vmax - vmin
     else:
         # The product, or the span itself, would overflow: halve every term
         # (exact for normal doubles) and divide first.
         scaled = (values / 2 - vmin / 2) / (vmax / 2 - vmin / 2) * 255.0
-    return Image(clamp_round(scaled))
+    return Image._trusted(clamp_round(scaled))

@@ -4,12 +4,13 @@ rounding rule.
 Every filter in this package moves pixels through exactly one rounding and
 clamping rule, :func:`clamp_round`, so results are reproducible bit for bit.
 All types are immutable after construction: the wrapped numpy arrays are
-copied in and marked read-only, which makes the values safe to share between
-threads.
+copied in (an array the package has just computed is taken over instead) and
+marked read-only, which makes the values safe to share between threads.
 """
 
 from __future__ import annotations
 
+import reprlib
 import sys
 from typing import Callable, NamedTuple
 
@@ -37,7 +38,8 @@ class Kind(NamedTuple):
 
 def _must(ok: bool, name: str, what: str, value):
     if not ok:
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+        # reprlib shortens a huge integer or a long string to a few dozen characters.
+        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
     return value
 
 
@@ -46,13 +48,14 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _int_kind(what: str, ok: Callable[[int], bool]) -> Kind:
+def int_kind(what: str, ok: Callable[[int], bool]) -> Kind:
+    """The kind of the integers for which ``ok`` holds, described as ``what``."""
     return Kind(lambda v, name: int(_must(_is_int(v) and ok(v), name, what, v)), int)
 
 
-POSITIVE_INT = _int_kind("a positive integer", lambda v: v >= 1)
-ODD_POSITIVE_INT = _int_kind("an odd positive integer", lambda v: v >= 1 and v % 2 == 1)
-THRESHOLD = _int_kind(f"an integer in [0, {MAX_GRAY}]", lambda v: 0 <= v <= MAX_GRAY)
+POSITIVE_INT = int_kind("a positive integer", lambda v: v >= 1)
+ODD_POSITIVE_INT = int_kind("an odd positive integer", lambda v: v >= 1 and v % 2 == 1)
+THRESHOLD = int_kind(f"an integer in [0, {MAX_GRAY}]", lambda v: 0 <= v <= MAX_GRAY)
 
 
 def _positive_float(v, name: str) -> float:
@@ -82,6 +85,15 @@ class _Grid:
     in its one slot (``pixels``, ``values``, ``bits`` or ``coeffs``)."""
 
     __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, arr: np.ndarray):
+        """Wrap an array this package has just computed, already in the
+        class's canonical form and referenced nowhere else: it is frozen in
+        place, without the copy and checks of the public constructor."""
+        self = object.__new__(cls)
+        setattr(self, cls.__slots__[0], _frozen(arr))
+        return self
 
     def _shape_checked(self, arr: np.ndarray) -> np.ndarray:
         if arr.ndim != 2:
@@ -142,18 +154,29 @@ class Image(_Grid):
 class SignedImage(_Grid):
     """An unclamped intermediate raster holding signed filter outputs.
 
-    Values are stored as ``float64``, which represents every integer a
-    small integer kernel can produce on 8-bit input exactly (magnitudes up
-    to 2**53), while also admitting real-coefficient kernels.
+    Integer values keep their integer dtype: the engine produces ``int32`` or
+    ``int64`` for integer kernels, whose sums are exact. Any other values are
+    stored as ``float64`` and must be finite.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values):
-        arr = self._shape_checked(np.asarray(values, dtype=np.float64))
-        if not np.isfinite(arr).all():
+        arr = np.asarray(values)
+        if not np.issubdtype(arr.dtype, np.integer):
+            arr = np.asarray(arr, dtype=np.float64)
+        self.values = _frozen(self._finite(self._shape_checked(arr)).copy())
+
+    @staticmethod
+    def _finite(arr: np.ndarray) -> np.ndarray:
+        if arr.dtype == np.float64 and not np.isfinite(arr).all():
             raise DomainError("signed image values must be finite")
-        self.values = _frozen(arr.copy())
+        return arr
+
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> SignedImage:
+        # A float sum the package computed can still have overflowed.
+        return super()._trusted(cls._finite(arr))
 
 
 class Kernel(_Grid):
@@ -237,10 +260,17 @@ def round_half_away(v):
     decided correctly even where ``floor(v + 0.5)`` would misround.
     """
     arr = np.asarray(v, dtype=np.float64)
-    mag = np.abs(arr)
-    base = np.floor(mag)
-    rounded = np.where(mag - base >= 0.5, base + 1.0, base)
+    rounded = _round_nonnegative(np.abs(arr))
     return np.where(arr < 0, -rounded, rounded)
+
+
+def _round_nonnegative(mag):
+    """Round values >= 0 half up, which is half away from zero; ``mag`` is
+    overwritten with the fractional parts."""
+    whole = np.floor(mag)
+    mag -= whole
+    whole += mag >= 0.5  # adds 1.0 or 0.0, both exact
+    return whole
 
 
 def clamp_round(v):
@@ -248,15 +278,22 @@ def clamp_round(v):
 
     Rounds half away from zero, then clamps into ``[0, MAX_GRAY]``. This is
     the single display-mapping rule used by every filter in the package.
-    Scalars come back as ``int``, arrays as ``uint8`` arrays.
+    Scalars come back as ``int``, arrays as ``uint8`` arrays. Integer input
+    is only clamped, since rounding an integer is the identity.
 
     Raises:
         DomainError: if any input value is not finite.
     """
-    arr = np.asarray(v, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise DomainError("clamp_round requires finite input")
-    out = np.clip(round_half_away(arr), 0, MAX_GRAY).astype(np.uint8)
+    arr = np.asarray(v)
+    if np.issubdtype(arr.dtype, np.integer):
+        out = np.clip(arr, 0, MAX_GRAY).astype(np.uint8)
+    else:
+        arr = np.asarray(arr, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise DomainError("clamp_round requires finite input")
+        # Every value below 0 rounds to 0 or less and every value above 255
+        # to 255 or more, so clipping first leaves only [0, 255] to round.
+        out = _round_nonnegative(np.clip(arr, 0, MAX_GRAY)).astype(np.uint8)
     if arr.ndim == 0:
         return int(out)
     return out

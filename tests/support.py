@@ -110,6 +110,31 @@ def box_mean_brute(pixels, radius, border="replicate"):
     return out
 
 
+def box_mean_by_counts(pixels, radius, border="replicate"):
+    """The same windowed mean, for any radius: each in-range pixel is
+    weighted by how many window positions resolve to it in each axis,
+    which makes the cost independent of the radius."""
+    h, w = len(pixels), len(pixels[0])
+    n = 2 * radius + 1
+
+    def counts(center, length):
+        # How often each index 0..length-1 is sampled from [center-r, center+r].
+        c = [1 if abs(k - center) <= radius else 0 for k in range(length)]
+        if border == "replicate":
+            c[0] += max(0, radius - center)
+            c[length - 1] += max(0, center + radius - (length - 1))
+        return c
+
+    out = [[0] * w for _ in range(h)]
+    for y in range(h):
+        rows = counts(y, h)
+        for x in range(w):
+            cols = counts(x, w)
+            total = sum(rows[i] * cols[j] * pixels[i][j] for i in range(h) for j in range(w))
+            out[y][x] = clamp_round_exact(Fraction(total, n * n))
+    return out
+
+
 def edge_map_brute(bits):
     """Per-pixel scan: 1 iff the pixel differs from an existing 4-neighbor."""
     h, w = len(bits), len(bits[0])

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import grayfilt.bench
 from grayfilt import (
     Image,
     Kernel,
@@ -31,6 +32,7 @@ from grayfilt import (
     shadow_ne,
     unsharp_mask,
 )
+from grayfilt.bench import MAX_BENCH_SIZE
 from support import correlate_brute, rand_image, run_cli
 
 
@@ -171,6 +173,19 @@ class TestBench:
     def test_library_takes_numpy_integers(self):
         assert bench_convolve(8, np.int64(3), 1).endswith(
             f"checksum={self._checksum(bench_convolve(8, 3, 1))}\n")
+
+    def test_size_is_capped_before_anything_is_allocated(self, monkeypatch, capsys):
+        def no_image(size):
+            raise AssertionError("the size check must come first")
+
+        monkeypatch.setattr(grayfilt.bench, "bench_image", no_image)
+        assert grayfilt.bench.BENCH_SIZE.check(MAX_BENCH_SIZE, "size") == MAX_BENCH_SIZE
+        with pytest.raises(ValueError, match=r"size must be an integer in \[1, 8192\], got 8193"):
+            bench_convolve(MAX_BENCH_SIZE + 1, 3, 1)
+        for size in ("8193", "100000"):
+            assert run_cli(["bench", "--size", size, "--iters", "1"]) == 1
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1].endswith(f"value must be an integer in [1, 8192], got {size}")
 
     def test_workers_do_not_change_checksum(self, capsys):
         sums = []

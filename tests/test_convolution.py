@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import grayfilt.convolution
 from grayfilt import (
     LAPLACIAN_EIGHT,
     LAPLACIAN_FOUR,
@@ -117,6 +120,50 @@ class TestCorrelate:
         for workers in (2, 3, 8):
             assert correlate(img, k, workers=workers) == serial
 
+    @pytest.mark.parametrize("strip_pixels", [1, 5, 13])
+    def test_row_strips_do_not_change_sums(self, monkeypatch, strip_pixels):
+        # Strips of one row up to a few rows, with a short last strip.
+        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", strip_pixels)
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            img = rand_image(rng, max_side=9, min_side=2)
+            for coeffs in (rand_kernel(rng), rng.integers(-3, 4, (3, 3)).astype(float)):
+                if not np.any(coeffs):
+                    continue
+                expected = correlate_brute(img.pixels.tolist(), coeffs.tolist(), "zero")
+                for workers in (1, 2):
+                    out = correlate(img, Kernel(coeffs), "zero", workers)
+                    assert out.values.tolist() == expected
+
+    def test_threads_are_bounded_by_cpu_count(self, monkeypatch):
+        # The row blocks stay min(workers, height); only the pool shrinks.
+        # A stand-in executor records its size and runs the blocks inline.
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(grayfilt.convolution, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(grayfilt.convolution.os, "cpu_count", lambda: 2)
+        rng = np.random.default_rng(16)
+        img = Image(rng.integers(0, 256, (7, 5), np.uint8))
+        k = Kernel(rng.normal(size=(3, 3)))
+        for workers in (3, 5000):
+            assert correlate(img, k, workers=workers) == correlate(img, k)
+        monkeypatch.setattr(grayfilt.convolution.os, "cpu_count", lambda: None)
+        correlate(img, k, workers=4)
+        assert sizes == [2, 2, 1]
+
     def test_invalid_arguments(self):
         img = Image([[0]])
         with pytest.raises(ValueError):
@@ -125,6 +172,67 @@ class TestCorrelate:
             correlate(img, Kernel([[1.0]]), workers=0)
         with pytest.raises(ValueError):
             correlate(img, Kernel([[1.0]]), workers=True)
+
+
+def kernel_with_weight(total):
+    """A 3x3 integer kernel of mixed signs whose sum of |c| is ``total``."""
+    coeffs = np.array([[1.0, -2.0, 0.0], [3.0, 0.0, -1.0], [0.0, 5.0, 7.0]])
+    coeffs[1, 1] = -(total - np.abs(coeffs).sum())
+    return coeffs
+
+
+class TestExactIntegerPath:
+    """Integer kernels accumulate in int32 below sum(|c|) * 255 = 2**31, in
+    int64 below 2**53, and in float64 tap order beyond that and for real
+    coefficients; every path equals the nested-loop oracle exactly."""
+
+    LIMIT31 = (2**31 - 1) // 255  # largest weight whose sums fit in int32
+    LIMIT53 = (2**53 - 1) // 255
+
+    @pytest.mark.parametrize("total,dtype", [
+        (LIMIT31, np.int32), (LIMIT31 + 1, np.int64),
+        (LIMIT53, np.int64), (LIMIT53 + 1, np.float64),
+    ])
+    @pytest.mark.parametrize("border", ["replicate", "zero"])
+    def test_weights_at_the_bounds_match_oracle(self, total, dtype, border):
+        coeffs = kernel_with_weight(total)
+        rng = np.random.default_rng(17)
+        images = [rng.integers(0, 256, (6, 7), np.uint8),
+                  np.full((3, 4), 255, np.uint8),  # reaches the bound itself
+                  (np.indices((5, 5)).sum(axis=0) % 2 * 255).astype(np.uint8)]
+        for pixels in images:
+            for sign in (1, -1):
+                k = Kernel(sign * coeffs)
+                out = correlate(Image(pixels), k, border)
+                assert out.values.dtype == dtype
+                assert out.values.tolist() == correlate_brute(
+                    pixels.tolist(), k.coeffs.tolist(), border)
+                assert correlate(Image(pixels), k, border, workers=2).values.tobytes() \
+                    == out.values.tobytes()
+
+    def test_extreme_sums_are_exact(self):
+        # All taps positive on an all-255 image: every sum is 255 * weight.
+        for total in (self.LIMIT31, self.LIMIT31 + 1, self.LIMIT53):
+            coeffs = np.abs(kernel_with_weight(total))
+            out = correlate(Image(np.full((2, 3), 255, np.uint8)), Kernel(coeffs))
+            assert np.all(out.values == 255 * total)
+
+    def test_real_coefficients_take_the_float_path(self):
+        out = correlate(Image([[1, 2], [3, 4]]), Kernel([[0.5, 1.0, 0.0]]))
+        assert out.values.dtype == np.float64
+
+    def test_builtin_kernels_take_the_int32_path(self):
+        img = Image([[1, 2], [3, 4]])
+        for k in (LAPLACIAN_FOUR, LAPLACIAN_EIGHT, Kernel(np.ones((9, 9)))):
+            assert correlate(img, k).values.dtype == np.int32
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_images, kernel_coeffs, st.sampled_from(["replicate", "zero"]),
+           st.sampled_from([1.0, -1.0, 1000.0, 2.0**40]))
+    def test_scaled_integer_kernels_match_oracle(self, pixels, coeffs, border, scale):
+        k = Kernel(coeffs * scale)
+        out = correlate(Image(pixels), k, border)
+        assert out.values.tolist() == correlate_brute(pixels.tolist(), k.coeffs.tolist(), border)
 
 
 class TestConvolve:
@@ -232,6 +340,25 @@ class TestClampToDisplay:
         for low, middle in ((0.0, high / 2), (-high, 0.0)):
             s = SignedImage([[low, middle, high]])
             assert clamp_to_display(s, "rescale").pixels.tolist() == [[0, 128, 255]]
+
+    @pytest.mark.parametrize("mode", ["clamp", "rescale"])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_integer_values_map_like_their_float64_copy(self, mode, dtype):
+        rng = np.random.default_rng(18)
+        big = np.iinfo(dtype).max
+        for values in (rng.integers(-600, 600, (5, 6)), [[-big, 0, 7, big]], [[-1, 0, 1]]):
+            ints = SignedImage(np.asarray(values, dtype))
+            floats = SignedImage(np.asarray(values, dtype).astype(np.float64))
+            assert ints.values.dtype == dtype
+            assert clamp_to_display(ints, mode) == clamp_to_display(floats, mode)
+
+    def test_rescale_of_integer_values_matches_exact_affine_oracle(self):
+        # int64 extremes of an integer kernel beyond int32, and a value half-way.
+        values = [-(2**52), 0, 2**40, 2**52]
+        out = clamp_to_display(SignedImage([values]), "rescale")
+        expected = [clamp_round_exact(Fraction((v + 2**52) * 255, 2**53)) for v in values]
+        assert expected[1] == 128
+        assert out.pixels.tolist() == [expected]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from grayfilt import (
     clamp_round,
     round_half_away,
 )
+from grayfilt.core import POSITIVE_FLOAT, POSITIVE_INT, THRESHOLD, choice
 
 
 class TestClampRound:
@@ -51,6 +52,21 @@ class TestClampRound:
     def test_monotone_nondecreasing(self, a, b):
         lo, hi = min(a, b), max(a, b)
         assert clamp_round(lo) <= clamp_round(hi)
+
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64, np.uint64])
+    def test_integer_arrays_are_clamped_only(self, dtype):
+        info = np.iinfo(dtype)
+        values = np.array([[info.min, 0, 1, 128], [255, min(256, info.max), info.max, 7]], dtype)
+        out = clamp_round(values)
+        assert out.dtype == np.uint8
+        assert out.tolist() == [[min(max(int(v), 0), 255) for v in row] for row in values]
+        assert np.array_equal(out, clamp_round(values.astype(np.float64)))
+
+    @given(st.integers(min_value=-(2**70), max_value=2**70))
+    def test_integer_scalars_follow_the_same_rule(self, v):
+        # Python ints beyond int64 take the float path; both give the clamp.
+        assert clamp_round(v) == min(max(v, 0), 255)
 
 
 class TestRoundHalfAway:
@@ -103,6 +119,27 @@ class TestSignedImage:
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             SignedImage([1.0, 2.0])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64])
+    def test_integer_values_keep_their_dtype(self, dtype):
+        src = np.array([[0, 1], [-1 if np.iinfo(dtype).min else 2, 5]], dtype)
+        s = SignedImage(src)
+        assert s.values.dtype == dtype
+        assert s.values.tolist() == src.tolist()
+        assert s.values is not src and not s.values.flags.writeable
+
+    def test_python_integers_stay_integers(self):
+        assert SignedImage([[-400, 10**6]]).values.dtype == np.int64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.bool_])
+    def test_other_values_become_float64(self, dtype):
+        s = SignedImage(np.ones((2, 2), dtype))
+        assert s.values.dtype == np.float64
+        assert np.all(s.values == 1.0)
+
+    def test_float32_non_finite_rejected(self):
+        with pytest.raises(DomainError):
+            SignedImage(np.array([[0.0, np.inf]], np.float32))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_requires_finite_values(self, bad):
@@ -195,3 +232,25 @@ class TestValueTypes:
     def test_no_undeclared_attributes(self, value):
         with pytest.raises(AttributeError):
             value.label = "x"
+
+
+class TestParameterMessages:
+    """A rejected value is echoed shortened, so one diagnostic stays one short line."""
+
+    @pytest.mark.parametrize("kind,value", [
+        (POSITIVE_FLOAT, 10**400),
+        (POSITIVE_INT, -(10**400)),
+        (THRESHOLD, "x" * 10_000),
+        (choice("clamp", "rescale"), "clamp" * 2_000),
+        (POSITIVE_INT, list(range(1_000))),
+    ])
+    def test_echoed_value_is_truncated(self, kind, value):
+        with pytest.raises(ValueError, match="^gamma must be") as info:
+            kind.check(value, "gamma")
+        assert len(str(info.value)) < 120
+
+    def test_short_values_are_echoed_whole(self):
+        with pytest.raises(ValueError, match=r"got 'six'$"):
+            choice("four", "eight").check("six", "variant")
+        with pytest.raises(ValueError, match=r"got -1\.5$"):
+            POSITIVE_FLOAT.check(-1.5, "gamma")

@@ -14,7 +14,7 @@ from grayfilt import (
     unsharp_mask,
 )
 
-from support import box_mean_brute, rand_image
+from support import box_mean_brute, box_mean_by_counts, rand_image
 
 COMPOSITE_SHARPEN = Kernel([[0, -1, 0], [-1, 5, -1], [0, -1, 0]])
 
@@ -45,6 +45,41 @@ class TestBoxBlur:
         img = Image(rng.integers(0, 256, (6, 5), np.uint8))
         out = box_blur(img, 2, border="zero")
         assert out.pixels.tolist() == box_mean_brute(img.pixels.tolist(), 2, "zero")
+
+    @pytest.mark.parametrize("border", ["replicate", "zero"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 3)])
+    def test_radius_beyond_the_image_matches_oracle(self, shape, border):
+        rng = np.random.default_rng(23)
+        pixels = rng.integers(0, 256, shape, np.uint8)
+        for radius in (1, 4, 11):
+            out = box_blur(Image(pixels), radius, border)
+            assert out.pixels.tolist() == box_mean_brute(pixels.tolist(), radius, border)
+
+    def test_counting_oracle_agrees_with_brute_force(self):
+        rng = np.random.default_rng(24)
+        pixels = rng.integers(0, 256, (4, 6), np.uint8).tolist()
+        for border in ("replicate", "zero"):
+            for radius in (1, 2, 7):
+                assert box_mean_by_counts(pixels, radius, border) == \
+                    box_mean_brute(pixels, radius, border)
+
+    @pytest.mark.parametrize("radius", [1449, 1450])
+    def test_widest_windows_are_exact(self, radius):
+        # Radius 1449 is the largest that sums in int32, where the running
+        # sums along the rows of a 60-wide bright image wrap around; at 1450
+        # a bright window sum plus half the area no longer fits in int32.
+        rng = np.random.default_rng(25)
+        pixels = rng.integers(250, 256, (3, 60), np.uint8)
+        for border in ("replicate", "zero"):
+            out = box_blur(Image(pixels), radius, border)
+            assert out.pixels.tolist() == box_mean_by_counts(pixels.tolist(), radius, border)
+        white = Image(np.full((3, 60), 255, np.uint8))
+        assert box_blur(white, radius) == white
+
+    @given(small_images, st.integers(min_value=1, max_value=4), st.sampled_from(["replicate", "zero"]))
+    def test_matches_mean_oracle(self, pixels, radius, border):
+        out = box_blur(Image(pixels), radius, border)
+        assert out.pixels.tolist() == box_mean_brute(pixels.tolist(), radius, border)
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5])
     def test_invalid_radius_rejected(self, bad):

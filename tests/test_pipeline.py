@@ -51,6 +51,15 @@ class TestSpecValidation:
         with pytest.raises(FormatError):
             PipelineSpec([stage])
 
+    @pytest.mark.parametrize("stage", [
+        {"op": "stretch", "gamma": 10**400},
+        {"op": "laplacian", "variant": "eight" * 1000},
+    ])
+    def test_huge_bad_values_give_a_short_message(self, stage):
+        with pytest.raises(FormatError) as info:
+            PipelineSpec([stage])
+        assert len(str(info.value)) < 160
+
     def test_empty_pipeline_rejected(self):
         with pytest.raises(FormatError, match="at least one"):
             PipelineSpec([])
