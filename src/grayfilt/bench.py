@@ -32,8 +32,10 @@ def bench_image(size: int) -> Image:
 
 
 def bench_checksum(out: SignedImage) -> int:
-    """Integer sum of all output values; exact for the ones-kernel bench."""
-    return int(out.values.sum())
+    """Integer sum of all output values; exact for the ones-kernel bench.
+    Integer values are summed in int64, which numpy 1.x on Windows would not
+    choose for int32."""
+    return int(out.values.sum(dtype=np.promote_types(out.values.dtype, np.int64)))
 
 
 def bench_convolve(size: int, ksize: int, iters: int, workers: int = 1) -> str:

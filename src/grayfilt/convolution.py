@@ -1,11 +1,13 @@
 """General 2-D neighborhood filtering: correlation, convolution, Laplacians.
 
 A kernel whose coefficients are all integers, with ``sum(|c|) * 255`` below
-2**53, is accumulated exactly in ``int32`` (``int64`` once that bound reaches
-2**31); every built-in kernel takes this path. Integer sums are exact in any
-order, so this equals the float64 evaluation bit for bit. Any other kernel is
-accumulated in ``float64`` tap by tap in a fixed row-major order, so results
-are bit-identical to a per-pixel nested-loop evaluation in that same order.
+2**31, is accumulated exactly in ``int32``; every built-in kernel takes this
+path. Integer sums are exact in any order, so this equals the float64
+evaluation bit for bit. Any other kernel is accumulated in ``float64`` tap by
+tap in a fixed row-major order, so results are bit-identical to a per-pixel
+nested-loop evaluation in that same order (and exact for an integer kernel
+with ``sum(|c|) * 255`` below 2**53, whose partial sums are all integers
+that a double holds).
 Filtering never clamps: outputs are :class:`SignedImage` and display mapping
 is a separate step.
 """
@@ -49,14 +51,13 @@ _STRIP_PIXELS = 2**16
 
 
 def _accumulator(coeffs: np.ndarray) -> type:
-    """The dtype that sums this kernel's taps over 8-bit pixels exactly:
-    int32 or int64 for integer coefficients whose sums stay below 2**53,
-    else float64."""
+    """int32 for integer coefficients whose sums over 8-bit pixels stay below
+    2**31, so every sum is exact; else float64."""
     with np.errstate(over="ignore"):  # huge finite coefficients sum to inf
         bound = float(np.abs(coeffs).sum()) * MAX_GRAY
-    if bound >= 2.0**53 or not np.array_equal(coeffs, np.round(coeffs)):
-        return np.float64
-    return np.int32 if bound < 2.0**31 else np.int64
+    if bound < 2.0**31 and np.array_equal(coeffs, np.round(coeffs)):
+        return np.int32
+    return np.float64
 
 
 def _correlate_rows(padded: np.ndarray, coeffs: np.ndarray, r0: int, r1: int,
@@ -87,7 +88,9 @@ def _correlate_rows(padded: np.ndarray, coeffs: np.ndarray, r0: int, r1: int,
                     elif c == -1:
                         acc -= tap
                     elif c != 0:
-                        acc += np.multiply(tap, c, out=prod)
+                        # The explicit loop dtype keeps numpy 1.x from
+                        # choosing uint8 from the scalar's value and wrapping.
+                        acc += np.multiply(tap, c, out=prod, dtype=prod.dtype)
     return out
 
 
@@ -108,8 +111,8 @@ def correlate(img: Image, kernel: Kernel, border: str = "replicate",
             count.
 
     Returns:
-        A SignedImage with the same dimensions as the input: integer values
-        for an integer kernel within the exact bound, else float64.
+        A SignedImage with the same dimensions as the input: int32 values
+        for an integer kernel within the int32 bound, else float64.
     """
     mode = _BORDER_MODES[BORDER.check(border, "border")]
     workers = POSITIVE_INT.check(workers, "workers")
@@ -157,21 +160,22 @@ def clamp_to_display(signed: SignedImage, mode: str = "clamp") -> Image:
     wider than the largest double.
     """
     if DISPLAY.check(mode, "mode") == "clamp":
-        return Image._trusted(clamp_round(signed.values))
+        return Image(clamp_round(signed.values))
     values = signed.values
-    # Python floats hold every float64 and every integer below 2**53 exactly;
-    # subtracting one from integer values gives float64.
+    # Python floats hold every float64 and every integer below 2**53 exactly.
     vmin, vmax = float(values.min()), float(values.max())
     if vmin == vmax:
-        return Image._trusted(np.zeros(values.shape, dtype=np.uint8))
+        return Image(np.zeros(values.shape, dtype=np.uint8))
     if vmax - vmin <= _RESCALE_EXACT_SPAN:
         # Multiply before dividing: for integer-valued inputs the numerator
         # stays exact, so half-way quotients round the same as exact rationals.
-        scaled = values - vmin
+        # The explicit dtype keeps numpy 1.x from subtracting int16 values in
+        # float32.
+        scaled = np.subtract(values, vmin, dtype=np.float64)
         scaled *= 255.0
         scaled /= vmax - vmin
     else:
         # The product, or the span itself, would overflow: halve every term
         # (exact for normal doubles) and divide first.
         scaled = (values / 2 - vmin / 2) / (vmax / 2 - vmin / 2) * 255.0
-    return Image._trusted(clamp_round(scaled))
+    return Image(clamp_round(scaled))

@@ -4,8 +4,8 @@ rounding rule.
 Every filter in this package moves pixels through exactly one rounding and
 clamping rule, :func:`clamp_round`, so results are reproducible bit for bit.
 All types are immutable after construction: the wrapped numpy arrays are
-copied in (an array the package has just computed is taken over instead) and
-marked read-only, which makes the values safe to share between threads.
+copied in (a signed filter output the package has just computed is taken
+over instead) and marked read-only, which makes the values safe to share between threads.
 """
 
 from __future__ import annotations
@@ -86,15 +86,6 @@ class _Grid:
 
     __slots__ = ()
 
-    @classmethod
-    def _trusted(cls, arr: np.ndarray):
-        """Wrap an array this package has just computed, already in the
-        class's canonical form and referenced nowhere else: it is frozen in
-        place, without the copy and checks of the public constructor."""
-        self = object.__new__(cls)
-        setattr(self, cls.__slots__[0], _frozen(arr))
-        return self
-
     def _shape_checked(self, arr: np.ndarray) -> np.ndarray:
         if arr.ndim != 2:
             raise ValueError(f"{type(self).__name__} array must be 2-D, got {arr.ndim}-D")
@@ -154,9 +145,9 @@ class Image(_Grid):
 class SignedImage(_Grid):
     """An unclamped intermediate raster holding signed filter outputs.
 
-    Integer values keep their integer dtype: the engine produces ``int32`` or
-    ``int64`` for integer kernels, whose sums are exact. Any other values are
-    stored as ``float64`` and must be finite.
+    Integer values keep their integer dtype: the engine produces ``int32``
+    for integer kernels, whose sums are exact. Any other values are stored as
+    ``float64`` and must be finite.
     """
 
     __slots__ = ("values",)
@@ -175,8 +166,13 @@ class SignedImage(_Grid):
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> SignedImage:
-        # A float sum the package computed can still have overflowed.
-        return super()._trusted(cls._finite(arr))
+        """Wrap an integer or float64 array the package has just computed and
+        references nowhere else: it is frozen in place, without the copy of
+        the public constructor. A float sum can still have overflowed, so
+        finiteness is checked."""
+        self = object.__new__(cls)
+        self.values = _frozen(cls._finite(arr))
+        return self
 
 
 class Kernel(_Grid):

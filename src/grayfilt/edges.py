@@ -69,7 +69,7 @@ def shadow_ne(img: Image) -> Image:
     to highlights on one diagonal and shadows on the other.
     """
     diff = correlate(img, SHADOW_NE_KERNEL, border="replicate")
-    return Image._trusted(clamp_round(SHADOW_BIAS + diff.values))
+    return Image(clamp_round(SHADOW_BIAS + diff.values))
 
 
 def shadow_invert(img: Image) -> Image:

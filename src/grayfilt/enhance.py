@@ -47,7 +47,7 @@ def box_blur(img: Image, radius: int = 1, border: str = "replicate") -> Image:
     # rounding to nearest, floor((s + area/2) / area) = (s + area//2) // area.
     sums += area // 2
     sums //= area
-    return Image._trusted(sums.astype(np.uint8))
+    return Image(sums.astype(np.uint8))
 
 
 def unsharp_mask(img: Image, radius: int = 1, display: str = "clamp",
@@ -71,4 +71,4 @@ def laplacian_sharpen(img: Image, variant: str = "four",
     negative center coefficient; flat regions pass through unchanged.
     """
     lap = laplacian(img, variant, border)
-    return Image._trusted(clamp_round(img.pixels - lap.values))
+    return Image(clamp_round(img.pixels - lap.values))

@@ -182,16 +182,17 @@ def kernel_with_weight(total):
 
 
 class TestExactIntegerPath:
-    """Integer kernels accumulate in int32 below sum(|c|) * 255 = 2**31, in
-    int64 below 2**53, and in float64 tap order beyond that and for real
-    coefficients; every path equals the nested-loop oracle exactly."""
+    """Integer kernels accumulate in int32 below sum(|c|) * 255 = 2**31, and
+    in float64 tap order beyond that and for real coefficients; both paths
+    equal the nested-loop oracle exactly, and float64 sums of an integer
+    kernel are the exact integers below 2**53."""
 
     LIMIT31 = (2**31 - 1) // 255  # largest weight whose sums fit in int32
     LIMIT53 = (2**53 - 1) // 255
 
     @pytest.mark.parametrize("total,dtype", [
-        (LIMIT31, np.int32), (LIMIT31 + 1, np.int64),
-        (LIMIT53, np.int64), (LIMIT53 + 1, np.float64),
+        (LIMIT31, np.int32), (LIMIT31 + 1, np.float64),
+        (LIMIT53, np.float64), (LIMIT53 + 1, np.float64),
     ])
     @pytest.mark.parametrize("border", ["replicate", "zero"])
     def test_weights_at_the_bounds_match_oracle(self, total, dtype, border):
@@ -215,7 +216,14 @@ class TestExactIntegerPath:
         for total in (self.LIMIT31, self.LIMIT31 + 1, self.LIMIT53):
             coeffs = np.abs(kernel_with_weight(total))
             out = correlate(Image(np.full((2, 3), 255, np.uint8)), Kernel(coeffs))
-            assert np.all(out.values == 255 * total)
+            assert [int(v) for v in out.values.flat] == [255 * total] * 6
+
+    def test_taps_beyond_uint8_do_not_wrap(self):
+        # 255 * 5 and 255 * -300 need the accumulator's dtype, not the pixels'.
+        for coeffs, value in (([[0, -1, 0], [-1, 5, -1], [0, -1, 0]], 255),
+                              ([[-300, 2, 7]], 255 * -291)):
+            out = correlate(Image(np.full((3, 3), 255, np.uint8)), Kernel(coeffs))
+            assert np.all(out.values == value)
 
     def test_real_coefficients_take_the_float_path(self):
         out = correlate(Image([[1, 2], [3, 4]]), Kernel([[0.5, 1.0, 0.0]]))
@@ -353,7 +361,7 @@ class TestClampToDisplay:
             assert clamp_to_display(ints, mode) == clamp_to_display(floats, mode)
 
     def test_rescale_of_integer_values_matches_exact_affine_oracle(self):
-        # int64 extremes of an integer kernel beyond int32, and a value half-way.
+        # Integers far beyond int32, up to 2**52, and a value half-way.
         values = [-(2**52), 0, 2**40, 2**52]
         out = clamp_to_display(SignedImage([values]), "rescale")
         expected = [clamp_round_exact(Fraction((v + 2**52) * 255, 2**53)) for v in values]
