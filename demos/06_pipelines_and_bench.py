@@ -65,9 +65,9 @@ except FormatError as exc:
 
 # 3. The benchmark: a seeded random image correlated with a ones kernel.
 #    Same parameters always give the same checksum, whatever the timings
-#    or the worker count, so regressions in numerics cannot hide. (Extra
-#    workers only pay off once images are large enough to amortize the
-#    thread handoff; the checksum must agree either way.)
+#    or the worker count, so regressions in numerics cannot hide. (Workers
+#    share the rows in strips of 65536 pixels, so this 128x128 image is one
+#    strip and runs on one thread; the checksum must agree either way.)
 print()
 print(bench_convolve(size=128, ksize=3, iters=3), end="")
 print(bench_convolve(size=128, ksize=3, iters=3, workers=2), end="")

@@ -45,8 +45,9 @@ def rot180(kernel: Kernel) -> Kernel:
     return Kernel(kernel.coeffs[::-1, ::-1])
 
 
-#: Pixels per strip of rows in the correlation loop: 512 KB per float64
-#: array, so a strip's accumulator and product fit in a core's L2 cache.
+#: Pixels per strip of rows, the correlation loop's cache block and its unit
+#: of parallel work: 512 KB per float64 array, so a strip's accumulator and
+#: product fit in a core's L2 cache.
 _STRIP_PIXELS = 2**16
 
 
@@ -60,38 +61,32 @@ def _accumulator(coeffs: np.ndarray) -> type:
     return np.float64
 
 
-def _correlate_rows(padded: np.ndarray, coeffs: np.ndarray, r0: int, r1: int,
-                    width: int) -> np.ndarray:
-    """Correlate output rows [r0, r1) of the uint8 ``padded`` source,
-    accumulating in ``coeffs.dtype``; per-pixel tap order is row-major.
+def _correlate_strip(padded: np.ndarray, coeffs: np.ndarray, out: np.ndarray,
+                     s0: int, s1: int) -> None:
+    """Add every tap of ``coeffs`` into output rows [s0, s1) of ``out``,
+    reading the uint8 ``padded`` source; per-pixel tap order is row-major.
+    Strips do not overlap, so threads share ``out`` without a lock.
 
-    The rows are taken in strips of about ``_STRIP_PIXELS`` pixels, each
-    strip through all taps in turn, so its accumulator and product stay in
-    cache. Zero taps are skipped and ±1 taps added or subtracted directly;
-    the accumulator starts at +0.0 (or 0), so neither changes any sum. A float
-    sum that overflows becomes non-finite and SignedImage rejects it, so
-    numpy's float warnings are silenced. numpy keeps that setting per thread,
-    so it is made here, in the function each worker calls."""
+    Zero taps are skipped and ±1 taps added or subtracted directly; ``out``
+    starts at +0.0 (or 0), so neither changes any sum. A float sum that
+    overflows becomes non-finite and SignedImage rejects it, so numpy's float
+    warnings are silenced. numpy keeps that setting per thread, so it is made
+    here, in the function each thread calls."""
     kh, kw = coeffs.shape
-    out = np.zeros((r1 - r0, width), coeffs.dtype)
-    step = max(1, _STRIP_PIXELS // width)
-    product = np.empty((min(step, r1 - r0), width), coeffs.dtype)
+    acc = out[s0:s1]
+    prod = np.empty_like(acc)
     with np.errstate(over="ignore", invalid="ignore"):
-        for s0 in range(r0, r1, step):
-            s1 = min(s0 + step, r1)
-            acc, prod = out[s0 - r0:s1 - r0], product[:s1 - s0]
-            for i in range(kh):
-                for j in range(kw):
-                    c, tap = coeffs[i, j], padded[s0 + i:s1 + i, j:j + width]
-                    if c == 1:
-                        acc += tap
-                    elif c == -1:
-                        acc -= tap
-                    elif c != 0:
-                        # The explicit loop dtype keeps numpy 1.x from
-                        # choosing uint8 from the scalar's value and wrapping.
-                        acc += np.multiply(tap, c, out=prod, dtype=prod.dtype)
-    return out
+        for i in range(kh):
+            for j in range(kw):
+                c, tap = coeffs[i, j], padded[s0 + i:s1 + i, j:j + out.shape[1]]
+                if c == 1:
+                    acc += tap
+                elif c == -1:
+                    acc -= tap
+                elif c != 0:
+                    # The explicit loop dtype keeps numpy 1.x from
+                    # choosing uint8 from the scalar's value and wrapping.
+                    acc += np.multiply(tap, c, out=prod, dtype=prod.dtype)
 
 
 def correlate(img: Image, kernel: Kernel, border: str = "replicate",
@@ -106,9 +101,9 @@ def correlate(img: Image, kernel: Kernel, border: str = "replicate",
         kernel: weights; odd dimensions, center anchor.
         border: "replicate" repeats the nearest in-range pixel, "zero"
             treats outside pixels as 0.
-        workers: number of row blocks to compute in parallel, on at most
-            one thread per CPU. Output is bit-identical for every worker
-            count.
+        workers: most threads to share the row strips, with at most one
+            thread per CPU and one per strip. Output is bit-identical for
+            every worker count.
 
     Returns:
         A SignedImage with the same dimensions as the input: int32 values
@@ -119,19 +114,18 @@ def correlate(img: Image, kernel: Kernel, border: str = "replicate",
     coeffs = kernel.coeffs.astype(_accumulator(kernel.coeffs))
     ph, pw = kernel.kheight // 2, kernel.kwidth // 2
     padded = np.pad(img.pixels, ((ph, ph), (pw, pw)), mode=mode)
-    height, width = img.height, img.width
+    out = np.zeros((img.height, img.width), coeffs.dtype)
 
-    if workers == 1 or height == 1:
-        return SignedImage._trusted(_correlate_rows(padded, coeffs, 0, height, width))
-
-    bounds = np.linspace(0, height, min(workers, height) + 1, dtype=int)
-    threads = min(len(bounds) - 1, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        blocks = list(pool.map(
-            lambda rr: _correlate_rows(padded, coeffs, rr[0], rr[1], width),
-            zip(bounds[:-1], bounds[1:]),
-        ))
-    return SignedImage._trusted(np.vstack(blocks))
+    step = max(1, _STRIP_PIXELS // img.width)
+    strips = [(s0, min(s0 + step, img.height)) for s0 in range(0, img.height, step)]
+    threads = min(workers, len(strips), os.cpu_count() or 1)
+    if threads == 1:
+        for s0, s1 in strips:
+            _correlate_strip(padded, coeffs, out, s0, s1)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(lambda s: _correlate_strip(padded, coeffs, out, *s), strips))
+    return SignedImage._trusted(out)
 
 
 def convolve(img: Image, kernel: Kernel, border: str = "replicate",

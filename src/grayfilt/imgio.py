@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import GRAY_LEVELS, Image, Kernel, choice
 from .errors import FormatError
+from .point_ops import _as_lut
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
@@ -168,9 +169,10 @@ def parse_kernel(text: str) -> Kernel:
     then kheight rows of kwidth whitespace-separated reals.
 
     Raises:
-        FormatError: even or non-positive dimensions, wrong token count,
-            non-numeric token, or an all-zero kernel; messages name the
-            offending line number.
+        FormatError: non-positive dimensions, wrong token count or
+            non-numeric token (messages name the offending line number), or
+            anything :class:`Kernel` rejects, such as even dimensions or an
+            all-zero kernel.
     """
     lines = text.splitlines()
     if not lines or not lines[0].split():
@@ -184,8 +186,6 @@ def parse_kernel(text: str) -> Kernel:
         raise FormatError(f"line 1: non-numeric dimension in {header!r}") from None
     if kheight < 1 or kwidth < 1:
         raise FormatError(f"line 1: dimensions must be positive, got {kheight}x{kwidth}")
-    if kheight % 2 == 0 or kwidth % 2 == 0:
-        raise FormatError(f"line 1: dimensions must be odd, got {kheight}x{kwidth}")
 
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -212,14 +212,11 @@ def parse_kernel(text: str) -> Kernel:
 
 def parse_lut(text: str) -> np.ndarray:
     """Parse a LUT table file: 256 whitespace-separated integers in [0, 255]."""
-    tokens = text.split()
-    if len(tokens) != GRAY_LEVELS:
-        raise FormatError(f"LUT table must have exactly {GRAY_LEVELS} entries, got {len(tokens)}")
     try:
-        values = [int(tok) for tok in tokens]
+        values = [int(tok) for tok in text.split()]
     except ValueError:
         raise FormatError("LUT table contains a non-numeric entry") from None
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.min() < 0 or arr.max() > GRAY_LEVELS - 1:
-        raise FormatError(f"LUT entries must lie in [0, {GRAY_LEVELS - 1}]")
-    return arr.astype(np.uint8)
+    try:
+        return _as_lut(values)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None

@@ -7,20 +7,26 @@ pass. Observable behavior is defined by the formulas, not the table mechanism.
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
-from .core import GRAY_LEVELS, POSITIVE_FLOAT, Image, clamp_round
+from .core import GRAY_LEVELS, MAX_GRAY, POSITIVE_FLOAT, Image, _is_int, clamp_round
 
 
 def _as_lut(table) -> np.ndarray:
-    arr = np.asarray(table)
-    if arr.ndim != 1 or arr.shape[0] != GRAY_LEVELS:
-        raise ValueError(f"LUT must have exactly {GRAY_LEVELS} entries")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"LUT entries must be integers, got dtype {arr.dtype}")
-    if arr.min() < 0 or arr.max() > GRAY_LEVELS - 1:
-        raise ValueError(f"LUT entries must lie in [0, {GRAY_LEVELS - 1}]")
-    return arr.astype(np.uint8)
+    """The LUT rule, for tables passed in and LUT files alike: exactly 256
+    integer entries in [0, 255], returned as uint8. Entries are compared as
+    Python numbers, so an integer too wide for int64 is simply out of range."""
+    entries = np.asarray(table, dtype=object)
+    if entries.shape != (GRAY_LEVELS,):
+        raise ValueError(f"LUT must have exactly {GRAY_LEVELS} entries, got shape {entries.shape}")
+    for value in entries:
+        if not _is_int(value):
+            raise ValueError(f"LUT entries must be integers, got {reprlib.repr(value)}")
+        if not 0 <= value <= MAX_GRAY:
+            raise ValueError(f"LUT entries must lie in [0, {MAX_GRAY}], got {reprlib.repr(value)}")
+    return entries.astype(np.uint8)
 
 
 def apply_lut(img: Image, lut) -> Image:

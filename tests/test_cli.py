@@ -217,6 +217,16 @@ class TestExitCodes:
         assert code == 2
         assert "truncated raster" in capsys.readouterr().err
 
+    def test_huge_lut_entry_is_io_error(self, tmp_path, capsys):
+        img, table = tmp_path / "in.pgm", tmp_path / "huge.lut"
+        save_pgm(img, Image([[0, 1]]))
+        table.write_text(" ".join(["0"] * 255 + [str(10**20)]))
+        code = run_cli(["lut", "-i", str(img), "-o", str(tmp_path / "out.pgm"),
+                        "--table", str(table)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"grayfilt: LUT entries must lie in [0, 255], got {10**20}"]
+
     def test_dimension_mismatch_is_domain_error(self, tmp_path):
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
         save_pgm(a, Image([[0]]))

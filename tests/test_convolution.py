@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -136,8 +137,9 @@ class TestCorrelate:
                     assert out.values.tolist() == expected
 
     def test_threads_are_bounded_by_cpu_count(self, monkeypatch):
-        # The row blocks stay min(workers, height); only the pool shrinks.
-        # A stand-in executor records its size and runs the blocks inline.
+        # Row strips are the unit of work: the pool has min(workers, strips,
+        # CPUs) threads, and one thread runs the strips inline with no pool.
+        # A stand-in executor records its size and runs the strips inline.
         sizes = []
 
         class InlineExecutor:
@@ -154,15 +156,43 @@ class TestCorrelate:
                 return map(fn, items)
 
         monkeypatch.setattr(grayfilt.convolution, "ThreadPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(grayfilt.convolution.os, "cpu_count", lambda: 2)
         rng = np.random.default_rng(16)
         img = Image(rng.integers(0, 256, (7, 5), np.uint8))
         k = Kernel(rng.normal(size=(3, 3)))
-        for workers in (3, 5000):
-            assert correlate(img, k, workers=workers) == correlate(img, k)
-        monkeypatch.setattr(grayfilt.convolution.os, "cpu_count", lambda: None)
-        correlate(img, k, workers=4)
-        assert sizes == [2, 2, 1]
+        serial = correlate(img, k)
+
+        # Strips of 2 rows: 4 strips, the last one short.
+        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 10)
+        for cpus, workers, pool_size in [(8, 3, 3), (8, 5000, 4), (2, 3, 2), (2, 5000, 2)]:
+            monkeypatch.setattr(grayfilt.convolution.os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            assert correlate(img, k, workers=workers) == serial
+            assert sizes == [pool_size]
+
+        # One thread (one worker, one CPU or an unknown count) or one strip: no pool.
+        for cpus, workers, strip_pixels in [(8, 1, 10), (1, 4, 10), (None, 4, 10), (8, 4, 35)]:
+            monkeypatch.setattr(grayfilt.convolution.os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", strip_pixels)
+            sizes.clear()
+            assert correlate(img, k, workers=workers) == serial
+            assert sizes == []
+
+    def test_threads_sharing_the_output_match_serial(self, monkeypatch):
+        # Eight threads (more than most hosts have cores), switching often,
+        # each adding its strips' taps into its own rows of the one output.
+        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 40)
+        monkeypatch.setattr(grayfilt.convolution.os, "cpu_count", lambda: 8)
+        rng = np.random.default_rng(17)
+        img = Image(rng.integers(0, 256, (96, 40), np.uint8))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k in (Kernel(rng.normal(size=(5, 3))), LAPLACIAN_EIGHT):
+                serial = correlate(img, k)
+                for _ in range(5):
+                    assert correlate(img, k, workers=8) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_invalid_arguments(self):
         img = Image([[0]])

@@ -2,7 +2,8 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from grayfilt import (
@@ -19,6 +20,31 @@ from grayfilt import (
 
 pixel_arrays = hnp.arrays(
     np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16))
+
+
+def mutated(base, pieces):
+    """``base`` with one to four slices replaced by drawn pieces: an empty
+    piece deletes, an empty slice inserts, a slice to the end truncates."""
+    @st.composite
+    def strategy(draw):
+        data = draw(base)
+        for _ in range(draw(st.integers(1, 4))):
+            start = draw(st.integers(0, len(data)))
+            end = draw(st.integers(start, len(data)))
+            data = data[:start] + draw(pieces) + data[end:]
+        return data
+    return strategy()
+
+
+_HUGE = "99999999999999999999"
+byte_pieces = st.sampled_from(
+    [b"", b" ", b"\n", b"#", b"-", b"0", b"255", b"P2", b"P5", _HUGE.encode()]
+) | st.binary(max_size=3)
+text_pieces = st.sampled_from(
+    ["", " ", "\n", "-", "0", "0.5", "1e999", "nan", _HUGE, "-" + _HUGE]
+) | st.text(max_size=3)
+small_arrays = hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=4))
+fuzz = settings(max_examples=100, deadline=None)
 
 
 class TestReadPgm:
@@ -147,6 +173,38 @@ class TestFileHelpers:
             load_pgm(tmp_path / "missing.pgm")
 
 
+class TestFuzz:
+    """Mutated inputs give a value or a FormatError, never anything else."""
+
+    @fuzz
+    @given(mutated(st.tuples(small_arrays, st.sampled_from(["P2", "P5"])).map(
+        lambda case: write_pgm(Image(case[0]), case[1])), byte_pieces))
+    def test_read_pgm(self, data):
+        try:
+            assert isinstance(read_pgm(data), Image)
+        except FormatError:
+            pass
+
+    @fuzz
+    @given(mutated(st.sampled_from(["3 3\n0 1 0\n1 -4 1\n0 1 0\n", "1 3\n0.25 -0.5 2e-1\n",
+                                    "5 1\n1\n-2\n3\n-2\n1\n"]), text_pieces))
+    def test_parse_kernel(self, text):
+        try:
+            assert isinstance(parse_kernel(text), Kernel)
+        except FormatError:
+            pass
+
+    @fuzz
+    @given(mutated(st.integers(0, 255).map(
+        lambda c: " ".join(str(i * c % 256) for i in range(256))), text_pieces))
+    def test_parse_lut(self, text):
+        try:
+            table = parse_lut(text)
+        except FormatError:
+            return
+        assert table.dtype == np.uint8 and table.shape == (256,)
+
+
 class TestParseKernel:
     def test_four_neighbor_laplacian(self):
         text = "3 3\n0 1 0\n1 -4 1\n0 1 0\n"
@@ -203,3 +261,7 @@ class TestParseLut:
     def test_out_of_range_entry(self):
         with pytest.raises(FormatError, match="must lie"):
             parse_lut(" ".join(["256"] * 256))
+        # Entries too wide for int64 are out of range too, not an overflow.
+        for entry in (10**20, -10**20):
+            with pytest.raises(FormatError, match="must lie"):
+                parse_lut(" ".join(["0"] * 255 + [str(entry)]))
