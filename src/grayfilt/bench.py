@@ -8,7 +8,6 @@ of worker count).
 
 from __future__ import annotations
 
-import statistics
 import time
 
 import numpy as np
@@ -45,6 +44,8 @@ def bench_convolve(size: int, ksize: int, iters: int, workers: int = 1) -> str:
     size = BENCH_SIZE.check(size, "size")
     ksize = ODD_POSITIVE_INT.check(ksize, "ksize")
     iters = POSITIVE_INT.check(iters, "iters")
+
+    import statistics  # here, not at module level: keeps it off CLI start-up
 
     img = bench_image(size)
     kern = Kernel(np.ones((ksize, ksize)))

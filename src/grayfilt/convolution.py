@@ -15,7 +15,6 @@ is a separate step.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -123,6 +122,10 @@ def correlate(img: Image, kernel: Kernel, border: str = "replicate",
         for s0, s1 in strips:
             _correlate_strip(padded, coeffs, out, s0, s1)
     else:
+        # Imported here, as most calls run on one thread: at module level it
+        # would add about 8 ms to every CLI process's start-up.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda s: _correlate_strip(padded, coeffs, out, *s), strips))
     return SignedImage._trusted(out)

@@ -213,7 +213,7 @@ class BinaryImage(_Grid):
             arr = arr.astype(np.uint8)
         elif not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"binary image elements must be integers, got dtype {arr.dtype}")
-        if not np.isin(arr, (0, 1)).all():
+        if arr.min() < 0 or arr.max() > 1:
             raise ValueError("binary image elements must be 0 or 1")
         self.bits = _frozen(arr.astype(np.uint8, copy=True))
 

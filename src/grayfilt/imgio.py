@@ -5,21 +5,48 @@ and binary (P5) encodings with '#' comments between header tokens; writing
 emits one canonical byte sequence per image and format, so write-read-write
 is byte-identical. The maxval must be 255: other depths are rejected rather
 than silently rescaled.
+
+A P2 raster is decoded with whole-array numpy operations when it is in the
+fast grammar: every byte after the maxval is an ASCII digit or one of the six
+whitespace bytes, and each of the first width*height tokens has 1 to 3 digits
+and a value of at most 255 (anything after them is ignored). Any other raster
+goes to the token scanner, which gives every error message and byte offset
+and accepts whatever ``int()`` does, such as ``+7``, ``1_0`` or ``0255``.
+Both give the same pixels for every raster the fast grammar takes.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import reprlib
 import tempfile
 
 import numpy as np
 
-from .core import GRAY_LEVELS, Image, Kernel, choice
+from .core import GRAY_LEVELS, MAX_GRAY, Image, Kernel, choice
 from .errors import FormatError
 from .point_ops import _as_lut
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+
+#: Byte classes of the fast P2 grammar: a digit's value, 10 for whitespace,
+#: 11 for any other byte.
+_P2_CODES = np.full(256, 11, dtype=np.uint8)
+_P2_CODES[np.frombuffer(b"0123456789", dtype=np.uint8)] = np.arange(10)
+_P2_CODES[np.frombuffer(_WHITESPACE, dtype=np.uint8)] = 10
+
+#: The canonical P2 text of each gray level.
+_LEVEL_TEXT = np.array([str(v) for v in range(GRAY_LEVELS)], dtype=object)
+
+
+def _refused(token, noun: str) -> str:
+    """Say why ``int()`` refused ``token``, with a shortened echo of it. A sign
+    and ASCII digits form a valid literal, so ``int()`` refuses one only for
+    having more digits than Python converts."""
+    text = token.decode("latin-1") if isinstance(token, bytes) else token
+    reason = "too many digits in" if re.fullmatch(r"[+-]?[0-9]+", text) else "non-numeric"
+    return f"{reason} {noun} {reprlib.repr(token)}"
 
 
 def _next_token(data: bytes, pos: int):
@@ -47,8 +74,65 @@ def _header_int(data: bytes, pos: int, what: str):
     try:
         value = int(token.decode("ascii"))
     except (UnicodeDecodeError, ValueError):
-        raise FormatError(f"{what}: non-numeric token {token!r} at byte {start}") from None
+        raise FormatError(f"{what}: {_refused(token, 'token')} at byte {start}") from None
     return value, end
+
+
+def _p2_fast(data: bytes, pos: int, count: int):
+    """Decode the first ``count`` P2 tokens after byte ``pos`` as uint8 with
+    whole-array operations, or return None for a raster outside the fast
+    grammar (see the module docstring). The raster must start with
+    whitespace, as read_pgm's does (the byte that ended the maxval), so that
+    every token's tens and hundreds are looked up inside the array."""
+    codes = _P2_CODES[np.frombuffer(data, dtype=np.uint8, offset=pos)]
+    if codes.max() > 10 or codes[0] < 10:
+        return None
+    digit = codes < 10
+    # A token's last digit is a digit followed by whitespace or the end.
+    last = np.flatnonzero(digit > np.append(digit[1:], False))[:count]
+    if len(last) < count:
+        return None
+    head = digit[:last[-1] + 1]
+    if (head[:-3] & head[1:-2] & head[2:-1] & head[3:]).any():  # a token of 4+ digits
+        return None
+    values = codes[last].astype(np.uint16)
+    last -= 1
+    has_tens = digit[last]
+    values += np.where(has_tens, codes[last], 0).astype(np.uint16) * 10
+    last -= 1
+    values += np.where(has_tens & digit[last], codes[last], 0).astype(np.uint16) * 100
+    if values.max() > MAX_GRAY:
+        return None
+    return values.astype(np.uint8)
+
+
+def _p2_scan(data: bytes, pos: int, count: int) -> np.ndarray:
+    """Decode the first ``count`` P2 tokens after byte ``pos`` one by one with
+    ``int()``; every P2 raster error is raised here."""
+    values = np.empty(count, dtype=np.int64)
+    filled = 0
+    for match in re.finditer(rb"\S+", data[pos:]):
+        if filled == count:
+            break
+        token = match.group()
+        try:
+            value = int(token.decode("ascii"))
+        except (UnicodeDecodeError, ValueError):
+            raise FormatError(
+                f"{_refused(token, 'pixel token')} at byte {pos + match.start()}"
+            ) from None
+        if not 0 <= value <= MAX_GRAY:
+            raise FormatError(
+                f"pixel value {reprlib.repr(value)} out of [0, {MAX_GRAY}] "
+                f"at byte {pos + match.start()}"
+            )
+        values[filled] = value
+        filled += 1
+    if filled < count:
+        raise FormatError(
+            f"truncated raster: need {count} pixels, found {filled} by byte {len(data)}"
+        )
+    return values
 
 
 def read_pgm(data: bytes) -> Image:
@@ -71,10 +155,15 @@ def read_pgm(data: bytes) -> Image:
     width, pos = _header_int(data, 2, "width")
     height, pos = _header_int(data, pos, "height")
     maxval, pos = _header_int(data, pos, "maxval")
+    size = f"{reprlib.repr(width)}x{reprlib.repr(height)}"
     if width < 1 or height < 1:
-        raise FormatError(f"dimensions must be >= 1, got {width}x{height}")
+        raise FormatError(f"dimensions must be >= 1, got {size}")
     if maxval != GRAY_LEVELS - 1:
-        raise FormatError(f"unsupported maxval {maxval}: only 255 is accepted")
+        raise FormatError(f"unsupported maxval {reprlib.repr(maxval)}: only 255 is accepted")
+    if max(width, height) > len(data):
+        # Caught before the product, whose digits could outnumber what Python
+        # converts to text for the messages below.
+        raise FormatError(f"truncated raster: a {size} image cannot fit in {len(data)} bytes")
     count = width * height
 
     if magic == b"P5":
@@ -91,28 +180,9 @@ def read_pgm(data: bytes) -> Image:
     # A P2 pixel takes a separator and a digit: check the bytes before allocating.
     if len(data) - pos < 2 * count:
         raise FormatError(f"truncated raster: need {count} pixels, file ends at byte {len(data)}")
-    values = np.empty(count, dtype=np.int64)
-    filled = 0
-    for match in re.finditer(rb"\S+", data[pos:]):
-        if filled == count:
-            break
-        token = match.group()
-        try:
-            value = int(token.decode("ascii"))
-        except (UnicodeDecodeError, ValueError):
-            raise FormatError(
-                f"non-numeric pixel token {token!r} at byte {pos + match.start()}"
-            ) from None
-        if not 0 <= value <= maxval:
-            raise FormatError(
-                f"pixel value {value} out of [0, {maxval}] at byte {pos + match.start()}"
-            )
-        values[filled] = value
-        filled += 1
-    if filled < count:
-        raise FormatError(
-            f"truncated raster: need {count} pixels, found {filled} by byte {len(data)}"
-        )
+    values = _p2_fast(data, pos, count)
+    if values is None:
+        values = _p2_scan(data, pos, count)
     return Image(values.reshape(height, width))
 
 
@@ -124,7 +194,7 @@ def write_pgm(img: Image, format: str = "P5") -> bytes:
     header = f"{format}\n{img.width} {img.height}\n{img.max_gray}\n".encode("ascii")
     if format == "P5":
         return header + img.pixels.tobytes()
-    body = "".join(" ".join(map(str, row)) + "\n" for row in img.pixels)
+    body = "".join(" ".join(_LEVEL_TEXT[row].tolist()) + "\n" for row in img.pixels)
     return header + body.encode("ascii")
 
 
@@ -212,10 +282,12 @@ def parse_kernel(text: str) -> Kernel:
 
 def parse_lut(text: str) -> np.ndarray:
     """Parse a LUT table file: 256 whitespace-separated integers in [0, 255]."""
-    try:
-        values = [int(tok) for tok in text.split()]
-    except ValueError:
-        raise FormatError("LUT table contains a non-numeric entry") from None
+    values = []
+    for tok in text.split():
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise FormatError(f"LUT table: {_refused(tok, 'entry')}") from None
     try:
         return _as_lut(values)
     except ValueError as exc:

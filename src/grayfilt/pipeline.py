@@ -10,7 +10,6 @@ is bit-identical to composing the corresponding library calls by hand.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, NamedTuple
 
 from .convolution import BORDER, DISPLAY, VARIANT, clamp_to_display, convolve, laplacian
@@ -174,6 +173,8 @@ class PipelineSpec:
 
 def parse_pipeline(text: str) -> PipelineSpec:
     """Parse the JSON spec format: {"stages": [{"op": ..., ...}, ...]}."""
+    import json  # here, not at module level: keeps it off CLI start-up
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+import grayfilt.convolution
 from grayfilt import (
     Image,
     Kernel,
@@ -291,7 +292,9 @@ def test_criterion_11_pipeline_composition(tmp_path):
 
 
 @criterion(12, "bit-identical results across 1, 2, and max-core execution", 30.0)
-def test_criterion_12_parallel_determinism():
+def test_criterion_12_parallel_determinism(monkeypatch):
+    # Strips of 4 rows of 64 pixels, so workers 2 and max share each image.
+    monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 256)
     rng = np.random.default_rng(1012)
     max_workers = max(os.cpu_count() or 2, 2)
     worker_counts = (1, 2, max_workers)

@@ -227,6 +227,14 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             f"grayfilt: LUT entries must lie in [0, 255], got {10**20}"]
 
+    def test_long_header_token_is_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "long.pgm"
+        bad.write_bytes(b"P5 " + b"9" * 5000 + b" 1 255 x")
+        code = run_cli(["negate", "-i", str(bad), "-o", str(tmp_path / "out.pgm")])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "width: too many digits in token" in line and len(line) < 120
+
     def test_dimension_mismatch_is_domain_error(self, tmp_path):
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
         save_pgm(a, Image([[0]]))
@@ -298,6 +306,16 @@ class TestProcessLevel:
         assert proc.returncode == 1
         assert proc.stdout == b""
         assert b"error" in proc.stderr
+
+    def test_startup_skips_unneeded_imports(self):
+        # Threads, pipelines and the bench report import these when they run.
+        lazy = ("concurrent.futures", "json", "statistics")
+        code = ("import sys; lazy = %r; before = {m for m in lazy if m in sys.modules}; "
+                "import grayfilt.cli; print(sorted(set(lazy) & set(sys.modules) - before))"
+                % (lazy,))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"[]\n"
 
     def test_bench_reports_on_stderr_only(self):
         proc = self._run("bench", "--size", "16", "--ksize", "3", "--iters", "1")

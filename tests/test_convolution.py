@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 from fractions import Fraction
 
@@ -113,7 +114,9 @@ class TestCorrelate:
             parts = 2 * correlate(Image(f), k).values + correlate(Image(g), k).values
             assert np.array_equal(combined, parts)
 
-    def test_worker_counts_are_bit_identical(self):
+    def test_worker_counts_are_bit_identical(self, monkeypatch):
+        # Strips of at most 2 rows, so several threads share every image.
+        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 8)
         rng = np.random.default_rng(15)
         img = rand_image(rng, max_side=20, min_side=4)
         k = Kernel(rng.normal(size=(3, 5)))
@@ -155,7 +158,7 @@ class TestCorrelate:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(grayfilt.convolution, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
         rng = np.random.default_rng(16)
         img = Image(rng.integers(0, 256, (7, 5), np.uint8))
         k = Kernel(rng.normal(size=(3, 3)))

@@ -181,6 +181,12 @@ class TestBinaryImage:
         with pytest.raises(ValueError):
             BinaryImage([[0, 2]])
 
+    @pytest.mark.parametrize("bits", [
+        [[-1, 0]], np.array([[0, 2**62]]), np.array([[1, 2**64 - 1]], np.uint64)])
+    def test_negative_and_wide_values_rejected(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            BinaryImage(bits)
+
 
 class TestHistogram:
     def test_bin_count_enforced(self):

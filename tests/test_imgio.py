@@ -17,6 +17,7 @@ from grayfilt import (
     save_pgm,
     write_pgm,
 )
+from grayfilt.imgio import _WHITESPACE, _p2_fast, _p2_scan
 
 pixel_arrays = hnp.arrays(
     np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16))
@@ -45,6 +46,35 @@ text_pieces = st.sampled_from(
 ) | st.text(max_size=3)
 small_arrays = hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=4))
 fuzz = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def p2_rasters(draw):
+    """A P2 file of up to 5x5 pixels, with separators drawn from every
+    whitespace byte. Half the rasters are in the fast grammar apart from
+    perhaps too few tokens; the rest mix 1-4 digit numbers up to 300 (leading
+    zeros too) with up to two tokens that only int() or nothing accepts, and
+    trailing garbage. Returns (data, raster offset, (height, width))."""
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    count = width * height
+    clean = draw(st.booleans())
+    top, widest = (255, 3) if clean else (draw(st.sampled_from([255, 300])), 4)
+    number = st.builds(lambda v, k: str(v).zfill(k).encode(),
+                       st.integers(0, top), st.integers(1, widest))
+    tokens = draw(st.lists(number, min_size=max(0, count - 2), max_size=count + 3))
+    odd = [b"+7", b"1_0", b"0255", b"1000", b"#", b"3#c", b"-3", b"x", b"\xd9\xa3"]
+    for token in [] if clean else draw(st.lists(st.sampled_from(odd), max_size=2)):
+        tokens.insert(draw(st.integers(0, len(tokens))), token)
+    trailing = [b"", b"999", b"0255"] + ([] if clean else [b"junk", b"#", b"\x80"])
+    tokens.append(draw(st.sampled_from(trailing)))
+    gap = st.binary(min_size=1, max_size=3).map(
+        lambda b: bytes(_WHITESPACE[c % len(_WHITESPACE)] for c in b))
+    raster = b"".join(draw(gap) + token for token in tokens)
+    header = f"P2\n{width} {height}\n255".encode()
+    # Room for 2 bytes a pixel, so read_pgm's size check passes and every
+    # outcome comes from decoding the raster.
+    raster += b" " * max(0, 2 * count - len(raster))
+    return header + raster, len(header), (height, width)
 
 
 class TestReadPgm:
@@ -92,6 +122,9 @@ class TestReadPgm:
     def test_p2_pixel_above_maxval(self):
         with pytest.raises(FormatError, match="out of"):
             read_pgm(b"P2\n1 1\n255\n256\n")
+        # Four digits whose last three are in range.
+        with pytest.raises(FormatError, match="pixel value 1000 out of"):
+            read_pgm(b"P2\n2 1\n255\n7 1000\n")
 
     def test_p2_negative_pixel(self):
         with pytest.raises(FormatError, match="out of"):
@@ -108,6 +141,62 @@ class TestReadPgm:
     def test_p2_tolerates_trailing_whitespace(self):
         assert read_pgm(b"P2\n1 1\n255\n7\n\n  \n").pixels.tolist() == [[7]]
 
+    def test_p2_accepts_what_int_accepts(self):
+        data = b"P2\n5 1\n255\n+7 1_0 0255 007\x0b\x0c200 #trailing"
+        assert read_pgm(data).pixels.tolist() == [[7, 10, 255, 7, 200]]
+
+    def test_long_tokens_are_echoed_short(self):
+        # int() refuses over 4300 digits: the message says so, in one short line.
+        long = b"9" * 5000
+        cases = [
+            (b"P5 " + long + b" 1 255 x", "width: too many digits in token b'999", "at byte 3"),
+            (b"P2 2 1 255 " + long + b" 3", "too many digits in pixel token", "at byte 11"),
+            (b"P2 2 1 255 +" + long + b" 3", "too many digits in pixel token", "at byte 11"),
+            (b"P2 1 1 255 " + b"9" * 4000, "pixel value 999", "at byte 11"),
+            (b"P2 1 1 " + b"9" * 4000 + b" 7", "unsupported maxval 999", "accepted"),
+            (b"P5 0 " + b"9" * 4000 + b" 255 x", "dimensions must be >= 1, got 0x999", "999"),
+            # The product of two 4000-digit dimensions has too many digits to print.
+            (b"P5 " + b"9" * 4000 + b" " + b"9" * 4000 + b" 255 x",
+             "truncated raster: a 999", "cannot fit in 8010 bytes"),
+        ]
+        for data, start, end in cases:
+            with pytest.raises(FormatError) as info:
+                read_pgm(data)
+            message = str(info.value)
+            assert message.startswith(start) and message.endswith(end), message
+            assert len(message) < 150
+
+    @fuzz
+    @given(p2_rasters())
+    def test_p2_fast_path_agrees_with_scanner(self, case):
+        data, pos, shape = case
+        count = shape[0] * shape[1]
+
+        def outcome(decode):
+            try:
+                return decode()
+            except FormatError as exc:
+                return str(exc)
+
+        scanned = outcome(lambda: Image(_p2_scan(data, pos, count).reshape(shape)))
+        assert outcome(lambda: read_pgm(data)) == scanned
+        fast = _p2_fast(data, pos, count)
+        if fast is not None:
+            assert Image(fast.reshape(shape)) == scanned
+
+    def test_fast_path_needs_whitespace_before_the_first_token(self):
+        # Else the first token's tens digit would be read from the array's end.
+        assert _p2_fast(b"7 8", 0, 2) is None
+        assert _p2_fast(b" 7 8", 0, 2).tolist() == [7, 8]
+
+    @given(pixel_arrays)
+    def test_canonical_p2_takes_the_fast_path(self, pixels):
+        data = write_pgm(Image(pixels), "P2")
+        pos = data.index(b"255") + 3
+        fast = _p2_fast(data, pos, pixels.size)
+        assert fast is not None and fast.dtype == np.uint8
+        assert np.array_equal(fast.reshape(pixels.shape), pixels)
+
 
 class TestWritePgm:
     def test_canonical_p2_layout(self):
@@ -117,6 +206,12 @@ class TestWritePgm:
     def test_canonical_p5_layout(self):
         img = Image([[0, 64], [128, 255]])
         assert write_pgm(img, "P5") == b"P5\n2 2\n255\n" + bytes([0, 64, 128, 255])
+
+    @given(pixel_arrays)
+    def test_p2_matches_per_pixel_formatting(self, pixels):
+        body = "".join(" ".join(map(str, row)) + "\n" for row in pixels.tolist())
+        header = f"P2\n{pixels.shape[1]} {pixels.shape[0]}\n255\n"
+        assert write_pgm(Image(pixels), "P2") == (header + body).encode("ascii")
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
@@ -257,6 +352,12 @@ class TestParseLut:
     def test_non_numeric_entry(self):
         with pytest.raises(FormatError, match="non-numeric"):
             parse_lut(" ".join(["1"] * 255 + ["x"]))
+
+    def test_long_entry_is_echoed_short(self):
+        for entry in ("9" * 5000, "+" + "9" * 5000):
+            with pytest.raises(FormatError, match="too many digits in entry") as info:
+                parse_lut(" ".join(["1"] * 255 + [entry]))
+            assert len(str(info.value)) < 100
 
     def test_out_of_range_entry(self):
         with pytest.raises(FormatError, match="must lie"):
