@@ -8,13 +8,21 @@ tap in a fixed row-major order, so results are bit-identical to a per-pixel
 nested-loop evaluation in that same order (and exact for an integer kernel
 with ``sum(|c|) * 255`` below 2**53, whose partial sums are all integers
 that a double holds).
-Filtering never clamps: outputs are :class:`SignedImage` and display mapping
-is a separate step.
+
+:func:`correlate` never clamps: its output is a :class:`SignedImage`, and
+:func:`clamp_to_display` maps it to gray levels one strip of rows at a time.
+An integer intermediate is rescaled in exact integers, as
+(510·(v − min) + span) // (2·span) with span = max − min. The ops that end in
+gray levels (``laplacian_sharpen``, ``shadow_ne``, and the ``laplacian`` and
+``convolve`` ops with the clamp display) map each strip of rows to gray
+levels as soon as its sums are done, with the same rounding rule, so no
+full-size signed intermediate is built.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +44,8 @@ VARIANT = choice(*_LAPLACIANS)
 DISPLAY = choice("clamp", "rescale")
 #: Widest [min, max] span whose rescale numerator (values - min) * 255 cannot overflow.
 _RESCALE_EXACT_SPAN = np.finfo(np.float64).max / 255.0
+#: Widest integer span whose exact rescale numerator 510·(v − min) + span fits in uint64.
+_RESCALE_INT_SPAN = (2**64 - 1) // 511
 
 
 def rot180(kernel: Kernel) -> Kernel:
@@ -44,10 +54,18 @@ def rot180(kernel: Kernel) -> Kernel:
     return Kernel(kernel.coeffs[::-1, ::-1])
 
 
-#: Pixels per strip of rows, the correlation loop's cache block and its unit
-#: of parallel work: 512 KB per float64 array, so a strip's accumulator and
-#: product fit in a core's L2 cache.
+#: Pixels per strip of rows, the cache block of every strip loop (correlation,
+#: display mapping, box blur) and the correlation's unit of parallel work:
+#: 512 KB per float64 array, so a strip's accumulator and product fit in a
+#: core's L2 cache.
 _STRIP_PIXELS = 2**16
+
+
+def _row_strips(height: int, width: int) -> list:
+    """[s0, s1) row ranges of about ``_STRIP_PIXELS`` pixels of ``width``
+    each, and at least one row, covering ``height`` rows."""
+    step = max(1, _STRIP_PIXELS // width)
+    return [(s0, min(s0 + step, height)) for s0 in range(0, height, step)]
 
 
 def _accumulator(coeffs: np.ndarray) -> type:
@@ -60,24 +78,23 @@ def _accumulator(coeffs: np.ndarray) -> type:
     return np.float64
 
 
-def _correlate_strip(padded: np.ndarray, coeffs: np.ndarray, out: np.ndarray,
-                     s0: int, s1: int) -> None:
-    """Add every tap of ``coeffs`` into output rows [s0, s1) of ``out``,
-    reading the uint8 ``padded`` source; per-pixel tap order is row-major.
-    Strips do not overlap, so threads share ``out`` without a lock.
+def _correlate_strip(padded: np.ndarray, coeffs: np.ndarray, s0: int, s1: int,
+                     width: int) -> np.ndarray:
+    """The accumulator of output rows [s0, s1): every tap of ``coeffs`` added
+    over the uint8 ``padded`` source, in row-major tap order per pixel.
 
-    Zero taps are skipped and ±1 taps added or subtracted directly; ``out``
-    starts at +0.0 (or 0), so neither changes any sum. A float sum that
-    overflows becomes non-finite and SignedImage rejects it, so numpy's float
-    warnings are silenced. numpy keeps that setting per thread, so it is made
-    here, in the function each thread calls."""
+    Zero taps are skipped and ±1 taps added or subtracted directly; the
+    accumulator starts at +0.0 (or 0), so neither changes any sum. A float sum
+    that overflows becomes non-finite and is rejected by the caller, so
+    numpy's float warnings are silenced. numpy keeps that setting per thread,
+    so it is made here, in the function each thread calls."""
     kh, kw = coeffs.shape
-    acc = out[s0:s1]
+    acc = np.zeros((s1 - s0, width), coeffs.dtype)
     prod = np.empty_like(acc)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(kh):
             for j in range(kw):
-                c, tap = coeffs[i, j], padded[s0 + i:s1 + i, j:j + out.shape[1]]
+                c, tap = coeffs[i, j], padded[s0 + i:s1 + i, j:j + width]
                 if c == 1:
                     acc += tap
                 elif c == -1:
@@ -86,6 +103,35 @@ def _correlate_strip(padded: np.ndarray, coeffs: np.ndarray, out: np.ndarray,
                     # The explicit loop dtype keeps numpy 1.x from
                     # choosing uint8 from the scalar's value and wrapping.
                     acc += np.multiply(tap, c, out=prod, dtype=prod.dtype)
+    return acc
+
+
+def _correlate_strips(img: Image, kernel: Kernel, border: str, workers: int,
+                      finish: Callable[[np.ndarray, int, int], None]) -> None:
+    """Correlate strip by strip, handing each strip's accumulator to
+    ``finish(acc, s0, s1)`` while it is still in cache. Strips do not
+    overlap, so threads may write their rows of one output without a lock."""
+    mode = _BORDER_MODES[BORDER.check(border, "border")]
+    workers = POSITIVE_INT.check(workers, "workers")
+    coeffs = kernel.coeffs.astype(_accumulator(kernel.coeffs))
+    ph, pw = kernel.kheight // 2, kernel.kwidth // 2
+    padded = np.pad(img.pixels, ((ph, ph), (pw, pw)), mode=mode)
+
+    def run(strip):
+        finish(_correlate_strip(padded, coeffs, *strip, img.width), *strip)
+
+    strips = _row_strips(img.height, img.width)
+    threads = min(workers, len(strips), os.cpu_count() or 1)
+    if threads == 1:
+        for strip in strips:
+            run(strip)
+    else:
+        # Imported here, as most calls run on one thread: at module level it
+        # would add about 8 ms to every CLI process's start-up.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, strips))
 
 
 def correlate(img: Image, kernel: Kernel, border: str = "replicate",
@@ -108,27 +154,39 @@ def correlate(img: Image, kernel: Kernel, border: str = "replicate",
         A SignedImage with the same dimensions as the input: int32 values
         for an integer kernel within the int32 bound, else float64.
     """
-    mode = _BORDER_MODES[BORDER.check(border, "border")]
-    workers = POSITIVE_INT.check(workers, "workers")
-    coeffs = kernel.coeffs.astype(_accumulator(kernel.coeffs))
-    ph, pw = kernel.kheight // 2, kernel.kwidth // 2
-    padded = np.pad(img.pixels, ((ph, ph), (pw, pw)), mode=mode)
-    out = np.zeros((img.height, img.width), coeffs.dtype)
+    out = np.empty((img.height, img.width), _accumulator(kernel.coeffs))
 
-    step = max(1, _STRIP_PIXELS // img.width)
-    strips = [(s0, min(s0 + step, img.height)) for s0 in range(0, img.height, step)]
-    threads = min(workers, len(strips), os.cpu_count() or 1)
-    if threads == 1:
-        for s0, s1 in strips:
-            _correlate_strip(padded, coeffs, out, s0, s1)
-    else:
-        # Imported here, as most calls run on one thread: at module level it
-        # would add about 8 ms to every CLI process's start-up.
-        from concurrent.futures import ThreadPoolExecutor
+    def store(acc, s0, s1):
+        out[s0:s1] = acc
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: _correlate_strip(padded, coeffs, out, *s), strips))
+    _correlate_strips(img, kernel, border, workers, store)
     return SignedImage._trusted(out)
+
+
+def _correlate_gray(img: Image, kernel: Kernel, border: str = "replicate",
+                    workers: int = 1, bias: int = 0) -> Image:
+    """``clamp_round(bias + correlate(img, kernel, border, workers).values)``,
+    with each strip clamped into the uint8 output while it is in cache, so
+    no full-size accumulator exists. A non-finite float sum raises the same
+    DomainError as ``correlate``."""
+    out = np.empty((img.height, img.width), np.uint8)
+
+    def clamp(acc, s0, s1):
+        SignedImage._finite(acc)
+        if bias:
+            acc += bias
+        out[s0:s1] = clamp_round(acc)
+
+    _correlate_strips(img, kernel, border, workers, clamp)
+    return Image._trusted(out)
+
+
+def _correlate_display(img: Image, kernel: Kernel, border: str, mode: str) -> Image:
+    """``clamp_to_display(correlate(img, kernel, border), mode)``; the clamp
+    is fused into the strip loop, a rescale needs the whole range first."""
+    if mode == "clamp":
+        return _correlate_gray(img, kernel, border)
+    return clamp_to_display(correlate(img, kernel, border), mode)
 
 
 def convolve(img: Image, kernel: Kernel, border: str = "replicate",
@@ -148,31 +206,81 @@ def laplacian(img: Image, variant: str = "four", border: str = "replicate",
     return correlate(img, _LAPLACIANS[VARIANT.check(variant, "variant")], border, workers)
 
 
+def _int_levels(vmin: int, span: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The rescale of integer values in [vmin, vmin + span], span >= 1, in
+    exact integers: (510·(v − vmin) + span) // (2·span) is 255·(v − vmin)/span
+    rounded half up, which for these nonnegative quotients is half away from
+    zero.
+
+    A span below ``_STRIP_PIXELS`` looks each v − vmin up in a table of
+    span + 1 levels; a wider one divides. Both work in uint64, where v − vmin
+    is exact modulo 2**64 for any integer dtype, since it lies in [0, span],
+    and 510·span + span stays below 2**64."""
+    base = np.uint64(vmin % 2**64)
+    if span < _STRIP_PIXELS:
+        table = ((510 * np.arange(span + 1, dtype=np.int64) + span) // (2 * span)).astype(np.uint8)
+        return lambda v: table[v.astype(np.uint64) - base]
+
+    def divide(v):
+        d = v.astype(np.uint64)
+        d -= base
+        d *= np.uint64(510)
+        d += np.uint64(span)
+        d //= np.uint64(2 * span)
+        return d
+
+    return divide
+
+
+def _float_levels(vmin: float, vmax: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The rescale of values in [vmin, vmax], vmin < vmax, in float64,
+    rounded by ``clamp_round``."""
+    if vmax - vmin <= _RESCALE_EXACT_SPAN:
+        def scale(v):
+            # Multiply before dividing: for integer-valued inputs the
+            # numerator stays exact, so half-way quotients round the same as
+            # exact rationals.
+            scaled = np.subtract(v, vmin, dtype=np.float64)
+            scaled *= 255.0
+            scaled /= vmax - vmin
+            return clamp_round(scaled)
+    else:
+        def scale(v):
+            # The product, or the span itself, would overflow: halve every
+            # term (exact for normal doubles) and divide first.
+            return clamp_round((v / 2 - vmin / 2) / (vmax / 2 - vmin / 2) * 255.0)
+    return scale
+
+
 def clamp_to_display(signed: SignedImage, mode: str = "clamp") -> Image:
-    """Map a signed intermediate back to displayable gray levels.
+    """Map a signed intermediate back to displayable gray levels, one strip
+    of rows at a time.
 
     "clamp" rounds each value half away from zero and clips to [0, 255].
     "rescale" maps [min, max] affinely onto [0, 255] (an all-equal input
     comes back as all zeros); this holds for any finite range, even one
     wider than the largest double.
+
+    Integer values are rescaled in exact integers, as
+    (510·(v − min) + span) // (2·span) with span = max − min. For int32 and
+    narrower values this equals the float64 evaluation bit for bit; wider
+    values get the exactly rounded level. Float values, and integer spans of
+    2**64 / 511 or more, are rescaled in float64.
     """
-    if DISPLAY.check(mode, "mode") == "clamp":
-        return Image(clamp_round(signed.values))
     values = signed.values
-    # Python floats hold every float64 and every integer below 2**53 exactly.
-    vmin, vmax = float(values.min()), float(values.max())
-    if vmin == vmax:
-        return Image(np.zeros(values.shape, dtype=np.uint8))
-    if vmax - vmin <= _RESCALE_EXACT_SPAN:
-        # Multiply before dividing: for integer-valued inputs the numerator
-        # stays exact, so half-way quotients round the same as exact rationals.
-        # The explicit dtype keeps numpy 1.x from subtracting int16 values in
-        # float32.
-        scaled = np.subtract(values, vmin, dtype=np.float64)
-        scaled *= 255.0
-        scaled /= vmax - vmin
+    if DISPLAY.check(mode, "mode") == "clamp":
+        levels = clamp_round
     else:
-        # The product, or the span itself, would overflow: halve every term
-        # (exact for normal doubles) and divide first.
-        scaled = (values / 2 - vmin / 2) / (vmax / 2 - vmin / 2) * 255.0
-    return Image(clamp_round(scaled))
+        # Python ints for integer values, Python floats for float64 ones.
+        vmin, vmax = values.min().item(), values.max().item()
+        if vmin == vmax:
+            return Image._trusted(np.zeros(values.shape, dtype=np.uint8))
+        if isinstance(vmin, int) and vmax - vmin <= _RESCALE_INT_SPAN:
+            levels = _int_levels(vmin, vmax - vmin)
+        else:
+            # Python floats hold every float64 and every integer below 2**53 exactly.
+            levels = _float_levels(float(vmin), float(vmax))
+    out = np.empty(values.shape, np.uint8)
+    for s0, s1 in _row_strips(*values.shape):
+        out[s0:s1] = levels(values[s0:s1])
+    return Image._trusted(out)

@@ -137,6 +137,15 @@ class Image(_Grid):
                 )
         self.pixels = _frozen(arr.astype(np.uint8, copy=True))
 
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> Image:
+        """Wrap a uint8 array the package has just computed and references
+        nowhere else: it is frozen in place, without the copy of the public
+        constructor."""
+        self = object.__new__(cls)
+        self.pixels = _frozen(arr)
+        return self
+
     @property
     def max_gray(self) -> int:
         return MAX_GRAY

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convolution import correlate
-from .core import THRESHOLD, BinaryImage, Image, Kernel, clamp_round
+from .convolution import _correlate_gray
+from .core import THRESHOLD, BinaryImage, Image, Kernel
 from .errors import DomainError
 from .point_ops import negate
 
@@ -66,10 +66,10 @@ def shadow_ne(img: Image) -> Image:
 
     Correlates with the NE-minus-SW difference kernel (replicate border) and
     biases by mid-gray, so flat regions map to 128 and intensity steps map
-    to highlights on one diagonal and shadows on the other.
+    to highlights on one diagonal and shadows on the other. Each strip of
+    rows is clamped to gray levels as soon as it is correlated.
     """
-    diff = correlate(img, SHADOW_NE_KERNEL, border="replicate")
-    return Image(clamp_round(SHADOW_BIAS + diff.values))
+    return _correlate_gray(img, SHADOW_NE_KERNEL, "replicate", bias=SHADOW_BIAS)
 
 
 def shadow_invert(img: Image) -> Image:

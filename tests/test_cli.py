@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import grayfilt.bench
+import grayfilt.convolution
 from grayfilt import (
     Image,
     Kernel,
@@ -252,6 +253,22 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "finite" in err
+
+    def test_overflow_in_a_later_strip_is_one_domain_error(self, tmp_path, capsys, monkeypatch):
+        # One-row strips; the first rows sum to 0, and each strip is clamped
+        # to gray levels before the next one is correlated.
+        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 4)
+        pixels = np.zeros((6, 4), np.uint8)
+        pixels[4:] = 200
+        img = tmp_path / "in.pgm"
+        save_pgm(img, Image(pixels))
+        kern = tmp_path / "k.txt"
+        kern.write_text("1 3\n1e308 1e308 1e308\n")
+        out = tmp_path / "out.pgm"
+        code = run_cli(["convolve", "-i", str(img), "-o", str(out), "--kernel", str(kern)])
+        assert code == 3 and not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.endswith("signed image values must be finite")
 
     def test_bad_flag_value_is_usage_error(self, tmp_path):
         code = run_cli(["stretch", "--gamma", "-2",

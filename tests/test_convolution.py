@@ -1,6 +1,7 @@
 import concurrent.futures
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,15 +13,23 @@ import grayfilt.convolution
 from grayfilt import (
     LAPLACIAN_EIGHT,
     LAPLACIAN_FOUR,
+    SHADOW_NE_KERNEL,
+    DomainError,
     Image,
     Kernel,
     SignedImage,
+    clamp_round,
     clamp_to_display,
     convolve,
     correlate,
     laplacian,
+    laplacian_sharpen,
     rot180,
+    shadow_ne,
 )
+from grayfilt.convolution import _RESCALE_INT_SPAN, _correlate_gray
+from grayfilt.edges import SHADOW_BIAS
+from grayfilt.pipeline import OPS
 
 from support import (
     clamp_round_exact,
@@ -40,6 +49,20 @@ kernel_coeffs = odd_sides.flatmap(
             np.float64, (kh, kw),
             elements=st.integers(min_value=-9, max_value=9).map(float),
         ).filter(lambda a: np.any(a != 0.0))))
+real_coeffs = odd_sides.flatmap(
+    lambda kh: odd_sides.flatmap(
+        lambda kw: hnp.arrays(
+            np.float64, (kh, kw),
+            elements=st.floats(min_value=-4, max_value=4).map(lambda c: round(c, 3)),
+        ).filter(lambda a: np.any(a != 0.0))))
+borders = st.sampled_from(["replicate", "zero"])
+#: Strip sizes from one pixel (one-row strips) to a few rows of a small image.
+strip_pixels = st.integers(min_value=1, max_value=40)
+
+
+def strips_of(pixels):
+    """Patch the strip size, so that a small image spans many strips."""
+    return mock.patch.object(grayfilt.convolution, "_STRIP_PIXELS", pixels)
 
 
 def impulse(side, value=1):
@@ -404,3 +427,169 @@ class TestClampToDisplay:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             clamp_to_display(SignedImage([[0.0]]), "wrap")
+
+
+class TestFusedDisplay:
+    """Ops that end in gray levels clamp each strip of rows as soon as it is
+    correlated. The fused path must equal the unfused chain, and both the
+    brute-force oracle, at every strip size and worker count."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_images, st.one_of(kernel_coeffs, real_coeffs), borders,
+           st.sampled_from([1, 2]), strip_pixels, st.sampled_from([0, SHADOW_BIAS]))
+    def test_fused_clamp_matches_unfused_chain_and_oracle(self, pixels, coeffs, border,
+                                                          workers, strip, bias):
+        img, k = Image(pixels), Kernel(coeffs)
+        # The bias is added in float64, as the engine adds it.
+        expected = [[clamp_round_exact(Fraction(v + bias)) for v in row]
+                    for row in correlate_brute(pixels.tolist(), coeffs.tolist(), border)]
+        with strips_of(strip):
+            fused = _correlate_gray(img, k, border, workers, bias)
+            unfused = clamp_round(bias + correlate(img, k, border, workers).values)
+            if not bias:
+                assert clamp_to_display(correlate(img, k, border, workers)) == fused
+        assert fused.pixels.tolist() == expected
+        assert unfused.tolist() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_images, st.sampled_from(["four", "eight"]), borders, strip_pixels)
+    def test_sharpen_and_shadow_match_unfused_chain(self, pixels, variant, border, strip):
+        img = Image(pixels)
+        with strips_of(strip):
+            lap = laplacian(img, variant, border).values
+            assert laplacian_sharpen(img, variant, border).pixels.tolist() == \
+                clamp_round(img.pixels - lap).tolist()
+            diff = correlate(img, SHADOW_NE_KERNEL).values
+            assert shadow_ne(img).pixels.tolist() == clamp_round(SHADOW_BIAS + diff).tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_images, st.sampled_from(["four", "eight"]), st.sampled_from(["clamp", "rescale"]),
+           strip_pixels)
+    def test_laplacian_op_matches_library_chain(self, pixels, variant, display, strip):
+        img = Image(pixels)
+        step = OPS["laplacian"].build({"variant": variant, "display": display})
+        with strips_of(strip):
+            assert step(img) == clamp_to_display(laplacian(img, variant), display)
+
+    @pytest.mark.parametrize("border", ["replicate", "zero"])
+    @pytest.mark.parametrize("display", ["clamp", "rescale"])
+    def test_convolve_op_matches_library_chain(self, tmp_path, monkeypatch, border, display):
+        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 7)
+        rng = np.random.default_rng(31)
+        path = tmp_path / "k.txt"
+        for _ in range(10):
+            img = rand_image(rng, max_side=12)
+            for coeffs in (rand_kernel(rng), rng.integers(-3, 4, (3, 5)).astype(float)):
+                if not np.any(coeffs):
+                    continue
+                path.write_text(f"{coeffs.shape[0]} {coeffs.shape[1]}\n"
+                                + "\n".join(" ".join(map(repr, row)) for row in coeffs.tolist()))
+                step = OPS["convolve"].build({"kernel": str(path), "border": border,
+                                              "display": display})
+                expected = clamp_to_display(convolve(img, Kernel(coeffs), border), display)
+                assert step(img) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflow_in_a_later_strip_is_the_finite_error(self, monkeypatch, workers):
+        # One-row strips: the top rows sum to 0, the bottom ones overflow.
+        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 4)
+        pixels = np.zeros((8, 4), np.uint8)
+        pixels[5:] = 200
+        img, k = Image(pixels), Kernel([[1e308, 1e308, 1e308]])
+        for run in (lambda: _correlate_gray(img, k, workers=workers),
+                    lambda: correlate(img, k, workers=workers)):
+            with pytest.raises(DomainError, match="^signed image values must be finite$"):
+                run()
+
+
+def rescale_oracle(values):
+    """255·(v − min)/(max − min) rounded half away from zero, in exact rationals."""
+    flat = [v for row in values for v in row]
+    vmin, span = min(flat), max(flat) - min(flat)
+    if span == 0:
+        return [[0] * len(row) for row in values]
+    return [[round_half_away_exact(Fraction(255 * (v - vmin), span)) for v in row]
+            for row in values]
+
+
+def int_arrays(dtype):
+    info = np.iinfo(dtype)
+    return hnp.arrays(dtype, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
+                      elements=st.one_of(st.integers(-300, 300),
+                                         st.integers(int(info.min), int(info.max))))
+
+
+class TestIntegerRescale:
+    """Integer values are rescaled as (510·(v − min) + span) // (2·span),
+    through a table for spans below _STRIP_PIXELS and by division above."""
+
+    @pytest.mark.parametrize("values, expected", [
+        ([[5, 6]], [[0, 255]]),                  # span 1
+        ([[-1, 0, 1]], [[0, 128, 255]]),         # 127.5 is a tie: up
+        ([[0, 7, 14]], [[0, 128, 255]]),         # 127.5 again
+        ([[0, 1, 2, 3]], [[0, 85, 170, 255]]),   # exact thirds
+        ([[4, 4], [4, 4]], [[0, 0], [0, 0]]),    # flat
+    ])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_small_spans_and_ties(self, values, expected, dtype):
+        out = clamp_to_display(SignedImage(np.asarray(values, dtype)), "rescale")
+        assert out.pixels.tolist() == expected == rescale_oracle(values)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("span", [2**16 - 1, 2**16])
+    def test_both_sides_of_the_table_cutoff(self, dtype, span):
+        # Every value of the span, so every table entry and every tie is hit.
+        assert grayfilt.convolution._STRIP_PIXELS == 2**16
+        values = (np.arange(span + 1) - 40000).astype(dtype).reshape(1, -1)
+        out = clamp_to_display(SignedImage(values), "rescale")
+        assert out.pixels.tolist() == rescale_oracle(values.tolist())
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    @pytest.mark.parametrize("strip", [5, 6])
+    def test_patched_cutoff_and_strips(self, monkeypatch, dtype, strip):
+        # Spans 5 and 6 on either side of a 6-pixel cutoff, in 1-row strips.
+        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", strip)
+        for span in (strip - 1, strip):
+            values = np.arange(-3, span - 2).astype(dtype).reshape(-1, 1)
+            out = clamp_to_display(SignedImage(values), "rescale")
+            assert out.pixels.tolist() == rescale_oracle(values.tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([np.int16, np.int32, np.int64]).flatmap(int_arrays), strip_pixels)
+    def test_matches_exact_oracle(self, values, strip):
+        with strips_of(strip):
+            out = clamp_to_display(SignedImage(values), "rescale")
+            if values.dtype != np.int64:
+                # int32 and narrower: the same levels as the float64 evaluation.
+                floats = SignedImage(values.astype(np.float64))
+                assert clamp_to_display(floats, "rescale") == out
+        if int(values.max()) - int(values.min()) <= _RESCALE_INT_SPAN:
+            assert out.pixels.tolist() == rescale_oracle(values.tolist())
+
+    def test_widest_exact_span(self):
+        # At the cutoff, 510·span + span still fits in uint64; beyond 2**53
+        # the float64 evaluation could not hold these values.
+        span = _RESCALE_INT_SPAN
+        values = [[0, 1, span // 2, span // 2 + 1, span - 1, span]]
+        out = clamp_to_display(SignedImage(np.asarray(values, np.int64)), "rescale")
+        assert out.pixels.tolist() == rescale_oracle(values)
+
+    def test_int64_just_below_a_half_level(self):
+        # 255·v/span is 35.4999...: float64 cannot hold v or span, and rounds
+        # the quotient up to 35.5, which would give level 36.
+        span, v = 2**54 + 1, 2507886851320041
+        values = [[0, v, span]]
+        out = clamp_to_display(SignedImage(np.asarray(values, np.int64)), "rescale")
+        assert out.pixels.tolist() == rescale_oracle(values) == [[0, 35, 255]]
+
+    def test_huge_int64_span_falls_back_to_float(self):
+        values = np.asarray([[-(2**62), 0, 2**62]], np.int64)
+        assert 2**63 > _RESCALE_INT_SPAN
+        out = clamp_to_display(SignedImage(values), "rescale")
+        assert out.pixels.tolist() == [[0, 128, 255]] == rescale_oracle(values.tolist())
+        assert out == clamp_to_display(SignedImage(values.astype(np.float64)), "rescale")
+
+    def test_uint64_values_near_the_top(self):
+        values = np.asarray([[2**64 - 1, 2**64 - 3, 2**64 - 2]], np.uint64)
+        out = clamp_to_display(SignedImage(values), "rescale")
+        assert out.pixels.tolist() == [[255, 0, 128]]

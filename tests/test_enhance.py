@@ -1,13 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import grayfilt.convolution
 from grayfilt import (
     Image,
     Kernel,
+    SignedImage,
     box_blur,
+    clamp_to_display,
     correlate,
     laplacian,
     laplacian_sharpen,
@@ -81,6 +86,27 @@ class TestBoxBlur:
         out = box_blur(Image(pixels), radius, border)
         assert out.pixels.tolist() == box_mean_brute(pixels.tolist(), radius, border)
 
+    @settings(max_examples=60, deadline=None)
+    @given(small_images, st.integers(min_value=1, max_value=14),
+           st.sampled_from(["replicate", "zero"]), st.integers(min_value=1, max_value=60))
+    def test_strips_match_mean_oracle(self, pixels, radius, border, strip_pixels):
+        # The running column sums are carried from strip to strip; strips of
+        # one row up to a few rows, radii up to beyond the image.
+        with mock.patch.object(grayfilt.convolution, "_STRIP_PIXELS", strip_pixels):
+            out = box_blur(Image(pixels), radius, border)
+        assert out.pixels.tolist() == box_mean_brute(pixels.tolist(), radius, border)
+
+    @pytest.mark.parametrize("border", ["replicate", "zero"])
+    @pytest.mark.parametrize("shape", [(1, 40), (40, 1)])
+    @pytest.mark.parametrize("strip_pixels", [1, 7, 2**16])
+    def test_single_row_and_column_across_strips(self, monkeypatch, shape, border, strip_pixels):
+        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", strip_pixels)
+        rng = np.random.default_rng(26)
+        pixels = rng.integers(0, 256, shape, np.uint8)
+        for radius in (1, 3, 50):
+            out = box_blur(Image(pixels), radius, border)
+            assert out.pixels.tolist() == box_mean_brute(pixels.tolist(), radius, border)
+
     @pytest.mark.parametrize("bad", [0, -1, 1.5])
     def test_invalid_radius_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -103,6 +129,13 @@ class TestUnsharpMask:
         blurred = box_blur(img, radius=1)
         not_above = img.pixels.astype(int) <= blurred.pixels
         assert np.all(out.pixels[not_above] == 0)
+
+    @given(small_images, st.integers(min_value=1, max_value=3), st.sampled_from(["clamp", "rescale"]))
+    def test_matches_signed_difference_chain(self, pixels, radius, display):
+        img = Image(pixels)
+        diff = img.pixels.astype(np.int16) - box_blur(img, radius).pixels
+        expected = clamp_to_display(SignedImage(diff), display)
+        assert unsharp_mask(img, radius, display) == expected
 
     def test_rescale_mode_spreads_signed_range(self):
         img = Image([[0, 255, 0]])
