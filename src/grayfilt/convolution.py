@@ -195,6 +195,12 @@ def convolve(img: Image, kernel: Kernel, border: str = "replicate",
     return correlate(img, rot180(kernel), border, workers)
 
 
+def _convolve_display(img: Image, kernel: Kernel, border: str, mode: str) -> Image:
+    """``clamp_to_display(convolve(img, kernel, border), mode)``, through
+    ``_correlate_display``."""
+    return _correlate_display(img, rot180(kernel), border, mode)
+
+
 def laplacian(img: Image, variant: str = "four", border: str = "replicate",
               workers: int = 1) -> SignedImage:
     """Discrete isotropic second-derivative filter.
@@ -206,20 +212,21 @@ def laplacian(img: Image, variant: str = "four", border: str = "replicate",
     return correlate(img, _LAPLACIANS[VARIANT.check(variant, "variant")], border, workers)
 
 
+def _laplacian_display(img: Image, variant: str, mode: str) -> Image:
+    """``clamp_to_display(laplacian(img, variant), mode)``, through
+    ``_correlate_display``."""
+    return _correlate_display(img, _LAPLACIANS[VARIANT.check(variant, "variant")], "replicate",
+                              mode)
+
+
 def _int_levels(vmin: int, span: int) -> Callable[[np.ndarray], np.ndarray]:
     """The rescale of integer values in [vmin, vmin + span], span >= 1, in
     exact integers: (510·(v − vmin) + span) // (2·span) is 255·(v − vmin)/span
     rounded half up, which for these nonnegative quotients is half away from
-    zero.
-
-    A span below ``_STRIP_PIXELS`` looks each v − vmin up in a table of
-    span + 1 levels; a wider one divides. Both work in uint64, where v − vmin
-    is exact modulo 2**64 for any integer dtype, since it lies in [0, span],
-    and 510·span + span stays below 2**64."""
+    zero. It works in uint64, where v − vmin is exact modulo 2**64 for any
+    integer dtype, since it lies in [0, span], and 510·span + span stays below
+    2**64."""
     base = np.uint64(vmin % 2**64)
-    if span < _STRIP_PIXELS:
-        table = ((510 * np.arange(span + 1, dtype=np.int64) + span) // (2 * span)).astype(np.uint8)
-        return lambda v: table[v.astype(np.uint64) - base]
 
     def divide(v):
         d = v.astype(np.uint64)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .convolution import _LAPLACIANS, BORDER, DISPLAY, VARIANT, _correlate_display, rot180
+from .convolution import BORDER, DISPLAY, VARIANT, _convolve_display, _laplacian_display
 from .core import POSITIVE_FLOAT, POSITIVE_INT, THRESHOLD, Image, Kind, _must
 from .edges import binarize, bits_to_image, edge_points, image_add, shadow_invert, shadow_ne
 from .enhance import laplacian_sharpen, unsharp_mask
@@ -52,9 +52,8 @@ def _lut_step(p):
 
 
 def _convolve_step(p):
-    # convolve() is a correlation with the kernel rotated by 180 degrees.
-    kern = rot180(parse_kernel(load_text(p["kernel"])))
-    return lambda img: _correlate_display(img, kern, p["border"], p["display"])
+    kern = parse_kernel(load_text(p["kernel"]))
+    return lambda img: _convolve_display(img, kern, p["border"], p["display"])
 
 
 def _add_step(p):
@@ -81,8 +80,7 @@ OPS = {
         "second-derivative filter (display-mapped)",
         (_VARIANT._replace(help="4- or 8-neighbor stencil (default four)"),
          _DISPLAY._replace(help="how to map signed output to gray levels (default clamp)")),
-        lambda p: lambda img: _correlate_display(img, _LAPLACIANS[p["variant"]], "replicate",
-                                                 p["display"])),
+        lambda p: lambda img: _laplacian_display(img, p["variant"], p["display"])),
     "sharpen": Op(
         "Laplacian sharpening: clamp(f - laplacian(f))", (_VARIANT,),
         lambda p: lambda img: laplacian_sharpen(img, p["variant"])),

@@ -520,8 +520,8 @@ def int_arrays(dtype):
 
 
 class TestIntegerRescale:
-    """Integer values are rescaled as (510·(v − min) + span) // (2·span),
-    through a table for spans below _STRIP_PIXELS and by division above."""
+    """Integer values are rescaled as (510·(v − min) + span) // (2·span)
+    in uint64."""
 
     @pytest.mark.parametrize("values, expected", [
         ([[5, 6]], [[0, 255]]),                  # span 1
@@ -537,22 +537,19 @@ class TestIntegerRescale:
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("span", [2**16 - 1, 2**16])
-    def test_both_sides_of_the_table_cutoff(self, dtype, span):
-        # Every value of the span, so every table entry and every tie is hit.
-        assert grayfilt.convolution._STRIP_PIXELS == 2**16
+    def test_every_value_of_a_wide_span(self, dtype, span):
+        # Every value of the span, so every level and every tie is hit.
         values = (np.arange(span + 1) - 40000).astype(dtype).reshape(1, -1)
         out = clamp_to_display(SignedImage(values), "rescale")
         assert out.pixels.tolist() == rescale_oracle(values.tolist())
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
-    @pytest.mark.parametrize("strip", [5, 6])
-    def test_patched_cutoff_and_strips(self, monkeypatch, dtype, strip):
-        # Spans 5 and 6 on either side of a 6-pixel cutoff, in 1-row strips.
-        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", strip)
-        for span in (strip - 1, strip):
-            values = np.arange(-3, span - 2).astype(dtype).reshape(-1, 1)
-            out = clamp_to_display(SignedImage(values), "rescale")
-            assert out.pixels.tolist() == rescale_oracle(values.tolist())
+    @pytest.mark.parametrize("span", [5, 6])
+    def test_one_row_strips(self, monkeypatch, dtype, span):
+        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 1)
+        values = np.arange(-3, span - 2).astype(dtype).reshape(-1, 1)
+        out = clamp_to_display(SignedImage(values), "rescale")
+        assert out.pixels.tolist() == rescale_oracle(values.tolist())
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([np.int16, np.int32, np.int64]).flatmap(int_arrays), strip_pixels)

@@ -16,31 +16,50 @@ import numpy as np
 import pytest
 
 from grayfilt import Image, read_pgm, save_pgm, write_pgm
+from grayfilt.convolution import _STRIP_PIXELS
 from grayfilt.pipeline import OPS
 
 SIDE = 1024
 
-#: (op, params, bound in bytes per input pixel). Each bound is 1 to 1.5 B/px
-#: above the peak measured with numpy 2.4, less than one full-size int32 array.
+#: Bytes per pixel of one full-size array of each dtype.
+U8, I16, I32, F64 = 1, 2, 4, 8
+#: The P5 path's own uint8 arrays: the decoded input, the output, the encoded
+#: bytes, and one more for a codec temporary or a padded copy of the input.
+IO = 4 * U8
+#: Temporaries that do not grow with the image: up to four float64 strips of
+#: _STRIP_PIXELS (2 B/px at 1024x1024), whatever one strip's arithmetic needs.
+STRIPS = 4 * F64 * _STRIP_PIXELS / SIDE**2
+
+#: (op, params, bound in bytes per input pixel): the full-size arrays each op
+#: may hold at once. Ops that end in gray levels hold no signed full-size
+#: array, so a full-size int32 or float64 intermediate exceeds their bound.
 CASES = [
-    ("negate", {}, 4),
-    ("stretch", {"gamma": 2.0}, 4),
-    ("lut", {"table": "lut.txt"}, 4),
-    ("laplacian", {"variant": "eight", "display": "clamp"}, 5),
-    ("laplacian", {"variant": "eight", "display": "rescale"}, 8),
-    ("sharpen", {"variant": "four"}, 5),
-    ("sharpen", {"variant": "eight"}, 5),
-    ("unsharp", {"radius": 1, "display": "clamp"}, 5),
-    ("unsharp", {"radius": 5, "display": "clamp"}, 5),
-    ("unsharp", {"radius": 1, "display": "rescale"}, 7),
-    ("convolve", {"kernel": "real5.txt", "border": "replicate", "display": "clamp"}, 6),
-    ("convolve", {"kernel": "real5.txt", "border": "zero", "display": "rescale"}, 13),
-    ("convolve", {"kernel": "ones9.txt", "border": "replicate", "display": "clamp"}, 5),
-    ("binarize", {"threshold": 128}, 5),
-    ("edges", {"threshold": 128}, 6.5),
-    ("add", {"image": "second.pgm"}, 7),
-    ("shadow", {"invert": False}, 5),
-    ("shadow", {"invert": True}, 5),
+    ("negate", {}, IO),
+    ("stretch", {"gamma": 2.0}, IO),
+    ("lut", {"table": "lut.txt"}, IO),
+    ("laplacian", {"variant": "eight", "display": "clamp"}, IO + STRIPS),
+    # The rescale needs the whole range: one int32 correlation.
+    ("laplacian", {"variant": "eight", "display": "rescale"}, IO + I32 + STRIPS),
+    ("sharpen", {"variant": "four"}, IO + STRIPS),
+    ("sharpen", {"variant": "eight"}, IO + STRIPS),
+    ("unsharp", {"radius": 1, "display": "clamp"}, IO + STRIPS),
+    ("unsharp", {"radius": 5, "display": "clamp"}, IO + STRIPS),
+    # The rescale needs the whole range: one int16 difference.
+    ("unsharp", {"radius": 1, "display": "rescale"}, IO + I16 + STRIPS),
+    ("convolve", {"kernel": "real5.txt", "border": "replicate", "display": "clamp"},
+     IO + STRIPS),
+    # The rescale needs the whole range: one float64 correlation.
+    ("convolve", {"kernel": "real5.txt", "border": "zero", "display": "rescale"},
+     IO + F64 + STRIPS),
+    ("convolve", {"kernel": "ones9.txt", "border": "replicate", "display": "clamp"},
+     IO + STRIPS),
+    # One bool array of threshold bits; edges adds the edge bits.
+    ("binarize", {"threshold": 128}, IO + U8),
+    ("edges", {"threshold": 128}, IO + 2 * U8),
+    # The saturating sum is taken in uint16.
+    ("add", {"image": "second.pgm"}, IO + 2 * I16),
+    ("shadow", {"invert": False}, IO + STRIPS),
+    ("shadow", {"invert": True}, IO + STRIPS),
 ]
 
 
