@@ -9,14 +9,16 @@ nested-loop evaluation in that same order (and exact for an integer kernel
 with ``sum(|c|) * 255`` below 2**53, whose partial sums are all integers
 that a double holds).
 
-:func:`correlate` never clamps: its output is a :class:`SignedImage`, and
-:func:`clamp_to_display` maps it to gray levels one strip of rows at a time.
-An integer intermediate is rescaled in exact integers, as
-(510·(v − min) + span) // (2·span) with span = max − min. The ops that end in
-gray levels (``laplacian_sharpen``, ``shadow_ne``, and the ``laplacian`` and
-``convolve`` ops with the clamp display) map each strip of rows to gray
-levels as soon as its sums are done, with the same rounding rule, so no
-full-size signed intermediate is built.
+Every correlation runs one strip loop, ``_correlate_strips``: it checks each
+strip of sums finite and stores it through one per-strip finish.
+:func:`correlate` never clamps: its finish keeps the sums, its output is a
+:class:`SignedImage`, and :func:`clamp_to_display` maps it to gray levels one
+strip of rows at a time. An integer intermediate is rescaled in exact
+integers, as (510·(v − min) + span) // (2·span) with span = max − min. The
+ops that end in gray levels (``laplacian_sharpen``, ``shadow_ne``, and the
+``laplacian`` and ``convolve`` ops with the clamp display) finish each strip
+as gray levels, with the same rounding rule, so no full-size signed
+intermediate is built.
 """
 
 from __future__ import annotations
@@ -107,10 +109,11 @@ def _correlate_strip(padded: np.ndarray, coeffs: np.ndarray, s0: int, s1: int,
 
 
 def _correlate_strips(img: Image, kernel: Kernel, border: str, workers: int,
-                      finish: Callable[[np.ndarray, int, int], None]) -> None:
-    """Correlate strip by strip, handing each strip's accumulator to
-    ``finish(acc, s0, s1)`` while it is still in cache. Strips do not
-    overlap, so threads may write their rows of one output without a lock."""
+                      out: np.ndarray, finish: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Correlate strip by strip into ``out`` and return it. Each strip's
+    accumulator is checked finite, then stored as ``out[s0:s1] =
+    finish(acc)`` while it is still in cache; ``finish`` may change ``acc``.
+    Strips do not overlap, so threads store their rows without a lock."""
     mode = _BORDER_MODES[BORDER.check(border, "border")]
     workers = POSITIVE_INT.check(workers, "workers")
     coeffs = kernel.coeffs.astype(_accumulator(kernel.coeffs))
@@ -118,7 +121,8 @@ def _correlate_strips(img: Image, kernel: Kernel, border: str, workers: int,
     padded = np.pad(img.pixels, ((ph, ph), (pw, pw)), mode=mode)
 
     def run(strip):
-        finish(_correlate_strip(padded, coeffs, *strip, img.width), *strip)
+        acc = _correlate_strip(padded, coeffs, *strip, img.width)
+        out[slice(*strip)] = finish(SignedImage._finite(acc))
 
     strips = _row_strips(img.height, img.width)
     threads = min(workers, len(strips), os.cpu_count() or 1)
@@ -132,6 +136,7 @@ def _correlate_strips(img: Image, kernel: Kernel, border: str, workers: int,
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, strips))
+    return out
 
 
 def correlate(img: Image, kernel: Kernel, border: str = "replicate",
@@ -155,12 +160,8 @@ def correlate(img: Image, kernel: Kernel, border: str = "replicate",
         for an integer kernel within the int32 bound, else float64.
     """
     out = np.empty((img.height, img.width), _accumulator(kernel.coeffs))
-
-    def store(acc, s0, s1):
-        out[s0:s1] = acc
-
-    _correlate_strips(img, kernel, border, workers, store)
-    return SignedImage._trusted(out)
+    return SignedImage._trusted(_correlate_strips(img, kernel, border, workers, out,
+                                                  lambda acc: acc))
 
 
 def _correlate_gray(img: Image, kernel: Kernel, border: str = "replicate",
@@ -169,16 +170,14 @@ def _correlate_gray(img: Image, kernel: Kernel, border: str = "replicate",
     with each strip clamped into the uint8 output while it is in cache, so
     no full-size accumulator exists. A non-finite float sum raises the same
     DomainError as ``correlate``."""
-    out = np.empty((img.height, img.width), np.uint8)
 
-    def clamp(acc, s0, s1):
-        SignedImage._finite(acc)
+    def clamp(acc):
         if bias:
             acc += bias
-        out[s0:s1] = clamp_round(acc)
+        return clamp_round(acc)
 
-    _correlate_strips(img, kernel, border, workers, clamp)
-    return Image._trusted(out)
+    out = np.empty((img.height, img.width), np.uint8)
+    return Image._trusted(_correlate_strips(img, kernel, border, workers, out, clamp))
 
 
 def _correlate_display(img: Image, kernel: Kernel, border: str, mode: str) -> Image:

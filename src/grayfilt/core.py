@@ -4,8 +4,8 @@ rounding rule.
 Every filter in this package moves pixels through exactly one rounding and
 clamping rule, :func:`clamp_round`, so results are reproducible bit for bit.
 All types are immutable after construction: the wrapped numpy arrays are
-copied in (a signed filter output the package has just computed is taken
-over instead) and marked read-only, which makes the values safe to share between threads.
+copied in (an array the package has just computed is taken over instead)
+and marked read-only, which makes the values safe to share between threads.
 """
 
 from __future__ import annotations
@@ -93,6 +93,15 @@ class _Grid:
             raise ValueError(f"{type(self).__name__} array must be non-empty, got {arr.shape}")
         return arr
 
+    @classmethod
+    def _trusted(cls, arr: np.ndarray):
+        """Wrap an array the package has just computed, already valid for
+        ``cls`` and referenced nowhere else: it is frozen in place, without
+        the copy and the checks of the public constructor."""
+        self = object.__new__(cls)
+        setattr(self, cls.__slots__[0], _frozen(arr))
+        return self
+
     @property
     def _array(self) -> np.ndarray:
         return getattr(self, self.__slots__[0])
@@ -137,15 +146,6 @@ class Image(_Grid):
                 )
         self.pixels = _frozen(arr.astype(np.uint8, copy=True))
 
-    @classmethod
-    def _trusted(cls, arr: np.ndarray) -> Image:
-        """Wrap a uint8 array the package has just computed and references
-        nowhere else: it is frozen in place, without the copy of the public
-        constructor."""
-        self = object.__new__(cls)
-        self.pixels = _frozen(arr)
-        return self
-
     @property
     def max_gray(self) -> int:
         return MAX_GRAY
@@ -172,16 +172,6 @@ class SignedImage(_Grid):
         if arr.dtype == np.float64 and not np.isfinite(arr).all():
             raise DomainError("signed image values must be finite")
         return arr
-
-    @classmethod
-    def _trusted(cls, arr: np.ndarray) -> SignedImage:
-        """Wrap an integer or float64 array the package has just computed and
-        references nowhere else: it is frozen in place, without the copy of
-        the public constructor. A float sum can still have overflowed, so
-        finiteness is checked."""
-        self = object.__new__(cls)
-        self.values = _frozen(cls._finite(arr))
-        return self
 
 
 class Kernel(_Grid):

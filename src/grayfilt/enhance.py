@@ -15,6 +15,7 @@ from .convolution import (
     _BORDER_MODES,
     _LAPLACIANS,
     BORDER,
+    DISPLAY,
     VARIANT,
     _correlate_gray,
     _row_strips,
@@ -32,44 +33,36 @@ def box_blur(img: Image, radius: int = 1, border: str = "replicate") -> Image:
 
     The window sums come from separable running sums, so the work per pixel
     does not grow with the radius, and the mean is rounded in exact integers.
-    Row strip by row strip, the column sums are carried on from the strip
-    above, then summed along the rows, rounded and stored as gray levels."""
+    Both axes are padded once, under the border policy. Row strip by row
+    strip, the column sums are carried on from the strip above, then summed
+    along the rows, rounded and stored as gray levels."""
     radius = POSITIVE_INT.check(radius, "radius")
     mode = _BORDER_MODES[BORDER.check(border, "border")]
     n = 2 * radius + 1
     area = n * n
     # The largest value held, a window sum plus area // 2, must fit.
     dtype = np.int32 if MAX_GRAY * area + area // 2 < 2**31 else np.int64
-    # Padded row y + 1 + radius is image row y; the extra leading row makes
-    # the column sum of output row y that of padded rows y + 1 .. y + n.
-    rows = np.pad(img.pixels, ((radius + 1, radius), (0, 0)), mode=mode)
-    col = rows[:n].sum(axis=0, dtype=dtype)  # the column sum "above" row 0
-    w = img.width
-    out = np.empty((img.height, w), np.uint8)
-    for s0, s1 in _row_strips(img.height, w + n):
-        # The strip's column sums, with room for radius + 1 border columns on
-        # the left and radius on the right.
-        ext = np.empty((s1 - s0, w + n), dtype)
-        cols = ext[:, radius + 1:radius + 1 + w]
-        # Each output row's column sum gains padded row y + n and loses row y.
+    # Padded pixel (y + 1 + radius, x + 1 + radius) is image pixel (y, x). The
+    # extra leading row and column make the window of output pixel (y, x)
+    # padded rows y + 1 .. y + n and padded columns x + 1 .. x + n.
+    pad = (radius + 1, radius)
+    padded = np.pad(img.pixels, (pad, pad), mode=mode)
+    col = padded[:n].sum(axis=0, dtype=dtype)  # the column sums "above" row 0
+    out = np.empty((img.height, img.width), np.uint8)
+    for s0, s1 in _row_strips(img.height, padded.shape[1]):
+        # Each output row's column sums gain padded row y + n and lose row y.
         # Row by row: numpy's cumsum along axis 0 strides across the rows and
         # is about ten times slower.
-        np.subtract(rows[s0 + n:s1 + n], rows[s0:s1], out=cols, dtype=dtype)
+        cols = np.subtract(padded[s0 + n:s1 + n], padded[s0:s1], dtype=dtype)
         cols[0] += col
         for i in range(1, len(cols)):
             cols[i] += cols[i - 1]
         col = cols[-1].copy()
-        if mode == "edge":
-            ext[:, :radius + 1] = cols[:, :1]
-            ext[:, radius + 1 + w:] = cols[:, -1:]
-        else:
-            ext[:, :radius + 1] = 0
-            ext[:, radius + 1 + w:] = 0
         # Along the rows, each window is the difference of two running sums;
         # the extra leading column cancels out. The running sums may wrap
         # around in dtype; their difference is still exact.
-        np.cumsum(ext, axis=1, out=ext)
-        sums = ext[:, n:] - ext[:, :-n]
+        np.cumsum(cols, axis=1, out=cols)
+        sums = cols[:, n:] - cols[:, :-n]
         # The area is odd, so no mean is a tie: rounding half away from zero is
         # rounding to nearest, floor((s + area/2) / area) = (s + area//2) // area.
         sums += area // 2
@@ -86,6 +79,7 @@ def unsharp_mask(img: Image, radius: int = 1, display: str = "clamp",
     display mode; the default clamp leaves flat and darker-than-average
     regions at 0, so only detail survives.
     """
+    display = DISPLAY.check(display, "display")
     f = img.pixels
     blurred = box_blur(img, radius, border).pixels
     if display == "clamp":

@@ -250,12 +250,16 @@ def parse_kernel(text: str) -> Kernel:
     header = lines[0].split()
     if len(header) != 2:
         raise FormatError(f"line 1: expected 'kheight kwidth', got {len(header)} tokens")
-    try:
-        kheight, kwidth = int(header[0]), int(header[1])
-    except ValueError:
-        raise FormatError(f"line 1: non-numeric dimension in {header!r}") from None
+    dims = []
+    for tok in header:
+        try:
+            dims.append(int(tok))
+        except ValueError:
+            raise FormatError(f"line 1: {_refused(tok, 'dimension')}") from None
+    kheight, kwidth = dims
+    kh, kw = map(reprlib.repr, dims)  # messages echo a 4000-digit dimension short
     if kheight < 1 or kwidth < 1:
-        raise FormatError(f"line 1: dimensions must be positive, got {kheight}x{kwidth}")
+        raise FormatError(f"line 1: dimensions must be positive, got {kh}x{kw}")
 
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -263,17 +267,17 @@ def parse_kernel(text: str) -> Kernel:
         if not tokens:
             continue
         if len(rows) == kheight:
-            raise FormatError(f"line {lineno}: expected {kheight} rows, found extra data")
+            raise FormatError(f"line {lineno}: expected {kh} rows, found extra data")
         if len(tokens) != kwidth:
             raise FormatError(
-                f"line {lineno}: expected {kwidth} coefficients, got {len(tokens)}"
+                f"line {lineno}: expected {kw} coefficients, got {len(tokens)}"
             )
         try:
             rows.append([float(tok) for tok in tokens])
         except ValueError:
             raise FormatError(f"line {lineno}: non-numeric coefficient") from None
     if len(rows) < kheight:
-        raise FormatError(f"expected {kheight} coefficient rows, got {len(rows)}")
+        raise FormatError(f"expected {kh} coefficient rows, got {len(rows)}")
     try:
         return Kernel(rows)
     except ValueError as exc:

@@ -179,6 +179,8 @@ def parse_pipeline(text: str) -> PipelineSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"pipeline spec is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("pipeline spec is nested too deeply to parse") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("stages"), list):
         raise FormatError('pipeline spec must be an object with a "stages" list')
     return PipelineSpec(doc["stages"])

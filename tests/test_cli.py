@@ -188,6 +188,13 @@ class TestBench:
             err = capsys.readouterr().err
             assert err.splitlines()[-1].endswith(f"value must be an integer in [1, 8192], got {size}")
 
+    @pytest.mark.parametrize("ksize,checksum", [(3, 1202278455), (9, 10820077984)])
+    def test_recorded_checksums(self, ksize, checksum):
+        # The engine's bit-identity record: the ones-kernel sums of the seeded
+        # 1024x1024 bench image, at one worker and at two.
+        for workers in (1, 2):
+            assert self._checksum(bench_convolve(1024, ksize, 1, workers)) == checksum
+
     def test_workers_do_not_change_checksum(self, capsys):
         sums = []
         for workers in ("1", "2", "4"):
@@ -288,6 +295,16 @@ class TestExitCodes:
         code = run_cli(["pipeline", "-i", str(path), "-o",
                         str(tmp_path / "out.pgm"), "--spec", str(spec)])
         assert code == 2
+
+    def test_deeply_nested_spec_is_format_error(self, sample, tmp_path, capsys):
+        img, path = sample
+        spec = tmp_path / "spec.json"
+        spec.write_text("[" * 100000)
+        code = run_cli(["pipeline", "-i", str(path), "-o",
+                        str(tmp_path / "out.pgm"), "--spec", str(spec)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "grayfilt: pipeline spec is nested too deeply to parse"]
 
     def test_pipeline_dimension_mismatch_is_domain_error(self, sample, tmp_path):
         img, path = sample

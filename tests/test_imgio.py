@@ -328,6 +328,22 @@ class TestParseKernel:
         with pytest.raises(FormatError, match="rows"):
             parse_kernel("3 3\n0 1 0\n")
 
+    def test_dimensions_are_echoed_short(self):
+        cases = [
+            ("9" * 5000 + " 3\n1 1 1\n", "line 1: too many digits in dimension '999"),
+            ("3 +" + "9" * 5000 + "\n", "line 1: too many digits in dimension '+999"),
+            ("x" * 5000 + " 3\n1 1 1\n", "line 1: non-numeric dimension 'xxx"),
+            # Dimensions int() accepts, but too long to echo whole.
+            ("9" * 4000 + " 3\n1 1 1\n", "expected 999"),
+            ("3 " + "9" * 4000 + "\n1 1 1\n", "line 2: expected 999"),
+            ("-" + "9" * 4000 + " 3\n", "line 1: dimensions must be positive, got -999"),
+        ]
+        for text, start in cases:
+            with pytest.raises(FormatError) as info:
+                parse_kernel(text)
+            message = str(info.value)
+            assert message.startswith(start) and len(message) < 120, message
+
     def test_extra_rows_rejected(self):
         with pytest.raises(FormatError, match="line 3"):
             parse_kernel("1 1\n1\n2\n")

@@ -87,6 +87,7 @@ BAD_VALUES = [
     ("stretch", "gamma", "true", True, gray_stretch),
     ("unsharp", "radius", "0", 0, unsharp_mask),
     ("unsharp", "radius", "true", True, unsharp_mask),
+    ("unsharp", "display", "bogus", "bogus", lambda img, v: unsharp_mask(img, 1, v)),
     ("laplacian", "variant", "sixteen", "sixteen", laplacian),
     ("sharpen", "variant", "sixteen", "sixteen", laplacian_sharpen),
 ]

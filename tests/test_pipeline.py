@@ -88,6 +88,12 @@ class TestParsePipeline:
         with pytest.raises(FormatError, match="JSON"):
             parse_pipeline("{stages: [")
 
+    def test_deeply_nested_spec_is_format_error(self):
+        # json.loads recurses once per level and runs out of stack first.
+        for text in ("[" * 100000, '{"stages": ' + "[" * 100000):
+            with pytest.raises(FormatError, match="nested too deeply"):
+                parse_pipeline(text)
+
     def test_wrong_root_shape(self):
         with pytest.raises(FormatError, match="stages"):
             parse_pipeline('[{"op":"negate"}]')
