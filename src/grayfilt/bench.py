@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from .convolution import correlate
-from .core import ODD_POSITIVE_INT, POSITIVE_INT, Image, Kernel, SignedImage, int_kind
+from .core import POSITIVE_INT, Image, Kernel, SignedImage, int_kind
 
 #: Seed for the deterministic benchmark input.
 BENCH_SEED = 0xC0FFEE
@@ -22,6 +22,11 @@ BENCH_SEED = 0xC0FFEE
 #: as the int32 output, so a mistyped size cannot exhaust memory.
 MAX_BENCH_SIZE = 8192
 BENCH_SIZE = int_kind(f"an integer in [1, {MAX_BENCH_SIZE}]", lambda v: 1 <= v <= MAX_BENCH_SIZE)
+#: Largest ones-kernel side: the kernel is then 0.5 MB, and a mistyped ksize
+#: cannot ask for a kernel or a padding larger than memory.
+MAX_BENCH_KSIZE = 255
+BENCH_KSIZE = int_kind(f"an odd integer in [1, {MAX_BENCH_KSIZE}]",
+                       lambda v: 1 <= v <= MAX_BENCH_KSIZE and v % 2 == 1)
 
 
 def bench_image(size: int) -> Image:
@@ -42,7 +47,7 @@ def bench_convolve(size: int, ksize: int, iters: int, workers: int = 1) -> str:
     times; report min/median wall time, throughput in millions of
     kernel-tap multiply-adds per second, and the output checksum."""
     size = BENCH_SIZE.check(size, "size")
-    ksize = ODD_POSITIVE_INT.check(ksize, "ksize")
+    ksize = BENCH_KSIZE.check(ksize, "ksize")
     iters = POSITIVE_INT.check(iters, "iters")
 
     import statistics  # here, not at module level: keeps it off CLI start-up

@@ -9,11 +9,19 @@ files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
+# grayfilt never calls BLAS, yet numpy's bundled OpenBLAS starts one thread
+# per CPU when it loads, and those threads spin before they sleep: on 2 CPUs
+# that is about 70 ms of CPU per process. OpenBLAS reads this once, as numpy
+# loads; `import grayfilt` loads no numpy, so this line comes first. A
+# library import of grayfilt does not run it.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from . import __version__
-from .bench import BENCH_SIZE, MAX_BENCH_SIZE, bench_convolve
-from .core import ODD_POSITIVE_INT, POSITIVE_INT
+from .bench import BENCH_KSIZE, BENCH_SIZE, MAX_BENCH_KSIZE, MAX_BENCH_SIZE, bench_convolve
+from .core import POSITIVE_INT
 from .errors import DomainError, FormatError
 from .histogram import compute_histogram, histogram_csv, render_histogram
 from .imgio import load_pgm, load_text, save_pgm, write_bytes_atomic
@@ -98,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     positive = _arg_type(POSITIVE_INT)
     p.add_argument("--size", type=_arg_type(BENCH_SIZE), default=256,
                    help=f"image side length, at most {MAX_BENCH_SIZE} (default 256)")
-    p.add_argument("--ksize", type=_arg_type(ODD_POSITIVE_INT), default=3,
-                   help="ones-kernel side length, odd (default 3)")
+    p.add_argument("--ksize", type=_arg_type(BENCH_KSIZE), default=3,
+                   help=f"ones-kernel side length, odd, at most {MAX_BENCH_KSIZE} (default 3)")
     p.add_argument("--iters", type=positive, default=5,
                    help="timed repetitions (default 5)")
     p.add_argument("--workers", type=positive, default=1,

@@ -28,7 +28,15 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MAX_GRAY, POSITIVE_INT, Image, Kernel, SignedImage, choice, clamp_round
+from .core import (
+    MAX_GRAY,
+    POSITIVE_INT,
+    Image,
+    Kernel,
+    SignedImage,
+    _clamp_levels,
+    choice,
+)
 
 #: Pad modes implementing each border policy.
 _BORDER_MODES = {"replicate": "edge", "zero": "constant"}
@@ -44,7 +52,8 @@ _LAPLACIANS = {"four": LAPLACIAN_FOUR, "eight": LAPLACIAN_EIGHT}
 VARIANT = choice(*_LAPLACIANS)
 
 DISPLAY = choice("clamp", "rescale")
-#: Widest [min, max] span whose rescale numerator (values - min) * 255 cannot overflow.
+#: Spans [min, max] below this keep the rescale numerator (values - min) * 255
+#: finite; at this span itself the product rounds up to inf.
 _RESCALE_EXACT_SPAN = np.finfo(np.float64).max / 255.0
 #: Widest integer span whose exact rescale numerator 510·(v − min) + span fits in uint64.
 _RESCALE_INT_SPAN = (2**64 - 1) // 511
@@ -174,7 +183,7 @@ def _correlate_gray(img: Image, kernel: Kernel, border: str = "replicate",
     def clamp(acc):
         if bias:
             acc += bias
-        return clamp_round(acc)
+        return _clamp_levels(acc)  # _correlate_strips has checked acc finite
 
     out = np.empty((img.height, img.width), np.uint8)
     return Image._trusted(_correlate_strips(img, kernel, border, workers, out, clamp))
@@ -240,8 +249,8 @@ def _int_levels(vmin: int, span: int) -> Callable[[np.ndarray], np.ndarray]:
 
 def _float_levels(vmin: float, vmax: float) -> Callable[[np.ndarray], np.ndarray]:
     """The rescale of values in [vmin, vmax], vmin < vmax, in float64,
-    rounded by ``clamp_round``."""
-    if vmax - vmin <= _RESCALE_EXACT_SPAN:
+    rounded as ``clamp_round`` rounds; every scaled value is finite."""
+    if vmax - vmin < _RESCALE_EXACT_SPAN:
         def scale(v):
             # Multiply before dividing: for integer-valued inputs the
             # numerator stays exact, so half-way quotients round the same as
@@ -249,12 +258,12 @@ def _float_levels(vmin: float, vmax: float) -> Callable[[np.ndarray], np.ndarray
             scaled = np.subtract(v, vmin, dtype=np.float64)
             scaled *= 255.0
             scaled /= vmax - vmin
-            return clamp_round(scaled)
+            return _clamp_levels(scaled)
     else:
         def scale(v):
             # The product, or the span itself, would overflow: halve every
             # term (exact for normal doubles) and divide first.
-            return clamp_round((v / 2 - vmin / 2) / (vmax / 2 - vmin / 2) * 255.0)
+            return _clamp_levels((v / 2 - vmin / 2) / (vmax / 2 - vmin / 2) * 255.0)
     return scale
 
 
@@ -275,7 +284,7 @@ def clamp_to_display(signed: SignedImage, mode: str = "clamp") -> Image:
     """
     values = signed.values
     if DISPLAY.check(mode, "mode") == "clamp":
-        levels = clamp_round
+        levels = _clamp_levels  # signed image values are finite
     else:
         # Python ints for integer values, Python floats for float64 ones.
         vmin, vmax = values.min().item(), values.max().item()

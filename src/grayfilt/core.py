@@ -54,7 +54,6 @@ def int_kind(what: str, ok: Callable[[int], bool]) -> Kind:
 
 
 POSITIVE_INT = int_kind("a positive integer", lambda v: v >= 1)
-ODD_POSITIVE_INT = int_kind("an odd positive integer", lambda v: v >= 1 and v % 2 == 1)
 THRESHOLD = int_kind(f"an integer in [0, {MAX_GRAY}]", lambda v: 0 <= v <= MAX_GRAY)
 
 
@@ -280,15 +279,21 @@ def clamp_round(v):
         DomainError: if any input value is not finite.
     """
     arr = np.asarray(v)
-    if np.issubdtype(arr.dtype, np.integer):
-        out = np.clip(arr, 0, MAX_GRAY).astype(np.uint8)
-    else:
+    if not np.issubdtype(arr.dtype, np.integer):
         arr = np.asarray(arr, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise DomainError("clamp_round requires finite input")
-        # Every value below 0 rounds to 0 or less and every value above 255
-        # to 255 or more, so clipping first leaves only [0, 255] to round.
-        out = _round_nonnegative(np.clip(arr, 0, MAX_GRAY)).astype(np.uint8)
+    out = _clamp_levels(arr)
     if arr.ndim == 0:
         return int(out)
     return out
+
+
+def _clamp_levels(arr: np.ndarray) -> np.ndarray:
+    """``clamp_round`` of an integer or float64 array whose values are
+    already known to be finite, as a uint8 array."""
+    if np.issubdtype(arr.dtype, np.integer):
+        return np.clip(arr, 0, MAX_GRAY).astype(np.uint8)
+    # Every value below 0 rounds to 0 or less and every value above 255
+    # to 255 or more, so clipping first leaves only [0, 255] to round.
+    return _round_nonnegative(np.clip(arr, 0, MAX_GRAY)).astype(np.uint8)

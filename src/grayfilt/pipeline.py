@@ -10,6 +10,7 @@ is bit-identical to composing the corresponding library calls by hand.
 
 from __future__ import annotations
 
+import os
 from typing import Callable, NamedTuple
 
 from .convolution import BORDER, DISPLAY, VARIANT, _convolve_display, _laplacian_display
@@ -20,7 +21,20 @@ from .errors import DomainError, FormatError
 from .imgio import load_pgm, load_text, parse_kernel, parse_lut
 from .point_ops import apply_lut, gray_stretch, negate
 
-PATH = Kind(lambda v, name: _must(isinstance(v, str) and v != "", name, "a file path", v))
+
+def _is_path(v) -> bool:
+    """A string ``open`` takes as a path: not empty, no NUL, and encodable
+    in the file-system encoding (JSON can spell a NUL or a lone surrogate)."""
+    if not isinstance(v, str) or v == "" or "\0" in v:
+        return False
+    try:
+        os.fsencode(v)
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+PATH = Kind(lambda v, name: _must(_is_path(v), name, "a file path", v))
 FLAG = Kind(lambda v, name: _must(isinstance(v, bool), name, "true or false", v))
 
 

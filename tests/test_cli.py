@@ -1,12 +1,17 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import grayfilt
 import grayfilt.bench
 import grayfilt.convolution
 from grayfilt import (
@@ -33,7 +38,10 @@ from grayfilt import (
     shadow_ne,
     unsharp_mask,
 )
-from grayfilt.bench import MAX_BENCH_SIZE
+from grayfilt.bench import MAX_BENCH_KSIZE, MAX_BENCH_SIZE
+from grayfilt.core import POSITIVE_FLOAT, POSITIVE_INT, THRESHOLD
+from grayfilt.imgio import write_pgm
+from grayfilt.pipeline import FLAG, OPS
 from support import correlate_brute, rand_image, run_cli
 
 
@@ -188,6 +196,15 @@ class TestBench:
             err = capsys.readouterr().err
             assert err.splitlines()[-1].endswith(f"value must be an integer in [1, 8192], got {size}")
 
+    def test_ksize_is_capped(self, capsys):
+        assert grayfilt.bench.BENCH_KSIZE.check(MAX_BENCH_KSIZE, "ksize") == MAX_BENCH_KSIZE
+        with pytest.raises(ValueError, match=r"ksize must be an odd integer in \[1, 255\], got 257"):
+            bench_convolve(8, MAX_BENCH_KSIZE + 2, 1)
+        for ksize in ("4", "257", "9" * 40):
+            assert run_cli(["bench", "--size", "8", "--ksize", ksize, "--iters", "1"]) == 1
+            err = capsys.readouterr().err
+            assert "value must be an odd integer in [1, 255], got" in err.splitlines()[-1]
+
     @pytest.mark.parametrize("ksize,checksum", [(3, 1202278455), (9, 10820077984)])
     def test_recorded_checksums(self, ksize, checksum):
         # The engine's bit-identity record: the ones-kernel sums of the seeded
@@ -277,6 +294,14 @@ class TestExitCodes:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.endswith("signed image values must be finite")
 
+    def test_huge_blur_radius_is_one_domain_error(self, sample, tmp_path, capsys):
+        img, path = sample
+        out = tmp_path / "out.pgm"
+        code = run_cli(["unsharp", "-i", str(path), "-o", str(out), "--radius", "9" * 30])
+        assert code == 3 and not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.endswith("window sums would not fit in 64 bits")
+
     def test_bad_flag_value_is_usage_error(self, tmp_path):
         code = run_cli(["stretch", "--gamma", "-2",
                         "-i", "x.pgm", "-o", "y.pgm"])
@@ -351,8 +376,234 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == b"[]\n"
 
+    @staticmethod
+    def _fresh(code):
+        """Run ``code`` in a new interpreter, without the thread setting that
+        importing the CLI into this test process may have put in the
+        environment, and return its stdout."""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_library_import_loads_no_numpy_and_keeps_the_environment(self):
+        code = ("import os, sys; before = dict(os.environ); import grayfilt; "
+                "print('numpy' in sys.modules, dict(os.environ) == before)")
+        assert self._fresh(code) == b"False True\n"
+
+    def test_every_export_is_the_object_its_submodule_defines(self):
+        code = """if True:
+            import importlib, inspect, grayfilt
+            from grayfilt import *
+            star = dict(globals())
+            bad = []
+            for name in grayfilt.__all__:
+                obj = getattr(grayfilt, name)
+                owner = importlib.import_module("grayfilt." + grayfilt._OWNER[name])
+                defined_in = getattr(obj, "__module__", owner.__name__)
+                if not (star[name] is obj is getattr(owner, name)) or (
+                        (inspect.isclass(obj) or inspect.isfunction(obj))
+                        and defined_in != owner.__name__):
+                    bad.append(name)
+            missing = set(grayfilt.__all__) - set(dir(grayfilt))
+            print(len(grayfilt.__all__), bad, sorted(missing))
+            """
+        assert self._fresh(code) == b"%d [] []\n" % len(grayfilt.__all__)
+
+    def test_submodules_resolve_as_attributes(self):
+        code = ("import grayfilt; print(grayfilt.imgio.load_text.__module__, "
+                "grayfilt.core is __import__('grayfilt.core').core)")
+        assert self._fresh(code) == b"grayfilt.imgio True\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts the threads listed in /proc/self/task")
+    def test_cli_process_runs_one_thread(self):
+        # OpenBLAS starts one thread per CPU as numpy loads; on a 1-CPU host
+        # it starts none, so this passes there whatever the CLI sets.
+        code = ("import os, sys, grayfilt.cli; "
+                "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))")
+        assert self._fresh(code) == b"True 1\n"
+
     def test_bench_reports_on_stderr_only(self):
         proc = self._run("bench", "--size", "16", "--ksize", "3", "--iters", "1")
         assert proc.returncode == 0
         assert proc.stdout == b""
         assert b"checksum=" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# CLI-wide fuzz
+# ---------------------------------------------------------------------------
+
+#: Flag values that no parameter kind accepts, or that only some accept.
+_JUNK = ["", "0", "-3", "2.5", "abc", "1e400", "nan", "inf", "256", "9" * 40, "--", "-i"]
+#: Valid values of each numeric parameter kind.
+_VALID = {
+    POSITIVE_INT: st.integers(1, 4),
+    POSITIVE_FLOAT: st.floats(0.1, 5.0),
+    THRESHOLD: st.integers(0, 255),
+}
+#: Well-formed input files by kind; "other.pgm" has another size than
+#: "good.pgm", and "overflow.kernel" overflows on it.
+_GOOD = {
+    "pgm": {"good.pgm": write_pgm(Image(np.arange(30, dtype=np.uint8).reshape(5, 6) * 8), "P2"),
+            "other.pgm": write_pgm(Image([[7, 9]]))},
+    "kernel": {"good.kernel": b"3 3\n0 1 0\n1 -4 1\n0 1 0\n",
+               "overflow.kernel": b"1 3\n1e308 1e308 1e308\n"},
+    "lut": {"good.lut": " ".join(str(255 - v) for v in range(256)).encode()},
+    "spec": {"good.spec": json.dumps({"stages": [
+        {"op": "negate"}, {"op": "stretch", "gamma": 1.5}, {"op": "lut", "table": "good.lut"},
+        {"op": "convolve", "kernel": "good.kernel"}]}).encode()},
+}
+#: The kind of file a PATH parameter names.
+_PATH_KIND = {"table": "lut", "kernel": "kernel", "image": "pgm"}
+# Real argv holds no NUL, and os.fsdecode gives only U+DC80-U+DCFF surrogates.
+_ARG_TEXT = st.text(st.characters(blacklist_characters="\0", blacklist_categories=("Cs",)),
+                    max_size=8)
+#: Any JSON value a spec could give a parameter; JSON strings, unlike
+#: argv, can hold a NUL or a lone surrogate.
+_JSON_VALUES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+                | st.sampled_from([*_JUNK, "good.lut\0", "\ud800.pgm"]))
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """``data`` with a few bytes flipped, dropped or inserted, or cut short."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        how = draw(st.sampled_from(["flip", "drop", "insert", "cut"]))
+        if how == "insert" or at == len(data):
+            data[at:at] = draw(st.binary(min_size=1, max_size=4))
+        elif how == "flip":
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        elif how == "drop":
+            del data[at]
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+def _good_value(param):
+    """The strategy for valid values of an op parameter."""
+    if param.name in _PATH_KIND:
+        return st.sampled_from(sorted(_GOOD[_PATH_KIND[param.name]]))
+    if param.kind is FLAG:
+        return st.booleans()
+    return _VALID[param.kind] if param.kind in _VALID else st.sampled_from(param.kind.choices)
+
+
+@st.composite
+def _spec(draw) -> bytes:
+    """A pipeline spec of one to three stages over ``pipeline.OPS``. Each
+    parameter is left out, given a valid value or, one time in four, any
+    JSON value."""
+    stages = []
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from([*OPS, "rotate"]))
+        stage = {"op": op}
+        for param in OPS[op].params if op in OPS else ():
+            if draw(st.integers(0, 9)):
+                good = _good_value(param)
+                stage[param.name] = draw(_JSON_VALUES if not draw(st.integers(0, 3)) else good)
+        stages.append(stage)
+    return json.dumps({"stages": stages}).encode()
+
+
+@st.composite
+def _input_file(draw, kind: str) -> str:
+    """A path to a well-formed, mutated, missing or unreadable ``kind``
+    file, or, for a spec, a generated one."""
+    how = draw(st.sampled_from(["good"] * 4 + ["mutated", "missing", "directory"]
+                               + ["generated"] * 2 * (kind == "spec")))
+    if how == "good":
+        return draw(st.sampled_from(sorted(_GOOD[kind])))
+    if how in ("mutated", "generated"):
+        path = f"{how}-{draw(st.integers(0, 9))}.{kind}"
+        data = _spec() if how == "generated" else _mutated(_GOOD[kind][f"good.{kind}"])
+        with open(path, "wb") as fh:
+            fh.write(draw(data))
+        return path
+    return "missing.pgm" if how == "missing" else "."
+
+
+@st.composite
+def _argv(draw) -> list:
+    """One grayfilt command line over the ops of ``pipeline.OPS`` and the
+    other subcommands. Half are clean: every flag present with a valid
+    value. The rest may leave flags out, give junk values, write where no
+    file can go, or carry a stray token."""
+    clean = draw(st.booleans())
+
+    def value(good, junk=st.sampled_from(_JUNK) | _ARG_TEXT):
+        return draw(good if clean or draw(st.integers(0, 3)) else junk)
+
+    def output(name):
+        return name if clean else draw(st.sampled_from([name, "no-such-dir/x", "."]))
+
+    command = draw(st.sampled_from([*OPS, "histogram", "pipeline", "bench", "rotate"]))
+    argv = [command]
+    if command != "bench":
+        argv += ["-i", draw(_input_file("pgm"))]
+    if command in OPS or command == "pipeline":
+        argv += ["-o", output("out.pgm")]
+    if command in OPS:
+        for param in OPS[command].params:
+            if not clean and not draw(st.integers(0, 9)):
+                continue  # left out: the default, or a missing required flag
+            flag = (param.flags or (f"--{param.name}",))[-1]
+            if param.kind is FLAG:
+                argv += [flag] * draw(st.booleans())
+            elif param.name in _PATH_KIND:
+                argv += [flag, draw(_input_file(_PATH_KIND[param.name]))]
+            else:
+                argv += [flag, value(_good_value(param).map(str))]
+    elif command == "histogram":
+        argv += ["--csv", output("out.csv")]
+        if draw(st.booleans()):
+            argv += ["--render", output("chart.pgm")]
+    elif command == "pipeline":
+        argv += ["--spec", draw(_input_file("spec"))]
+    elif command == "bench":
+        # Any positive count is a valid --iters, and a huge one only runs
+        # long: bad bench values are junk that is not a positive integer, or
+        # past a cap.
+        not_positive = ["", "0", "-3", "2.5", "abc", "nan", "--"]
+        for flag, good, too_big in (("--size", st.integers(1, 24), ["8193", "9" * 40]),
+                                    ("--ksize", st.sampled_from([1, 3, 5]), ["4", "257", "9" * 40]),
+                                    ("--iters", st.integers(1, 2), []),
+                                    ("--workers", st.integers(1, 2), ["9" * 40])):
+            if draw(st.booleans()):
+                argv += [flag, value(good.map(str), st.sampled_from(not_positive + too_big))]
+    if command != "bench" and draw(st.booleans()):
+        argv += ["--format", value(st.sampled_from(["p2", "p5"]))]
+    if not clean and not draw(st.integers(0, 4)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_ARG_TEXT))
+    return argv
+
+
+class TestFuzz:
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for files in _GOOD.values():
+            for name, data in files.items():
+                (tmp_path / name).write_bytes(data)
+        return tmp_path
+
+    # The fixture's files are shared by every example; each example writes
+    # only its own generated inputs and its outputs.
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_argv())
+    def test_any_argv_exits_with_a_code_and_no_traceback(self, workdir, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(argv)  # any other exception fails the test
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert out.getvalue() == ""
+        if code in (2, 3):
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("grayfilt: ")

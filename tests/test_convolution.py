@@ -397,10 +397,12 @@ class TestClampToDisplay:
         expected = [round_half_away_exact(v * 255 / 14) for v in (0, 7, 14)]
         assert clamp_to_display(s, "rescale").pixels.tolist() == [expected]
 
-    @pytest.mark.parametrize("high", [1e307, 1e308, np.finfo(np.float64).max])
+    @pytest.mark.parametrize("high", [np.finfo(np.float64).max / 255.0, 1e307, 1e308,
+                                      np.finfo(np.float64).max])
     def test_rescale_of_range_too_wide_for_the_exact_path(self, high):
-        # (high - low) * 255, or the span itself, overflows a double; the
-        # middle value sits exactly half-way and rounds up to 128.
+        # (high - low) * 255, or the span itself, overflows a double (at
+        # max / 255 the product just rounds up to inf); the middle value
+        # sits exactly half-way and rounds up to 128.
         for low, middle in ((0.0, high / 2), (-high, 0.0)):
             s = SignedImage([[low, middle, high]])
             assert clamp_to_display(s, "rescale").pixels.tolist() == [[0, 128, 255]]
@@ -500,6 +502,16 @@ class TestFusedDisplay:
                     lambda: correlate(img, k, workers=workers)):
             with pytest.raises(DomainError, match="^signed image values must be finite$"):
                 run()
+
+    def test_each_float_strip_is_checked_finite_once(self, monkeypatch):
+        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 4)
+        img = Image(np.arange(32, dtype=np.uint8).reshape(8, 4))
+        k = Kernel([[0.5, 0.25, 0.25]])
+        checked = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: checked.append(a.shape) or isfinite(a))
+        _correlate_gray(img, k)
+        assert checked == [(1, 4)] * 8  # one check per one-row strip
 
 
 def rescale_oracle(values):

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import grayfilt.convolution
 from grayfilt import (
+    DomainError,
     Image,
     Kernel,
     SignedImage,
@@ -80,6 +82,27 @@ class TestBoxBlur:
             assert out.pixels.tolist() == box_mean_by_counts(pixels.tolist(), radius, border)
         white = Image(np.full((3, 60), 255, np.uint8))
         assert box_blur(white, radius) == white
+
+    @pytest.mark.parametrize("border", ["replicate", "zero"])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 2)])
+    def test_huge_radius_is_exact_in_small_memory(self, shape, border):
+        # 94_999_083 is the widest radius whose window sums fit in int64.
+        rng = np.random.default_rng(27)
+        pixels = rng.integers(0, 256, shape, np.uint8)
+        for radius in (10**6, 94_999_083):
+            tracemalloc.start()
+            try:
+                out = box_blur(Image(pixels), radius, border)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.pixels.tolist() == box_mean_by_counts(pixels.tolist(), radius, border)
+            assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("radius", [94_999_084, 10**30])
+    def test_radius_beyond_64_bit_sums_is_a_domain_error(self, radius):
+        with pytest.raises(DomainError, match="64 bits"):
+            box_blur(Image([[1, 2]]), radius)
 
     @given(small_images, st.integers(min_value=1, max_value=4), st.sampled_from(["replicate", "zero"]))
     def test_matches_mean_oracle(self, pixels, radius, border):

@@ -46,6 +46,9 @@ class TestSpecValidation:
         {"op": "shadow", "invert": "yes"},
         {"op": "laplacian", "variant": "sixteen"},
         {"op": "stretch", "gamma": 10**400},
+        {"op": "lut", "table": ""},
+        {"op": "lut", "table": "a\0b"},
+        {"op": "convolve", "kernel": "k\ud800"},
     ])
     def test_bad_parameter_values(self, stage):
         with pytest.raises(FormatError):
