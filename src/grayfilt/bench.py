@@ -13,20 +13,18 @@ import time
 import numpy as np
 
 from .convolution import correlate
-from .core import POSITIVE_INT, Image, Kernel, SignedImage, int_kind
+from .core import Image, Kernel, SignedImage
+from .kinds import (  # noqa: F401  (the bounds are re-exported)
+    BENCH_ITERS,
+    BENCH_KSIZE,
+    BENCH_SIZE,
+    MAX_BENCH_ITERS,
+    MAX_BENCH_KSIZE,
+    MAX_BENCH_SIZE,
+)
 
 #: Seed for the deterministic benchmark input.
 BENCH_SEED = 0xC0FFEE
-
-#: Largest benchmark image side: 8192**2 pixels are 64 MB as uint8 and 256 MB
-#: as the int32 output, so a mistyped size cannot exhaust memory.
-MAX_BENCH_SIZE = 8192
-BENCH_SIZE = int_kind(f"an integer in [1, {MAX_BENCH_SIZE}]", lambda v: 1 <= v <= MAX_BENCH_SIZE)
-#: Largest ones-kernel side: the kernel is then 0.5 MB, and a mistyped ksize
-#: cannot ask for a kernel or a padding larger than memory.
-MAX_BENCH_KSIZE = 255
-BENCH_KSIZE = int_kind(f"an odd integer in [1, {MAX_BENCH_KSIZE}]",
-                       lambda v: 1 <= v <= MAX_BENCH_KSIZE and v % 2 == 1)
 
 
 def bench_image(size: int) -> Image:
@@ -48,7 +46,7 @@ def bench_convolve(size: int, ksize: int, iters: int, workers: int = 1) -> str:
     kernel-tap multiply-adds per second, and the output checksum."""
     size = BENCH_SIZE.check(size, "size")
     ksize = BENCH_KSIZE.check(ksize, "ksize")
-    iters = POSITIVE_INT.check(iters, "iters")
+    iters = BENCH_ITERS.check(iters, "iters")
 
     import statistics  # here, not at module level: keeps it off CLI start-up
 

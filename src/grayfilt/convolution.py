@@ -28,19 +28,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    MAX_GRAY,
-    POSITIVE_INT,
-    Image,
-    Kernel,
-    SignedImage,
-    _clamp_levels,
-    choice,
-)
+from .core import MAX_GRAY, Image, Kernel, SignedImage, _clamp_levels
+from .kinds import BORDER, DISPLAY, POSITIVE_INT, VARIANT
 
-#: Pad modes implementing each border policy.
+#: Pad mode implementing each border policy of ``BORDER``.
 _BORDER_MODES = {"replicate": "edge", "zero": "constant"}
-BORDER = choice(*_BORDER_MODES)
 
 #: Center -4 stencil: f(x+1,y) + f(x-1,y) + f(x,y+1) + f(x,y-1) - 4 f(x,y).
 LAPLACIAN_FOUR = Kernel([[0, 1, 0], [1, -4, 1], [0, 1, 0]])
@@ -48,10 +40,9 @@ LAPLACIAN_FOUR = Kernel([[0, 1, 0], [1, -4, 1], [0, 1, 0]])
 #: Center -8 stencil surrounded by 1s; responds to diagonals as well.
 LAPLACIAN_EIGHT = Kernel([[1, 1, 1], [1, -8, 1], [1, 1, 1]])
 
+#: The stencil of each ``VARIANT``.
 _LAPLACIANS = {"four": LAPLACIAN_FOUR, "eight": LAPLACIAN_EIGHT}
-VARIANT = choice(*_LAPLACIANS)
 
-DISPLAY = choice("clamp", "rescale")
 #: Spans [min, max] below this keep the rescale numerator (values - min) * 255
 #: finite; at this span itself the product rounds up to inf.
 _RESCALE_EXACT_SPAN = np.finfo(np.float64).max / 255.0

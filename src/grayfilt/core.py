@@ -1,77 +1,29 @@
-"""Shared value types (images, kernels, histograms), parameter kinds and the
-rounding rule.
+"""Shared value types (images, kernels, histograms) and the rounding rule.
 
 Every filter in this package moves pixels through exactly one rounding and
 clamping rule, :func:`clamp_round`, so results are reproducible bit for bit.
 All types are immutable after construction: the wrapped numpy arrays are
 copied in (an array the package has just computed is taken over instead)
 and marked read-only, which makes the values safe to share between threads.
+The parameter kinds are defined in :mod:`grayfilt.kinds`, which loads no
+numpy, and can be imported from here too.
 """
 
 from __future__ import annotations
 
-import reprlib
-import sys
-from typing import Callable, NamedTuple
-
 import numpy as np
 
 from .errors import DomainError
-
-#: Number of representable gray levels (8-bit images).
-GRAY_LEVELS = 256
-
-#: Largest representable gray level.
-MAX_GRAY = GRAY_LEVELS - 1
-
-
-class Kind(NamedTuple):
-    """A parameter kind. ``check(value, name)`` is its one validator, shared
-    by the library functions, the pipeline and the CLI: it returns the value
-    in canonical form or raises ValueError naming the parameter. ``parse``
-    turns CLI text into a value; ``choices`` lists the values of a choice kind."""
-
-    check: Callable[[object, str], object]
-    parse: Callable[[str], object] = str
-    choices: tuple = ()
-
-
-def _must(ok: bool, name: str, what: str, value):
-    if not ok:
-        # reprlib shortens a huge integer or a long string to a few dozen characters.
-        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
-    return value
-
-
-def _is_int(v) -> bool:
-    """An integer, numpy integers included; bool is not a number here."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def int_kind(what: str, ok: Callable[[int], bool]) -> Kind:
-    """The kind of the integers for which ``ok`` holds, described as ``what``."""
-    return Kind(lambda v, name: int(_must(_is_int(v) and ok(v), name, what, v)), int)
-
-
-POSITIVE_INT = int_kind("a positive integer", lambda v: v >= 1)
-THRESHOLD = int_kind(f"an integer in [0, {MAX_GRAY}]", lambda v: 0 <= v <= MAX_GRAY)
-
-
-def _positive_float(v, name: str) -> float:
-    # Compare numpy scalars as Python numbers (a float32 would cast the bound to
-    # inf and warn); the bound also rejects NaN and ints too large for a float.
-    num = v.item() if isinstance(v, np.generic) else v
-    ok = (_is_int(v) or isinstance(v, (float, np.floating))) and 0 < num <= sys.float_info.max
-    return float(_must(ok, name, "a finite positive number", v))
-
-
-POSITIVE_FLOAT = Kind(_positive_float, float)
-
-
-def choice(*options: str) -> Kind:
-    """The kind whose values are exactly ``options``."""
-    return Kind(lambda v, name: _must(isinstance(v, str) and v in options, name,
-                                      f"one of {options}", v), choices=options)
+from .kinds import (  # noqa: F401  (the kinds are re-exported)
+    GRAY_LEVELS,
+    MAX_GRAY,
+    POSITIVE_FLOAT,
+    POSITIVE_INT,
+    THRESHOLD,
+    Kind,
+    choice,
+    int_kind,
+)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

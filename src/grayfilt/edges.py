@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .convolution import _correlate_gray
-from .core import THRESHOLD, BinaryImage, Image, Kernel
+from .core import BinaryImage, Image, Kernel
 from .errors import DomainError
+from .kinds import THRESHOLD
 from .point_ops import negate
 
 #: Difference of the northeast neighbor minus the southwest neighbor.

@@ -11,17 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convolution import (
-    _LAPLACIANS,
-    BORDER,
-    DISPLAY,
-    VARIANT,
-    _correlate_gray,
-    _row_strips,
-    clamp_to_display,
-)
-from .core import MAX_GRAY, POSITIVE_INT, Image, Kernel, SignedImage
+from .convolution import _LAPLACIANS, _correlate_gray, _row_strips, clamp_to_display
+from .core import MAX_GRAY, Image, Kernel, SignedImage
 from .errors import DomainError
+from .kinds import BORDER, DISPLAY, POSITIVE_INT, VARIANT
 
 #: δ − L for each Laplacian stencil L: one correlation with it gives f − laplacian(f).
 _SHARPEN = {name: Kernel(np.pad([[1.0]], 1) - lap.coeffs) for name, lap in _LAPLACIANS.items()}

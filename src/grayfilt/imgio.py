@@ -24,8 +24,9 @@ import tempfile
 
 import numpy as np
 
-from .core import GRAY_LEVELS, MAX_GRAY, Image, Kernel, choice
+from .core import GRAY_LEVELS, MAX_GRAY, Image, Kernel
 from .errors import FormatError
+from .kinds import choice
 from .point_ops import _as_lut
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"

@@ -10,32 +10,27 @@ is bit-identical to composing the corresponding library calls by hand.
 
 from __future__ import annotations
 
-import os
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .convolution import BORDER, DISPLAY, VARIANT, _convolve_display, _laplacian_display
-from .core import POSITIVE_FLOAT, POSITIVE_INT, THRESHOLD, Image, Kind, _must
-from .edges import binarize, bits_to_image, edge_points, image_add, shadow_invert, shadow_ne
-from .enhance import laplacian_sharpen, unsharp_mask
+# The builders reach the engine through the package's lazy exports (PEP 562),
+# so the op table, and a CLI parser built from it, loads no numpy.
+import grayfilt as api
+
 from .errors import DomainError, FormatError
-from .imgio import load_pgm, load_text, parse_kernel, parse_lut
-from .point_ops import apply_lut, gray_stretch, negate
+from .kinds import (
+    BORDER,
+    DISPLAY,
+    FLAG,
+    PATH,
+    POSITIVE_FLOAT,
+    POSITIVE_INT,
+    THRESHOLD,
+    VARIANT,
+    Kind,
+)
 
-
-def _is_path(v) -> bool:
-    """A string ``open`` takes as a path: not empty, no NUL, and encodable
-    in the file-system encoding (JSON can spell a NUL or a lone surrogate)."""
-    if not isinstance(v, str) or v == "" or "\0" in v:
-        return False
-    try:
-        os.fsencode(v)
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
-PATH = Kind(lambda v, name: _must(_is_path(v), name, "a file path", v))
-FLAG = Kind(lambda v, name: _must(isinstance(v, bool), name, "true or false", v))
+if TYPE_CHECKING:
+    from .core import Image
 
 
 class Param(NamedTuple):
@@ -61,18 +56,18 @@ class Op(NamedTuple):
 
 
 def _lut_step(p):
-    table = parse_lut(load_text(p["table"]))
-    return lambda img: apply_lut(img, table)
+    table = api.parse_lut(api.imgio.load_text(p["table"]))
+    return lambda img: api.apply_lut(img, table)
 
 
 def _convolve_step(p):
-    kern = parse_kernel(load_text(p["kernel"]))
-    return lambda img: _convolve_display(img, kern, p["border"], p["display"])
+    kern = api.parse_kernel(api.imgio.load_text(p["kernel"]))
+    return lambda img: api.convolution._convolve_display(img, kern, p["border"], p["display"])
 
 
 def _add_step(p):
-    second = load_pgm(p["image"])
-    return lambda img: image_add(img, second)
+    second = api.load_pgm(p["image"])
+    return lambda img: api.image_add(img, second)
 
 
 _VARIANT = Param("variant", VARIANT, "four")
@@ -80,11 +75,11 @@ _DISPLAY = Param("display", DISPLAY, "clamp")
 
 #: op name -> Op, in CLI listing order.
 OPS = {
-    "negate": Op("photographic negative (255 - pixel)", (), lambda p: negate),
+    "negate": Op("photographic negative (255 - pixel)", (), lambda p: api.negate),
     "stretch": Op(
         "power-law gray stretch: compress low end, expand high end",
         (Param("gamma", POSITIVE_FLOAT, 2.0, "exponent; > 1 darkens midtones (default 2.0)"),),
-        lambda p: lambda img: gray_stretch(img, p["gamma"])),
+        lambda p: lambda img: api.gray_stretch(img, p["gamma"])),
     "lut": Op(
         "remap pixels through a 256-entry lookup table",
         (Param("table", PATH, help="text file with 256 whitespace-separated entries in [0, 255]",
@@ -94,14 +89,14 @@ OPS = {
         "second-derivative filter (display-mapped)",
         (_VARIANT._replace(help="4- or 8-neighbor stencil (default four)"),
          _DISPLAY._replace(help="how to map signed output to gray levels (default clamp)")),
-        lambda p: lambda img: _laplacian_display(img, p["variant"], p["display"])),
+        lambda p: lambda img: api.convolution._laplacian_display(img, p["variant"], p["display"])),
     "sharpen": Op(
         "Laplacian sharpening: clamp(f - laplacian(f))", (_VARIANT,),
-        lambda p: lambda img: laplacian_sharpen(img, p["variant"])),
+        lambda p: lambda img: api.laplacian_sharpen(img, p["variant"])),
     "unsharp": Op(
         "unsharp masking: f minus a box-blurred copy of f",
         (Param("radius", POSITIVE_INT, 1, "blur window radius (default 1 = 3x3)"), _DISPLAY),
-        lambda p: lambda img: unsharp_mask(img, p["radius"], p["display"])),
+        lambda p: lambda img: api.unsharp_mask(img, p["radius"], p["display"])),
     "convolve": Op(
         "convolve with a kernel from a text file",
         (Param("kernel", PATH, help="kernel file: 'kheight kwidth' line, then coefficient rows",
@@ -111,11 +106,12 @@ OPS = {
     "binarize": Op(
         "threshold to a 0/255 image",
         (Param("threshold", THRESHOLD, 128, "pixels >= threshold become 255 (default 128)"),),
-        lambda p: lambda img: bits_to_image(binarize(img, p["threshold"]))),
+        lambda p: lambda img: api.bits_to_image(api.binarize(img, p["threshold"]))),
     "edges": Op(
         "binary edge points (threshold, then XOR neighbor rule), rendered 0/255",
         (Param("threshold", THRESHOLD, 128),),
-        lambda p: lambda img: bits_to_image(edge_points(binarize(img, p["threshold"])))),
+        lambda p: lambda img: api.bits_to_image(
+            api.edge_points(api.binarize(img, p["threshold"])))),
     "add": Op(
         "saturating pixelwise sum of two images",
         (Param("image", PATH, help="second input image (same dimensions)",
@@ -124,7 +120,7 @@ OPS = {
     "shadow": Op(
         "relief shadow on northeastern edge sides",
         (Param("invert", FLAG, False, "negate the shadow rendering"),),
-        lambda p: shadow_invert if p["invert"] else shadow_ne),
+        lambda p: api.shadow_invert if p["invert"] else api.shadow_ne),
 }
 
 

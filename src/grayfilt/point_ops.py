@@ -11,7 +11,8 @@ import reprlib
 
 import numpy as np
 
-from .core import GRAY_LEVELS, MAX_GRAY, POSITIVE_FLOAT, Image, _is_int, clamp_round
+from .core import GRAY_LEVELS, MAX_GRAY, Image, clamp_round
+from .kinds import POSITIVE_FLOAT, _is_int
 
 
 def _as_lut(table) -> np.ndarray:

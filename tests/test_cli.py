@@ -38,7 +38,7 @@ from grayfilt import (
     shadow_ne,
     unsharp_mask,
 )
-from grayfilt.bench import MAX_BENCH_KSIZE, MAX_BENCH_SIZE
+from grayfilt.bench import MAX_BENCH_ITERS, MAX_BENCH_KSIZE, MAX_BENCH_SIZE
 from grayfilt.core import POSITIVE_FLOAT, POSITIVE_INT, THRESHOLD
 from grayfilt.imgio import write_pgm
 from grayfilt.pipeline import FLAG, OPS
@@ -205,6 +205,15 @@ class TestBench:
             err = capsys.readouterr().err
             assert "value must be an odd integer in [1, 255], got" in err.splitlines()[-1]
 
+    def test_iters_is_capped(self, capsys):
+        assert grayfilt.bench.BENCH_ITERS.check(MAX_BENCH_ITERS, "iters") == MAX_BENCH_ITERS
+        with pytest.raises(ValueError, match=r"iters must be an integer in \[1, 1000\], got 1001"):
+            bench_convolve(8, 3, MAX_BENCH_ITERS + 1)
+        for iters in ("0", "1001", "9" * 40):
+            assert run_cli(["bench", "--size", "8", "--iters", iters]) == 1
+            err = capsys.readouterr().err
+            assert "argument --iters: value must be an integer in [1, 1000], got" in err
+
     @pytest.mark.parametrize("ksize,checksum", [(3, 1202278455), (9, 10820077984)])
     def test_recorded_checksums(self, ksize, checksum):
         # The engine's bit-identity record: the ones-kernel sums of the seeded
@@ -307,6 +316,19 @@ class TestExitCodes:
                         "-i", "x.pgm", "-o", "y.pgm"])
         assert code == 1
 
+    @pytest.mark.parametrize("path", ["a\0b.pgm", "\ud800.pgm", ""])
+    @pytest.mark.parametrize("argv,flag", [
+        (["negate", "-i", "{}", "-o", "y.pgm"], "-i/--input"),
+        (["negate", "-i", "x.pgm", "-o", "{}"], "-o/--output"),
+        (["histogram", "-i", "x.pgm", "--csv", "{}"], "--csv"),
+        (["histogram", "-i", "x.pgm", "--csv", "h.csv", "--render", "{}"], "--render"),
+        (["pipeline", "-i", "x.pgm", "-o", "y.pgm", "--spec", "{}"], "--spec"),
+    ])
+    def test_unopenable_path_is_usage_error(self, capsys, path, argv, flag):
+        assert run_cli([path if arg == "{}" else arg for arg in argv]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.endswith(f"argument {flag}: value must be a file path, got {path!r}")
+
     def test_unknown_command_is_usage_error(self):
         assert run_cli(["rotate"]) == 1
 
@@ -367,14 +389,43 @@ class TestProcessLevel:
         assert b"error" in proc.stderr
 
     def test_startup_skips_unneeded_imports(self):
-        # Threads, pipelines and the bench report import these when they run.
-        lazy = ("concurrent.futures", "json", "statistics")
+        # Threads, pipelines, the bench report and every handler import these
+        # when they run.
+        lazy = ("concurrent.futures", "json", "statistics", "numpy")
         code = ("import sys; lazy = %r; before = {m for m in lazy if m in sys.modules}; "
                 "import grayfilt.cli; print(sorted(set(lazy) & set(sys.modules) - before))"
                 % (lazy,))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == b"[]\n"
+
+    def test_front_end_exits_without_numpy(self):
+        # The command lines run in turn in one fresh interpreter; numpy must
+        # still be absent after each, since only a subcommand handler loads it.
+        helps = [["--version"], ["--help"]] + [
+            [command, "--help"] for command in [*OPS, "histogram", "pipeline", "bench"]]
+        usage_errors = [["sharpen", "-o", "y.pgm"],
+                        ["sharpen", "-i", "x.pgm", "-o", "y.pgm", "--variant", "six"],
+                        ["binarize", "-i", "x.pgm", "-o", "y.pgm", "--threshold", "300"]]
+        code = """if True:
+            import contextlib, io, json, sys
+            from grayfilt.cli import main
+            seen = []
+            for argv in json.loads(sys.argv[1]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                    try:
+                        main(argv)
+                        code = None
+                    except SystemExit as exc:
+                        code = exc.code
+                seen.append([code, "numpy" in sys.modules])
+            print(json.dumps(seen))
+            """
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(helps + usage_errors)],
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, False]] * len(helps) + [[1, False]] * 3
 
     @staticmethod
     def _fresh(code):
@@ -420,8 +471,9 @@ class TestProcessLevel:
                         reason="counts the threads listed in /proc/self/task")
     def test_cli_process_runs_one_thread(self):
         # OpenBLAS starts one thread per CPU as numpy loads; on a 1-CPU host
-        # it starts none, so this passes there whatever the CLI sets.
-        code = ("import os, sys, grayfilt.cli; "
+        # it starts none, so this passes there whatever the CLI sets. The CLI
+        # loads numpy only when a handler runs, so the probe loads it after.
+        code = ("import os, sys, grayfilt.cli, numpy; "
                 "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))")
         assert self._fresh(code) == b"True 1\n"
 
@@ -461,10 +513,12 @@ _PATH_KIND = {"table": "lut", "kernel": "kernel", "image": "pgm"}
 # Real argv holds no NUL, and os.fsdecode gives only U+DC80-U+DCFF surrogates.
 _ARG_TEXT = st.text(st.characters(blacklist_characters="\0", blacklist_categories=("Cs",)),
                     max_size=8)
-#: Any JSON value a spec could give a parameter; JSON strings, unlike
-#: argv, can hold a NUL or a lone surrogate.
+#: Paths that ``open`` cannot take. A JSON string or an in-process argv can
+#: hold a NUL or a lone surrogate; real argv cannot.
+_UNOPENABLE = ["good.lut\0", "\ud800.pgm"]
+#: Any JSON value a spec could give a parameter.
 _JSON_VALUES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
-                | st.sampled_from([*_JUNK, "good.lut\0", "\ud800.pgm"]))
+                | st.sampled_from([*_JUNK, *_UNOPENABLE]))
 
 
 @st.composite
@@ -514,8 +568,8 @@ def _spec(draw) -> bytes:
 @st.composite
 def _input_file(draw, kind: str) -> str:
     """A path to a well-formed, mutated, missing or unreadable ``kind``
-    file, or, for a spec, a generated one."""
-    how = draw(st.sampled_from(["good"] * 4 + ["mutated", "missing", "directory"]
+    file, a path ``open`` cannot take, or, for a spec, a generated file."""
+    how = draw(st.sampled_from(["good"] * 4 + ["mutated", "missing", "directory", "unopenable"]
                                + ["generated"] * 2 * (kind == "spec")))
     if how == "good":
         return draw(st.sampled_from(sorted(_GOOD[kind])))
@@ -525,6 +579,8 @@ def _input_file(draw, kind: str) -> str:
         with open(path, "wb") as fh:
             fh.write(draw(data))
         return path
+    if how == "unopenable":
+        return draw(st.sampled_from(_UNOPENABLE))
     return "missing.pgm" if how == "missing" else "."
 
 
@@ -540,7 +596,7 @@ def _argv(draw) -> list:
         return draw(good if clean or draw(st.integers(0, 3)) else junk)
 
     def output(name):
-        return name if clean else draw(st.sampled_from([name, "no-such-dir/x", "."]))
+        return name if clean else draw(st.sampled_from([name, "no-such-dir/x", ".", *_UNOPENABLE]))
 
     command = draw(st.sampled_from([*OPS, "histogram", "pipeline", "bench", "rotate"]))
     argv = [command]
@@ -566,13 +622,11 @@ def _argv(draw) -> list:
     elif command == "pipeline":
         argv += ["--spec", draw(_input_file("spec"))]
     elif command == "bench":
-        # Any positive count is a valid --iters, and a huge one only runs
-        # long: bad bench values are junk that is not a positive integer, or
-        # past a cap.
+        # Bad bench values are junk that is not a positive integer, or past a cap.
         not_positive = ["", "0", "-3", "2.5", "abc", "nan", "--"]
         for flag, good, too_big in (("--size", st.integers(1, 24), ["8193", "9" * 40]),
                                     ("--ksize", st.sampled_from([1, 3, 5]), ["4", "257", "9" * 40]),
-                                    ("--iters", st.integers(1, 2), []),
+                                    ("--iters", st.integers(1, 2), ["1001", "9" * 40]),
                                     ("--workers", st.integers(1, 2), ["9" * 40])):
             if draw(st.booleans()):
                 argv += [flag, value(good.map(str), st.sampled_from(not_positive + too_big))]

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +15,20 @@ from grayfilt import (
     clamp_round,
     round_half_away,
 )
-from grayfilt.core import POSITIVE_FLOAT, POSITIVE_INT, THRESHOLD, choice
+from grayfilt.kinds import (
+    BENCH_ITERS,
+    BENCH_KSIZE,
+    BENCH_SIZE,
+    BORDER,
+    DISPLAY,
+    FLAG,
+    PATH,
+    POSITIVE_FLOAT,
+    POSITIVE_INT,
+    THRESHOLD,
+    VARIANT,
+    choice,
+)
 
 
 class TestClampRound:
@@ -260,3 +275,59 @@ class TestParameterMessages:
             choice("four", "eight").check("six", "variant")
         with pytest.raises(ValueError, match=r"got -1\.5$"):
             POSITIVE_FLOAT.check(-1.5, "gamma")
+
+
+_NP_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+_NP_FLOATS = (np.float16, np.float32, np.float64)
+#: Values no numeric kind takes: bools (numpy's too), text and non-finite numbers.
+_NEVER_NUMBERS = [True, False, np.bool_(True), None, "3", [3], float("nan"), float("inf"),
+                  -float("inf"), np.float64("nan"), np.float32("inf")]
+
+#: kind -> (accepted values, rejected values). Every caller (library, pipeline
+#: and CLI) goes through these checks, so this table is what each kind means.
+KIND_DOMAINS = {
+    "POSITIVE_INT": (POSITIVE_INT, [1, 7, 10**400, *(t(3) for t in _NP_INTS)],
+                     [0, -1, 2.0, np.float64(2), np.float32(2), *_NEVER_NUMBERS]),
+    "THRESHOLD": (THRESHOLD, [0, 128, 255, *(t(5) for t in _NP_INTS), np.uint8(255)],
+                  [-1, 256, 10**400, 128.0, np.float64(5), *_NEVER_NUMBERS]),
+    "POSITIVE_FLOAT": (POSITIVE_FLOAT,
+                       [2, 0.5, 5e-324, sys.float_info.max, 10**308, *(t(3) for t in _NP_INTS),
+                        *(t(1.5) for t in _NP_FLOATS), np.uint64(2**64 - 1)],
+                       [0, 0.0, -1.5, -0.0, 10**400, np.float64(0), np.int8(-1),
+                        *_NEVER_NUMBERS]),
+    "BENCH_SIZE": (BENCH_SIZE, [1, 8192, *(t(64) for t in _NP_INTS)],
+                   [0, 8193, 64.0, *_NEVER_NUMBERS]),
+    "BENCH_KSIZE": (BENCH_KSIZE, [1, 3, 255, *(t(5) for t in _NP_INTS)],
+                    [0, 2, 257, 3.0, *_NEVER_NUMBERS]),
+    "BENCH_ITERS": (BENCH_ITERS, [1, 1000, *(t(5) for t in _NP_INTS)],
+                    [0, 1001, 10**400, 5.0, *_NEVER_NUMBERS]),
+    "FLAG": (FLAG, [True, False], [0, 1, np.bool_(True), "true", None]),
+    "BORDER": (BORDER, ["replicate", "zero"], ["edge", "Zero", b"zero", True, None]),
+    "VARIANT": (VARIANT, ["four", "eight"], ["six", "", 4, True]),
+    "DISPLAY": (DISPLAY, ["clamp", "rescale"], ["clip", 0, False]),
+    "PATH": (PATH, ["a.pgm", "dir/a b.pgm", "."],
+             ["", "a\0b", "\ud800.pgm", b"a.pgm", None, True, 3]),
+}
+
+
+def _kind_cases(accepted):
+    return [pytest.param(kind, value, id=f"{name}-{type(value).__name__}-{value!r:.20}")
+            for name, (kind, good, bad) in KIND_DOMAINS.items()
+            for value in (good if accepted else bad)]
+
+
+class TestKindDomains:
+    @pytest.mark.parametrize("kind,value", _kind_cases(accepted=True))
+    def test_accepts(self, kind, value):
+        out = kind.check(value, "x")
+        if kind is POSITIVE_FLOAT:
+            assert type(out) is float and out == float(value)
+        elif kind.parse is int:
+            assert type(out) is int and out == int(value)
+        else:
+            assert out is value
+
+    @pytest.mark.parametrize("kind,value", _kind_cases(accepted=False))
+    def test_rejects(self, kind, value):
+        with pytest.raises(ValueError, match="^x must be "):
+            kind.check(value, "x")
