@@ -16,9 +16,9 @@ strip of sums finite and stores it through one per-strip finish.
 strip of rows at a time. An integer intermediate is rescaled in exact
 integers, as (510·(v − min) + span) // (2·span) with span = max − min. The
 ops that end in gray levels (``laplacian_sharpen``, ``shadow_ne``, and the
-``laplacian`` and ``convolve`` ops with the clamp display) finish each strip
-as gray levels, with the same rounding rule, so no full-size signed
-intermediate is built.
+``laplacian`` and ``convolve`` ops) all go through ``_correlate_display``,
+whose clamp finishes each strip as gray levels, with the same rounding rule,
+so no full-size signed intermediate is built.
 """
 
 from __future__ import annotations
@@ -164,12 +164,16 @@ def correlate(img: Image, kernel: Kernel, border: str = "replicate",
                                                   lambda acc: acc))
 
 
-def _correlate_gray(img: Image, kernel: Kernel, border: str = "replicate",
-                    workers: int = 1, bias: int = 0) -> Image:
-    """``clamp_round(bias + correlate(img, kernel, border, workers).values)``,
-    with each strip clamped into the uint8 output while it is in cache, so
-    no full-size accumulator exists. A non-finite float sum raises the same
-    DomainError as ``correlate``."""
+def _correlate_display(img: Image, kernel: Kernel, border: str = "replicate",
+                       mode: str = "clamp", bias: int = 0, workers: int = 1) -> Image:
+    """``clamp_to_display(bias + correlate(img, kernel, border, workers), mode)``,
+    the one place where a correlation becomes gray levels. The clamp is fused
+    into the strip loop: each strip is clamped into the uint8 output while it
+    is in cache, so no full-size accumulator exists. A rescale needs the
+    whole range first; no caller combines it with a bias. A non-finite float
+    sum raises the same DomainError as ``correlate``."""
+    if mode != "clamp":
+        return clamp_to_display(correlate(img, kernel, border, workers), mode)
 
     def clamp(acc):
         if bias:
@@ -180,24 +184,10 @@ def _correlate_gray(img: Image, kernel: Kernel, border: str = "replicate",
     return Image._trusted(_correlate_strips(img, kernel, border, workers, out, clamp))
 
 
-def _correlate_display(img: Image, kernel: Kernel, border: str, mode: str) -> Image:
-    """``clamp_to_display(correlate(img, kernel, border), mode)``; the clamp
-    is fused into the strip loop, a rescale needs the whole range first."""
-    if mode == "clamp":
-        return _correlate_gray(img, kernel, border)
-    return clamp_to_display(correlate(img, kernel, border), mode)
-
-
 def convolve(img: Image, kernel: Kernel, border: str = "replicate",
              workers: int = 1) -> SignedImage:
     """True convolution: correlate with the kernel rotated by 180 degrees."""
     return correlate(img, rot180(kernel), border, workers)
-
-
-def _convolve_display(img: Image, kernel: Kernel, border: str, mode: str) -> Image:
-    """``clamp_to_display(convolve(img, kernel, border), mode)``, through
-    ``_correlate_display``."""
-    return _correlate_display(img, rot180(kernel), border, mode)
 
 
 def laplacian(img: Image, variant: str = "four", border: str = "replicate",
@@ -209,13 +199,6 @@ def laplacian(img: Image, variant: str = "four", border: str = "replicate",
     so constant regions map to exactly 0 under the replicate border.
     """
     return correlate(img, _LAPLACIANS[VARIANT.check(variant, "variant")], border, workers)
-
-
-def _laplacian_display(img: Image, variant: str, mode: str) -> Image:
-    """``clamp_to_display(laplacian(img, variant), mode)``, through
-    ``_correlate_display``."""
-    return _correlate_display(img, _LAPLACIANS[VARIANT.check(variant, "variant")], "replicate",
-                              mode)
 
 
 def _int_levels(vmin: int, span: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convolution import _correlate_gray
+from .convolution import _correlate_display
 from .core import BinaryImage, Image, Kernel
 from .errors import DomainError
 from .kinds import THRESHOLD
@@ -70,7 +70,7 @@ def shadow_ne(img: Image) -> Image:
     to highlights on one diagonal and shadows on the other. Each strip of
     rows is clamped to gray levels as soon as it is correlated.
     """
-    return _correlate_gray(img, SHADOW_NE_KERNEL, "replicate", bias=SHADOW_BIAS)
+    return _correlate_display(img, SHADOW_NE_KERNEL, bias=SHADOW_BIAS)
 
 
 def shadow_invert(img: Image) -> Image:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convolution import _LAPLACIANS, _correlate_gray, _row_strips, clamp_to_display
+from .convolution import _LAPLACIANS, _correlate_display, _row_strips, clamp_to_display
 from .core import MAX_GRAY, Image, Kernel, SignedImage
 from .errors import DomainError
 from .kinds import BORDER, DISPLAY, POSITIVE_INT, VARIANT
@@ -125,4 +125,4 @@ def laplacian_sharpen(img: Image, variant: str = "four",
     negative center coefficient; flat regions pass through unchanged. It is
     one integer correlation with δ − L, clamped strip by strip.
     """
-    return _correlate_gray(img, _SHARPEN[VARIANT.check(variant, "variant")], border)
+    return _correlate_display(img, _SHARPEN[VARIANT.check(variant, "variant")], border)

@@ -7,9 +7,10 @@ is byte-identical. The maxval must be 255: other depths are rejected rather
 than silently rescaled.
 
 A P2 raster is decoded with whole-array numpy operations when it is in the
-fast grammar: every byte after the maxval is an ASCII digit or one of the six
-whitespace bytes, and each of the first width*height tokens has 1 to 3 digits
-and a value of at most 255 (anything after them is ignored). Any other raster
+fast grammar: every byte after the maxval, up to and including the byte that
+ends the width*height-th token, is an ASCII digit or one of the six
+whitespace bytes, and each of those tokens has 1 to 3 digits and a value of
+at most 255. Anything after that byte is ignored. Any other raster
 goes to the token scanner, which gives every error message and byte offset
 and accepts whatever ``int()`` does, such as ``+7``, ``1_0`` or ``0255``.
 Both give the same pixels for every raster the fast grammar takes.
@@ -20,7 +21,6 @@ from __future__ import annotations
 import os
 import re
 import reprlib
-import tempfile
 
 import numpy as np
 
@@ -86,12 +86,13 @@ def _p2_fast(data: bytes, pos: int, count: int):
     whitespace, as read_pgm's does (the byte that ended the maxval), so that
     every token's tens and hundreds are looked up inside the array."""
     codes = _P2_CODES[np.frombuffer(data, dtype=np.uint8, offset=pos)]
-    if codes.max() > 10 or codes[0] < 10:
+    if codes[0] < 10:
         return None
     digit = codes < 10
-    # A token's last digit is a digit followed by whitespace or the end.
+    # A token's last digit is a digit followed by a non-digit or the end.
     last = np.flatnonzero(digit > np.append(digit[1:], False))[:count]
-    if len(last) < count:
+    # Bytes after the one that ends the count-th token are ignored, as by the scanner.
+    if len(last) < count or codes[:last[-1] + 2].max() > 10:
         return None
     head = digit[:last[-1] + 1]
     if (head[:-3] & head[1:-2] & head[2:-1] & head[3:]).any():  # a token of 4+ digits
@@ -215,10 +216,19 @@ def load_text(path) -> str:
 
 
 def write_bytes_atomic(path, data: bytes) -> None:
-    """Write via a temp file in the destination directory, then rename."""
+    """Write via a temp file in the destination directory, then rename. The
+    temp file is created with mode 0o666 less the umask, as ``open()`` would
+    create the output itself."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    directory = os.path.abspath(os.path.dirname(path))
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(4).hex()}")
+        try:
+            fd = os.open(tmp, flags, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

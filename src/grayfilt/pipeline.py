@@ -61,8 +61,8 @@ def _lut_step(p):
 
 
 def _convolve_step(p):
-    kern = api.parse_kernel(api.imgio.load_text(p["kernel"]))
-    return lambda img: api.convolution._convolve_display(img, kern, p["border"], p["display"])
+    kern = api.rot180(api.parse_kernel(api.imgio.load_text(p["kernel"])))
+    return lambda img: api.convolution._correlate_display(img, kern, p["border"], p["display"])
 
 
 def _add_step(p):
@@ -89,7 +89,8 @@ OPS = {
         "second-derivative filter (display-mapped)",
         (_VARIANT._replace(help="4- or 8-neighbor stencil (default four)"),
          _DISPLAY._replace(help="how to map signed output to gray levels (default clamp)")),
-        lambda p: lambda img: api.convolution._laplacian_display(img, p["variant"], p["display"])),
+        lambda p: lambda img: api.convolution._correlate_display(
+            img, api.convolution._LAPLACIANS[p["variant"]], mode=p["display"])),
     "sharpen": Op(
         "Laplacian sharpening: clamp(f - laplacian(f))", (_VARIANT,),
         lambda p: lambda img: api.laplacian_sharpen(img, p["variant"])),

@@ -27,7 +27,7 @@ from grayfilt import (
     rot180,
     shadow_ne,
 )
-from grayfilt.convolution import _RESCALE_INT_SPAN, _correlate_gray
+from grayfilt.convolution import _RESCALE_INT_SPAN, _correlate_display
 from grayfilt.edges import SHADOW_BIAS
 from grayfilt.pipeline import OPS
 
@@ -432,26 +432,38 @@ class TestClampToDisplay:
 
 
 class TestFusedDisplay:
-    """Ops that end in gray levels clamp each strip of rows as soon as it is
-    correlated. The fused path must equal the unfused chain, and both the
-    brute-force oracle, at every strip size and worker count."""
+    """Every op that ends in gray levels goes through ``_correlate_display``,
+    whose clamp display clamps each strip of rows as soon as it is
+    correlated. The entry must equal the unfused chain, and the brute-force
+    oracle, in both display modes at every strip size and worker count."""
 
     @settings(max_examples=80, deadline=None)
     @given(small_images, st.one_of(kernel_coeffs, real_coeffs), borders,
-           st.sampled_from([1, 2]), strip_pixels, st.sampled_from([0, SHADOW_BIAS]))
+           st.sampled_from([1, 2]), strip_pixels,
+           st.sampled_from([("clamp", 0), ("clamp", SHADOW_BIAS), ("rescale", 0)]))
     def test_fused_clamp_matches_unfused_chain_and_oracle(self, pixels, coeffs, border,
-                                                          workers, strip, bias):
+                                                          workers, strip, display):
+        mode, bias = display
         img, k = Image(pixels), Kernel(coeffs)
-        # The bias is added in float64, as the engine adds it.
-        expected = [[clamp_round_exact(Fraction(v + bias)) for v in row]
-                    for row in correlate_brute(pixels.tolist(), coeffs.tolist(), border)]
+        sums = correlate_brute(pixels.tolist(), coeffs.tolist(), border)
+        if mode == "clamp":
+            # The bias is added in float64, as the engine adds it.
+            expected = [[clamp_round_exact(Fraction(v + bias)) for v in row] for row in sums]
+        elif np.array_equal(coeffs, np.round(coeffs)):
+            expected = rescale_oracle([[int(v) for v in row] for row in sums])
+        else:
+            # A float rescale rounds its quotient to a double before it rounds
+            # it to a level, so it is held to the unfused chain alone.
+            expected = None
         with strips_of(strip):
-            fused = _correlate_gray(img, k, border, workers, bias)
-            unfused = clamp_round(bias + correlate(img, k, border, workers).values)
+            fused = _correlate_display(img, k, border, mode, bias, workers)
+            signed = correlate(img, k, border, workers)
             if not bias:
-                assert clamp_to_display(correlate(img, k, border, workers)) == fused
-        assert fused.pixels.tolist() == expected
-        assert unfused.tolist() == expected
+                assert clamp_to_display(signed, mode) == fused
+            if mode == "clamp":
+                assert clamp_round(bias + signed.values).tolist() == expected
+        if expected is not None:
+            assert fused.pixels.tolist() == expected
 
     @settings(max_examples=40, deadline=None)
     @given(small_images, st.sampled_from(["four", "eight"]), borders, strip_pixels)
@@ -498,7 +510,7 @@ class TestFusedDisplay:
         pixels = np.zeros((8, 4), np.uint8)
         pixels[5:] = 200
         img, k = Image(pixels), Kernel([[1e308, 1e308, 1e308]])
-        for run in (lambda: _correlate_gray(img, k, workers=workers),
+        for run in (lambda: _correlate_display(img, k, workers=workers),
                     lambda: correlate(img, k, workers=workers)):
             with pytest.raises(DomainError, match="^signed image values must be finite$"):
                 run()
@@ -510,7 +522,7 @@ class TestFusedDisplay:
         checked = []
         isfinite = np.isfinite
         monkeypatch.setattr(np, "isfinite", lambda a: checked.append(a.shape) or isfinite(a))
-        _correlate_gray(img, k)
+        _correlate_display(img, k)
         assert checked == [(1, 4)] * 8  # one check per one-row strip
 
 

@@ -1,4 +1,5 @@
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -197,6 +198,21 @@ class TestReadPgm:
         assert fast is not None and fast.dtype == np.uint8
         assert np.array_equal(fast.reshape(pixels.shape), pixels)
 
+    @pytest.mark.parametrize("tail", [b"# end\n", b"x", b"P5\n2 1\n255\n\x00\xff"])
+    def test_trailing_data_keeps_the_fast_path(self, tail):
+        pixels = np.arange(12, dtype=np.uint8).reshape(3, 4) * 21
+        data = write_pgm(Image(pixels), "P2") + tail
+        pos = data.index(b"255") + 3
+        fast = _p2_fast(data, pos, pixels.size)
+        assert fast is not None and np.array_equal(fast.reshape(pixels.shape), pixels)
+        assert read_pgm(data) == Image(pixels)
+
+    def test_junk_joined_to_the_last_token_goes_to_the_scanner(self):
+        data = write_pgm(Image([[7, 8]]), "P2").rstrip() + b"x"
+        assert _p2_fast(data, data.index(b"255") + 3, 2) is None
+        with pytest.raises(FormatError, match="non-numeric pixel token b'8x'"):
+            read_pgm(data)
+
 
 class TestWritePgm:
     def test_canonical_p2_layout(self):
@@ -262,6 +278,25 @@ class TestFileHelpers:
     def test_atomic_save_leaves_no_temp_files(self, tmp_path):
         save_pgm(tmp_path / "a.pgm", Image([[1]]))
         assert sorted(os.listdir(tmp_path)) == ["a.pgm"]
+
+    def test_atomic_save_skips_a_taken_temp_name(self, tmp_path, monkeypatch):
+        taken = tmp_path / f".tmp-{bytes(4).hex()}"
+        taken.write_bytes(b"keep")
+        draws = iter([bytes(4), b"\x01" * 4])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        save_pgm(tmp_path / "a.pgm", Image([[1]]))
+        assert taken.read_bytes() == b"keep"
+        assert sorted(os.listdir(tmp_path)) == [taken.name, "a.pgm"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_new_output_mode_follows_the_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            save_pgm(tmp_path / "a.pgm", Image([[1]]))
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(os.stat(tmp_path / "a.pgm").st_mode) == mode
 
     def test_load_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
