@@ -21,7 +21,7 @@ import sys
 # grayfilt does not run it.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import __version__
+from . import __version__, _bytes
 from .errors import DomainError, FormatError
 from .kinds import (
     BENCH_ITERS,
@@ -34,7 +34,7 @@ from .kinds import (
     PATH,
     POSITIVE_INT,
 )
-from .pipeline import OPS, parse_pipeline, run_pipeline
+from .pipeline import OPS, _apply, _compile, parse_pipeline
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,13 +132,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Each handler imports the engine it runs: that is where numpy first loads.
 
-def _cmd_filter(args):
-    from .imgio import load_pgm, save_pgm
-
-    op = OPS[args.command]
-    step = op.build({param.name: getattr(args, param.name) for param in op.params})
-    save_pgm(args.output, step(load_pgm(args.input)), args.format.upper())
+def _run(args, tables: bool, compile):
+    """Write ``args.output``: ``args.input`` run through the [(label, table
+    or step)] that ``compile()`` builds once the input is read. Stages that
+    are all table ops compose to one table, applied to the raster's bytes
+    without numpy."""
+    fmt = args.format.upper()
+    if tables:
+        with open(args.input, "rb") as fh:
+            width, height, raster = _bytes.decode_pgm(fh.read())
+        ((_, table),) = compile()
+        data = _bytes.encode_pgm(width, height, raster.translate(table), fmt)
+    else:
+        from .imgio import load_pgm, write_pgm
+        img = load_pgm(args.input)
+        data = write_pgm(_apply(compile(), img), fmt)
+    _bytes.write_bytes_atomic(args.output, data)
     return EXIT_OK
+
+
+def _cmd_filter(args):
+    op = OPS[args.command]
+    built = (op.table or op.build)({param.name: getattr(args, param.name) for param in op.params})
+    return _run(args, op.table is not None, lambda: [("", built)])
 
 
 def _cmd_histogram(args):
@@ -153,11 +169,8 @@ def _cmd_histogram(args):
 
 
 def _cmd_pipeline(args):
-    from .imgio import load_pgm, load_text, save_pgm
-
-    spec = parse_pipeline(load_text(args.spec))
-    save_pgm(args.output, run_pipeline(spec, load_pgm(args.input)), args.format.upper())
-    return EXIT_OK
+    spec = parse_pipeline(_bytes.load_text(args.spec))
+    return _run(args, all(OPS[stage.op].table for stage in spec.stages), lambda: _compile(spec))
 
 
 def _cmd_bench(args):

@@ -16,11 +16,14 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 # so the op table, and a CLI parser built from it, loads no numpy.
 import grayfilt as api
 
+from . import _bytes
 from .errors import DomainError, FormatError
 from .kinds import (
     BORDER,
     DISPLAY,
     FLAG,
+    GRAY_LEVELS,
+    MAX_GRAY,
     PATH,
     POSITIVE_FLOAT,
     POSITIVE_INT,
@@ -48,20 +51,26 @@ class Param(NamedTuple):
 
 class Op(NamedTuple):
     """A filter op: help line, parameters, and a builder that takes the
-    canonical parameters, loads any referenced file, and returns the step."""
+    canonical parameters, loads any referenced file, and returns the step.
+    A point op also gives ``table``, which builds its 256-byte table
+    (:mod:`grayfilt._bytes`)."""
 
     help: str
     params: tuple
     build: Callable[[dict], Callable[[Image], Image]]
+    table: Callable[[dict], bytes] | None = None
 
 
-def _lut_step(p):
-    table = api.parse_lut(api.imgio.load_text(p["table"]))
-    return lambda img: api.apply_lut(img, table)
+def _table_op(help: str, params: tuple, table: Callable[[dict], bytes]) -> Op:
+    """A point op, whose step applies the table that ``table`` builds."""
+    def build(p):
+        built = table(p)
+        return lambda img: api.point_ops._apply_table(img, built)
+    return Op(help, params, build, table)
 
 
 def _convolve_step(p):
-    kern = api.rot180(api.parse_kernel(api.imgio.load_text(p["kernel"])))
+    kern = api.rot180(api.parse_kernel(_bytes.load_text(p["kernel"])))
     return lambda img: api.convolution._correlate_display(img, kern, p["border"], p["display"])
 
 
@@ -75,16 +84,16 @@ _DISPLAY = Param("display", DISPLAY, "clamp")
 
 #: op name -> Op, in CLI listing order.
 OPS = {
-    "negate": Op("photographic negative (255 - pixel)", (), lambda p: api.negate),
-    "stretch": Op(
+    "negate": _table_op("photographic negative (255 - pixel)", (), lambda p: _bytes.NEGATE_TABLE),
+    "stretch": _table_op(
         "power-law gray stretch: compress low end, expand high end",
         (Param("gamma", POSITIVE_FLOAT, 2.0, "exponent; > 1 darkens midtones (default 2.0)"),),
-        lambda p: lambda img: api.gray_stretch(img, p["gamma"])),
-    "lut": Op(
+        lambda p: _bytes.stretch_table(p["gamma"])),
+    "lut": _table_op(
         "remap pixels through a 256-entry lookup table",
         (Param("table", PATH, help="text file with 256 whitespace-separated entries in [0, 255]",
                metavar="FILE"),),
-        _lut_step),
+        lambda p: _bytes.parse_lut(_bytes.load_text(p["table"]))),
     "laplacian": Op(
         "second-derivative filter (display-mapped)",
         (_VARIANT._replace(help="4- or 8-neighbor stencil (default four)"),
@@ -104,10 +113,10 @@ OPS = {
                metavar="FILE"),
          Param("border", BORDER, "replicate"), _DISPLAY),
         _convolve_step),
-    "binarize": Op(
+    "binarize": _table_op(
         "threshold to a 0/255 image",
         (Param("threshold", THRESHOLD, 128, "pixels >= threshold become 255 (default 128)"),),
-        lambda p: lambda img: api.bits_to_image(api.binarize(img, p["threshold"]))),
+        lambda p: bytes(MAX_GRAY * (r >= p["threshold"]) for r in range(GRAY_LEVELS))),
     "edges": Op(
         "binary edge points (threshold, then XOR neighbor rule), rendered 0/255",
         (Param("threshold", THRESHOLD, 128),),
@@ -197,20 +206,35 @@ def parse_pipeline(text: str) -> PipelineSpec:
     return PipelineSpec(doc["stages"])
 
 
+def _compile(spec: PipelineSpec) -> list:
+    """Build every stage, in order, as [(label, table or step)]. Each run of
+    table stages becomes one composed table, which is exact."""
+    compiled = []
+    for idx, stage in enumerate(spec.stages, start=1):
+        op, label = OPS[stage.op], f"stage {idx} ({stage.op}): "
+        try:
+            built = (op.table or op.build)(stage.params)
+        except FormatError as exc:
+            raise FormatError(f"{label}{exc}") from None
+        if op.table and compiled and isinstance(compiled[-1][1], bytes):
+            built = compiled.pop()[1].translate(built)
+        compiled.append((label, built))
+    return compiled
+
+
+def _apply(compiled: list, img: Image) -> Image:
+    """Run compiled stages on ``img``; a DomainError is re-raised with the
+    stage's label in front."""
+    for label, built in compiled:
+        try:
+            img = api.point_ops._apply_table(img, built) if isinstance(built, bytes) else built(img)
+        except DomainError as exc:
+            raise DomainError(f"{label}{exc}") from None
+    return img
+
+
 def run_pipeline(spec: PipelineSpec, img: Image) -> Image:
     """Apply every stage in order. All stages are compiled (including any
     referenced files being loaded and parsed) before stage 1 runs; a domain
     error during execution is re-raised with its 1-based stage index."""
-    compiled = []
-    for idx, stage in enumerate(spec.stages, start=1):
-        try:
-            compiled.append(OPS[stage.op].build(stage.params))
-        except FormatError as exc:
-            raise FormatError(f"stage {idx} ({stage.op}): {exc}") from None
-    current = img
-    for idx, (stage, fn) in enumerate(zip(spec.stages, compiled), start=1):
-        try:
-            current = fn(current)
-        except DomainError as exc:
-            raise DomainError(f"stage {idx} ({stage.op}): {exc}") from None
-    return current
+    return _apply(_compile(spec), img)

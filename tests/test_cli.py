@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +16,7 @@ import grayfilt
 import grayfilt.bench
 import grayfilt.convolution
 from grayfilt import (
+    FormatError,
     Image,
     Kernel,
     apply_lut,
@@ -33,6 +35,8 @@ from grayfilt import (
     load_pgm,
     negate,
     parse_kernel,
+    parse_lut,
+    read_pgm,
     save_pgm,
     shadow_invert,
     shadow_ne,
@@ -353,6 +357,74 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "grayfilt: pipeline spec is nested too deeply to parse"]
 
+    @pytest.mark.parametrize("data", [
+        b"P5\n4 4\n255\n" + bytes(10),          # truncated P5 raster
+        b"P2\n3 3\n255\n1 2 3 4 5 6 7 8   \n",  # one token short
+        b"P2\n2 2\n255\n1 2 256 4\n",          # a token above 255
+        b"P2\n2 2\n255\n1 2 x 4\n",            # a non-numeric token
+        b"P2\n2 1\n255\n+7 0255\n",            # tokens only int() takes
+        b"P2\n2 1\n255\n7 8\n# end\n",        # a trailing comment
+        b"P2\n2 1\n255 7 8x",                  # junk joined to the last token
+        b"P2\n2 1\n300\n7 8\n",                # an unsupported maxval
+    ])
+    def test_table_and_numpy_paths_read_inputs_alike(self, tmp_path, capsys, data):
+        src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        src.write_bytes(data)
+        try:
+            img, error = read_pgm(data), None
+        except FormatError as exc:
+            img, error = None, f"grayfilt: {exc}\n"
+        for command, library in (("negate", negate), ("sharpen", laplacian_sharpen)):
+            code = run_cli([command, "-i", str(src), "-o", str(out)])
+            if error is None:
+                assert code == 0 and out.read_bytes() == write_pgm(library(img))
+            else:
+                assert (code, capsys.readouterr().err) == (2, error)
+        outcomes = []
+        for stages in ([{"op": "negate"}], [{"op": "negate"}, {"op": "sharpen"}]):
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"stages": stages}))
+            code = run_cli(["pipeline", "-i", str(src), "-o", str(out), "--spec", str(spec)])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1] == ((2, error) if error else (0, ""))
+
+    @pytest.mark.parametrize("text", ["1 2 3", "x " * 256, "256 " * 256, "-1 " * 256])
+    def test_bad_lut_file_gives_one_message_on_both_paths(self, sample, tmp_path, capsys, text):
+        _, path = sample
+        table = tmp_path / "bad.lut"
+        table.write_text(text)
+        with pytest.raises(FormatError) as info:
+            parse_lut(text)
+        out = str(tmp_path / "out.pgm")
+        assert run_cli(["lut", "-i", str(path), "-o", out, "--table", str(table)]) == 2
+        assert capsys.readouterr().err == f"grayfilt: {info.value}\n"
+        for stages in ([{"op": "lut"}], [{"op": "lut"}, {"op": "sharpen"}]):
+            stages[0]["table"] = str(table)
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"stages": stages}))
+            assert run_cli(["pipeline", "-i", str(path), "-o", out, "--spec", str(spec)]) == 2
+            assert capsys.readouterr().err == f"grayfilt: stage 1 (lut): {info.value}\n"
+
+    @pytest.mark.parametrize("command", ["negate", "sharpen"])
+    def test_output_in_a_missing_directory_names_the_output(self, sample, tmp_path,
+                                                              capsys, command):
+        _, path = sample
+        out = str(tmp_path / "nodir" / "out.pgm")
+        assert run_cli([command, "-i", str(path), "-o", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"grayfilt: [Errno 2] No such file or directory: {out!r}"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    @pytest.mark.parametrize("command", ["negate", "sharpen"])
+    def test_rewritten_output_keeps_its_mode(self, sample, tmp_path, command):
+        _, path = sample
+        out = tmp_path / "out.pgm"
+        out.write_bytes(b"old")
+        out.chmod(0o600)
+        assert run_cli([command, "-i", str(path), "-o", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert out.read_bytes() != b"old"
+
     def test_pipeline_dimension_mismatch_is_domain_error(self, sample, tmp_path):
         img, path = sample
         other = tmp_path / "other.pgm"
@@ -463,7 +535,7 @@ class TestProcessLevel:
         assert self._fresh(code) == b"%d [] []\n" % len(grayfilt.__all__)
 
     def test_submodules_resolve_as_attributes(self):
-        code = ("import grayfilt; print(grayfilt.imgio.load_text.__module__, "
+        code = ("import grayfilt; print(grayfilt.imgio.read_pgm.__module__, "
                 "grayfilt.core is __import__('grayfilt.core').core)")
         assert self._fresh(code) == b"grayfilt.imgio True\n"
 
@@ -476,6 +548,47 @@ class TestProcessLevel:
         code = ("import os, sys, grayfilt.cli, numpy; "
                 "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))")
         assert self._fresh(code) == b"True 1\n"
+
+    def test_table_commands_load_no_numpy(self, tmp_path):
+        # Each table op on P5 and P2 input, to either format, and an
+        # all-table pipeline, in turn in one fresh interpreter.
+        rng = np.random.default_rng(64)
+        img = rand_image(rng, min_side=2)
+        table = rng.integers(0, 256, 256)
+        files = {name: str(tmp_path / name)
+                 for name in ("in-P5.pgm", "in-P2.pgm", "t.lut", "s.json")}
+        for fmt in ("P5", "P2"):
+            save_pgm(files[f"in-{fmt}.pgm"], img, fmt)
+        (tmp_path / "t.lut").write_text(" ".join(map(str, table)))
+        stages = [{"op": "stretch", "gamma": 0.7}, {"op": "negate"},
+                  {"op": "lut", "table": files["t.lut"]}, {"op": "binarize", "threshold": 100}]
+        (tmp_path / "s.json").write_text(json.dumps({"stages": stages}))
+        library = {
+            "negate": ([], negate),
+            "stretch": (["--gamma", "0.7"], lambda i: gray_stretch(i, 0.7)),
+            "lut": (["--table", files["t.lut"]], lambda i: apply_lut(i, table)),
+            "binarize": (["--threshold", "100"], lambda i: bits_to_image(binarize(i, 100))),
+            "pipeline": (["--spec", files["s.json"]], lambda i: bits_to_image(
+                binarize(apply_lut(negate(gray_stretch(i, 0.7)), table), 100))),
+        }
+        argvs, expected = [], {}
+        for command, (flags, call) in library.items():
+            for src in ("P5", "P2"):
+                for fmt in ("p5", "p2"):
+                    out = str(tmp_path / f"{command}-{src}-{fmt}.pgm")
+                    argvs.append([command, "-i", files[f"in-{src}.pgm"], "-o", out,
+                                  "--format", fmt, *flags])
+                    expected[out] = write_pgm(call(img), fmt.upper())
+        code = ("import json, sys; from grayfilt.cli import main; "
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+                "print(json.dumps([codes, 'numpy' in sys.modules]))")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0] * len(argvs), False]
+        for out, data in expected.items():
+            with open(out, "rb") as fh:
+                assert fh.read() == data, out
 
     def test_bench_reports_on_stderr_only(self):
         proc = self._run("bench", "--size", "16", "--ksize", "3", "--iters", "1")

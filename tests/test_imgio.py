@@ -18,7 +18,8 @@ from grayfilt import (
     save_pgm,
     write_pgm,
 )
-from grayfilt.imgio import _WHITESPACE, _p2_fast, _p2_scan
+from grayfilt._bytes import WHITESPACE, decode_pgm, p2_scan, p2_tokens
+from grayfilt.imgio import _p2_fast
 
 pixel_arrays = hnp.arrays(
     np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16))
@@ -69,7 +70,7 @@ def p2_rasters(draw):
     trailing = [b"", b"999", b"0255"] + ([] if clean else [b"junk", b"#", b"\x80"])
     tokens.append(draw(st.sampled_from(trailing)))
     gap = st.binary(min_size=1, max_size=3).map(
-        lambda b: bytes(_WHITESPACE[c % len(_WHITESPACE)] for c in b))
+        lambda b: bytes(WHITESPACE[c % len(WHITESPACE)] for c in b))
     raster = b"".join(draw(gap) + token for token in tokens)
     header = f"P2\n{width} {height}\n255".encode()
     # Room for 2 bytes a pixel, so read_pgm's size check passes and every
@@ -179,11 +180,32 @@ class TestReadPgm:
             except FormatError as exc:
                 return str(exc)
 
-        scanned = outcome(lambda: Image(_p2_scan(data, pos, count).reshape(shape)))
+        scanned = outcome(lambda: Image(np.frombuffer(p2_scan(data, pos, count), np.uint8)
+                                       .reshape(shape)))
         assert outcome(lambda: read_pgm(data)) == scanned
         fast = _p2_fast(data, pos, count)
         if fast is not None:
             assert Image(fast.reshape(shape)) == scanned
+
+    @fuzz
+    @given(p2_rasters())
+    def test_bytes_decoder_agrees_with_read_pgm(self, case):
+        # The decoder the numpy-free table path runs: the same pixels, or
+        # the same message, for every raster.
+        data, pos, (height, width) = case
+
+        def outcome(decode):
+            try:
+                return decode()
+            except FormatError as exc:
+                return str(exc)
+
+        expected = outcome(lambda: read_pgm(data))
+        if isinstance(expected, Image):
+            expected = (width, height, expected.pixels.tobytes())
+        assert outcome(lambda: decode_pgm(data)) == expected
+        fast = p2_tokens(data, pos, width * height)
+        assert fast is None or (width, height, fast) == expected
 
     def test_fast_path_needs_whitespace_before_the_first_token(self):
         # Else the first token's tens digit would be read from the array's end.
@@ -297,6 +319,27 @@ class TestFileHelpers:
         finally:
             os.umask(previous)
         assert stat.S_IMODE(os.stat(tmp_path / "a.pgm").st_mode) == mode
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o444])
+    def test_rewrite_keeps_the_mode_of_the_file_it_replaces(self, tmp_path, mode):
+        path = tmp_path / "a.pgm"
+        save_pgm(path, Image([[1]]))
+        path.chmod(mode)
+        save_pgm(path, Image([[2]]))
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode
+        assert load_pgm(path) == Image([[2]])
+
+    def test_failed_write_names_the_path_not_the_temp_file(self, tmp_path):
+        path = tmp_path / "no-such-dir" / "a.pgm"
+        with pytest.raises(FileNotFoundError) as info:
+            save_pgm(path, Image([[1]]))
+        assert info.value.filename == str(path)
+        (tmp_path / "d").mkdir()
+        with pytest.raises(OSError) as info:
+            save_pgm(tmp_path / "d", Image([[1]]))  # a directory cannot be replaced by a file
+        assert info.value.filename == str(tmp_path / "d")
+        assert os.listdir(tmp_path) == ["d"]
 
     def test_load_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -1,12 +1,28 @@
+import decimal
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from grayfilt import Image, apply_lut, compute_histogram, gray_stretch, negate
+from grayfilt import (
+    Image,
+    PipelineSpec,
+    apply_lut,
+    binarize,
+    bits_to_image,
+    clamp_round,
+    compute_histogram,
+    gray_stretch,
+    negate,
+    run_pipeline,
+)
+from grayfilt._bytes import stretch_table
+from grayfilt.pipeline import OPS, _compile
 
 from support import round_half_away_exact
 
@@ -105,3 +121,82 @@ class TestGrayStretch:
     def test_invalid_gamma_rejected(self, bad):
         with pytest.raises(ValueError):
             gray_stretch(Image([[1]]), bad)
+
+
+def stretch_oracle(r: int, gamma: float) -> int:
+    """round_half_away(255 * (r/255)**gamma) from 100-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        value = 255 * (decimal.Decimal(r) / 255) ** decimal.Decimal(gamma)
+        return int(value + decimal.Decimal("0.5"))
+
+
+def np_power_table(gamma: float) -> bytes:
+    """The stretch table as numpy's power and the package's rounding rule give it."""
+    return clamp_round(255.0 * np.power(np.arange(256) / 255.0, gamma)).tobytes()
+
+
+class TestExactTables:
+    # At each gamma, 255 * (1/255)**gamma in doubles (libm's pow) is exactly
+    # k + 0.5, while the exact value lies just below the half (38.49999999999999449,
+    # 13.49999999999999965) or just above it (2.50000000000000020, 16.50000000000000324).
+    @pytest.mark.parametrize("gamma, level", [(0.3411866785359033, 38), (0.5303075437156505, 13),
+                                              (0.8346422752848948, 3), (0.49409365606587724, 17)])
+    def test_near_tie_stretch_entry_is_exact(self, gamma, level):
+        table = stretch_table(gamma)
+        assert table[1] == level
+        assert list(table) == [stretch_oracle(r, gamma) for r in range(256)]
+        assert gray_stretch(Image([[1]]), gamma).pixels[0, 0] == level
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(min_value=0.01, max_value=50.0))
+    def test_stretch_table_matches_decimal_oracle(self, gamma):
+        assert list(stretch_table(gamma)) == [stretch_oracle(r, gamma) for r in range(256)]
+
+    @pytest.mark.parametrize("gamma", [1e-300, 5e-324, 1e6, 2.0**60, 1.7976931348623157e308])
+    def test_extreme_gammas(self, gamma):
+        # A tiny gamma sends every level above 0 to 255, a huge one every level below 255 to 0.
+        expected = [0] + [255] * 255 if gamma < 1 else [0] * 255 + [255]
+        assert list(stretch_table(gamma)) == expected
+
+    def test_stretch_table_equals_numpy_power_at_every_recorded_gamma(self):
+        # The benchmark's gammas, the fixed test and demo gammas, and every
+        # gamma with 3 decimals that the acceptance tests draw from [0.2, 4.0]:
+        # at each, the exact table is the one np.power gave, so no digest moves.
+        gammas = [0.5, 0.7, 1.0, 1.5, 1.7, 2.0, 3.0, 4.0, 10.0]
+        gammas += [k / 1000 for k in range(200, 4001)]
+        assert [g for g in gammas if stretch_table(g) != np_power_table(g)] == []
+
+    def test_binarize_table_equals_the_library_op(self):
+        levels = Image(np.arange(256, dtype=np.uint8).reshape(16, 16))
+        for t in range(256):
+            expected = bits_to_image(binarize(levels, t)).pixels.tobytes()
+            assert OPS["binarize"].table({"threshold": t}) == expected
+
+    def test_negate_table(self):
+        assert OPS["negate"].table({}) == bytes(255 - r for r in range(256))
+        levels = Image(np.arange(256, dtype=np.uint8).reshape(1, -1))
+        assert negate(levels).pixels.tobytes() == OPS["negate"].table({})
+
+    @settings(max_examples=40, deadline=None)
+    @given(pixel_arrays, st.lists(st.sampled_from(["negate", "stretch", "lut", "binarize"]),
+                                  min_size=1, max_size=5),
+           st.floats(0.1, 5.0), st.integers(0, 255), st.integers(0, 2**32 - 1))
+    def test_composed_tables_equal_the_stages_one_by_one(self, pixels, ops, gamma, t, seed):
+        table = np.random.default_rng(seed).integers(0, 256, 256)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.lut")
+            with open(path, "w") as fh:
+                fh.write(" ".join(map(str, table)))
+            params = {"negate": {}, "stretch": {"gamma": gamma}, "lut": {"table": path},
+                      "binarize": {"threshold": t}}
+            spec = PipelineSpec([{"op": op, **params[op]} for op in ops])
+            assert len(_compile(spec)) == 1  # one composed table
+            piped = run_pipeline(spec, Image(pixels))
+        library = {"negate": negate, "stretch": lambda i: gray_stretch(i, gamma),
+                   "lut": lambda i: apply_lut(i, table),
+                   "binarize": lambda i: bits_to_image(binarize(i, t))}
+        img = Image(pixels)
+        for op in ops:
+            img = library[op](img)
+        assert piped == img
