@@ -132,16 +132,27 @@ def p2_scan(data: bytes, pos: int, count: int) -> bytearray:
 
 #: Every token of the fast P2 grammar, 1 to 3 digits and at most 255, and its level.
 _P2_LEVELS = {b"%0*d" % (n, v): v for n in (1, 2, 3) for v in range(min(10**n, GRAY_LEVELS))}
+#: The whitespace bytes, as ``bytes.split()`` also takes them.
+_SPACE = re.compile(rb"\s")
+#: Bytes of P2 text split into tokens at a time.
+_SLICE = 1 << 16
 
 
 def p2_tokens(data: bytes, pos: int, count: int):
     """Decode the first ``count`` P2 tokens after byte ``pos`` when each is in
-    the fast grammar, else return None."""
-    tokens = data[pos:].split(None, count)[:count]
-    try:
-        return bytes(map(_P2_LEVELS.__getitem__, tokens)) if len(tokens) == count else None
-    except KeyError:
-        return None
+    the fast grammar, else return None. The text is split a slice at a time,
+    each cut at a whitespace byte, so few token objects are alive at once."""
+    raster = bytearray()
+    while len(raster) < count and pos < len(data):
+        cut = _SPACE.search(data, pos + _SLICE)
+        end = cut.start() if cut else len(data)
+        need = count - len(raster)
+        try:
+            raster += bytes(map(_P2_LEVELS.__getitem__, data[pos:end].split(None, need)[:need]))
+        except KeyError:
+            return None
+        pos = end
+    return raster if len(raster) == count else None
 
 
 def decode_pgm(data: bytes, p2_fast=p2_tokens):
@@ -185,21 +196,25 @@ def decode_pgm(data: bytes, p2_fast=p2_tokens):
     return width, height, p2_scan(data, pos, count) if raster is None else raster
 
 
-_LEVEL_TEXT = [b"%d" % v for v in range(GRAY_LEVELS)]
-
-
-def pgm_header(format: str, width: int, height: int) -> bytes:
-    """The canonical header: magic line, "width height" line, "255" line."""
-    return f"{format}\n{width} {height}\n{MAX_GRAY}\n".encode("ascii")
+#: The hundreds, tens and ones digit of each level, NUL for a leading zero.
+_DIGITS = [bytes(48 + v // 10**k % 10 if v >= 10**k or k == 0 else 0 for v in range(GRAY_LEVELS))
+           for k in (2, 1, 0)]
 
 
 def encode_pgm(width: int, height: int, raster: bytes, format: str) -> bytes:
-    """The canonical PGM of a raster, as :func:`grayfilt.imgio.write_pgm` writes it."""
+    """The canonical PGM of a raster: magic line, "width height" line, "255"
+    line, then raw bytes for P5, or for P2 one line of space-separated levels
+    per row, each laid out as three digit bytes and a separator before the
+    NULs of leading zeros go."""
+    header = f"{format}\n{width} {height}\n{MAX_GRAY}\n".encode("ascii")
     if format == "P5":
-        return pgm_header(format, width, height) + raster
-    rows = [b" ".join(map(_LEVEL_TEXT.__getitem__, raster[i:i + width]))
-            for i in range(0, len(raster), width)]
-    return pgm_header(format, width, height) + b"\n".join(rows) + b"\n"
+        return header + raster
+    text = bytearray(b" ") * (4 * len(raster))
+    for k, digits in enumerate(_DIGITS):
+        text[k::4] = raster.translate(digits)
+    text[4 * width - 1::4 * width] = b"\n" * height
+    text = text.translate(None, b"\0")  # frees the laid-out text before the join
+    return header + text
 
 
 def load_text(path) -> str:
@@ -230,7 +245,7 @@ def write_bytes_atomic(path, data: bytes) -> None:
     """Write via a temp file in the destination directory, then rename. A
     new file gets mode 0o666 less the umask, as ``open()`` would create it;
     a regular file that is replaced keeps its permission bits, as with
-    ``cp``. An error names ``path``, not the temp file."""
+    ``cp``, but not its setuid, setgid or sticky bit. An error names ``path``, not the temp file."""
     path = os.fspath(path)
     directory = os.path.abspath(os.path.dirname(path))
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
@@ -246,7 +261,7 @@ def write_bytes_atomic(path, data: bytes) -> None:
                 fd = os.open(tmp, flags, 0o666)
         with os.fdopen(fd, "wb") as fh:
             if stat.S_ISREG(mode):
-                os.chmod(tmp, stat.S_IMODE(mode))
+                os.chmod(tmp, stat.S_IMODE(mode) & 0o777)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException as exc:

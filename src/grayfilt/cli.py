@@ -153,8 +153,8 @@ def _run(args, tables: bool, compile):
 
 def _cmd_filter(args):
     op = OPS[args.command]
-    built = (op.table or op.build)({param.name: getattr(args, param.name) for param in op.params})
-    return _run(args, op.table is not None, lambda: [("", built)])
+    built = op.build({param.name: getattr(args, param.name) for param in op.params})
+    return _run(args, op.table, lambda: [("", built)])
 
 
 def _cmd_histogram(args):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _bytes
 from ._bytes import WHITESPACE, load_text, refused, write_bytes_atomic  # noqa: F401
-from .core import GRAY_LEVELS, MAX_GRAY, Image, Kernel
+from .core import MAX_GRAY, Image, Kernel
 from .errors import FormatError
 from .kinds import choice
 
@@ -35,9 +35,6 @@ from .kinds import choice
 _P2_CODES = np.full(256, 11, dtype=np.uint8)
 _P2_CODES[np.frombuffer(b"0123456789", dtype=np.uint8)] = np.arange(10)
 _P2_CODES[np.frombuffer(WHITESPACE, dtype=np.uint8)] = 10
-
-#: The canonical P2 text of each gray level.
-_LEVEL_TEXT = np.array([str(v) for v in range(GRAY_LEVELS)], dtype=object)
 
 
 def _p2_fast(data: bytes, pos: int, count: int):
@@ -88,11 +85,7 @@ def write_pgm(img: Image, format: str = "P5") -> bytes:
     line, then the raster (raw bytes for P5; one space-separated text row
     per line for P2). read_pgm inverts this exactly for both formats."""
     choice("P2", "P5").check(format, "format")
-    header = _bytes.pgm_header(format, img.width, img.height)
-    if format == "P5":
-        return header + img.pixels.tobytes()
-    body = "".join(" ".join(_LEVEL_TEXT[row].tolist()) + "\n" for row in img.pixels)
-    return header + body.encode("ascii")
+    return _bytes.encode_pgm(img.width, img.height, img.pixels.tobytes(), format)
 
 
 def load_pgm(path) -> Image:

@@ -52,21 +52,13 @@ class Param(NamedTuple):
 class Op(NamedTuple):
     """A filter op: help line, parameters, and a builder that takes the
     canonical parameters, loads any referenced file, and returns the step.
-    A point op also gives ``table``, which builds its 256-byte table
-    (:mod:`grayfilt._bytes`)."""
+    A point op sets ``table``: its builder returns the op's 256-byte table
+    (:mod:`grayfilt._bytes`) instead."""
 
     help: str
     params: tuple
-    build: Callable[[dict], Callable[[Image], Image]]
-    table: Callable[[dict], bytes] | None = None
-
-
-def _table_op(help: str, params: tuple, table: Callable[[dict], bytes]) -> Op:
-    """A point op, whose step applies the table that ``table`` builds."""
-    def build(p):
-        built = table(p)
-        return lambda img: api.point_ops._apply_table(img, built)
-    return Op(help, params, build, table)
+    build: Callable[[dict], Callable[[Image], Image] | bytes]
+    table: bool = False
 
 
 def _convolve_step(p):
@@ -84,16 +76,16 @@ _DISPLAY = Param("display", DISPLAY, "clamp")
 
 #: op name -> Op, in CLI listing order.
 OPS = {
-    "negate": _table_op("photographic negative (255 - pixel)", (), lambda p: _bytes.NEGATE_TABLE),
-    "stretch": _table_op(
+    "negate": Op("photographic negative (255 - pixel)", (), lambda p: _bytes.NEGATE_TABLE, True),
+    "stretch": Op(
         "power-law gray stretch: compress low end, expand high end",
         (Param("gamma", POSITIVE_FLOAT, 2.0, "exponent; > 1 darkens midtones (default 2.0)"),),
-        lambda p: _bytes.stretch_table(p["gamma"])),
-    "lut": _table_op(
+        lambda p: _bytes.stretch_table(p["gamma"]), True),
+    "lut": Op(
         "remap pixels through a 256-entry lookup table",
         (Param("table", PATH, help="text file with 256 whitespace-separated entries in [0, 255]",
                metavar="FILE"),),
-        lambda p: _bytes.parse_lut(_bytes.load_text(p["table"]))),
+        lambda p: _bytes.parse_lut(_bytes.load_text(p["table"])), True),
     "laplacian": Op(
         "second-derivative filter (display-mapped)",
         (_VARIANT._replace(help="4- or 8-neighbor stencil (default four)"),
@@ -113,10 +105,10 @@ OPS = {
                metavar="FILE"),
          Param("border", BORDER, "replicate"), _DISPLAY),
         _convolve_step),
-    "binarize": _table_op(
+    "binarize": Op(
         "threshold to a 0/255 image",
         (Param("threshold", THRESHOLD, 128, "pixels >= threshold become 255 (default 128)"),),
-        lambda p: bytes(MAX_GRAY * (r >= p["threshold"]) for r in range(GRAY_LEVELS))),
+        lambda p: bytes(MAX_GRAY * (r >= p["threshold"]) for r in range(GRAY_LEVELS)), True),
     "edges": Op(
         "binary edge points (threshold, then XOR neighbor rule), rendered 0/255",
         (Param("threshold", THRESHOLD, 128),),
@@ -213,7 +205,7 @@ def _compile(spec: PipelineSpec) -> list:
     for idx, stage in enumerate(spec.stages, start=1):
         op, label = OPS[stage.op], f"stage {idx} ({stage.op}): "
         try:
-            built = (op.table or op.build)(stage.params)
+            built = op.build(stage.params)
         except FormatError as exc:
             raise FormatError(f"{label}{exc}") from None
         if op.table and compiled and isinstance(compiled[-1][1], bytes):

@@ -21,15 +21,11 @@ def _apply_table(img: Image, table: bytes) -> Image:
     return Image._trusted(np.frombuffer(out, dtype=np.uint8).reshape(img.pixels.shape))
 
 
-def _as_lut(table) -> bytes:
-    """A table passed in, checked by the LUT rule (:func:`lut_table`)."""
-    entries = np.asarray(table, dtype=object)
-    return lut_table(list(entries.flat), entries.shape)
-
-
 def apply_lut(img: Image, lut) -> Image:
-    """Remap every pixel through a 256-entry table: out = lut[in]."""
-    return _apply_table(img, _as_lut(lut))
+    """Remap every pixel through a 256-entry table: out = lut[in]. The table
+    is checked by the LUT rule (:func:`grayfilt._bytes.lut_table`)."""
+    entries = np.asarray(lut, dtype=object)
+    return _apply_table(img, lut_table(list(entries.flat), entries.shape))
 
 
 def negate(img: Image) -> Image:

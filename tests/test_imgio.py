@@ -1,5 +1,6 @@
 import os
 import stat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from grayfilt import (
     save_pgm,
     write_pgm,
 )
+from grayfilt import _bytes
 from grayfilt._bytes import WHITESPACE, decode_pgm, p2_scan, p2_tokens
 from grayfilt.imgio import _p2_fast
 
@@ -188,10 +190,10 @@ class TestReadPgm:
             assert Image(fast.reshape(shape)) == scanned
 
     @fuzz
-    @given(p2_rasters())
-    def test_bytes_decoder_agrees_with_read_pgm(self, case):
+    @given(p2_rasters(), st.sampled_from([1, 2, 3, 7, _bytes._SLICE]))
+    def test_bytes_decoder_agrees_with_read_pgm(self, case, slice_bytes):
         # The decoder the numpy-free table path runs: the same pixels, or
-        # the same message, for every raster.
+        # the same message, for every raster, however the text is sliced.
         data, pos, (height, width) = case
 
         def outcome(decode):
@@ -203,8 +205,9 @@ class TestReadPgm:
         expected = outcome(lambda: read_pgm(data))
         if isinstance(expected, Image):
             expected = (width, height, expected.pixels.tobytes())
-        assert outcome(lambda: decode_pgm(data)) == expected
-        fast = p2_tokens(data, pos, width * height)
+        with mock.patch.object(_bytes, "_SLICE", slice_bytes):
+            assert outcome(lambda: decode_pgm(data)) == expected
+            fast = p2_tokens(data, pos, width * height)
         assert fast is None or (width, height, fast) == expected
 
     def test_fast_path_needs_whitespace_before_the_first_token(self):
@@ -321,13 +324,15 @@ class TestFileHelpers:
         assert stat.S_IMODE(os.stat(tmp_path / "a.pgm").st_mode) == mode
 
     @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
-    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o444])
-    def test_rewrite_keeps_the_mode_of_the_file_it_replaces(self, tmp_path, mode):
+    @pytest.mark.parametrize("mode, kept", [(0o600, 0o600), (0o640, 0o640), (0o444, 0o444),
+                                            (0o4755, 0o755)])
+    def test_rewrite_keeps_the_mode_of_the_file_it_replaces(self, tmp_path, mode, kept):
+        # Only the permission bits: new content does not inherit a setuid bit.
         path = tmp_path / "a.pgm"
         save_pgm(path, Image([[1]]))
         path.chmod(mode)
         save_pgm(path, Image([[2]]))
-        assert stat.S_IMODE(os.stat(path).st_mode) == mode
+        assert stat.S_IMODE(os.stat(path).st_mode) == kept
         assert load_pgm(path) == Image([[2]])
 
     def test_failed_write_names_the_path_not_the_temp_file(self, tmp_path):

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from grayfilt import Image, read_pgm, save_pgm, write_pgm
+from grayfilt._bytes import decode_pgm, encode_pgm
 from grayfilt.convolution import _STRIP_PIXELS
-from grayfilt.pipeline import OPS
+from grayfilt.pipeline import OPS, _apply
 
 SIDE = 1024
 
@@ -81,10 +82,38 @@ def files(tmp_path_factory):
 def test_peak_bytes_per_pixel(files, op, params, bound):
     d, data = files
     params = {k: str(d / v) if k in ("table", "kernel", "image") else v for k, v in params.items()}
-    step = OPS[op].build(params)
+    stages = [("", OPS[op].build(params))]
     tracemalloc.start()
     try:
-        write_pgm(step(read_pgm(data)), "P5")
+        write_pgm(_apply(stages, read_pgm(data)), "P5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / SIDE**2 <= bound
+
+
+#: The P2 text of a level is at most 4 B: up to three digits and a separator.
+P2_TEXT = 4 * U8
+
+
+@pytest.mark.parametrize("fmt, bound", [
+    # The raster, its translation, and the P5 output: no more than IO.
+    ("P5", IO),
+    # The raster, its translation and one more for a digit plane or the
+    # decoded raster's growth; the P2 text laid out at 4 B/px, and the same
+    # text with its leading zeros dropped.
+    ("P2", 3 * U8 + 2 * P2_TEXT),
+])
+def test_table_path_peak_bytes_per_pixel(files, fmt, bound):
+    # What a table command runs without numpy: decode to bytes, translate,
+    # encode. A P2 raster is split a slice at a time, not all at once.
+    _, data = files
+    data = write_pgm(read_pgm(data), fmt)
+    table = OPS["negate"].build({})
+    tracemalloc.start()
+    try:
+        width, height, raster = decode_pgm(data)
+        encode_pgm(width, height, raster.translate(table), fmt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -171,12 +171,12 @@ class TestExactTables:
         levels = Image(np.arange(256, dtype=np.uint8).reshape(16, 16))
         for t in range(256):
             expected = bits_to_image(binarize(levels, t)).pixels.tobytes()
-            assert OPS["binarize"].table({"threshold": t}) == expected
+            assert OPS["binarize"].build({"threshold": t}) == expected
 
     def test_negate_table(self):
-        assert OPS["negate"].table({}) == bytes(255 - r for r in range(256))
+        assert OPS["negate"].build({}) == bytes(255 - r for r in range(256))
         levels = Image(np.arange(256, dtype=np.uint8).reshape(1, -1))
-        assert negate(levels).pixels.tobytes() == OPS["negate"].table({})
+        assert negate(levels).pixels.tobytes() == OPS["negate"].build({})
 
     @settings(max_examples=40, deadline=None)
     @given(pixel_arrays, st.lists(st.sampled_from(["negate", "stretch", "lut", "binarize"]),
