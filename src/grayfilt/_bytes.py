@@ -101,12 +101,16 @@ def _header_int(data: bytes, pos: int, what: str):
     return value, end
 
 
+#: A P2 raster token: a run of bytes that ``bytes.split()`` does not split.
+_TOKEN = re.compile(rb"\S+")
+
+
 def p2_scan(data: bytes, pos: int, count: int) -> bytearray:
     """Decode the first ``count`` P2 tokens after byte ``pos`` one by one with
     ``int()``; every P2 raster error is raised here."""
     values = bytearray(count)
     filled = 0
-    for match in re.finditer(rb"\S+", data[pos:]):
+    for match in _TOKEN.finditer(data, pos):
         if filled == count:
             break
         token = match.group()
@@ -114,12 +118,12 @@ def p2_scan(data: bytes, pos: int, count: int) -> bytearray:
             value = int(token.decode("ascii"))
         except (UnicodeDecodeError, ValueError):
             raise FormatError(
-                f"{refused(token, 'pixel token')} at byte {pos + match.start()}"
+                f"{refused(token, 'pixel token')} at byte {match.start()}"
             ) from None
         if not 0 <= value <= MAX_GRAY:
             raise FormatError(
                 f"pixel value {reprlib.repr(value)} out of [0, {MAX_GRAY}] "
-                f"at byte {pos + match.start()}"
+                f"at byte {match.start()}"
             )
         values[filled] = value
         filled += 1

@@ -14,14 +14,7 @@ import numpy as np
 
 from .convolution import correlate
 from .core import Image, Kernel, SignedImage
-from .kinds import (  # noqa: F401  (the bounds are re-exported)
-    BENCH_ITERS,
-    BENCH_KSIZE,
-    BENCH_SIZE,
-    MAX_BENCH_ITERS,
-    MAX_BENCH_KSIZE,
-    MAX_BENCH_SIZE,
-)
+from .kinds import BENCH_ITERS, BENCH_KSIZE, BENCH_SIZE
 
 #: Seed for the deterministic benchmark input.
 BENCH_SEED = 0xC0FFEE

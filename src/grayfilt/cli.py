@@ -132,29 +132,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Each handler imports the engine it runs: that is where numpy first loads.
 
-def _run(args, tables: bool, compile):
-    """Write ``args.output``: ``args.input`` run through the [(label, table
-    or step)] that ``compile()`` builds once the input is read. Stages that
-    are all table ops compose to one table, applied to the raster's bytes
-    without numpy."""
-    fmt = args.format.upper()
-    if tables:
-        with open(args.input, "rb") as fh:
-            width, height, raster = _bytes.decode_pgm(fh.read())
-        ((_, table),) = compile()
-        data = _bytes.encode_pgm(width, height, raster.translate(table), fmt)
+def _run(args, compiled):
+    """Write ``args.output``: ``args.input`` run through ``compiled``, every
+    stage built as [(label, table or step)] before the input is read, so a
+    filter and its one-stage pipeline report the same first error. A chain
+    that compiled to one table is applied to the raster's bytes without
+    numpy."""
+    with open(args.input, "rb") as fh:
+        data = fh.read()
+    if len(compiled) == 1 and isinstance(compiled[0][1], bytes):
+        width, height, raster = _bytes.decode_pgm(data)
+        del data  # the decoded raster is a copy: free the file before the stages run
+        raster = raster.translate(compiled[0][1])
     else:
-        from .imgio import load_pgm, write_pgm
-        img = load_pgm(args.input)
-        data = write_pgm(_apply(compile(), img), fmt)
-    _bytes.write_bytes_atomic(args.output, data)
+        from .imgio import read_pgm
+        img = read_pgm(data)
+        del data
+        img = _apply(compiled, img)
+        width, height, raster = img.width, img.height, img.pixels.tobytes()
+    _bytes.write_bytes_atomic(args.output,
+                              _bytes.encode_pgm(width, height, raster, args.format.upper()))
     return EXIT_OK
 
 
 def _cmd_filter(args):
     op = OPS[args.command]
     built = op.build({param.name: getattr(args, param.name) for param in op.params})
-    return _run(args, op.table, lambda: [("", built)])
+    return _run(args, [("", built)])
 
 
 def _cmd_histogram(args):
@@ -169,8 +173,7 @@ def _cmd_histogram(args):
 
 
 def _cmd_pipeline(args):
-    spec = parse_pipeline(_bytes.load_text(args.spec))
-    return _run(args, all(OPS[stage.op].table for stage in spec.stages), lambda: _compile(spec))
+    return _run(args, _compile(parse_pipeline(_bytes.load_text(args.spec))))
 
 
 def _cmd_bench(args):

@@ -6,7 +6,7 @@ All types are immutable after construction: the wrapped numpy arrays are
 copied in (an array the package has just computed is taken over instead)
 and marked read-only, which makes the values safe to share between threads.
 The parameter kinds are defined in :mod:`grayfilt.kinds`, which loads no
-numpy, and can be imported from here too.
+numpy.
 """
 
 from __future__ import annotations
@@ -14,16 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .kinds import (  # noqa: F401  (the kinds are re-exported)
-    GRAY_LEVELS,
-    MAX_GRAY,
-    POSITIVE_FLOAT,
-    POSITIVE_INT,
-    THRESHOLD,
-    Kind,
-    choice,
-    int_kind,
-)
+from .kinds import GRAY_LEVELS, MAX_GRAY
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

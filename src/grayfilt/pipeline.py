@@ -51,14 +51,12 @@ class Param(NamedTuple):
 
 class Op(NamedTuple):
     """A filter op: help line, parameters, and a builder that takes the
-    canonical parameters, loads any referenced file, and returns the step.
-    A point op sets ``table``: its builder returns the op's 256-byte table
-    (:mod:`grayfilt._bytes`) instead."""
+    canonical parameters, loads any referenced file, and returns the step,
+    or for a point op its 256-byte table (:mod:`grayfilt._bytes`)."""
 
     help: str
     params: tuple
     build: Callable[[dict], Callable[[Image], Image] | bytes]
-    table: bool = False
 
 
 def _convolve_step(p):
@@ -76,16 +74,16 @@ _DISPLAY = Param("display", DISPLAY, "clamp")
 
 #: op name -> Op, in CLI listing order.
 OPS = {
-    "negate": Op("photographic negative (255 - pixel)", (), lambda p: _bytes.NEGATE_TABLE, True),
+    "negate": Op("photographic negative (255 - pixel)", (), lambda p: _bytes.NEGATE_TABLE),
     "stretch": Op(
         "power-law gray stretch: compress low end, expand high end",
         (Param("gamma", POSITIVE_FLOAT, 2.0, "exponent; > 1 darkens midtones (default 2.0)"),),
-        lambda p: _bytes.stretch_table(p["gamma"]), True),
+        lambda p: _bytes.stretch_table(p["gamma"])),
     "lut": Op(
         "remap pixels through a 256-entry lookup table",
         (Param("table", PATH, help="text file with 256 whitespace-separated entries in [0, 255]",
                metavar="FILE"),),
-        lambda p: _bytes.parse_lut(_bytes.load_text(p["table"])), True),
+        lambda p: _bytes.parse_lut(_bytes.load_text(p["table"]))),
     "laplacian": Op(
         "second-derivative filter (display-mapped)",
         (_VARIANT._replace(help="4- or 8-neighbor stencil (default four)"),
@@ -108,7 +106,7 @@ OPS = {
     "binarize": Op(
         "threshold to a 0/255 image",
         (Param("threshold", THRESHOLD, 128, "pixels >= threshold become 255 (default 128)"),),
-        lambda p: bytes(MAX_GRAY * (r >= p["threshold"]) for r in range(GRAY_LEVELS)), True),
+        lambda p: bytes(MAX_GRAY * (r >= p["threshold"]) for r in range(GRAY_LEVELS))),
     "edges": Op(
         "binary edge points (threshold, then XOR neighbor rule), rendered 0/255",
         (Param("threshold", THRESHOLD, 128),),
@@ -203,12 +201,12 @@ def _compile(spec: PipelineSpec) -> list:
     table stages becomes one composed table, which is exact."""
     compiled = []
     for idx, stage in enumerate(spec.stages, start=1):
-        op, label = OPS[stage.op], f"stage {idx} ({stage.op}): "
+        label = f"stage {idx} ({stage.op}): "
         try:
-            built = op.build(stage.params)
+            built = OPS[stage.op].build(stage.params)
         except FormatError as exc:
             raise FormatError(f"{label}{exc}") from None
-        if op.table and compiled and isinstance(compiled[-1][1], bytes):
+        if isinstance(built, bytes) and compiled and isinstance(compiled[-1][1], bytes):
             built = compiled.pop()[1].translate(built)
         compiled.append((label, built))
     return compiled

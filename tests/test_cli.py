@@ -42,9 +42,15 @@ from grayfilt import (
     shadow_ne,
     unsharp_mask,
 )
-from grayfilt.bench import MAX_BENCH_ITERS, MAX_BENCH_KSIZE, MAX_BENCH_SIZE
-from grayfilt.core import POSITIVE_FLOAT, POSITIVE_INT, THRESHOLD
 from grayfilt.imgio import write_pgm
+from grayfilt.kinds import (
+    MAX_BENCH_ITERS,
+    MAX_BENCH_KSIZE,
+    MAX_BENCH_SIZE,
+    POSITIVE_FLOAT,
+    POSITIVE_INT,
+    THRESHOLD,
+)
 from grayfilt.pipeline import FLAG, OPS
 from support import correlate_brute, rand_image, run_cli
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from grayfilt import Image, read_pgm, save_pgm, write_pgm
-from grayfilt._bytes import decode_pgm, encode_pgm
+from grayfilt._bytes import decode_pgm, encode_pgm, p2_scan
 from grayfilt.convolution import _STRIP_PIXELS
 from grayfilt.pipeline import OPS, _apply
 
@@ -118,3 +118,22 @@ def test_table_path_peak_bytes_per_pixel(files, fmt, bound):
     finally:
         tracemalloc.stop()
     assert peak / SIDE**2 <= bound
+
+
+def test_scanner_peak_bytes_per_pixel():
+    # The token scanner, which takes every P2 raster outside the fast
+    # grammar, holds the decoded raster (1 B/px) and one token at a time:
+    # it does not copy the text after the header. A smaller side keeps the
+    # token-by-token parse quick under tracemalloc.
+    side = SIDE // 4
+    rng = np.random.default_rng(43)
+    data = write_pgm(Image(rng.integers(0, 256, (side, side), np.uint8)), "P2")
+    pos = data.index(b"255\n") + 3
+    tracemalloc.start()
+    try:
+        values = p2_scan(data, pos, side * side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == read_pgm(data).pixels.tobytes()
+    assert peak / side**2 <= 2 * U8

@@ -2,6 +2,7 @@
 pipeline, and as the library calls it stands for."""
 
 import argparse
+import json
 
 import numpy as np
 import pytest
@@ -143,3 +144,32 @@ def test_both_surfaces_reject_bad_values(files, tmp_path, op, name, text, value,
         PipelineSpec([{"op": op, name: value}])
     with pytest.raises(ValueError, match=rf"^{name} must be"):
         library(img, value)
+
+
+# (op, its file key, contents of a bad file): each file is refused when the
+# stage is built.
+BAD_FILES = [
+    ("lut", "table", b" ".join([b"0"] * 255)),
+    ("convolve", "kernel", b"2 2\n1 1\n1 1\n"),
+    ("add", "image", b"P9\nnot a pgm\n"),
+]
+
+
+@pytest.mark.parametrize("op,key,contents", BAD_FILES, ids=[case[0] for case in BAD_FILES])
+def test_filter_and_its_pipeline_report_the_same_first_error(tmp_path, capsys, op, key,
+                                                             contents):
+    # The input is missing too: both surfaces build every stage first, so
+    # both report the stage file, not the input.
+    bad, spec = tmp_path / "bad", tmp_path / "spec.json"
+    bad.write_bytes(contents)
+    spec.write_text(json.dumps({"stages": [{"op": op, key: str(bad)}]}))
+    flag = "-j" if op == "add" else f"--{key}"
+    io = ["-i", str(tmp_path / "missing.pgm"), "-o", str(tmp_path / "out.pgm")]
+    reports = []
+    for argv in ([op, *io, flag, str(bad)], ["pipeline", *io, "--spec", str(spec)]):
+        code = run_cli(argv)
+        reports.append((code, capsys.readouterr().err.replace(f"stage 1 ({op}): ", "")))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 2
+    assert "missing.pgm" not in reports[0][1]
+    assert not (tmp_path / "out.pgm").exists()
