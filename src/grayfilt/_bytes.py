@@ -3,6 +3,14 @@
 A point op is a 256-byte table (entry r is the level r maps to); a chain of
 them composes to one table, applied with ``bytes.translate``. The CLI runs a
 chain of table ops with this module alone; imgio and point_ops build on it.
+
+:func:`decode_pgm` is the one PGM decoder: every command and ``read_pgm``
+call runs it. A P2 raster is split into tokens a slice of text at a time and
+each token is looked up among the 366 of 1 to 3 digits with a value of at
+most 255; tokens after the width*height-th are ignored. A raster with any
+other token goes to the token scanner, which gives every error message and
+byte offset and accepts whatever ``int()`` does, such as ``+7``, ``1_0`` or
+``0255``.
 """
 
 from __future__ import annotations
@@ -65,10 +73,10 @@ def _stretch_level(r: int, gamma: float) -> int:
 
 def refused(token, noun: str) -> str:
     """Say why ``int()`` refused ``token``, with a shortened echo of it. A sign
-    and ASCII digits form a valid literal, so ``int()`` refuses one only for
-    having more digits than Python converts."""
+    and digit groups joined by single underscores form a valid literal, so
+    ``int()`` refuses one only for having more digits than Python converts."""
     text = token.decode("latin-1") if isinstance(token, bytes) else token
-    reason = "too many digits in" if re.fullmatch(r"[+-]?[0-9]+", text) else "non-numeric"
+    reason = "too many digits in" if re.fullmatch(r"[+-]?\d+(?:_\d+)*", text) else "non-numeric"
     return f"{reason} {noun} {reprlib.repr(token)}"
 
 
@@ -134,7 +142,7 @@ def p2_scan(data: bytes, pos: int, count: int) -> bytearray:
     return values
 
 
-#: Every token of the fast P2 grammar, 1 to 3 digits and at most 255, and its level.
+#: Every P2 token of 1 to 3 digits and a value of at most 255, and its level.
 _P2_LEVELS = {b"%0*d" % (n, v): v for n in (1, 2, 3) for v in range(min(10**n, GRAY_LEVELS))}
 #: The whitespace bytes, as ``bytes.split()`` also takes them.
 _SPACE = re.compile(rb"\s")
@@ -143,8 +151,8 @@ _SLICE = 1 << 16
 
 
 def p2_tokens(data: bytes, pos: int, count: int):
-    """Decode the first ``count`` P2 tokens after byte ``pos`` when each is in
-    the fast grammar, else return None. The text is split a slice at a time,
+    """Decode the first ``count`` P2 tokens after byte ``pos`` when each is a
+    key of ``_P2_LEVELS``, else return None. The text is split a slice at a time,
     each cut at a whitespace byte, so few token objects are alive at once."""
     raster = bytearray()
     while len(raster) < count and pos < len(data):
@@ -159,10 +167,10 @@ def p2_tokens(data: bytes, pos: int, count: int):
     return raster if len(raster) == count else None
 
 
-def decode_pgm(data: bytes, p2_fast=p2_tokens):
+def decode_pgm(data: bytes):
     """Check a P2 or P5 PGM and return (width, height, raster), the raster
-    one level per pixel, row-major. ``p2_fast(data, pos, count)`` decodes a
-    P2 raster or returns None to leave it to :func:`p2_scan`."""
+    one level per pixel, row-major. A P2 raster goes to :func:`p2_tokens`,
+    and to :func:`p2_scan` when that returns None."""
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise FormatError(f"bad magic {magic!r} at byte 0: expected P2 or P5")
@@ -196,7 +204,7 @@ def decode_pgm(data: bytes, p2_fast=p2_tokens):
     # A P2 pixel takes a separator and a digit: check the bytes before allocating.
     if len(data) - pos < 2 * count:
         raise FormatError(f"truncated raster: need {count} pixels, file ends at byte {len(data)}")
-    raster = p2_fast(data, pos, count)
+    raster = p2_tokens(data, pos, count)
     return width, height, p2_scan(data, pos, count) if raster is None else raster
 
 

@@ -6,16 +6,10 @@ emits one canonical byte sequence per image and format, so write-read-write
 is byte-identical. The maxval must be 255: other depths are rejected rather
 than silently rescaled.
 
-A P2 raster is decoded with whole-array numpy operations when it is in the
-fast grammar: every byte after the maxval, up to and including the byte that
-ends the width*height-th token, is an ASCII digit or one of the six
-whitespace bytes, and each of those tokens has 1 to 3 digits and a value of
-at most 255. Anything after that byte is ignored. Any other raster
-goes to the token scanner, which gives every error message and byte offset
-and accepts whatever ``int()`` does, such as ``+7``, ``1_0`` or ``0255``.
-Both give the same pixels for every raster the fast grammar takes. The
-header checks, the scanner and the file helpers live in
-:mod:`grayfilt._bytes`, which the numpy-free table commands share.
+P2 and P5 alike are decoded by :func:`grayfilt._bytes.decode_pgm`, the
+numpy-free decoder the table commands run; ``read_pgm`` wraps its raster as
+uint8 pixels. The header checks, the P2 decoder and the file helpers live
+there.
 """
 
 from __future__ import annotations
@@ -25,45 +19,10 @@ import reprlib
 import numpy as np
 
 from . import _bytes
-from ._bytes import WHITESPACE, load_text, refused, write_bytes_atomic  # noqa: F401
-from .core import MAX_GRAY, Image, Kernel
+from ._bytes import load_text, refused, write_bytes_atomic  # noqa: F401
+from .core import Image, Kernel
 from .errors import FormatError
 from .kinds import choice
-
-#: Byte classes of the fast P2 grammar: a digit's value, 10 for whitespace,
-#: 11 for any other byte.
-_P2_CODES = np.full(256, 11, dtype=np.uint8)
-_P2_CODES[np.frombuffer(b"0123456789", dtype=np.uint8)] = np.arange(10)
-_P2_CODES[np.frombuffer(WHITESPACE, dtype=np.uint8)] = 10
-
-
-def _p2_fast(data: bytes, pos: int, count: int):
-    """Decode the first ``count`` P2 tokens after byte ``pos`` as uint8 with
-    whole-array operations, or return None for a raster outside the fast
-    grammar (see the module docstring). The raster must start with
-    whitespace, as read_pgm's does (the byte that ended the maxval), so that
-    every token's tens and hundreds are looked up inside the array."""
-    codes = _P2_CODES[np.frombuffer(data, dtype=np.uint8, offset=pos)]
-    if codes[0] < 10:
-        return None
-    digit = codes < 10
-    # A token's last digit is a digit followed by a non-digit or the end.
-    last = np.flatnonzero(digit > np.append(digit[1:], False))[:count]
-    # Bytes after the one that ends the count-th token are ignored, as by the scanner.
-    if len(last) < count or codes[:last[-1] + 2].max() > 10:
-        return None
-    head = digit[:last[-1] + 1]
-    if (head[:-3] & head[1:-2] & head[2:-1] & head[3:]).any():  # a token of 4+ digits
-        return None
-    values = codes[last].astype(np.uint16)
-    last -= 1
-    has_tens = digit[last]
-    values += np.where(has_tens, codes[last], 0).astype(np.uint16) * 10
-    last -= 1
-    values += np.where(has_tens & digit[last], codes[last], 0).astype(np.uint16) * 100
-    if values.max() > MAX_GRAY:
-        return None
-    return values.astype(np.uint8)
 
 
 def read_pgm(data: bytes) -> Image:
@@ -76,7 +35,7 @@ def read_pgm(data: bytes) -> Image:
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise FormatError("PGM input must be a byte sequence")
-    width, height, raster = _bytes.decode_pgm(bytes(data), _p2_fast)
+    width, height, raster = _bytes.decode_pgm(bytes(data))
     return Image._trusted(np.frombuffer(raster, dtype=np.uint8).reshape(height, width))
 
 

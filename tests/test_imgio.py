@@ -21,7 +21,6 @@ from grayfilt import (
 )
 from grayfilt import _bytes
 from grayfilt._bytes import WHITESPACE, decode_pgm, p2_scan, p2_tokens
-from grayfilt.imgio import _p2_fast
 
 pixel_arrays = hnp.arrays(
     np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16))
@@ -55,10 +54,10 @@ fuzz = settings(max_examples=100, deadline=None)
 @st.composite
 def p2_rasters(draw):
     """A P2 file of up to 5x5 pixels, with separators drawn from every
-    whitespace byte. Half the rasters are in the fast grammar apart from
-    perhaps too few tokens; the rest mix 1-4 digit numbers up to 300 (leading
-    zeros too) with up to two tokens that only int() or nothing accepts, and
-    trailing garbage. Returns (data, raster offset, (height, width))."""
+    whitespace byte. Half the rasters hold only tokens that p2_tokens looks
+    up, perhaps too few of them; the rest mix 1-4 digit numbers up to 300
+    (leading zeros too) with up to two tokens that only int() or nothing
+    accepts, and trailing garbage. Returns (data, raster offset, (height, width))."""
     width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     count = width * height
     clean = draw(st.booleans())
@@ -162,6 +161,15 @@ class TestReadPgm:
             # The product of two 4000-digit dimensions has too many digits to print.
             (b"P5 " + b"9" * 4000 + b" " + b"9" * 4000 + b" 255 x",
              "truncated raster: a 999", "cannot fit in 8010 bytes"),
+            # Underscores between digits are valid, and not counted as digits.
+            (b"P2 1 1 255 " + b"1_" * 4400 + b"1", "too many digits in pixel token b'1_1",
+             "at byte 11"),
+            (b"P5 " + b"1_" * 4400 + b"1 1 255 x", "width: too many digits in token", "at byte 3"),
+            (b"P5 1 -" + b"1_" * 4400 + b"1 255 x", "height: too many digits in token", "at byte 5"),
+            (b"P2 1 1 " + b"2_" * 4400 + b"5 7", "maxval: too many digits in token", "at byte 7"),
+            # A trailing or doubled underscore is not.
+            (b"P2 1 1 255 " + b"1_" * 4400, "non-numeric pixel token b'1_1", "at byte 11"),
+            (b"P2 1 1 255 1__" + b"1" * 5000, "non-numeric pixel token b'1__", "at byte 11"),
         ]
         for data, start, end in cases:
             with pytest.raises(FormatError) as info:
@@ -171,29 +179,11 @@ class TestReadPgm:
             assert len(message) < 150
 
     @fuzz
-    @given(p2_rasters())
-    def test_p2_fast_path_agrees_with_scanner(self, case):
-        data, pos, shape = case
-        count = shape[0] * shape[1]
-
-        def outcome(decode):
-            try:
-                return decode()
-            except FormatError as exc:
-                return str(exc)
-
-        scanned = outcome(lambda: Image(np.frombuffer(p2_scan(data, pos, count), np.uint8)
-                                       .reshape(shape)))
-        assert outcome(lambda: read_pgm(data)) == scanned
-        fast = _p2_fast(data, pos, count)
-        if fast is not None:
-            assert Image(fast.reshape(shape)) == scanned
-
-    @fuzz
     @given(p2_rasters(), st.sampled_from([1, 2, 3, 7, _bytes._SLICE]))
-    def test_bytes_decoder_agrees_with_read_pgm(self, case, slice_bytes):
-        # The decoder the numpy-free table path runs: the same pixels, or
-        # the same message, for every raster, however the text is sliced.
+    def test_p2_decoders_agree_with_scanner(self, case, slice_bytes):
+        # read_pgm and decode_pgm give the scanner's pixels or its message
+        # for every raster, however the text is sliced; p2_tokens gives
+        # those pixels or None.
         data, pos, (height, width) = case
 
         def outcome(decode):
@@ -202,39 +192,34 @@ class TestReadPgm:
             except FormatError as exc:
                 return str(exc)
 
-        expected = outcome(lambda: read_pgm(data))
-        if isinstance(expected, Image):
-            expected = (width, height, expected.pixels.tobytes())
+        scanned = outcome(lambda: p2_scan(data, pos, width * height))
+        expected = scanned if isinstance(scanned, str) else (width, height, scanned)
         with mock.patch.object(_bytes, "_SLICE", slice_bytes):
             assert outcome(lambda: decode_pgm(data)) == expected
+            img = outcome(lambda: read_pgm(data))
             fast = p2_tokens(data, pos, width * height)
-        assert fast is None or (width, height, fast) == expected
-
-    def test_fast_path_needs_whitespace_before_the_first_token(self):
-        # Else the first token's tens digit would be read from the array's end.
-        assert _p2_fast(b"7 8", 0, 2) is None
-        assert _p2_fast(b" 7 8", 0, 2).tolist() == [7, 8]
+        if isinstance(img, Image):
+            img = (img.width, img.height, img.pixels.tobytes())
+        assert img == expected
+        assert fast is None or fast == scanned
 
     @given(pixel_arrays)
     def test_canonical_p2_takes_the_fast_path(self, pixels):
         data = write_pgm(Image(pixels), "P2")
         pos = data.index(b"255") + 3
-        fast = _p2_fast(data, pos, pixels.size)
-        assert fast is not None and fast.dtype == np.uint8
-        assert np.array_equal(fast.reshape(pixels.shape), pixels)
+        assert p2_tokens(data, pos, pixels.size) == pixels.tobytes()
 
     @pytest.mark.parametrize("tail", [b"# end\n", b"x", b"P5\n2 1\n255\n\x00\xff"])
     def test_trailing_data_keeps_the_fast_path(self, tail):
         pixels = np.arange(12, dtype=np.uint8).reshape(3, 4) * 21
         data = write_pgm(Image(pixels), "P2") + tail
         pos = data.index(b"255") + 3
-        fast = _p2_fast(data, pos, pixels.size)
-        assert fast is not None and np.array_equal(fast.reshape(pixels.shape), pixels)
+        assert p2_tokens(data, pos, pixels.size) == pixels.tobytes()
         assert read_pgm(data) == Image(pixels)
 
     def test_junk_joined_to_the_last_token_goes_to_the_scanner(self):
         data = write_pgm(Image([[7, 8]]), "P2").rstrip() + b"x"
-        assert _p2_fast(data, data.index(b"255") + 3, 2) is None
+        assert p2_tokens(data, data.index(b"255") + 3, 2) is None
         with pytest.raises(FormatError, match="non-numeric pixel token b'8x'"):
             read_pgm(data)
 
@@ -416,6 +401,7 @@ class TestParseKernel:
             ("9" * 5000 + " 3\n1 1 1\n", "line 1: too many digits in dimension '999"),
             ("3 +" + "9" * 5000 + "\n", "line 1: too many digits in dimension '+999"),
             ("x" * 5000 + " 3\n1 1 1\n", "line 1: non-numeric dimension 'xxx"),
+            ("3 " + "1_" * 4400 + "1\n", "line 1: too many digits in dimension '1_1"),
             # Dimensions int() accepts, but too long to echo whole.
             ("9" * 4000 + " 3\n1 1 1\n", "expected 999"),
             ("3 " + "9" * 4000 + "\n1 1 1\n", "line 2: expected 999"),
@@ -453,7 +439,7 @@ class TestParseLut:
             parse_lut(" ".join(["1"] * 255 + ["x"]))
 
     def test_long_entry_is_echoed_short(self):
-        for entry in ("9" * 5000, "+" + "9" * 5000):
+        for entry in ("9" * 5000, "+" + "9" * 5000, "1_" * 4400 + "1"):
             with pytest.raises(FormatError, match="too many digits in entry") as info:
                 parse_lut(" ".join(["1"] * 255 + [entry]))
             assert len(str(info.value)) < 100

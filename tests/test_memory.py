@@ -120,11 +120,28 @@ def test_table_path_peak_bytes_per_pixel(files, fmt, bound):
     assert peak / SIDE**2 <= bound
 
 
+def test_read_pgm_p2_peak_bytes_per_pixel(files):
+    # read_pgm decodes P2 with the table path's decoder, which holds the
+    # decoded raster (1 B/px, plus a bytearray's growth) and one slice's
+    # tokens at a time.
+    _, data = files
+    pixels = read_pgm(data).pixels
+    data = write_pgm(Image(pixels), "P2")
+    tracemalloc.start()
+    try:
+        img = read_pgm(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(img.pixels, pixels)
+    assert peak / SIDE**2 <= 3 * U8
+
+
 def test_scanner_peak_bytes_per_pixel():
-    # The token scanner, which takes every P2 raster outside the fast
-    # grammar, holds the decoded raster (1 B/px) and one token at a time:
-    # it does not copy the text after the header. A smaller side keeps the
-    # token-by-token parse quick under tracemalloc.
+    # The token scanner, which takes every P2 raster with a token that
+    # p2_tokens does not look up, holds the decoded raster (1 B/px) and one
+    # token at a time: it does not copy the text after the header. A smaller
+    # side keeps the token-by-token parse quick under tracemalloc.
     side = SIDE // 4
     rng = np.random.default_rng(43)
     data = write_pgm(Image(rng.integers(0, 256, (side, side), np.uint8)), "P2")
