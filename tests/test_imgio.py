@@ -179,11 +179,31 @@ class TestReadPgm:
             assert len(message) < 150
 
     @fuzz
+    @given(p2_rasters())
+    def test_p2_fast_path_agrees_with_scanner(self, case):
+        # read_pgm gives the scanner's pixels or its message for every
+        # raster; its fast path, p2_tokens, gives those pixels or None.
+        data, pos, shape = case
+        count = shape[0] * shape[1]
+
+        def outcome(decode):
+            try:
+                return decode()
+            except FormatError as exc:
+                return str(exc)
+
+        scanned = outcome(lambda: Image(np.frombuffer(p2_scan(data, pos, count), np.uint8)
+                                       .reshape(shape)))
+        assert outcome(lambda: read_pgm(data)) == scanned
+        fast = p2_tokens(data, pos, count)
+        if fast is not None:
+            assert Image(np.frombuffer(fast, np.uint8).reshape(shape)) == scanned
+
+    @fuzz
     @given(p2_rasters(), st.sampled_from([1, 2, 3, 7, _bytes._SLICE]))
-    def test_p2_decoders_agree_with_scanner(self, case, slice_bytes):
-        # read_pgm and decode_pgm give the scanner's pixels or its message
-        # for every raster, however the text is sliced; p2_tokens gives
-        # those pixels or None.
+    def test_bytes_decoder_agrees_with_read_pgm(self, case, slice_bytes):
+        # The decoder the numpy-free table path runs: the same pixels, or
+        # the same message, for every raster, however the text is sliced.
         data, pos, (height, width) = case
 
         def outcome(decode):
@@ -192,16 +212,13 @@ class TestReadPgm:
             except FormatError as exc:
                 return str(exc)
 
-        scanned = outcome(lambda: p2_scan(data, pos, width * height))
-        expected = scanned if isinstance(scanned, str) else (width, height, scanned)
+        expected = outcome(lambda: read_pgm(data))
+        if isinstance(expected, Image):
+            expected = (width, height, expected.pixels.tobytes())
         with mock.patch.object(_bytes, "_SLICE", slice_bytes):
             assert outcome(lambda: decode_pgm(data)) == expected
-            img = outcome(lambda: read_pgm(data))
             fast = p2_tokens(data, pos, width * height)
-        if isinstance(img, Image):
-            img = (img.width, img.height, img.pixels.tobytes())
-        assert img == expected
-        assert fast is None or fast == scanned
+        assert fast is None or (width, height, fast) == expected
 
     @given(pixel_arrays)
     def test_canonical_p2_takes_the_fast_path(self, pixels):
