@@ -5,7 +5,11 @@ them composes to one table, applied with ``bytes.translate``. The CLI runs a
 chain of table ops with this module alone; imgio and point_ops build on it.
 
 :func:`decode_pgm` is the one PGM decoder: every command and ``read_pgm``
-call runs it. A P2 raster is split into tokens a slice of text at a time and
+call runs it. Whitespace is the six ASCII bytes space, \\t, \\n, \\r, \\v and
+\\f, as ``bytes.split()`` and a bytes ``\\s`` take them; '#' starts a comment
+that runs to the next \\n, only between header tokens. One compiled pattern
+reads each header token, so a header of any length is scanned in linear
+time. A P2 raster is split into tokens a slice of text at a time and
 each token is looked up among the 366 of 1 to 3 digits with a value of at
 most 255; tokens after the width*height-th are ignored. A raster with any
 other token goes to the token scanner, which gives every error message and
@@ -23,8 +27,6 @@ import stat
 
 from .errors import FormatError
 from .kinds import GRAY_LEVELS, MAX_GRAY, _is_int
-
-WHITESPACE = b" \t\n\r\x0b\x0c"
 
 NEGATE_TABLE = bytes(range(MAX_GRAY, -1, -1))
 
@@ -80,33 +82,24 @@ def refused(token, noun: str) -> str:
     return f"{reason} {noun} {reprlib.repr(token)}"
 
 
-def _next_token(data: bytes, pos: int):
-    """Scan past whitespace and '#' comments; return (token, start, end)."""
-    n = len(data)
-    while pos < n:
-        byte = data[pos:pos + 1]
-        if byte in (b"#",):
-            eol = data.find(b"\n", pos)
-            pos = n if eol < 0 else eol + 1
-        elif byte in WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise FormatError(f"unexpected end of header at byte {n}")
-    end = pos
-    while end < n and data[end:end + 1] not in WHITESPACE and data[end:end + 1] != b"#":
-        end += 1
-    return data[pos:end], pos, end
+def _int_at(token: bytes, start: int, noun: str, prefix: str = "") -> int:
+    """``int(token)``, or a FormatError saying why it was refused at byte ``start``."""
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"{prefix}{refused(token, noun)} at byte {start}") from None
+
+
+#: Whitespace and '#' comments, then a header token. The token is empty only
+#: at the end of the data, so the match never fails and never backtracks.
+_HEADER_TOKEN = re.compile(rb"\s*(?:#[^\n]*\s*)*([^\s#]*)")
 
 
 def _header_int(data: bytes, pos: int, what: str):
-    token, start, end = _next_token(data, pos)
-    try:
-        value = int(token.decode("ascii"))
-    except (UnicodeDecodeError, ValueError):
-        raise FormatError(f"{what}: {refused(token, 'token')} at byte {start}") from None
-    return value, end
+    match = _HEADER_TOKEN.match(data, pos)
+    if not match.group(1):
+        raise FormatError(f"unexpected end of header at byte {len(data)}")
+    return _int_at(match.group(1), match.start(1), "token", f"{what}: "), match.end()
 
 
 #: A P2 raster token: a run of bytes that ``bytes.split()`` does not split.
@@ -121,13 +114,7 @@ def p2_scan(data: bytes, pos: int, count: int) -> bytearray:
     for match in _TOKEN.finditer(data, pos):
         if filled == count:
             break
-        token = match.group()
-        try:
-            value = int(token.decode("ascii"))
-        except (UnicodeDecodeError, ValueError):
-            raise FormatError(
-                f"{refused(token, 'pixel token')} at byte {match.start()}"
-            ) from None
+        value = _int_at(match.group(), match.start(), "pixel token")
         if not 0 <= value <= MAX_GRAY:
             raise FormatError(
                 f"pixel value {reprlib.repr(value)} out of [0, {MAX_GRAY}] "
@@ -174,7 +161,7 @@ def decode_pgm(data: bytes):
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise FormatError(f"bad magic {magic!r} at byte 0: expected P2 or P5")
-    if len(data) < 3 or data[2:3] not in WHITESPACE:
+    if not _SPACE.match(data, 2):
         raise FormatError("expected whitespace after magic at byte 2")
 
     width, pos = _header_int(data, 2, "width")
@@ -192,7 +179,7 @@ def decode_pgm(data: bytes):
     count = width * height
 
     if magic == b"P5":
-        if pos >= len(data) or data[pos:pos + 1] not in WHITESPACE:
+        if not _SPACE.match(data, pos):
             raise FormatError(f"expected a single whitespace byte before raster at byte {pos}")
         raster = data[pos + 1:pos + 1 + count]
         if len(raster) < count:

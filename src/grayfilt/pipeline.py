@@ -189,6 +189,8 @@ def parse_pipeline(text: str) -> PipelineSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"pipeline spec is not valid JSON: {exc}") from None
+    except ValueError:  # int() refused a number past Python's digit limit
+        raise FormatError("pipeline spec holds an integer with too many digits") from None
     except RecursionError:
         raise FormatError("pipeline spec is nested too deeply to parse") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("stages"), list):

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from grayfilt import BinaryImage, Image
+from grayfilt import BinaryImage, FormatError, Image
+from grayfilt._bytes import refused
 from grayfilt.cli import main
 
 
@@ -180,3 +181,41 @@ def histogram_brute(pixels):
         for value in row:
             counts[value] += 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# PGM header
+# ---------------------------------------------------------------------------
+
+#: PGM whitespace: the six ASCII bytes that ``bytes.split()`` splits at.
+WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def _next_token(data: bytes, pos: int):
+    """Scan past whitespace and '#' comments; return (token, start, end)."""
+    n = len(data)
+    while pos < n:
+        byte = data[pos:pos + 1]
+        if byte in (b"#",):
+            eol = data.find(b"\n", pos)
+            pos = n if eol < 0 else eol + 1
+        elif byte in WHITESPACE:
+            pos += 1
+        else:
+            break
+    if pos >= n:
+        raise FormatError(f"unexpected end of header at byte {n}")
+    end = pos
+    while end < n and data[end:end + 1] not in WHITESPACE and data[end:end + 1] != b"#":
+        end += 1
+    return data[pos:end], pos, end
+
+
+def header_int_brute(data: bytes, pos: int, what: str):
+    """Read one header integer byte by byte: (value, end), or a FormatError."""
+    token, start, end = _next_token(data, pos)
+    try:
+        value = int(token.decode("ascii"))
+    except (UnicodeDecodeError, ValueError):
+        raise FormatError(f"{what}: {refused(token, 'token')} at byte {start}") from None
+    return value, end

@@ -466,6 +466,18 @@ class TestProcessLevel:
         assert proc.stdout == b""
         assert b"error" in proc.stderr
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="int() has no digit limit")
+    def test_spec_integer_with_too_many_digits_is_one_line_io_error(self, tmp_path):
+        path, spec = tmp_path / "in.pgm", tmp_path / "spec.json"
+        save_pgm(path, Image([[7]]))
+        spec.write_text('{"stages":[{"op":"unsharp","radius":' + "9" * 5000 + "}]}")
+        proc = self._run("pipeline", "-i", str(path), "-o", str(tmp_path / "out.pgm"),
+                         "--spec", str(spec))
+        assert proc.returncode == 2 and b"Traceback" not in proc.stderr
+        (line,) = proc.stderr.decode().splitlines()
+        assert line.startswith("grayfilt: pipeline spec") and "too many digits" in line
+
     def test_startup_skips_unneeded_imports(self):
         # Threads, pipelines, the bench report and every handler import these
         # when they run.

@@ -1,5 +1,6 @@
 import os
 import stat
+import time
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,8 @@ from grayfilt import (
     write_pgm,
 )
 from grayfilt import _bytes
-from grayfilt._bytes import WHITESPACE, decode_pgm, p2_scan, p2_tokens
+from grayfilt._bytes import decode_pgm, p2_scan, p2_tokens
+from support import WHITESPACE, header_int_brute
 
 pixel_arrays = hnp.arrays(
     np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16))
@@ -78,6 +80,20 @@ def p2_rasters(draw):
     # outcome comes from decoding the raster.
     raster += b" " * max(0, 2 * count - len(raster))
     return header + raster, len(header), (height, width)
+
+
+header_pieces = st.sampled_from(
+    [bytes([c]) for c in WHITESPACE + b"\x1c\x1d\x1e\x1f\x85\xa0\x00\xff0123456789+-_"]
+    + [b"#", b"# c\n", b"#c", b"# # c\n", b"#\n", b"7#c", b"1_0", b"9" * 4301, b"1_" * 4400]
+) | st.integers(1, 5000).map(lambda n: b"9" * n)
+
+
+def outcome(decode):
+    """What ``decode()`` returns, or the message of the FormatError it raises."""
+    try:
+        return decode()
+    except FormatError as exc:
+        return str(exc)
 
 
 class TestReadPgm:
@@ -179,19 +195,31 @@ class TestReadPgm:
             assert len(message) < 150
 
     @fuzz
+    @given(st.lists(header_pieces, max_size=12).map(b"".join), st.integers(0, 60),
+           st.sampled_from(["width", "height", "maxval"]))
+    def test_header_int_agrees_with_byte_loop(self, data, pos, what):
+        pos = min(pos, len(data))
+        assert (outcome(lambda: _bytes._header_int(data, pos, what))
+                == outcome(lambda: header_int_brute(data, pos, what)))
+
+    @pytest.mark.parametrize("run, expected", [
+        (b" ", (1, 1, b"\x00")),
+        (b"9", "width: too many digits in token b'99999999999...9999999999999' at byte 3"),
+    ], ids=["spaces", "digits"])
+    def test_huge_header_is_read_in_linear_time(self, run, expected):
+        # 10**7 bytes of whitespace, or a width of 10**7 digits.
+        data = b"P5 " + run * 10**7 + b" 1 1 255\n\x00"
+        start = time.perf_counter()
+        assert outcome(lambda: decode_pgm(data)) == expected
+        assert time.perf_counter() - start < 2
+
+    @fuzz
     @given(p2_rasters())
     def test_p2_fast_path_agrees_with_scanner(self, case):
         # read_pgm gives the scanner's pixels or its message for every
         # raster; its fast path, p2_tokens, gives those pixels or None.
         data, pos, shape = case
         count = shape[0] * shape[1]
-
-        def outcome(decode):
-            try:
-                return decode()
-            except FormatError as exc:
-                return str(exc)
-
         scanned = outcome(lambda: Image(np.frombuffer(p2_scan(data, pos, count), np.uint8)
                                        .reshape(shape)))
         assert outcome(lambda: read_pgm(data)) == scanned
@@ -205,13 +233,6 @@ class TestReadPgm:
         # The decoder the numpy-free table path runs: the same pixels, or
         # the same message, for every raster, however the text is sliced.
         data, pos, (height, width) = case
-
-        def outcome(decode):
-            try:
-                return decode()
-            except FormatError as exc:
-                return str(exc)
-
         expected = outcome(lambda: read_pgm(data))
         if isinstance(expected, Image):
             expected = (width, height, expected.pixels.tobytes())

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +91,14 @@ class TestParsePipeline:
     def test_invalid_json(self):
         with pytest.raises(FormatError, match="JSON"):
             parse_pipeline("{stages: [")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="int() has no digit limit")
+    def test_integer_with_too_many_digits_is_format_error(self):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError.
+        with pytest.raises(FormatError, match="^pipeline spec .*too many digits") as info:
+            parse_pipeline('{"stages":[{"op":"unsharp","radius":' + "9" * 5000 + "}]}")
+        assert "set_int_max_str_digits" not in str(info.value)
 
     def test_deeply_nested_spec_is_format_error(self):
         # json.loads recurses once per level and runs out of stack first.
