@@ -47,6 +47,11 @@ def lut_table(entries, shape=None) -> bytes:
     return bytes(entries)
 
 
+def binarize_table(threshold: int) -> bytes:
+    """Entry r is 255 where r >= threshold, else 0."""
+    return bytes(MAX_GRAY * (r >= threshold) for r in range(GRAY_LEVELS))
+
+
 def stretch_table(gamma: float) -> bytes:
     """Entry r is round_half_away(255 * (r/255)**gamma), correctly rounded."""
     return bytes([0, *(_stretch_level(r, gamma) for r in range(1, MAX_GRAY)), MAX_GRAY])
@@ -73,12 +78,15 @@ def _stretch_level(r: int, gamma: float) -> int:
                 return int(d) + (gap > 0)
 
 
+#: A sign and digit groups joined by single underscores: a valid literal, which
+#: ``int()`` refuses only for having more digits than Python converts.
+INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
 def refused(token, noun: str) -> str:
-    """Say why ``int()`` refused ``token``, with a shortened echo of it. A sign
-    and digit groups joined by single underscores form a valid literal, so
-    ``int()`` refuses one only for having more digits than Python converts."""
+    """Say why ``int()`` refused ``token``, with a shortened echo of it."""
     text = token.decode("latin-1") if isinstance(token, bytes) else token
-    reason = "too many digits in" if re.fullmatch(r"[+-]?\d+(?:_\d+)*", text) else "non-numeric"
+    reason = "too many digits in" if INT_LITERAL.fullmatch(text) else "non-numeric"
     return f"{reason} {noun} {reprlib.repr(token)}"
 
 
@@ -214,6 +222,12 @@ def encode_pgm(width: int, height: int, raster: bytes, format: str) -> bytes:
     text[4 * width - 1::4 * width] = b"\n" * height
     text = text.translate(None, b"\0")  # frees the laid-out text before the join
     return header + text
+
+
+def load_pgm(path):
+    """Read and decode a PGM file: (width, height, raster), as :func:`decode_pgm`."""
+    with open(path, "rb") as fh:
+        return decode_pgm(fh.read())
 
 
 def load_text(path) -> str:

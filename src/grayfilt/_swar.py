@@ -1,0 +1,212 @@
+"""Exact integer filters on plain bytes, without numpy, for small images.
+
+SWAR, "SIMD within a register" (Fisher and Dietz, "Compiling for SIMD
+Within a Register", LCPC 1998): the padded raster is widened into one
+Python int with a b-bit field per pixel, and a few big-int operations then
+compute every pixel's field at once. A tap at offset d is a right shift by
+b·d. Starting from ones·(K + bias), where ``ones`` has a 1 in every field,
+each positive tap is added and each negative tap subtracted, so every field
+of the total T holds K + bias + sum. K = 2**g is a power of two with
+K ≥ neg·255 + 256 and K > pos·255 + bias, for the sums pos·255 of the
+positive and neg·255 of the negative taps over 8-bit pixels. So every field
+stays in [256, 2**(g+1)) in any tap order: no field borrows from or carries
+into its neighbour, and every sum is exact. Bit g of a field is set where
+bias + sum is at least 0, and bit g of T − 256·ones where it is at least
+256; these two guard-bit masks clamp the low byte of each field, which K
+leaves as it is, to [0, 255]. b is 16 where g ≤ 15 and 32 where g ≤ 31; a
+wider kernel has no bytes form.
+
+A step's work grows with fields × taps, where numpy's barely grows at these
+sizes once its import is paid for, and a padded step also slices and joins
+each row in Python. So each step runs only where
+fields × (taps + ``_FIXED_TAPS``) + rows × ``_ROW_TAPS`` is at most
+``_CUT``, and returns None above it, for the numpy engine to take over. The stencils of the built-in
+kernel ops are declared here, as integer tuples that both engines read.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from ._bytes import binarize_table
+from .errors import DomainError
+from .kinds import GRAY_LEVELS, MAX_GRAY
+
+#: Center -4 stencil: f(x+1,y) + f(x-1,y) + f(x,y+1) + f(x,y-1) - 4 f(x,y); and
+#: the center -8 stencil surrounded by 1s, which responds to diagonals as well.
+LAPLACIANS = {"four": ((0, 1, 0), (1, -4, 1), (0, 1, 0)),
+              "eight": ((1, 1, 1), (1, -8, 1), (1, 1, 1))}
+#: δ − L for each Laplacian stencil L: one correlation with it gives f − laplacian(f).
+SHARPEN = {name: tuple(tuple((i == j == 1) - c for j, c in enumerate(row))
+                       for i, row in enumerate(lap))
+           for name, lap in LAPLACIANS.items()}
+#: Difference of the northeast neighbor minus the southwest neighbor.
+SHADOW_NE = ((0, 0, 1), (0, 0, 0), (-1, 0, 0))
+#: Mid-gray bias added to the directional difference before clamping.
+SHADOW_BIAS = 128
+
+#: Most pixel-taps a bytes step takes on: the work of a small image's step
+#: stays below the cost of importing numpy (CHANGES.md has the process
+#: timings), and every 2048x2048 input, 2**22 pixels, is above it.
+_CUT = 2**25
+#: The taps' worth of work a step does per field whatever its taps: padding,
+#: widening, the clamp masks and the read-back.
+_FIXED_TAPS = 16
+#: The taps' worth of work of padding and cropping one row, about 1 µs: it
+#: keeps a tall, thin image, whose rows are few pixels each, on numpy.
+_ROW_TAPS = 512
+#: The taps' worth of work ``collections.Counter`` does per pixel.
+_COUNT_TAPS = 12
+#: Height of the rendered histogram bar chart; its width is one column per level.
+CHART_HEIGHT = 100
+
+
+def _under_cut(fields: int, taps: int, rows: int = 0) -> bool:
+    """Whether ``taps`` taps over ``fields`` fields, and ``rows`` padded rows,
+    are work below the cost of importing numpy."""
+    return fields * (taps + _FIXED_TAPS) + rows * _ROW_TAPS <= _CUT
+
+
+def _ones(fields: int, b: int) -> int:
+    """The int with a 1 in each of ``fields`` b-bit fields."""
+    return int.from_bytes((b"\x01" + bytes(b // 8 - 1)) * fields, "little")
+
+
+def _widen(raster: bytes, b: int) -> int:
+    """One b-bit field per byte of ``raster``, the first byte lowest."""
+    wide = bytearray(len(raster) * (b // 8))
+    wide[::b // 8] = raster
+    return int.from_bytes(wide, "little")
+
+
+def _pad(width: int, height: int, raster: bytes, py: int, px: int, replicate: bool) -> bytes:
+    """``raster`` with ``py`` rows above and below and ``px`` columns left and
+    right, copies of the edge pixels or zeros."""
+    rows = []
+    for y in range(0, width * height, width):
+        row = raster[y:y + width]
+        if replicate:
+            rows.append(row[:1] * px + row + row[-1:] * px)
+        else:
+            rows.append(bytes(px) + row + bytes(px))
+    blank = bytes(width + 2 * px)
+    top = rows[0] if replicate else blank
+    bottom = rows[-1] if replicate else blank
+    return b"".join([top] * py + rows + [bottom] * py)
+
+
+def _crop(flat: bytes, width: int, height: int, stride: int) -> bytes:
+    """The first ``width`` bytes of each of the first ``height`` rows of ``stride``."""
+    if stride == width:
+        return flat[:width * height]
+    return b"".join([flat[y:y + width] for y in range(0, stride * height, stride)])
+
+
+def _field_width(pos: int, neg: int, bias: int):
+    """(b, g) for sums in [−neg·255, pos·255] plus ``bias``: the guard bit g
+    has 2**g ≥ neg·255 + 256 and 2**g > pos·255 + bias; None past 32-bit fields."""
+    g = max(neg * MAX_GRAY + GRAY_LEVELS - 1, pos * MAX_GRAY + bias).bit_length()
+    for b in (16, 32):
+        if g < b:
+            return b, g
+    return None
+
+
+def correlate_clamp(width: int, height: int, raster: bytes, kernel, border: str = "replicate",
+                    bias: int = 0):
+    """``clamp_round(bias + correlate(...))`` of the image for an integer
+    ``kernel`` of odd-length rows, as the raster of the result; None above the
+    cut or past 32-bit fields."""
+    taps = [(i, j, c) for i, row in enumerate(kernel) for j, c in enumerate(row) if c]
+    pos = sum(c for _, _, c in taps if c > 0)
+    neg = -sum(c for _, _, c in taps if c < 0)
+    fit = _field_width(pos, neg, bias)
+    py, px = len(kernel) // 2, len(kernel[0]) // 2
+    stride = width + 2 * px
+    fields = (height + 2 * py) * stride
+    if fit is None or not _under_cut(fields, len(taps), height + 2 * py):
+        return None
+    b, g = fit
+    padded = _pad(width, height, raster, py, px, border == "replicate")
+    x = _widen(padded, b)
+    del padded
+    ones = _ones(fields, b)
+    total = ones * ((1 << g) + bias)
+    for i, j, c in taps:
+        term = x >> b * (i * stride + j)
+        if abs(c) != 1:
+            term *= abs(c)
+        total = total + term if c > 0 else total - term
+    del x, term
+    over = ((total - (ones << 8)) >> g) & ones
+    nonneg = (total >> g) & ones
+    del ones
+    total |= (over << 8) - over
+    del over
+    total &= (nonneg << 8) - nonneg
+    del nonneg
+    flat = total.to_bytes(fields * b // 8, "little")[::b // 8]
+    return _crop(flat, width, height, stride)
+
+
+def edge_points(width: int, height: int, raster: bytes, threshold: int):
+    """The edges op: binarize at ``threshold`` to 0/255, then mark 255 where
+    a pixel is 0 and a 4-neighbor is not, in 8-bit fields; None above the cut.
+    A neighbor outside the image is a copy of the pixel, so never differs."""
+    stride = width + 2
+    if not _under_cut((height + 2) * stride, 4, height + 2):
+        return None
+    padded = _pad(width, height, raster.translate(binarize_table(threshold)), 1, 1, True)
+    fields = len(padded)
+    x = int.from_bytes(padded, "little")
+    del padded
+    # Field p is the top left of a 3x3 window: its center is at p + stride + 1.
+    near = (x >> 8) | (x >> 8 * stride) | (x >> 8 * (stride + 2)) | (x >> 8 * (2 * stride + 1))
+    near &= ~(x >> 8 * (stride + 1))
+    del x
+    return _crop(near.to_bytes(fields, "little"), width, height, stride)
+
+
+def same_size(a, b) -> None:
+    """Raise the DomainError of adding images of (width, height) ``a`` and ``b`` that differ."""
+    if a != b:
+        raise DomainError(f"cannot add images of different sizes: "
+                          f"{a[0]}x{a[1]} vs {b[0]}x{b[1]}")
+
+
+def add(width: int, height: int, raster: bytes, second) -> bytes:
+    """The saturating sum min(a + b, 255) of the image and ``second``, a
+    (width, height, raster), in 16-bit fields; None above the cut."""
+    same_size((width, height), second[:2])
+    if not _under_cut(width * height, 1):
+        return None
+    total = _widen(raster, 16) + _widen(second[2], 16)
+    over = (total >> 8) & _ones(len(raster), 16)  # a sum of at most 510 sets bit 8 from 256
+    total |= (over << 8) - over
+    return total.to_bytes(2 * len(raster), "little")[::2]
+
+
+def histogram(raster: bytes):
+    """The count of each gray level, as a list of 256 ints; None above the cut."""
+    if not _under_cut(len(raster), _COUNT_TAPS):
+        return None
+    counts = Counter(raster)
+    return [counts[level] for level in range(GRAY_LEVELS)]
+
+
+def histogram_csv(counts) -> str:
+    """257 newline-terminated lines: a header plus one "level,count" line per level."""
+    return "level,count\n" + "".join(f"{level},{count}\n" for level, count in enumerate(counts))
+
+
+def histogram_chart(counts) -> bytes:
+    """The raster of the 256-wide bar chart: white, with a black bar of
+    round_half_away(100·count/max) pixels under each level. The quotient is
+    a float division, as numpy's, exact in its operands below 2**53."""
+    top = max(counts)
+    heights = []
+    for count in counts:
+        v = CHART_HEIGHT * count / top
+        heights.append(int(v) + (v % 1 >= 0.5))
+    return b"".join(bytes(0 if h >= CHART_HEIGHT - row else MAX_GRAY for h in heights)
+                    for row in range(CHART_HEIGHT))

@@ -21,20 +21,21 @@ import sys
 # grayfilt does not run it.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import __version__, _bytes
+from . import __version__, _bytes, _swar
 from .errors import DomainError, FormatError
 from .kinds import (
     BENCH_ITERS,
     BENCH_KSIZE,
     BENCH_SIZE,
     FLAG,
+    GRAY_LEVELS,
     MAX_BENCH_ITERS,
     MAX_BENCH_KSIZE,
     MAX_BENCH_SIZE,
     PATH,
     POSITIVE_INT,
 )
-from .pipeline import OPS, _apply, _compile, parse_pipeline
+from .pipeline import OPS, Step, _apply, _compile, _labelled, parse_pipeline
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,7 +59,14 @@ def _arg_type(kind):
     """argparse type for a parameter kind: parse the text, then apply the
     kind's check; either failure becomes a usage error."""
     def convert(text):
-        value = kind.parse(text)
+        try:
+            value = kind.parse(text)
+        except ValueError:
+            if not _bytes.INT_LITERAL.fullmatch(text.strip()):
+                raise  # argparse: "invalid int value: 'x'"
+            # int() refuses more digits than Python converts; argparse would
+            # echo every one of them.
+            raise argparse.ArgumentTypeError(_bytes.refused(text.strip(), "value")) from None
         try:
             return kind.check(value, "value")  # argparse's message names the flag
         except ValueError as exc:
@@ -135,21 +143,28 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args, compiled):
     """Write ``args.output``: ``args.input`` run through ``compiled``, every
     stage built as [(label, table or step)] before the input is read, so a
-    filter and its one-stage pipeline report the same first error. A chain
-    that compiled to one table is applied to the raster's bytes without
-    numpy."""
-    with open(args.input, "rb") as fh:
-        data = fh.read()
-    if len(compiled) == 1 and isinstance(compiled[0][1], bytes):
-        width, height, raster = _bytes.decode_pgm(data)
-        del data  # the decoded raster is a copy: free the file before the stages run
-        raster = raster.translate(compiled[0][1])
-    else:
-        from .imgio import read_pgm
-        img = read_pgm(data)
-        del data
-        img = _apply(compiled, img)
-        width, height, raster = img.width, img.height, img.pixels.tobytes()
+    filter and its one-stage pipeline report the same first error.
+
+    The stages run on the decoded raster while they can: a table is one
+    ``bytes.translate`` and a :class:`Step` runs its numpy-free form. At the
+    first stage that has none, or whose input is above its cut, the raster
+    is wrapped once, without a copy, as an Image, and that stage and the rest
+    run on numpy. So a small image through table, sharpen, laplacian, shadow,
+    edges and add stages loads no numpy at all."""
+    width, height, raster = _bytes.load_pgm(args.input)
+    for k, (label, built) in enumerate(compiled):
+        with _labelled(label):
+            if isinstance(built, bytes):
+                out = raster.translate(built)
+            elif isinstance(built, Step):
+                out = built.raster(width, height, raster)
+            else:
+                out = None
+        if out is None:
+            from .imgio import _image
+            raster = _apply(compiled[k:], _image(width, height, raster)).pixels.tobytes()
+            break
+        raster = out
     _bytes.write_bytes_atomic(args.output,
                               _bytes.encode_pgm(width, height, raster, args.format.upper()))
     return EXIT_OK
@@ -162,13 +177,17 @@ def _cmd_filter(args):
 
 
 def _cmd_histogram(args):
-    from .histogram import compute_histogram, histogram_csv, render_histogram
-    from .imgio import load_pgm, save_pgm, write_bytes_atomic
-
-    hist = compute_histogram(load_pgm(args.input))
-    write_bytes_atomic(args.csv, histogram_csv(hist).encode("ascii"))
+    width, height, raster = _bytes.load_pgm(args.input)
+    counts = _swar.histogram(raster)
+    if counts is None:
+        from .histogram import compute_histogram
+        from .imgio import _image
+        counts = compute_histogram(_image(width, height, raster)).bins.tolist()
+    _bytes.write_bytes_atomic(args.csv, _swar.histogram_csv(counts).encode("ascii"))
     if args.render:
-        save_pgm(args.render, render_histogram(hist), args.format.upper())
+        chart = _swar.histogram_chart(counts)
+        _bytes.write_bytes_atomic(args.render, _bytes.encode_pgm(
+            GRAY_LEVELS, _swar.CHART_HEIGHT, chart, args.format.upper()))
     return EXIT_OK
 
 

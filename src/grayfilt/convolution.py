@@ -19,6 +19,12 @@ ops that end in gray levels (``laplacian_sharpen``, ``shadow_ne``, and the
 ``laplacian`` and ``convolve`` ops) all go through ``_correlate_display``,
 whose clamp finishes each strip as gray levels, with the same rounding rule,
 so no full-size signed intermediate is built.
+
+The built-in stencils are declared once, as integer tuples, in
+:mod:`grayfilt._swar`. That module also holds the numpy-free clamp display
+the CLI runs for ``sharpen``, ``laplacian`` and ``shadow`` on a small
+image; it is exact too, so both engines give the same bytes. The library
+functions here always run numpy.
 """
 
 from __future__ import annotations
@@ -28,20 +34,19 @@ from typing import Callable
 
 import numpy as np
 
+from ._swar import LAPLACIANS
 from .core import MAX_GRAY, Image, Kernel, SignedImage, _clamp_levels
 from .kinds import BORDER, DISPLAY, POSITIVE_INT, VARIANT
 
 #: Pad mode implementing each border policy of ``BORDER``.
 _BORDER_MODES = {"replicate": "edge", "zero": "constant"}
 
+#: The stencil of each ``VARIANT``, as declared in :data:`grayfilt._swar.LAPLACIANS`.
+_LAPLACIANS = {name: Kernel(coeffs) for name, coeffs in LAPLACIANS.items()}
 #: Center -4 stencil: f(x+1,y) + f(x-1,y) + f(x,y+1) + f(x,y-1) - 4 f(x,y).
-LAPLACIAN_FOUR = Kernel([[0, 1, 0], [1, -4, 1], [0, 1, 0]])
-
+LAPLACIAN_FOUR = _LAPLACIANS["four"]
 #: Center -8 stencil surrounded by 1s; responds to diagonals as well.
-LAPLACIAN_EIGHT = Kernel([[1, 1, 1], [1, -8, 1], [1, 1, 1]])
-
-#: The stencil of each ``VARIANT``.
-_LAPLACIANS = {"four": LAPLACIAN_FOUR, "eight": LAPLACIAN_EIGHT}
+LAPLACIAN_EIGHT = _LAPLACIANS["eight"]
 
 #: Spans [min, max] below this keep the rescale numerator (values - min) * 255
 #: finite; at this span itself the product rounds up to inf.

@@ -4,23 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._swar import SHADOW_BIAS, SHADOW_NE, same_size
 from .convolution import _correlate_display
 from .core import BinaryImage, Image, Kernel
-from .errors import DomainError
 from .kinds import THRESHOLD
 from .point_ops import negate
 
-#: Difference of the northeast neighbor minus the southwest neighbor.
-SHADOW_NE_KERNEL = Kernel([[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
-
-#: Mid-gray bias added to the directional difference before clamping.
-SHADOW_BIAS = 128
+#: Difference of the northeast neighbor minus the southwest neighbor
+#: (:data:`grayfilt._swar.SHADOW_NE`); SHADOW_BIAS, mid-gray, is added to it.
+SHADOW_NE_KERNEL = Kernel(SHADOW_NE)
 
 
 def binarize(img: Image, threshold: int = 128) -> BinaryImage:
     """Threshold to bits: 1 where pixel >= threshold, else 0."""
     threshold = THRESHOLD.check(threshold, "threshold")
-    return BinaryImage((img.pixels >= threshold).astype(np.uint8))
+    return BinaryImage._trusted((img.pixels >= threshold).view(np.uint8))
 
 
 def edge_map(u: BinaryImage) -> BinaryImage:
@@ -37,29 +35,25 @@ def edge_map(u: BinaryImage) -> BinaryImage:
     left = padded[1:h + 1, 0:w]
     right = padded[1:h + 1, 2:w + 2]
     g = (bits ^ up) | (bits ^ down) | (bits ^ left) | (bits ^ right)
-    return BinaryImage(g)
+    return BinaryImage._trusted(g)
 
 
 def edge_points(u: BinaryImage) -> BinaryImage:
     """Black pixels with at least one white 4-neighbor: u = 0 and edge_map = 1."""
     g = edge_map(u)
-    return BinaryImage(((u.bits == 0) & (g.bits == 1)).astype(np.uint8))
+    return BinaryImage._trusted(((u.bits == 0) & (g.bits == 1)).view(np.uint8))
 
 
 def bits_to_image(u: BinaryImage) -> Image:
     """Render bits as gray levels: 1 -> 255, 0 -> 0."""
-    return Image(u.bits * np.uint8(255))
+    return Image._trusted(u.bits * np.uint8(255))
 
 
 def image_add(a: Image, b: Image) -> Image:
     """Pixelwise saturating sum: min(a + b, 255), never wraparound."""
-    if (a.width, a.height) != (b.width, b.height):
-        raise DomainError(
-            f"cannot add images of different sizes: "
-            f"{a.width}x{a.height} vs {b.width}x{b.height}"
-        )
+    same_size((a.width, a.height), (b.width, b.height))
     sums = a.pixels.astype(np.uint16) + b.pixels
-    return Image(np.minimum(sums, a.max_gray).astype(np.uint8))
+    return Image._trusted(np.minimum(sums, a.max_gray, out=sums).astype(np.uint8))
 
 
 def shadow_ne(img: Image) -> Image:

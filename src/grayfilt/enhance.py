@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convolution import _LAPLACIANS, _correlate_display, _row_strips, clamp_to_display
+from ._swar import SHARPEN
+from .convolution import _correlate_display, _row_strips, clamp_to_display
 from .core import MAX_GRAY, Image, Kernel, SignedImage
 from .errors import DomainError
 from .kinds import BORDER, DISPLAY, POSITIVE_INT, VARIANT
 
-#: δ − L for each Laplacian stencil L: one correlation with it gives f − laplacian(f).
-_SHARPEN = {name: Kernel(np.pad([[1.0]], 1) - lap.coeffs) for name, lap in _LAPLACIANS.items()}
+#: δ − L for each Laplacian stencil L, as declared in :data:`grayfilt._swar.SHARPEN`.
+_SHARPEN = {name: Kernel(coeffs) for name, coeffs in SHARPEN.items()}
 
 
 def box_blur(img: Image, radius: int = 1, border: str = "replicate") -> Image:

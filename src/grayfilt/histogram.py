@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._swar import CHART_HEIGHT, histogram_csv as _csv
 from .core import GRAY_LEVELS, Histogram, Image, round_half_away
 
-#: Fixed size of the rendered bar chart.
-CHART_HEIGHT = 100
+#: Width of the rendered bar chart, one column per level; its height is CHART_HEIGHT.
 CHART_WIDTH = GRAY_LEVELS
 
 
@@ -20,9 +20,7 @@ def compute_histogram(img: Image) -> Histogram:
 def histogram_csv(hist: Histogram) -> str:
     """Serialize as 257 newline-terminated lines: a header plus one
     "level,count" line per gray level."""
-    lines = ["level,count"]
-    lines.extend(f"{i},{int(c)}" for i, c in enumerate(hist.bins))
-    return "\n".join(lines) + "\n"
+    return _csv(hist.bins.tolist())
 
 
 def render_histogram(hist: Histogram) -> Image:

@@ -35,7 +35,11 @@ def read_pgm(data: bytes) -> Image:
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise FormatError("PGM input must be a byte sequence")
-    width, height, raster = _bytes.decode_pgm(bytes(data))
+    return _image(*_bytes.decode_pgm(bytes(data)))
+
+
+def _image(width: int, height: int, raster) -> Image:
+    """Wrap a decoded raster, one level per pixel, as an Image without a copy."""
     return Image._trusted(np.frombuffer(raster, dtype=np.uint8).reshape(height, width))
 
 
@@ -48,8 +52,7 @@ def write_pgm(img: Image, format: str = "P5") -> bytes:
 
 
 def load_pgm(path) -> Image:
-    with open(path, "rb") as fh:
-        return read_pgm(fh.read())
+    return _image(*_bytes.load_pgm(path))
 
 
 def save_pgm(path, img: Image, format: str = "P5") -> None:

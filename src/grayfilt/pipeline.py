@@ -6,24 +6,29 @@ list of stages, each an op name plus its parameters. Every op name and
 parameter is checked (and every referenced file loaded) before the first
 stage executes, so a bad spec never half-processes an image. Running a spec
 is bit-identical to composing the corresponding library calls by hand.
+
+A point op builds a 256-byte table, and a run of them composes to one. The
+clamp displays of ``sharpen``, ``laplacian`` and ``shadow``, and ``edges``
+and ``add``, build a :class:`Step`, which also has an exact numpy-free form
+(:mod:`grayfilt._swar`); the CLI runs it on a small image's raster.
+:func:`run_pipeline` runs every stage on numpy.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # The builders reach the engine through the package's lazy exports (PEP 562),
 # so the op table, and a CLI parser built from it, loads no numpy.
 import grayfilt as api
 
-from . import _bytes
+from . import _bytes, _swar
 from .errors import DomainError, FormatError
 from .kinds import (
     BORDER,
     DISPLAY,
     FLAG,
-    GRAY_LEVELS,
-    MAX_GRAY,
     PATH,
     POSITIVE_FLOAT,
     POSITIVE_INT,
@@ -51,12 +56,41 @@ class Param(NamedTuple):
 
 class Op(NamedTuple):
     """A filter op: help line, parameters, and a builder that takes the
-    canonical parameters, loads any referenced file, and returns the step,
-    or for a point op its 256-byte table (:mod:`grayfilt._bytes`)."""
+    canonical parameters, loads any referenced file, and returns the step:
+    for a point op its 256-byte table (:mod:`grayfilt._bytes`), for an op
+    with a numpy-free form a :class:`Step`, else a function Image -> Image."""
 
     help: str
     params: tuple
     build: Callable[[dict], Callable[[Image], Image] | bytes]
+
+
+class Step(NamedTuple):
+    """A step with two forms. Calling it runs ``image``, the numpy form,
+    Image -> Image; ``raster(width, height, raster)`` gives the same output
+    raster without numpy, or None above its cut (:mod:`grayfilt._swar`)."""
+
+    image: Callable[[Image], Image]
+    raster: Callable[[int, int, bytes], bytes | None]
+
+    def __call__(self, img: Image) -> Image:
+        return self.image(img)
+
+
+def _clamp_step(image, kernel, bias=0, table=None):
+    """The Step of an op that is ``image`` on numpy and, on bytes, the clamp
+    display of ``kernel`` plus ``bias``, then ``table`` if one is given."""
+    def raster(width, height, pixels):
+        out = _swar.correlate_clamp(width, height, pixels, kernel, bias=bias)
+        return out.translate(table) if table and out is not None else out
+    return Step(image, raster)
+
+
+def _laplacian_step(p):
+    def image(img):
+        kernel = api.convolution._LAPLACIANS[p["variant"]]
+        return api.convolution._correlate_display(img, kernel, mode=p["display"])
+    return _clamp_step(image, _swar.LAPLACIANS[p["variant"]]) if p["display"] == "clamp" else image
 
 
 def _convolve_step(p):
@@ -65,8 +99,17 @@ def _convolve_step(p):
 
 
 def _add_step(p):
-    second = api.load_pgm(p["image"])
-    return lambda img: api.image_add(img, second)
+    # The second image is decoded now, as every stage's files are loaded
+    # before the input is read, and wrapped for numpy only if numpy runs.
+    second = _bytes.load_pgm(p["image"])
+    return Step(lambda img: api.image_add(img, api.imgio._image(*second)),
+                lambda width, height, raster: _swar.add(width, height, raster, second))
+
+
+def _shadow_step(p):
+    invert = p["invert"]
+    return _clamp_step(lambda img: (api.shadow_invert if invert else api.shadow_ne)(img),
+                       _swar.SHADOW_NE, _swar.SHADOW_BIAS, _bytes.NEGATE_TABLE if invert else None)
 
 
 _VARIANT = Param("variant", VARIANT, "four")
@@ -88,11 +131,11 @@ OPS = {
         "second-derivative filter (display-mapped)",
         (_VARIANT._replace(help="4- or 8-neighbor stencil (default four)"),
          _DISPLAY._replace(help="how to map signed output to gray levels (default clamp)")),
-        lambda p: lambda img: api.convolution._correlate_display(
-            img, api.convolution._LAPLACIANS[p["variant"]], mode=p["display"])),
+        _laplacian_step),
     "sharpen": Op(
         "Laplacian sharpening: clamp(f - laplacian(f))", (_VARIANT,),
-        lambda p: lambda img: api.laplacian_sharpen(img, p["variant"])),
+        lambda p: _clamp_step(lambda img: api.laplacian_sharpen(img, p["variant"]),
+                              _swar.SHARPEN[p["variant"]])),
     "unsharp": Op(
         "unsharp masking: f minus a box-blurred copy of f",
         (Param("radius", POSITIVE_INT, 1, "blur window radius (default 1 = 3x3)"), _DISPLAY),
@@ -106,12 +149,14 @@ OPS = {
     "binarize": Op(
         "threshold to a 0/255 image",
         (Param("threshold", THRESHOLD, 128, "pixels >= threshold become 255 (default 128)"),),
-        lambda p: bytes(MAX_GRAY * (r >= p["threshold"]) for r in range(GRAY_LEVELS))),
+        lambda p: _bytes.binarize_table(p["threshold"])),
     "edges": Op(
         "binary edge points (threshold, then XOR neighbor rule), rendered 0/255",
         (Param("threshold", THRESHOLD, 128),),
-        lambda p: lambda img: api.bits_to_image(
-            api.edge_points(api.binarize(img, p["threshold"])))),
+        lambda p: Step(lambda img: api.bits_to_image(
+            api.edge_points(api.binarize(img, p["threshold"]))),
+            lambda width, height, raster: _swar.edge_points(width, height, raster,
+                                                             p["threshold"]))),
     "add": Op(
         "saturating pixelwise sum of two images",
         (Param("image", PATH, help="second input image (same dimensions)",
@@ -120,7 +165,7 @@ OPS = {
     "shadow": Op(
         "relief shadow on northeastern edge sides",
         (Param("invert", FLAG, False, "negate the shadow rendering"),),
-        lambda p: api.shadow_invert if p["invert"] else api.shadow_ne),
+        _shadow_step),
 }
 
 
@@ -214,14 +259,20 @@ def _compile(spec: PipelineSpec) -> list:
     return compiled
 
 
+@contextmanager
+def _labelled(label: str):
+    """Re-raise a DomainError of a stage with the stage's label in front."""
+    try:
+        yield
+    except DomainError as exc:
+        raise DomainError(f"{label}{exc}") from None
+
+
 def _apply(compiled: list, img: Image) -> Image:
-    """Run compiled stages on ``img``; a DomainError is re-raised with the
-    stage's label in front."""
+    """Run compiled stages on ``img`` with the numpy engine."""
     for label, built in compiled:
-        try:
+        with _labelled(label):
             img = api.point_ops._apply_table(img, built) if isinstance(built, bytes) else built(img)
-        except DomainError as exc:
-            raise DomainError(f"{label}{exc}") from None
     return img
 
 

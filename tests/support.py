@@ -8,6 +8,7 @@ oracles use exact rational arithmetic.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -181,6 +182,31 @@ def histogram_brute(pixels):
         for value in row:
             counts[value] += 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# The cut of the bytes steps (grayfilt._swar)
+# ---------------------------------------------------------------------------
+
+def swar_cost(width, height, taps, pad):
+    """The work a bytes step of ``taps`` taps counts against the cut on a
+    width x height image padded by ``pad`` rows and columns each side; an
+    unpadded step (pad 0) slices no rows."""
+    from grayfilt import _swar
+
+    rows = height + 2 * pad
+    fields = rows * (width + 2 * pad)
+    return fields * (taps + _swar._FIXED_TAPS) + (rows * _swar._ROW_TAPS if pad else 0)
+
+
+def swar_side_at_cut(taps, pad):
+    """The side of the largest square image a bytes step takes on."""
+    from grayfilt import _swar
+
+    side = isqrt(_swar._CUT // (taps + _swar._FIXED_TAPS))
+    while swar_cost(side, side, taps, pad) > _swar._CUT:
+        side -= 1
+    return side
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,12 @@ from grayfilt import (
     binarize,
     bits_to_image,
     clamp_to_display,
+    compute_histogram,
     convolve,
     correlate,
     edge_points,
     gray_stretch,
+    histogram_csv,
     image_add,
     laplacian,
     laplacian_sharpen,
@@ -37,6 +39,7 @@ from grayfilt import (
     parse_kernel,
     parse_lut,
     read_pgm,
+    render_histogram,
     save_pgm,
     shadow_invert,
     shadow_ne,
@@ -326,6 +329,21 @@ class TestExitCodes:
                         "-i", "x.pgm", "-o", "y.pgm"])
         assert code == 1
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="int() has no digit limit")
+    @pytest.mark.parametrize("argv, flag", [
+        (["unsharp", "-i", "x.pgm", "-o", "y.pgm", "--radius"], "--radius"),
+        (["binarize", "-i", "x.pgm", "-o", "y.pgm", "--threshold"], "--threshold"),
+        (["bench", "--size"], "--size"),
+    ])
+    def test_integer_flag_with_too_many_digits_is_one_short_usage_error(self, capsys, argv, flag):
+        # int() refuses more than 4300 digits; the flag's text is echoed short.
+        assert run_cli([*argv, "9" * 5000]) == 1
+        err = capsys.readouterr().err
+        last = err.splitlines()[-1]
+        assert f"error: argument {flag}: too many digits in value '999" in last
+        assert len(err) < 1000
+
     @pytest.mark.parametrize("path", ["a\0b.pgm", "\ud800.pgm", ""])
     @pytest.mark.parametrize("argv,flag", [
         (["negate", "-i", "{}", "-o", "y.pgm"], "-i/--input"),
@@ -597,6 +615,56 @@ class TestProcessLevel:
                     argvs.append([command, "-i", files[f"in-{src}.pgm"], "-o", out,
                                   "--format", fmt, *flags])
                     expected[out] = write_pgm(call(img), fmt.upper())
+        code = ("import json, sys; from grayfilt.cli import main; "
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+                "print(json.dumps([codes, 'numpy' in sys.modules]))")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0] * len(argvs), False]
+        for out, data in expected.items():
+            with open(out, "rb") as fh:
+                assert fh.read() == data, out
+
+    def test_small_filters_load_no_numpy(self, tmp_path):
+        # Each op with a bytes form, on a small P5 and P2 input, to either
+        # format, in turn in one fresh interpreter; then the same outputs
+        # from the library, which runs numpy.
+        rng = np.random.default_rng(65)
+        img, second = (Image(rng.integers(0, 256, (7, 11), np.uint8)) for _ in range(2))
+        files = {name: str(tmp_path / name) for name in ("in-P5.pgm", "in-P2.pgm", "j.pgm",
+                                                         "s.json")}
+        for fmt in ("P5", "P2"):
+            save_pgm(files[f"in-{fmt}.pgm"], img, fmt)
+        save_pgm(files["j.pgm"], second, "P2")
+        stages = [{"op": "sharpen", "variant": "eight"}, {"op": "edges", "threshold": 90},
+                  {"op": "negate"}]
+        (tmp_path / "s.json").write_text(json.dumps({"stages": stages}))
+        library = {
+            "sharpen": (["--variant", "eight"], lambda i: laplacian_sharpen(i, "eight")),
+            "laplacian": ([], lambda i: clamp_to_display(laplacian(i, "four"), "clamp")),
+            "shadow": ([], shadow_ne),
+            "shadow-invert": (["--invert"], shadow_invert),
+            "edges": (["--threshold", "90"], lambda i: bits_to_image(edge_points(binarize(i, 90)))),
+            "add": (["-j", files["j.pgm"]], lambda i: image_add(i, second)),
+            "pipeline": (["--spec", files["s.json"]], lambda i: negate(
+                bits_to_image(edge_points(binarize(laplacian_sharpen(i, "eight"), 90))))),
+        }
+        argvs, expected = [], {}
+        for name, (flags, call) in library.items():
+            for src in ("P5", "P2"):
+                for fmt in ("p5", "p2"):
+                    out = str(tmp_path / f"{name}-{src}-{fmt}.pgm")
+                    argvs.append([name.split("-")[0], "-i", files[f"in-{src}.pgm"], "-o", out,
+                                  "--format", fmt, *flags])
+                    expected[out] = write_pgm(call(img), fmt.upper())
+        hist = compute_histogram(img)
+        for src in ("P5", "P2"):
+            csv, chart = str(tmp_path / f"h-{src}.csv"), str(tmp_path / f"h-{src}.pgm")
+            argvs.append(["histogram", "-i", files[f"in-{src}.pgm"], "--csv", csv,
+                          "--render", chart, "--format", src.lower()])
+            expected[csv] = histogram_csv(hist).encode("ascii")
+            expected[chart] = write_pgm(render_histogram(hist), src)
         code = ("import json, sys; from grayfilt.cli import main; "
                 "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
                 "print(json.dumps([codes, 'numpy' in sys.modules]))")

@@ -19,6 +19,7 @@ from grayfilt import Image, read_pgm, save_pgm, write_pgm
 from grayfilt._bytes import decode_pgm, encode_pgm, p2_scan
 from grayfilt.convolution import _STRIP_PIXELS
 from grayfilt.pipeline import OPS, _apply
+from support import swar_side_at_cut
 
 SIDE = 1024
 
@@ -154,3 +155,46 @@ def test_scanner_peak_bytes_per_pixel():
         tracemalloc.stop()
     assert values == read_pgm(data).pixels.tobytes()
     assert peak / side**2 <= 2 * U8
+
+
+#: Each bytes step just below its cut (grayfilt._swar): op, params, the ints
+#: it holds at once counted in full-size fields, and the bytes of a field.
+#: Python ints are allocated whole, so tracemalloc sees each one. At the peak
+#: a correlation holds the widened raster, ones, the total, a shifted tap and
+#: the next total; edges holds the raster, the OR so far, a shifted copy,
+#: the next OR and a fifth for the AND-NOT; add holds one widened raster and,
+#: while widening the other, its fields, their copy for int.from_bytes and
+#: the int.
+SWAR_CASES = [
+    ("sharpen", {"variant": "eight"}, 9, 5, I16),
+    ("laplacian", {"variant": "four", "display": "clamp"}, 5, 5, I16),
+    ("shadow", {"invert": True}, 2, 5, I16),
+    ("edges", {"threshold": 128}, 4, 5, U8),
+    ("add", {"image": "second.pgm"}, 1, 4, I16),
+]
+
+
+@pytest.mark.parametrize("op, params, taps, ints, field", SWAR_CASES,
+                         ids=[op for op, *_ in SWAR_CASES])
+def test_bytes_step_peak_bytes_per_pixel_below_the_cut(tmp_path, op, params, taps, ints, field):
+    # The largest square image below the step's cut, decoded, run through
+    # the step's bytes form and encoded, as a CLI process runs it. Besides
+    # the ints: the decoded raster, and one more byte per pixel for the
+    # padded raster, the output and the P5 file. Every step but add pads
+    # the image by one pixel.
+    side = swar_side_at_cut(taps, 0 if op == "add" else 1)
+    rng = np.random.default_rng(47)
+    save_pgm(tmp_path / "second.pgm", Image(rng.integers(0, 256, (side, side), np.uint8)))
+    data = write_pgm(Image(rng.integers(0, 256, (side, side), np.uint8)), "P5")
+    params = {k: str(tmp_path / v) if k == "image" else v for k, v in params.items()}
+    step = OPS[op].build(params)
+    tracemalloc.start()
+    try:
+        width, height, raster = decode_pgm(data)
+        out = step.raster(width, height, raster)
+        encode_pgm(width, height, out, "P5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == write_pgm(step(read_pgm(data)), "P5")[-side * side:]
+    assert peak / side**2 <= ints * field + 2 * U8

@@ -1,0 +1,284 @@
+"""The numpy-free bytes forms of the small-image filters (grayfilt._swar)
+against the brute-force oracles and the numpy engine, at each field-width
+bound and on both sides of each step's cut."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import grayfilt._swar as swar
+from grayfilt import (
+    DomainError,
+    Histogram,
+    Image,
+    Kernel,
+    PipelineSpec,
+    binarize,
+    bits_to_image,
+    compute_histogram,
+    edge_points,
+    histogram_csv,
+    image_add,
+    load_pgm,
+    parse_pipeline,
+    render_histogram,
+    run_pipeline,
+    save_pgm,
+)
+from grayfilt.convolution import _correlate_display
+from support import (
+    clamp_round_exact,
+    correlate_brute,
+    edge_points_brute,
+    histogram_brute,
+    run_cli,
+    swar_cost,
+    swar_side_at_cut,
+)
+
+#: Images of 1 to 10 pixels a side: 1xN and Nx1 images included.
+images = hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=10))
+ROW = np.array([[0, 255, 9, 200, 128, 1, 77]], np.uint8)
+COLUMN = ROW.T.copy()
+odd_sides = st.sampled_from([1, 3, 5])
+int_kernels = st.tuples(odd_sides, odd_sides).flatmap(
+    lambda shape: hnp.arrays(np.int64, shape, elements=st.integers(-40, 40))
+    .filter(lambda a: a.any()).map(lambda a: tuple(map(tuple, a.tolist()))))
+borders = st.sampled_from(["replicate", "zero"])
+biases = st.sampled_from([0, 128])
+thresholds = st.integers(0, 255)
+
+
+def _raster(pixels):
+    h, w = pixels.shape
+    return w, h, pixels.tobytes()
+
+
+class TestCorrelateClamp:
+    @settings(max_examples=150, deadline=None)
+    @given(images, int_kernels, borders, biases)
+    @example(ROW, ((1, -3, 40), (-40, 5, 1), (2, 0, -1)), "replicate", 128)
+    @example(COLUMN, ((1, -3, 40), (-40, 5, 1), (2, 0, -1)), "zero", 0)
+    def test_matches_brute_force(self, pixels, kernel, border, bias):
+        out = swar.correlate_clamp(*_raster(pixels), kernel, border, bias)
+        sums = correlate_brute(pixels.tolist(), kernel, border)
+        expected = [clamp_round_exact(bias + int(v)) for row in sums for v in row]
+        assert list(out) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(images, int_kernels, borders, biases)
+    def test_matches_numpy_engine(self, pixels, kernel, border, bias):
+        out = swar.correlate_clamp(*_raster(pixels), kernel, border, bias)
+        expected = _correlate_display(Image(pixels), Kernel(kernel), border, "clamp", bias)
+        assert out == expected.pixels.tobytes()
+
+    # Each field-width bound, and one step past it: 2**g ≥ neg·255 + 256 and
+    # 2**g > pos·255 + bias, with g < b. A 32-bit field is the widest.
+    @pytest.mark.parametrize("kernel, bias, width", [
+        (((128,),), 0, 16), (((129,),), 0, 32), (((128,),), 128, 32),
+        (((127,),), 128, 16), (((-127,),), 0, 16), (((-128,),), 0, 32),
+        (((64, 0, 64),), 0, 16), (((64, 0, 65),), 0, 32),
+        (((-63,), (-64,), (127,)), 128, 16), (((-64,), (-64,), (127,)), 128, 32),
+        (((8421504,),), 0, 32), (((8421505,),), 0, None), (((8421504,),), 128, None),
+        (((-8421503,),), 0, 32), (((-8421504,),), 0, None),
+        (((-8421503, 0, 8421504),), 0, 32),
+    ])
+    @pytest.mark.parametrize("border", ["replicate", "zero"])
+    def test_field_width_bounds(self, kernel, bias, width, border):
+        taps = [c for row in kernel for c in row]
+        fit = swar._field_width(sum(c for c in taps if c > 0), -sum(c for c in taps if c < 0),
+                                bias)
+        assert (fit and fit[0]) == width
+        rng = np.random.default_rng(abs(taps[0]))
+        for pixels in (rng.integers(0, 256, (4, 5), np.uint8), np.full((3, 2), 255, np.uint8),
+                       np.array([[0, 255, 1, 254]], np.uint8)):
+            out = swar.correlate_clamp(*_raster(pixels), kernel, border, bias)
+            if width is None:
+                assert out is None
+            else:
+                expected = _correlate_display(Image(pixels), Kernel(kernel), border, "clamp", bias)
+                assert out == expected.pixels.tobytes()
+
+
+class TestCut:
+    """Each step runs where fields × (taps + _FIXED_TAPS) + padded rows ×
+    _ROW_TAPS is at most _CUT and returns None above it; the cut is patched
+    so that a small image lies on either side."""
+
+    @pytest.mark.parametrize("kernel, taps", [
+        (swar.SHARPEN["eight"], 9), (swar.SHARPEN["four"], 5), (swar.LAPLACIANS["four"], 5),
+        (swar.SHADOW_NE, 2)])
+    def test_correlation(self, monkeypatch, kernel, taps):
+        pixels = np.arange(35, dtype=np.uint8).reshape(5, 7) * 7
+        cost = swar_cost(7, 5, taps, 1)
+        monkeypatch.setattr(swar, "_CUT", cost)
+        assert swar.correlate_clamp(*_raster(pixels), kernel) is not None
+        monkeypatch.setattr(swar, "_CUT", cost - 1)
+        assert swar.correlate_clamp(*_raster(pixels), kernel) is None
+
+    def test_edges_add_and_histogram(self, monkeypatch):
+        pixels = np.arange(35, dtype=np.uint8).reshape(5, 7) * 7
+        w, h, raster = _raster(pixels)
+        steps = [(swar_cost(w, h, 4, 1), lambda: swar.edge_points(w, h, raster, 100)),
+                 (swar_cost(w, h, 1, 0), lambda: swar.add(w, h, raster, (w, h, raster))),
+                 (swar_cost(w, h, swar._COUNT_TAPS, 0), lambda: swar.histogram(raster))]
+        for cost, step in steps:
+            monkeypatch.setattr(swar, "_CUT", cost)
+            assert step() is not None
+            monkeypatch.setattr(swar, "_CUT", cost - 1)
+            assert step() is None
+
+    def test_a_thin_image_counts_its_rows(self):
+        # One column of as many pixels as the largest square sharpen takes
+        # is mostly padding and rows: it goes to numpy. The tallest column
+        # below the cut runs on bytes, as exactly as any image.
+        kernel = swar.SHARPEN["eight"]
+        pixels = swar_side_at_cut(9, 1) ** 2
+        assert swar.correlate_clamp(1, pixels, bytes(pixels), kernel) is None
+        height = 1
+        while swar_cost(1, height + 1, 9, 1) <= swar._CUT:
+            height += 1
+        column = np.random.default_rng(3).integers(0, 256, (height, 1), np.uint8)
+        out = swar.correlate_clamp(*_raster(column), kernel)
+        assert out == _correlate_display(Image(column), Kernel(kernel)).pixels.tobytes()
+
+    def test_every_4mp_input_is_above_every_cut(self):
+        # add, of one tap and no padding, is the cheapest step.
+        assert swar_side_at_cut(1, 0) < 2048
+
+    def test_every_1mp_input_is_below_every_cut(self):
+        # Counting a histogram costs the most taps, then sharpen's nine.
+        assert min(swar_side_at_cut(swar._COUNT_TAPS, 0), swar_side_at_cut(9, 1)) >= 1024
+
+
+class TestEdgesAddHistogram:
+    @settings(max_examples=150, deadline=None)
+    @given(images, thresholds)
+    @example(ROW, 100)
+    @example(COLUMN, 100)
+    def test_edges_match_brute_force_and_numpy(self, pixels, threshold):
+        out = swar.edge_points(*_raster(pixels), threshold)
+        bits = [[int(v >= threshold) for v in row] for row in pixels.tolist()]
+        assert list(out) == [255 * v for row in edge_points_brute(bits) for v in row]
+        img = Image(pixels)
+        assert out == bits_to_image(edge_points(binarize(img, threshold))).pixels.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(images.flatmap(lambda a: st.tuples(
+        st.just(a), hnp.arrays(np.uint8, a.shape))))
+    def test_add_matches_saturating_sum(self, pair):
+        a, b = pair
+        out = swar.add(*_raster(a), _raster(b))
+        assert list(out) == [min(x + y, 255) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+        assert out == image_add(Image(a), Image(b)).pixels.tobytes()
+
+    def test_add_of_different_sizes_is_the_numpy_domain_error(self):
+        a, b = Image(np.zeros((2, 3), np.uint8)), Image(np.zeros((3, 2), np.uint8))
+        with pytest.raises(DomainError) as numpy_error:
+            image_add(a, b)
+        with pytest.raises(DomainError) as bytes_error:
+            swar.add(3, 2, bytes(6), (2, 3, bytes(6)))
+        assert str(bytes_error.value) == str(numpy_error.value) == \
+            "cannot add images of different sizes: 3x2 vs 2x3"
+
+    @settings(max_examples=100, deadline=None)
+    @given(images)
+    def test_histogram_matches_brute_force_and_library(self, pixels):
+        counts = swar.histogram(pixels.tobytes())
+        assert counts == histogram_brute(pixels.tolist())
+        hist = compute_histogram(Image(pixels))
+        assert swar.histogram_csv(counts) == histogram_csv(hist)
+        assert swar.histogram_chart(counts) == render_histogram(hist).pixels.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**40), min_size=256, max_size=256).filter(any))
+    def test_chart_rounds_as_render_histogram(self, counts):
+        expected = render_histogram(Histogram(np.array(counts, np.int64))).pixels.tobytes()
+        assert swar.histogram_chart(counts) == expected
+
+    @pytest.mark.parametrize("top, count", [(2, 1), (200, 1), (200, 3), (8, 1), (10**12, 5 * 10**9 + 1)])
+    def test_chart_ties_round_away_from_zero(self, top, count):
+        # 100·count/top lies on a half, or just past one.
+        counts = [top, count] + [0] * 254
+        expected = render_histogram(Histogram(np.array(counts, np.int64))).pixels.tobytes()
+        assert swar.histogram_chart(counts) == expected
+
+
+@pytest.fixture
+def pair(tmp_path):
+    rng = np.random.default_rng(71)
+    paths = {}
+    for name in ("in", "second"):
+        paths[name] = tmp_path / f"{name}.pgm"
+        save_pgm(paths[name], Image(rng.integers(0, 256, (9, 13), np.uint8)))
+    return paths
+
+
+#: (CLI command line after the paths, one-stage pipeline params) of each op
+#: with a bytes form.
+BYTES_OPS = [
+    (["sharpen"], {"op": "sharpen"}),
+    (["sharpen", "--variant", "eight"], {"op": "sharpen", "variant": "eight"}),
+    (["laplacian", "--variant", "eight"], {"op": "laplacian", "variant": "eight"}),
+    (["shadow"], {"op": "shadow"}),
+    (["shadow", "--invert"], {"op": "shadow", "invert": True}),
+    (["edges", "--threshold", "90"], {"op": "edges", "threshold": 90}),
+    (["add", "-j", "{second}"], {"op": "add", "image": "{second}"}),
+]
+
+
+class TestCliOnBothSidesOfTheCut:
+    @pytest.mark.parametrize("cut", [0, 2**40])
+    @pytest.mark.parametrize("argv, stage", BYTES_OPS)
+    def test_filter_writes_the_library_bytes(self, monkeypatch, tmp_path, pair, cut, argv, stage):
+        monkeypatch.setattr(swar, "_CUT", cut)
+        argv = [str(pair["second"]) if a == "{second}" else a for a in argv]
+        stage = {k: str(pair["second"]) if v == "{second}" else v for k, v in stage.items()}
+        expected = run_pipeline(PipelineSpec([stage]), load_pgm(pair["in"]))
+        out = tmp_path / "out.pgm"
+        for fmt in ("p5", "p2"):
+            assert run_cli([argv[0], "-i", str(pair["in"]), "-o", str(out), "--format", fmt,
+                            *argv[1:]]) == 0
+            assert load_pgm(out) == expected
+
+    @pytest.mark.parametrize("cut", [0, 2**40])
+    def test_histogram_writes_the_library_files(self, monkeypatch, tmp_path, pair, cut):
+        monkeypatch.setattr(swar, "_CUT", cut)
+        csv, chart = tmp_path / "h.csv", tmp_path / "h.pgm"
+        assert run_cli(["histogram", "-i", str(pair["in"]), "--csv", str(csv),
+                        "--render", str(chart)]) == 0
+        hist = compute_histogram(load_pgm(pair["in"]))
+        assert csv.read_text() == histogram_csv(hist)
+        assert load_pgm(chart) == render_histogram(hist)
+
+    @pytest.mark.parametrize("cut", [0, 2**40])
+    def test_mixed_pipeline_matches_run_pipeline(self, monkeypatch, tmp_path, pair, cut):
+        # Above the cut the raster goes to numpy at the sharpen stage; below
+        # it, at the unsharp stage, which has no bytes form. Either way the
+        # rest of the chain runs on numpy.
+        monkeypatch.setattr(swar, "_CUT", cut)
+        text = json.dumps({"stages": [
+            {"op": "negate"}, {"op": "sharpen", "variant": "eight"},
+            {"op": "edges", "threshold": 100}, {"op": "unsharp"}, {"op": "shadow"},
+            {"op": "negate"}]})
+        spec, out = tmp_path / "spec.json", tmp_path / "out.pgm"
+        spec.write_text(text)
+        assert run_cli(["pipeline", "-i", str(pair["in"]), "-o", str(out), "--spec", str(spec)]) == 0
+        assert load_pgm(out) == run_pipeline(parse_pipeline(text), load_pgm(pair["in"]))
+
+    @pytest.mark.parametrize("cut", [0, 2**40])
+    def test_add_of_different_sizes_is_one_labelled_domain_error(self, monkeypatch, tmp_path,
+                                                                 pair, capsys, cut):
+        monkeypatch.setattr(swar, "_CUT", cut)
+        other = tmp_path / "other.pgm"
+        save_pgm(other, Image([[1, 2]]))
+        spec, out = tmp_path / "spec.json", tmp_path / "out.pgm"
+        spec.write_text(json.dumps({"stages": [{"op": "negate"}, {"op": "add", "image": str(other)}]}))
+        assert run_cli(["pipeline", "-i", str(pair["in"]), "-o", str(out), "--spec", str(spec)]) == 3
+        assert capsys.readouterr().err == (
+            "grayfilt: stage 2 (add): cannot add images of different sizes: 13x9 vs 2x1\n")
+        assert not out.exists()
