@@ -21,7 +21,9 @@ sizes once its import is paid for, and a padded step also slices and joins
 each row in Python. So each step runs only where
 fields × (taps + ``_FIXED_TAPS``) + rows × ``_ROW_TAPS`` is at most
 ``_CUT``, and returns None above it, for the numpy engine to take over. The stencils of the built-in
-kernel ops are declared here, as integer tuples that both engines read.
+kernel ops are declared here, as integer tuples that both engines read:
+``pipeline._clamp_step`` builds each clamp op's two forms from one of them.
+The histogram chart drawn here is also the library's ``render_histogram``.
 """
 
 from __future__ import annotations
@@ -201,12 +203,11 @@ def histogram_csv(counts) -> str:
 
 def histogram_chart(counts) -> bytes:
     """The raster of the 256-wide bar chart: white, with a black bar of
-    round_half_away(100·count/max) pixels under each level. The quotient is
-    a float division, as numpy's, exact in its operands below 2**53."""
-    top = max(counts)
-    heights = []
-    for count in counts:
-        v = CHART_HEIGHT * count / top
-        heights.append(int(v) + (v % 1 >= 0.5))
-    return b"".join(bytes(0 if h >= CHART_HEIGHT - row else MAX_GRAY for h in heights)
+    round_half_away(100·count/max) = (200·count + max) // (2·max) pixels under
+    each level, exact in Python ints for counts of any size; all white if every
+    count is 0. Row r translates each bar height h to black where h ≥ 100 − r."""
+    top = max(counts) or 1
+    heights = bytes((2 * CHART_HEIGHT * count + top) // (2 * top) for count in counts)
+    return b"".join(heights.translate(b"\xff" * (CHART_HEIGHT - row)
+                                      + bytes(GRAY_LEVELS - CHART_HEIGHT + row))
                     for row in range(CHART_HEIGHT))

@@ -35,7 +35,7 @@ from .kinds import (
     PATH,
     POSITIVE_INT,
 )
-from .pipeline import OPS, Step, _apply, _compile, _labelled, parse_pipeline
+from .pipeline import OPS, _compile, _run_raster, parse_pipeline
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,28 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args, compiled):
     """Write ``args.output``: ``args.input`` run through ``compiled``, every
     stage built as [(label, table or step)] before the input is read, so a
-    filter and its one-stage pipeline report the same first error.
-
-    The stages run on the decoded raster while they can: a table is one
-    ``bytes.translate`` and a :class:`Step` runs its numpy-free form. At the
-    first stage that has none, or whose input is above its cut, the raster
-    is wrapped once, without a copy, as an Image, and that stage and the rest
-    run on numpy. So a small image through table, sharpen, laplacian, shadow,
-    edges and add stages loads no numpy at all."""
+    filter and its one-stage pipeline report the same first error."""
     width, height, raster = _bytes.load_pgm(args.input)
-    for k, (label, built) in enumerate(compiled):
-        with _labelled(label):
-            if isinstance(built, bytes):
-                out = raster.translate(built)
-            elif isinstance(built, Step):
-                out = built.raster(width, height, raster)
-            else:
-                out = None
-        if out is None:
-            from .imgio import _image
-            raster = _apply(compiled[k:], _image(width, height, raster)).pixels.tobytes()
-            break
-        raster = out
+    raster = _run_raster(compiled, width, height, raster)
     _bytes.write_bytes_atomic(args.output,
                               _bytes.encode_pgm(width, height, raster, args.format.upper()))
     return EXIT_OK

@@ -21,10 +21,9 @@ whose clamp finishes each strip as gray levels, with the same rounding rule,
 so no full-size signed intermediate is built.
 
 The built-in stencils are declared once, as integer tuples, in
-:mod:`grayfilt._swar`. That module also holds the numpy-free clamp display
-the CLI runs for ``sharpen``, ``laplacian`` and ``shadow`` on a small
-image; it is exact too, so both engines give the same bytes. The library
-functions here always run numpy.
+:mod:`grayfilt._swar`, beside the numpy-free clamp display the CLI runs on a
+small image; their numpy one is ``_clamp_stencil``. Both are exact, so both
+engines give the same bytes. The library functions here always run numpy.
 """
 
 from __future__ import annotations
@@ -34,15 +33,18 @@ from typing import Callable
 
 import numpy as np
 
-from ._swar import LAPLACIANS
+from ._swar import LAPLACIANS, SHADOW_NE, SHARPEN
 from .core import MAX_GRAY, Image, Kernel, SignedImage, _clamp_levels
 from .kinds import BORDER, DISPLAY, POSITIVE_INT, VARIANT
+from .point_ops import _apply_table
 
 #: Pad mode implementing each border policy of ``BORDER``.
 _BORDER_MODES = {"replicate": "edge", "zero": "constant"}
 
+#: The Kernel of each built-in stencil of :mod:`grayfilt._swar`, keyed by its tuple.
+_KERNELS = {s: Kernel(s) for s in (*LAPLACIANS.values(), *SHARPEN.values(), SHADOW_NE)}
 #: The stencil of each ``VARIANT``, as declared in :data:`grayfilt._swar.LAPLACIANS`.
-_LAPLACIANS = {name: Kernel(coeffs) for name, coeffs in LAPLACIANS.items()}
+_LAPLACIANS = {name: _KERNELS[s] for name, s in LAPLACIANS.items()}
 #: Center -4 stencil: f(x+1,y) + f(x-1,y) + f(x,y+1) + f(x,y-1) - 4 f(x,y).
 LAPLACIAN_FOUR = _LAPLACIANS["four"]
 #: Center -8 stencil surrounded by 1s; responds to diagonals as well.
@@ -187,6 +189,15 @@ def _correlate_display(img: Image, kernel: Kernel, border: str = "replicate",
 
     out = np.empty((img.height, img.width), np.uint8)
     return Image._trusted(_correlate_strips(img, kernel, border, workers, out, clamp))
+
+
+def _clamp_stencil(img: Image, stencil: tuple, bias: int = 0, table: bytes | None = None,
+                   border: str = "replicate") -> Image:
+    """The clamp display of the built-in ``stencil`` of :mod:`grayfilt._swar` plus
+    ``bias``, then ``table`` if given: the one numpy form of ``laplacian_sharpen``,
+    ``shadow_ne``, ``shadow_invert`` and the pipeline's clamp steps."""
+    out = _correlate_display(img, _KERNELS[stencil], border, bias=bias)
+    return _apply_table(out, table) if table else out
 
 
 def convolve(img: Image, kernel: Kernel, border: str = "replicate",

@@ -172,11 +172,13 @@ class Histogram:
             raise ValueError(f"histogram counts must be integers, got dtype {arr.dtype}")
         if arr.min() < 0:
             raise ValueError("histogram counts must be nonnegative")
+        if int(arr.max()) >= 2**63:  # a uint64 count that int64 cannot hold
+            raise ValueError("histogram counts must be below 2**63")
         self.bins = _frozen(arr.astype(np.int64, copy=True))
 
     @property
     def total(self) -> int:
-        return int(self.bins.sum())
+        return sum(self.bins.tolist())  # Python ints: an int64 sum can wrap
 
     def __eq__(self, other):
         if not isinstance(other, Histogram):

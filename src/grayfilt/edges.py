@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._bytes import NEGATE_TABLE
 from ._swar import SHADOW_BIAS, SHADOW_NE, same_size
-from .convolution import _correlate_display
-from .core import BinaryImage, Image, Kernel
+from .convolution import _KERNELS, _clamp_stencil
+from .core import BinaryImage, Image
 from .kinds import THRESHOLD
-from .point_ops import negate
 
 #: Difference of the northeast neighbor minus the southwest neighbor
 #: (:data:`grayfilt._swar.SHADOW_NE`); SHADOW_BIAS, mid-gray, is added to it.
-SHADOW_NE_KERNEL = Kernel(SHADOW_NE)
+SHADOW_NE_KERNEL = _KERNELS[SHADOW_NE]
 
 
 def binarize(img: Image, threshold: int = 128) -> BinaryImage:
@@ -64,9 +64,9 @@ def shadow_ne(img: Image) -> Image:
     to highlights on one diagonal and shadows on the other. Each strip of
     rows is clamped to gray levels as soon as it is correlated.
     """
-    return _correlate_display(img, SHADOW_NE_KERNEL, bias=SHADOW_BIAS)
+    return _clamp_stencil(img, SHADOW_NE, SHADOW_BIAS)
 
 
 def shadow_invert(img: Image) -> Image:
     """Negative of the shadow rendering; swaps highlight and shadow sides."""
-    return negate(shadow_ne(img))
+    return _clamp_stencil(img, SHADOW_NE, SHADOW_BIAS, NEGATE_TABLE)

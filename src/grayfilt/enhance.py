@@ -12,13 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from ._swar import SHARPEN
-from .convolution import _correlate_display, _row_strips, clamp_to_display
-from .core import MAX_GRAY, Image, Kernel, SignedImage
+from .convolution import _clamp_stencil, _row_strips, clamp_to_display
+from .core import MAX_GRAY, Image, SignedImage
 from .errors import DomainError
 from .kinds import BORDER, DISPLAY, POSITIVE_INT, VARIANT
-
-#: δ − L for each Laplacian stencil L, as declared in :data:`grayfilt._swar.SHARPEN`.
-_SHARPEN = {name: Kernel(coeffs) for name, coeffs in SHARPEN.items()}
 
 
 def box_blur(img: Image, radius: int = 1, border: str = "replicate") -> Image:
@@ -126,4 +123,4 @@ def laplacian_sharpen(img: Image, variant: str = "four",
     negative center coefficient; flat regions pass through unchanged. It is
     one integer correlation with δ − L, clamped strip by strip.
     """
-    return _correlate_display(img, _SHARPEN[VARIANT.check(variant, "variant")], border)
+    return _clamp_stencil(img, SHARPEN[VARIANT.check(variant, "variant")], border=border)

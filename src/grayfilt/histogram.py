@@ -1,14 +1,13 @@
-"""Gray-level histograms and their CSV / bar-chart renderings."""
+"""Gray-level histograms and their CSV / bar-chart renderings, which are the
+numpy-free ones of :mod:`grayfilt._swar` that the CLI writes."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._swar import CHART_HEIGHT, histogram_csv as _csv
-from .core import GRAY_LEVELS, Histogram, Image, round_half_away
-
-#: Width of the rendered bar chart, one column per level; its height is CHART_HEIGHT.
-CHART_WIDTH = GRAY_LEVELS
+from ._swar import CHART_HEIGHT, histogram_chart, histogram_csv as _csv
+from .core import GRAY_LEVELS, Histogram, Image
+from .imgio import _image
 
 
 def compute_histogram(img: Image) -> Histogram:
@@ -25,13 +24,7 @@ def histogram_csv(hist: Histogram) -> str:
 
 def render_histogram(hist: Histogram) -> Image:
     """Draw a 256x100 bar chart: white background, one black bar per
-    occupied level, bar height proportional to count / max count."""
-    bins = hist.bins
-    max_bin = bins.max()
-    if max_bin == 0:
-        return Image(np.full((CHART_HEIGHT, CHART_WIDTH), 255, dtype=np.uint8))
-    heights = round_half_away((CHART_HEIGHT * bins) / max_bin).astype(np.int64)
-    heights[bins == 0] = 0
-    rows = np.arange(CHART_HEIGHT).reshape(-1, 1)
-    chart = np.where(rows >= CHART_HEIGHT - heights, 0, 255).astype(np.uint8)
-    return Image(chart)
+    occupied level, bar height round_half_away(100·count/max), exact in
+    Python ints for counts of any size; a histogram of all zero counts draws
+    all white."""
+    return _image(GRAY_LEVELS, CHART_HEIGHT, histogram_chart(hist.bins.tolist()))

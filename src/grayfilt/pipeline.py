@@ -10,8 +10,9 @@ is bit-identical to composing the corresponding library calls by hand.
 A point op builds a 256-byte table, and a run of them composes to one. The
 clamp displays of ``sharpen``, ``laplacian`` and ``shadow``, and ``edges``
 and ``add``, build a :class:`Step`, which also has an exact numpy-free form
-(:mod:`grayfilt._swar`); the CLI runs it on a small image's raster.
-:func:`run_pipeline` runs every stage on numpy.
+(:mod:`grayfilt._swar`); a clamp op's two forms read one stencil. This
+module alone knows both engines: :func:`run_pipeline` runs every stage on
+numpy, and the CLI runs :func:`_run_raster`, bytes first.
 """
 
 from __future__ import annotations
@@ -77,20 +78,21 @@ class Step(NamedTuple):
         return self.image(img)
 
 
-def _clamp_step(image, kernel, bias=0, table=None):
-    """The Step of an op that is ``image`` on numpy and, on bytes, the clamp
-    display of ``kernel`` plus ``bias``, then ``table`` if one is given."""
+def _clamp_step(stencil, bias=0, table=None):
+    """The Step of the clamp display of the built-in ``stencil`` plus ``bias``,
+    then ``table`` if given: numpy runs the library's one form of it
+    (``convolution._clamp_stencil``), bytes :func:`grayfilt._swar.correlate_clamp`."""
     def raster(width, height, pixels):
-        out = _swar.correlate_clamp(width, height, pixels, kernel, bias=bias)
+        out = _swar.correlate_clamp(width, height, pixels, stencil, bias=bias)
         return out.translate(table) if table and out is not None else out
-    return Step(image, raster)
+    return Step(lambda img: api.convolution._clamp_stencil(img, stencil, bias, table), raster)
 
 
 def _laplacian_step(p):
-    def image(img):
-        kernel = api.convolution._LAPLACIANS[p["variant"]]
-        return api.convolution._correlate_display(img, kernel, mode=p["display"])
-    return _clamp_step(image, _swar.LAPLACIANS[p["variant"]]) if p["display"] == "clamp" else image
+    if p["display"] == "clamp":
+        return _clamp_step(_swar.LAPLACIANS[p["variant"]])
+    return lambda img: api.convolution._correlate_display(
+        img, api.convolution._LAPLACIANS[p["variant"]], mode=p["display"])
 
 
 def _convolve_step(p):
@@ -104,12 +106,6 @@ def _add_step(p):
     second = _bytes.load_pgm(p["image"])
     return Step(lambda img: api.image_add(img, api.imgio._image(*second)),
                 lambda width, height, raster: _swar.add(width, height, raster, second))
-
-
-def _shadow_step(p):
-    invert = p["invert"]
-    return _clamp_step(lambda img: (api.shadow_invert if invert else api.shadow_ne)(img),
-                       _swar.SHADOW_NE, _swar.SHADOW_BIAS, _bytes.NEGATE_TABLE if invert else None)
 
 
 _VARIANT = Param("variant", VARIANT, "four")
@@ -134,8 +130,7 @@ OPS = {
         _laplacian_step),
     "sharpen": Op(
         "Laplacian sharpening: clamp(f - laplacian(f))", (_VARIANT,),
-        lambda p: _clamp_step(lambda img: api.laplacian_sharpen(img, p["variant"]),
-                              _swar.SHARPEN[p["variant"]])),
+        lambda p: _clamp_step(_swar.SHARPEN[p["variant"]])),
     "unsharp": Op(
         "unsharp masking: f minus a box-blurred copy of f",
         (Param("radius", POSITIVE_INT, 1, "blur window radius (default 1 = 3x3)"), _DISPLAY),
@@ -165,7 +160,8 @@ OPS = {
     "shadow": Op(
         "relief shadow on northeastern edge sides",
         (Param("invert", FLAG, False, "negate the shadow rendering"),),
-        _shadow_step),
+        lambda p: _clamp_step(_swar.SHADOW_NE, _swar.SHADOW_BIAS,
+                              _bytes.NEGATE_TABLE if p["invert"] else None)),
 }
 
 
@@ -274,6 +270,24 @@ def _apply(compiled: list, img: Image) -> Image:
         with _labelled(label):
             img = api.point_ops._apply_table(img, built) if isinstance(built, bytes) else built(img)
     return img
+
+
+def _run_raster(compiled: list, width: int, height: int, raster: bytes) -> bytes:
+    """The output raster of compiled stages run on a decoded image, bytes
+    first: a table is one ``bytes.translate`` and a :class:`Step` runs its
+    numpy-free form. At the first stage that has none, or whose input is
+    above its cut, the raster is wrapped once, without a copy, as an Image,
+    and that stage and the rest run on numpy (:func:`_apply`). So a small
+    image through table, sharpen, laplacian, shadow, edges and add stages
+    loads no numpy at all."""
+    for k, (label, built) in enumerate(compiled):
+        with _labelled(label):
+            out = (raster.translate(built) if isinstance(built, bytes) else
+                   built.raster(width, height, raster) if isinstance(built, Step) else None)
+        if out is None:
+            return _apply(compiled[k:], api.imgio._image(width, height, raster)).pixels.tobytes()
+        raster = out
+    return raster
 
 
 def run_pipeline(spec: PipelineSpec, img: Image) -> Image:

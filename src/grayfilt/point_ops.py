@@ -12,13 +12,13 @@ import numpy as np
 
 from ._bytes import NEGATE_TABLE, lut_table, stretch_table
 from .core import Image
+from .imgio import _image
 from .kinds import POSITIVE_FLOAT
 
 
 def _apply_table(img: Image, table: bytes) -> Image:
     """Map every pixel r to ``table[r]``."""
-    out = img.pixels.tobytes().translate(table)
-    return Image._trusted(np.frombuffer(out, dtype=np.uint8).reshape(img.pixels.shape))
+    return _image(img.width, img.height, img.pixels.tobytes().translate(table))
 
 
 def apply_lut(img: Image, lut) -> Image:

@@ -220,6 +220,19 @@ class TestHistogram:
         bins[0], bins[255] = 3, 4
         assert Histogram(bins).total == 7
 
+    @pytest.mark.parametrize("bins, total", [
+        ([2**62] * 4, 2**64), ([2**63 - 1, 1], 2**63)])
+    def test_total_does_not_wrap_past_int64(self, bins, total):
+        assert Histogram(bins + [0] * (256 - len(bins))).total == total
+
+    def test_uint64_count_past_int64_rejected(self):
+        bins = np.zeros(256, dtype=np.uint64)
+        bins[7] = 2**63
+        with pytest.raises(ValueError, match="below 2\\*\\*63"):
+            Histogram(bins)
+        bins[7] = 2**63 - 1
+        assert Histogram(bins).bins[7] == 2**63 - 1
+
 
 class TestValueTypes:
     """What the 2-D value types share: repr, equality within one type only,

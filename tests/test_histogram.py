@@ -115,3 +115,18 @@ class TestRenderHistogram:
         height = round_half_away_exact(Fraction(100 * 1, 3))
         assert np.all(column[100 - height:] == 0)
         assert np.all(column[:100 - height] == 255)
+
+    def test_all_zero_histogram_is_all_white(self):
+        chart = render_histogram(Histogram(np.zeros(256, np.int64)))
+        assert (chart.width, chart.height) == (256, 100)
+        assert np.all(chart.pixels == 255)
+
+    def test_counts_near_int64_max_draw_exact_bars(self):
+        # 100·count overflows int64 here; the bars are still 100, 50 and 0.
+        chart = render_histogram(Histogram([2**62, 2**61, 3] + [0] * 253))
+        assert ((chart.pixels == 0).sum(axis=0)[:4] == [100, 50, 0, 0]).all()
+        assert np.all(chart.pixels[:, 2:] == 255)
+        # 100·10**15 / (2·10**17 + 1) is just below a half: no bar, where a
+        # float quotient rounds it up to 0.5 and draws one pixel.
+        near_tie = render_histogram(Histogram([2 * 10**17 + 1, 10**15] + [0] * 254))
+        assert np.all(near_tie.pixels[:, 1] == 255)

@@ -3,6 +3,7 @@ against the brute-force oracles and the numpy engine, at each field-width
 bound and on both sides of each step's cut."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 import grayfilt._swar as swar
 from grayfilt import (
     DomainError,
-    Histogram,
     Image,
     Kernel,
     PipelineSpec,
@@ -35,6 +35,7 @@ from support import (
     correlate_brute,
     edge_points_brute,
     histogram_brute,
+    round_half_away_exact,
     run_cli,
     swar_cost,
     swar_side_at_cut,
@@ -197,15 +198,23 @@ class TestEdgesAddHistogram:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 2**40), min_size=256, max_size=256).filter(any))
     def test_chart_rounds_as_render_histogram(self, counts):
-        expected = render_histogram(Histogram(np.array(counts, np.int64))).pixels.tobytes()
-        assert swar.histogram_chart(counts) == expected
+        assert swar.histogram_chart(counts) == _chart_exact(counts)
 
-    @pytest.mark.parametrize("top, count", [(2, 1), (200, 1), (200, 3), (8, 1), (10**12, 5 * 10**9 + 1)])
+    @pytest.mark.parametrize("top, count", [(2, 1), (200, 1), (200, 3), (8, 1), (10**12, 5 * 10**9 + 1),
+                                            (2 * 10**17 + 1, 10**15)])
     def test_chart_ties_round_away_from_zero(self, top, count):
-        # 100·count/top lies on a half, or just past one.
+        # 100·count/top lies on a half, or just past or below one; a float
+        # quotient rounds the last, 0.4999999999999999975, up to 0.5.
         counts = [top, count] + [0] * 254
-        expected = render_histogram(Histogram(np.array(counts, np.int64))).pixels.tobytes()
-        assert swar.histogram_chart(counts) == expected
+        assert swar.histogram_chart(counts) == _chart_exact(counts)
+
+
+def _chart_exact(counts):
+    """The chart's raster with each bar round_half_away(100·count/max) high
+    in exact rationals, drawn pixel by pixel."""
+    top = max(counts)
+    heights = [round_half_away_exact(Fraction(100 * count, top)) for count in counts]
+    return bytes(0 if h >= 100 - row else 255 for row in range(100) for h in heights)
 
 
 @pytest.fixture
