@@ -18,9 +18,10 @@ wider kernel has no bytes form.
 
 A step's work grows with fields × taps, where numpy's barely grows at these
 sizes once its import is paid for, and a padded step also slices and joins
-each row in Python. So each step runs only where
-fields × (taps + ``_FIXED_TAPS``) + rows × ``_ROW_TAPS`` is at most
-``_CUT``, and returns None above it, for the numpy engine to take over. The stencils of the built-in
+each row in Python. So each step runs only where fields × its cost a field
++ rows × ``_ROW_TAPS`` is at most ``_CUT``, and returns None above it, for
+the numpy engine to take over. A 16- or 32-bit field costs its taps plus
+``_FIXED_TAPS``; edges' 8-bit field costs ``_EDGE_TAPS``. The stencils of the built-in
 kernel ops are declared here, as integer tuples that both engines read:
 ``pipeline._clamp_step`` builds each clamp op's two forms from one of them.
 The histogram chart drawn here is also the library's ``render_histogram``.
@@ -49,11 +50,17 @@ SHADOW_BIAS = 128
 
 #: Most pixel-taps a bytes step takes on: the work of a small image's step
 #: stays below the cost of importing numpy (CHANGES.md has the process
-#: timings), and every 2048x2048 input, 2**22 pixels, is above it.
+#: timings), and every 2048x2048 input, 2**22 pixels, is above it but for edges.
 _CUT = 2**25
-#: The taps' worth of work a step does per field whatever its taps: padding,
-#: widening, the clamp masks and the read-back.
+#: The taps' worth of work a 16- or 32-bit field step does per field whatever
+#: its taps: padding, widening, the clamp masks and the read-back.
 _FIXED_TAPS = 16
+#: The taps' worth of work ``edge_points`` does per 8-bit field, all told: it
+#: needs no widening, multiplies or clamp masks, and takes 4.5 to 5 taps'
+#: worth in process, against 9 + ``_FIXED_TAPS`` for sharpen. 4 puts the cut
+#: at 2831x2831, between 2560x2560, where the bytes form is the faster
+#: process, and 3072x3072, where the two tie (CHANGES.md has the timings).
+_EDGE_TAPS = 4
 #: The taps' worth of work of padding and cropping one row, about 1 µs: it
 #: keeps a tall, thin image, whose rows are few pixels each, on numpy.
 _ROW_TAPS = 512
@@ -63,10 +70,10 @@ _COUNT_TAPS = 12
 CHART_HEIGHT = 100
 
 
-def _under_cut(fields: int, taps: int, rows: int = 0) -> bool:
-    """Whether ``taps`` taps over ``fields`` fields, and ``rows`` padded rows,
-    are work below the cost of importing numpy."""
-    return fields * (taps + _FIXED_TAPS) + rows * _ROW_TAPS <= _CUT
+def _under_cut(fields: int, cost: int, rows: int = 0) -> bool:
+    """Whether ``cost`` taps' worth of work over each of ``fields`` fields,
+    and ``rows`` padded rows, are work below the cost of importing numpy."""
+    return fields * cost + rows * _ROW_TAPS <= _CUT
 
 
 def _ones(fields: int, b: int) -> int:
@@ -126,7 +133,7 @@ def correlate_clamp(width: int, height: int, raster: bytes, kernel, border: str 
     py, px = len(kernel) // 2, len(kernel[0]) // 2
     stride = width + 2 * px
     fields = (height + 2 * py) * stride
-    if fit is None or not _under_cut(fields, len(taps), height + 2 * py):
+    if fit is None or not _under_cut(fields, len(taps) + _FIXED_TAPS, height + 2 * py):
         return None
     b, g = fit
     padded = _pad(width, height, raster, py, px, border == "replicate")
@@ -156,7 +163,7 @@ def edge_points(width: int, height: int, raster: bytes, threshold: int):
     a pixel is 0 and a 4-neighbor is not, in 8-bit fields; None above the cut.
     A neighbor outside the image is a copy of the pixel, so never differs."""
     stride = width + 2
-    if not _under_cut((height + 2) * stride, 4, height + 2):
+    if not _under_cut((height + 2) * stride, _EDGE_TAPS, height + 2):
         return None
     padded = _pad(width, height, raster.translate(binarize_table(threshold)), 1, 1, True)
     fields = len(padded)
@@ -180,7 +187,7 @@ def add(width: int, height: int, raster: bytes, second) -> bytes:
     """The saturating sum min(a + b, 255) of the image and ``second``, a
     (width, height, raster), in 16-bit fields; None above the cut."""
     same_size((width, height), second[:2])
-    if not _under_cut(width * height, 1):
+    if not _under_cut(width * height, 1 + _FIXED_TAPS):
         return None
     total = _widen(raster, 16) + _widen(second[2], 16)
     over = (total >> 8) & _ones(len(raster), 16)  # a sum of at most 510 sets bit 8 from 256
@@ -190,7 +197,7 @@ def add(width: int, height: int, raster: bytes, second) -> bytes:
 
 def histogram(raster: bytes):
     """The count of each gray level, as a list of 256 ints; None above the cut."""
-    if not _under_cut(len(raster), _COUNT_TAPS):
+    if not _under_cut(len(raster), _COUNT_TAPS + _FIXED_TAPS):
         return None
     counts = Counter(raster)
     return [counts[level] for level in range(GRAY_LEVELS)]

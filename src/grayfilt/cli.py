@@ -9,6 +9,8 @@ files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 
@@ -111,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write a 256x100 bar-chart image")
     p.add_argument("--format", choices=("p2", "p5"), default="p5",
                    help="encoding for the rendered chart (default p5)")
-    p.set_defaults(handler=_cmd_histogram)
+    p.set_defaults(handler=_cmd_histogram, parser=p)
 
     p = sub.add_parser("pipeline", parents=[reads, writes],
                        help="run a JSON-specified chain of filters")
@@ -158,6 +160,9 @@ def _cmd_filter(args):
 
 
 def _cmd_histogram(args):
+    # The chart would replace the table: a usage error, before the input is read.
+    if args.render and os.path.realpath(args.csv) == os.path.realpath(args.render):
+        args.parser.error("argument --render: names the same file as --csv")
     width, height, raster = _bytes.load_pgm(args.input)
     counts = _swar.histogram(raster)
     if counts is None:
@@ -184,16 +189,41 @@ def _cmd_bench(args):
     return EXIT_OK
 
 
+#: Whether ``gc.freeze`` is registered to run at exit, as the first ``main``
+#: of a process does. (CPython 3.11's ``atexit.unregister`` leaves an empty
+#: slot, so unregistering and registering on each call would grow its table.)
+_freeze_at_exit = False
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # The cyclic collector finds nothing a command needs freed: a command
+    # closes its files in ``with`` blocks and renames its outputs atomically,
+    # so no output depends on a finalizer running, and the cycles it leaves
+    # (module globals, mostly) live until the process ends. So the collector
+    # is paused while the command runs, where numpy's import alone sets off
+    # dozens of passes, and left as it was found on every path, so that an
+    # in-process caller gets it back; and at exit ``gc.freeze`` moves every
+    # tracked object out of its reach, so shutdown does not walk and free the
+    # heap whose memory the OS takes back anyway.
+    global _freeze_at_exit
+    if not _freeze_at_exit:
+        atexit.register(gc.freeze)
+        _freeze_at_exit = True
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.handler(args)
-    except (FormatError, OSError) as exc:
-        print(f"grayfilt: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except DomainError as exc:
-        print(f"grayfilt: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        args = build_parser().parse_args(argv)
+        try:
+            return args.handler(args)
+        except (FormatError, OSError) as exc:
+            print(f"grayfilt: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except DomainError as exc:
+            print(f"grayfilt: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -188,23 +188,23 @@ def histogram_brute(pixels):
 # The cut of the bytes steps (grayfilt._swar)
 # ---------------------------------------------------------------------------
 
-def swar_cost(width, height, taps, pad):
-    """The work a bytes step of ``taps`` taps counts against the cut on a
-    width x height image padded by ``pad`` rows and columns each side; an
-    unpadded step (pad 0) slices no rows."""
+def swar_cost(width, height, cost, pad):
+    """The work a bytes step of ``cost`` taps' worth a field counts against
+    the cut on a width x height image padded by ``pad`` rows and columns each
+    side; an unpadded step (pad 0) slices no rows."""
     from grayfilt import _swar
 
     rows = height + 2 * pad
     fields = rows * (width + 2 * pad)
-    return fields * (taps + _swar._FIXED_TAPS) + (rows * _swar._ROW_TAPS if pad else 0)
+    return fields * cost + (rows * _swar._ROW_TAPS if pad else 0)
 
 
-def swar_side_at_cut(taps, pad):
+def swar_side_at_cut(cost, pad):
     """The side of the largest square image a bytes step takes on."""
     from grayfilt import _swar
 
-    side = isqrt(_swar._CUT // (taps + _swar._FIXED_TAPS))
-    while swar_cost(side, side, taps, pad) > _swar._CUT:
+    side = isqrt(_swar._CUT // cost)
+    while swar_cost(side, side, cost, pad) > _swar._CUT:
         side -= 1
     return side
 

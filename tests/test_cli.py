@@ -1,3 +1,5 @@
+import atexit
+import gc
 import io
 import json
 import os
@@ -357,6 +359,20 @@ class TestExitCodes:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.endswith(f"argument {flag}: value must be a file path, got {path!r}")
 
+    @pytest.mark.parametrize("render", ["h.csv", "./sub/../h.csv", "link.csv"])
+    def test_histogram_csv_and_render_on_one_file_is_usage_error(self, sample, tmp_path,
+                                                                 monkeypatch, capsys, render):
+        # The chart would silently replace the table; the input is never read.
+        _, path = sample
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        os.symlink("h.csv", "link.csv")
+        for source in (str(path), "missing.pgm"):
+            assert run_cli(["histogram", "-i", source, "--csv", "h.csv", "--render", render]) == 1
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert last.endswith("argument --render: names the same file as --csv")
+            assert not (tmp_path / "h.csv").exists()
+
     def test_unknown_command_is_usage_error(self):
         assert run_cli(["rotate"]) == 1
 
@@ -460,6 +476,58 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestCollector:
+    """An in-process ``main`` pauses the cyclic collector while the command
+    runs and leaves it as it found it on every exit path."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        enabled, threshold = gc.isenabled(), gc.get_threshold()
+        (gc.enable if request.param else gc.disable)()
+        gc.set_threshold(650, 11, 9)
+        yield request.param, (650, 11, 9)
+        (gc.enable if enabled else gc.disable)()
+        gc.set_threshold(*threshold)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["negate", "-i", "{in}", "-o", "{out}"], 0),
+        (["negate", "-i", "{in}", "-o", "{out}", "--format", "p7"], 1),
+        (["negate", "-i", "{missing}", "-o", "{out}"], 2),
+        (["add", "-i", "{in}", "-j", "{one}", "-o", "{out}"], 3),
+        (["histogram", "-i", "{in}", "--csv", "{out}", "--render", "{out}"], 1),
+        (["sharpen", "-i", "{in}", "-o", "{out}", "--variant", "eight"], 0),
+    ])
+    def test_main_leaves_the_collector_as_it_found_it(self, sample, tmp_path, capsys,
+                                                      collector, argv, code):
+        _, path = sample
+        one = tmp_path / "one.pgm"
+        save_pgm(one, Image([[1]]))
+        names = {"{in}": str(path), "{out}": str(tmp_path / "out.pgm"), "{one}": str(one),
+                 "{missing}": str(tmp_path / "missing.pgm")}
+        enabled, threshold = collector
+        paused = []
+        real_handler = grayfilt.cli._cmd_filter
+
+        def handler(args):
+            paused.append(gc.isenabled())
+            return real_handler(args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grayfilt.cli, "_cmd_filter", handler)
+            assert run_cli([names.get(arg, arg) for arg in argv]) == code
+        assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
+        assert paused == ([] if code == 1 else [False])
+
+    def test_the_freeze_hook_is_registered_once(self, sample, tmp_path):
+        _, path = sample
+        argv = ["negate", "-i", str(path), "-o", str(tmp_path / "out.pgm")]
+        assert run_cli(argv) == 0
+        before = atexit._ncallbacks()
+        for _ in range(5):
+            assert run_cli(argv) == 0
+        assert atexit._ncallbacks() == before
+
+
 class TestProcessLevel:
     def _run(self, *argv):
         return subprocess.run(
@@ -495,6 +563,20 @@ class TestProcessLevel:
         assert proc.returncode == 2 and b"Traceback" not in proc.stderr
         (line,) = proc.stderr.decode().splitlines()
         assert line.startswith("grayfilt: pipeline spec") and "too many digits" in line
+
+    def test_the_heap_is_frozen_at_exit(self, tmp_path):
+        # Three commands register one exit hook. Exit hooks run last
+        # registered first, so the one registered here sees the freeze.
+        path = tmp_path / "in.pgm"
+        save_pgm(path, Image([[7, 8]]))
+        code = ("import atexit, gc, sys; from grayfilt.cli import main; "
+                "atexit.register(lambda: print(gc.get_freeze_count() > 0, gc.isenabled())); "
+                "before = atexit._ncallbacks(); "
+                "assert [main(sys.argv[1:]) for _ in range(3)] == [0, 0, 0]; "
+                "print(atexit._ncallbacks() - before)")
+        proc = subprocess.run([sys.executable, "-c", code, "negate", "-i", str(path),
+                               "-o", str(tmp_path / "out.pgm")], capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"1\nTrue True\n", b"")
 
     def test_startup_skips_unneeded_imports(self):
         # Threads, pipelines, the bench report and every handler import these

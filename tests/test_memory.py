@@ -17,6 +17,7 @@ import pytest
 
 from grayfilt import Image, read_pgm, save_pgm, write_pgm
 from grayfilt._bytes import decode_pgm, encode_pgm, p2_scan
+from grayfilt._swar import _EDGE_TAPS, _FIXED_TAPS
 from grayfilt.convolution import _STRIP_PIXELS
 from grayfilt.pipeline import OPS, _apply
 from support import swar_side_at_cut
@@ -157,8 +158,9 @@ def test_scanner_peak_bytes_per_pixel():
     assert peak / side**2 <= 2 * U8
 
 
-#: Each bytes step just below its cut (grayfilt._swar): op, params, the ints
-#: it holds at once counted in full-size fields, and the bytes of a field.
+#: Each bytes step just below its cut (grayfilt._swar): op, params, its cost
+#: a field, the ints it holds at once counted in full-size fields, and the
+#: bytes of a field.
 #: Python ints are allocated whole, so tracemalloc sees each one. At the peak
 #: a correlation holds the widened raster, ones, the total, a shifted tap and
 #: the next total; edges holds the raster, the OR so far, a shifted copy,
@@ -166,23 +168,23 @@ def test_scanner_peak_bytes_per_pixel():
 #: while widening the other, its fields, their copy for int.from_bytes and
 #: the int.
 SWAR_CASES = [
-    ("sharpen", {"variant": "eight"}, 9, 5, I16),
-    ("laplacian", {"variant": "four", "display": "clamp"}, 5, 5, I16),
-    ("shadow", {"invert": True}, 2, 5, I16),
-    ("edges", {"threshold": 128}, 4, 5, U8),
-    ("add", {"image": "second.pgm"}, 1, 4, I16),
+    ("sharpen", {"variant": "eight"}, 9 + _FIXED_TAPS, 5, I16),
+    ("laplacian", {"variant": "four", "display": "clamp"}, 5 + _FIXED_TAPS, 5, I16),
+    ("shadow", {"invert": True}, 2 + _FIXED_TAPS, 5, I16),
+    ("edges", {"threshold": 128}, _EDGE_TAPS, 5, U8),
+    ("add", {"image": "second.pgm"}, 1 + _FIXED_TAPS, 4, I16),
 ]
 
 
-@pytest.mark.parametrize("op, params, taps, ints, field", SWAR_CASES,
+@pytest.mark.parametrize("op, params, cost, ints, field", SWAR_CASES,
                          ids=[op for op, *_ in SWAR_CASES])
-def test_bytes_step_peak_bytes_per_pixel_below_the_cut(tmp_path, op, params, taps, ints, field):
+def test_bytes_step_peak_bytes_per_pixel_below_the_cut(tmp_path, op, params, cost, ints, field):
     # The largest square image below the step's cut, decoded, run through
     # the step's bytes form and encoded, as a CLI process runs it. Besides
     # the ints: the decoded raster, and one more byte per pixel for the
     # padded raster, the output and the P5 file. Every step but add pads
     # the image by one pixel.
-    side = swar_side_at_cut(taps, 0 if op == "add" else 1)
+    side = swar_side_at_cut(cost, 0 if op == "add" else 1)
     rng = np.random.default_rng(47)
     save_pgm(tmp_path / "second.pgm", Image(rng.integers(0, 256, (side, side), np.uint8)))
     data = write_pgm(Image(rng.integers(0, 256, (side, side), np.uint8)), "P5")

@@ -106,16 +106,17 @@ class TestCorrelateClamp:
 
 
 class TestCut:
-    """Each step runs where fields × (taps + _FIXED_TAPS) + padded rows ×
-    _ROW_TAPS is at most _CUT and returns None above it; the cut is patched
-    so that a small image lies on either side."""
+    """Each step runs where fields × its cost a field (taps + _FIXED_TAPS, or
+    _EDGE_TAPS for edges) + padded rows × _ROW_TAPS is at most _CUT and
+    returns None above it; the cut is patched so that a small image lies on
+    either side."""
 
     @pytest.mark.parametrize("kernel, taps", [
         (swar.SHARPEN["eight"], 9), (swar.SHARPEN["four"], 5), (swar.LAPLACIANS["four"], 5),
         (swar.SHADOW_NE, 2)])
     def test_correlation(self, monkeypatch, kernel, taps):
         pixels = np.arange(35, dtype=np.uint8).reshape(5, 7) * 7
-        cost = swar_cost(7, 5, taps, 1)
+        cost = swar_cost(7, 5, taps + swar._FIXED_TAPS, 1)
         monkeypatch.setattr(swar, "_CUT", cost)
         assert swar.correlate_clamp(*_raster(pixels), kernel) is not None
         monkeypatch.setattr(swar, "_CUT", cost - 1)
@@ -124,9 +125,10 @@ class TestCut:
     def test_edges_add_and_histogram(self, monkeypatch):
         pixels = np.arange(35, dtype=np.uint8).reshape(5, 7) * 7
         w, h, raster = _raster(pixels)
-        steps = [(swar_cost(w, h, 4, 1), lambda: swar.edge_points(w, h, raster, 100)),
-                 (swar_cost(w, h, 1, 0), lambda: swar.add(w, h, raster, (w, h, raster))),
-                 (swar_cost(w, h, swar._COUNT_TAPS, 0), lambda: swar.histogram(raster))]
+        fixed = swar._FIXED_TAPS
+        steps = [(swar_cost(w, h, swar._EDGE_TAPS, 1), lambda: swar.edge_points(w, h, raster, 100)),
+                 (swar_cost(w, h, 1 + fixed, 0), lambda: swar.add(w, h, raster, (w, h, raster))),
+                 (swar_cost(w, h, swar._COUNT_TAPS + fixed, 0), lambda: swar.histogram(raster))]
         for cost, step in steps:
             monkeypatch.setattr(swar, "_CUT", cost)
             assert step() is not None
@@ -138,22 +140,35 @@ class TestCut:
         # is mostly padding and rows: it goes to numpy. The tallest column
         # below the cut runs on bytes, as exactly as any image.
         kernel = swar.SHARPEN["eight"]
-        pixels = swar_side_at_cut(9, 1) ** 2
+        cost = 9 + swar._FIXED_TAPS
+        pixels = swar_side_at_cut(cost, 1) ** 2
         assert swar.correlate_clamp(1, pixels, bytes(pixels), kernel) is None
         height = 1
-        while swar_cost(1, height + 1, 9, 1) <= swar._CUT:
+        while swar_cost(1, height + 1, cost, 1) <= swar._CUT:
             height += 1
         column = np.random.default_rng(3).integers(0, 256, (height, 1), np.uint8)
         out = swar.correlate_clamp(*_raster(column), kernel)
         assert out == _correlate_display(Image(column), Kernel(kernel)).pixels.tobytes()
 
-    def test_every_4mp_input_is_above_every_cut(self):
-        # add, of one tap and no padding, is the cheapest step.
-        assert swar_side_at_cut(1, 0) < 2048
+    def test_every_4mp_input_but_edges_is_above_its_cut(self):
+        # add, of one tap and no padding, is the cheapest 16-bit step.
+        assert swar_side_at_cut(1 + swar._FIXED_TAPS, 0) < 2048
 
     def test_every_1mp_input_is_below_every_cut(self):
         # Counting a histogram costs the most taps, then sharpen's nine.
-        assert min(swar_side_at_cut(swar._COUNT_TAPS, 0), swar_side_at_cut(9, 1)) >= 1024
+        fixed = swar._FIXED_TAPS
+        assert min(swar_side_at_cut(swar._COUNT_TAPS + fixed, 0),
+                   swar_side_at_cut(9 + fixed, 1)) >= 1024
+
+    def test_edges_runs_on_bytes_up_to_its_process_crossover(self):
+        # As processes, edges' bytes form beats numpy at 2560x2560 and ties
+        # it at 3072x3072 (CHANGES.md): the cut lies between.
+        side = swar_side_at_cut(swar._EDGE_TAPS, 1)
+        assert 2560 <= side < 3072
+        pixels = np.random.default_rng(5).integers(0, 256, (2048, 2048), np.uint8)
+        out = swar.edge_points(*_raster(pixels), 128)
+        assert out == bits_to_image(edge_points(binarize(Image(pixels), 128))).pixels.tobytes()
+        assert swar.edge_points(side + 1, side + 1, bytes((side + 1) ** 2), 128) is None
 
 
 class TestEdgesAddHistogram:
