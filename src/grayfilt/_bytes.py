@@ -255,17 +255,26 @@ def parse_lut(text: str) -> bytes:
 
 
 def write_bytes_atomic(path, data: bytes) -> None:
-    """Write via a temp file in the destination directory, then rename. A
-    new file gets mode 0o666 less the umask, as ``open()`` would create it;
-    a regular file that is replaced keeps its permission bits, as with
-    ``cp``, but not its setuid, setgid or sticky bit. An error names ``path``, not the temp file."""
+    """Write a new path or a regular file via a temp file in the destination
+    directory, then rename. A new file gets mode 0o666 less the umask, as
+    ``open()`` would create it; a regular file that is replaced keeps its
+    permission bits, as with ``cp``, but not its setuid, setgid or sticky
+    bit. Any other existing path, such as a FIFO or a device, is opened and
+    written in place, as a shell redirection would, not replaced; a
+    directory is refused. An error names ``path``, not the temp file."""
     path = os.fspath(path)
-    directory = os.path.abspath(os.path.dirname(path))
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
         mode = os.stat(path).st_mode
     except (OSError, ValueError):
         mode = 0
+    flags = os.O_WRONLY | getattr(os, "O_BINARY", 0)
+    if mode and not stat.S_ISREG(mode):
+        # No O_CREAT: should the path go in between, this fails, not creates.
+        with os.fdopen(os.open(path, flags), "wb") as fh:
+            fh.write(data)
+        return
+    directory = os.path.abspath(os.path.dirname(path))
+    flags |= os.O_CREAT | os.O_EXCL
     tmp = fd = None
     try:
         while fd is None:

@@ -2,17 +2,18 @@
 
 Exit codes: 0 success, 1 usage error, 2 I/O or file-format error, 3 domain
 error (e.g. adding images of different sizes). Diagnostics go to stderr and
-processed data goes to files only, so the tool composes in scripts. Output
-files are written atomically (temp file + rename).
+processed data goes to files only, so the tool composes in scripts. A new
+or regular output file is written atomically (temp file + rename); a FIFO or
+a device is written in place.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 # grayfilt never calls BLAS, yet numpy's bundled OpenBLAS starts one thread
 # per CPU when it loads, and those threads spin before they sleep: on 2 CPUs
@@ -36,8 +37,9 @@ from .kinds import (
     MAX_BENCH_SIZE,
     PATH,
     POSITIVE_INT,
+    Kind,
 )
-from .pipeline import OPS, _compile, _run_raster, parse_pipeline
+from .pipeline import OPS, Param, _compile, _run_raster, parse_pipeline
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,21 +47,104 @@ EXIT_IO = 2
 EXIT_DOMAIN = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that exits with code 1 on usage errors."""
+# ---------------------------------------------------------------------------
+# Command declarations
+# ---------------------------------------------------------------------------
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+#: The output encodings. argparse checks a value against them as choices
+#: ("invalid choice: 'p7'"), so the kind's own check takes any text.
+_ENCODING = Kind(lambda v, name: v, choices=("p2", "p5"))
+
+_INPUT = Param("input", PATH, help="input image (PGM, maxval 255)", flags=("-i", "--input"),
+               metavar="PGM")
+_OUTPUT = Param("output", PATH, help="output image path", flags=("-o", "--output"),
+                metavar="PGM")
+_FORMAT = Param("format", _ENCODING, "p5", "output PGM encoding (default p5)")
+_WRITES = (_INPUT, _OUTPUT, _FORMAT)
+
+
+def _commands() -> dict:
+    """command name -> (help line, options in listing order, handler), in
+    listing order: the one declaration of the command line, which
+    :func:`build_parser` and :func:`_parse` both read. It is built on each
+    call, so a command runs the handler the module holds when its command
+    line is read."""
+    commands = {name: (op.help, (*_WRITES, *op.params), _cmd_filter) for name, op in OPS.items()}
+    commands["histogram"] = (
+        "gray-level histogram as CSV and optional bar chart",
+        (_INPUT,
+         Param("csv", PATH, help="where to write the level,count table", metavar="FILE"),
+         Param("render", PATH, help="also write a 256x100 bar-chart image", metavar="PGM",
+               optional=True),
+         _FORMAT._replace(help="encoding for the rendered chart (default p5)")),
+        _cmd_histogram)
+    commands["pipeline"] = (
+        "run a JSON-specified chain of filters",
+        (*_WRITES, Param("spec", PATH, help='spec file, e.g. {"stages":[{"op":"negate"}]}',
+                         metavar="JSON")),
+        _cmd_pipeline)
+    commands["bench"] = (
+        "time the correlation engine on a seeded random image",
+        (Param("size", BENCH_SIZE, 256,
+               f"image side length, at most {MAX_BENCH_SIZE} (default 256)"),
+         Param("ksize", BENCH_KSIZE, 3,
+               f"ones-kernel side length, odd, at most {MAX_BENCH_KSIZE} (default 3)"),
+         Param("iters", BENCH_ITERS, 5, f"timed repetitions, at most {MAX_BENCH_ITERS} (default 5)"),
+         Param("workers", POSITIVE_INT, 1,
+               "row-parallel workers; checksum is identical for any count")),
+        _cmd_bench)
+    return commands
 
 
 # ---------------------------------------------------------------------------
-# Parser construction
+# Reading the command line
 # ---------------------------------------------------------------------------
+
+def _parse(argv) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives, read straight
+    from the declarations, for a well-formed command line: a command, then
+    declared option strings, each at most once, every one but a flag
+    followed by a value that does not start with "-" and that its kind
+    parses and checks, and every required option given. Anything else gives
+    None and is left to argparse: help, --version, abbreviations,
+    ``--opt=value``, repeats and bad values, so that every help, usage and
+    error text is argparse's."""
+    command = _commands().get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, params, handler = command
+    by_flag = {flag: param for param in params for flag in param.cli_flags}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        param = by_flag.get(token)
+        if param is None or param.name in values:
+            return None
+        if param.kind is FLAG:
+            values[param.name] = True
+            continue
+        text = next(tokens, "-")  # a missing value is refused as a dash is
+        if text.startswith("-"):
+            return None
+        try:
+            value = param.kind.check(param.kind.parse(text), param.name)
+        except ValueError:
+            return None
+        if param.kind.choices and value not in param.kind.choices:
+            return None
+        values[param.name] = value
+    if any(param.required and param.name not in values for param in params):
+        return None
+    return SimpleNamespace(command=argv[0], handler=handler,
+                           **{param.name: values.get(param.name, param.default)
+                              for param in params})
+
 
 def _arg_type(kind):
     """argparse type for a parameter kind: parse the text, then apply the
     kind's check; either failure becomes a usage error."""
+    import argparse
+
     def convert(text):
         try:
             value = kind.parse(text)
@@ -77,63 +162,43 @@ def _arg_type(kind):
     return convert
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="grayfilt",
-                     description="Spatial-domain filters for 8-bit grayscale PGM images.")
+def build_parser():
+    """The argparse parser of the declared commands. Only help, --version
+    and a command line that :func:`_parse` does not take load argparse."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """ArgumentParser that exits with code 1 on usage errors."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(prog="grayfilt",
+                    description="Spatial-domain filters for 8-bit grayscale PGM images.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    path = _arg_type(PATH)
-    reads = _Parser(add_help=False)
-    reads.add_argument("-i", "--input", required=True, metavar="PGM", type=path,
-                       help="input image (PGM, maxval 255)")
-    writes = _Parser(add_help=False)
-    writes.add_argument("-o", "--output", required=True, metavar="PGM", type=path,
-                        help="output image path")
-    writes.add_argument("--format", choices=("p2", "p5"), default="p5",
-                        help="output PGM encoding (default p5)")
-
-    for name, op in OPS.items():
-        p = sub.add_parser(name, parents=[reads, writes], help=op.help)
-        for param in op.params:
-            flags = param.flags or (f"--{param.name}",)
+    for name, (summary, params, handler) in _commands().items():
+        p = sub.add_parser(name, help=summary)
+        for param in params:
             if param.kind is FLAG:
-                p.add_argument(*flags, dest=param.name, action="store_true", help=param.help)
+                p.add_argument(*param.cli_flags, dest=param.name, action="store_true",
+                               help=param.help)
             else:
-                p.add_argument(*flags, dest=param.name, help=param.help, metavar=param.metavar,
-                               required=param.default is None, default=param.default,
-                               choices=param.kind.choices or None, type=_arg_type(param.kind))
-        p.set_defaults(handler=_cmd_filter)
-
-    p = sub.add_parser("histogram", parents=[reads],
-                       help="gray-level histogram as CSV and optional bar chart")
-    p.add_argument("--csv", required=True, metavar="FILE", type=path,
-                   help="where to write the level,count table")
-    p.add_argument("--render", metavar="PGM", type=path,
-                   help="also write a 256x100 bar-chart image")
-    p.add_argument("--format", choices=("p2", "p5"), default="p5",
-                   help="encoding for the rendered chart (default p5)")
-    p.set_defaults(handler=_cmd_histogram, parser=p)
-
-    p = sub.add_parser("pipeline", parents=[reads, writes],
-                       help="run a JSON-specified chain of filters")
-    p.add_argument("--spec", required=True, metavar="JSON", type=path,
-                   help='spec file, e.g. {"stages":[{"op":"negate"}]}')
-    p.set_defaults(handler=_cmd_pipeline)
-
-    p = sub.add_parser("bench",
-                       help="time the correlation engine on a seeded random image")
-    p.add_argument("--size", type=_arg_type(BENCH_SIZE), default=256,
-                   help=f"image side length, at most {MAX_BENCH_SIZE} (default 256)")
-    p.add_argument("--ksize", type=_arg_type(BENCH_KSIZE), default=3,
-                   help=f"ones-kernel side length, odd, at most {MAX_BENCH_KSIZE} (default 3)")
-    p.add_argument("--iters", type=_arg_type(BENCH_ITERS), default=5,
-                   help=f"timed repetitions, at most {MAX_BENCH_ITERS} (default 5)")
-    p.add_argument("--workers", type=_arg_type(POSITIVE_INT), default=1,
-                   help="row-parallel workers; checksum is identical for any count")
-    p.set_defaults(handler=_cmd_bench)
-
+                p.add_argument(*param.cli_flags, dest=param.name, help=param.help,
+                               metavar=param.metavar, required=param.required,
+                               default=param.default, choices=param.kind.choices or None,
+                               type=_arg_type(param.kind))
+        p.set_defaults(handler=handler)
     return parser
+
+
+def _usage_error(command: str, message: str):
+    """Exit as argparse does for a usage error of ``command`` that only its
+    handler can see."""
+    parser = build_parser()
+    (sub,) = (action for action in parser._actions if action.dest == "command")
+    sub.choices[command].error(message)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +227,7 @@ def _cmd_filter(args):
 def _cmd_histogram(args):
     # The chart would replace the table: a usage error, before the input is read.
     if args.render and os.path.realpath(args.csv) == os.path.realpath(args.render):
-        args.parser.error("argument --render: names the same file as --csv")
+        _usage_error("histogram", "argument --render: names the same file as --csv")
     width, height, raster = _bytes.load_pgm(args.input)
     counts = _swar.histogram(raster)
     if counts is None:
@@ -212,7 +277,7 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
         try:
             return args.handler(args)
         except (FormatError, OSError) as exc:

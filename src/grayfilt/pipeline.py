@@ -43,9 +43,10 @@ if TYPE_CHECKING:
 
 
 class Param(NamedTuple):
-    """One op parameter. ``name`` is the JSON key and the CLI destination; a
-    ``default`` of None makes it required; ``flags`` overrides the CLI
-    spelling ``--<name>``."""
+    """One op or CLI parameter. ``name`` is the JSON key and the CLI
+    destination; a ``default`` of None makes it required, unless it is
+    ``optional``, when it is None where not given; ``flags`` overrides the
+    CLI spelling ``--<name>``."""
 
     name: str
     kind: Kind
@@ -53,6 +54,15 @@ class Param(NamedTuple):
     help: str | None = None
     flags: tuple = ()
     metavar: str | None = None
+    optional: bool = False
+
+    @property
+    def required(self) -> bool:
+        return self.default is None and not self.optional
+
+    @property
+    def cli_flags(self) -> tuple:
+        return self.flags or (f"--{self.name}",)
 
 
 class Op(NamedTuple):
@@ -179,7 +189,7 @@ class PipelineStage:
             raise FormatError(f"op {op!r} does not take parameter(s) {sorted(unknown)}")
         canonical = {}
         for p in declared:
-            if p.name not in params and p.default is None:
+            if p.name not in params and p.required:
                 raise FormatError(f"op {op!r} requires parameter {p.name!r}")
             try:
                 canonical[p.name] = p.kind.check(params.get(p.name, p.default), p.name)

@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import grayfilt
 import grayfilt.bench
+import grayfilt.cli
 import grayfilt.convolution
 from grayfilt import (
     FormatError,
@@ -465,6 +467,32 @@ class TestExitCodes:
         assert stat.S_IMODE(out.stat().st_mode) == 0o600
         assert out.read_bytes() != b"old"
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("command", ["negate", "sharpen"])
+    def test_fifo_output_is_written_in_place(self, sample, tmp_path, command):
+        # Renaming a temp file over the FIFO would leave a regular file and
+        # send the reader nothing.
+        _, path = sample
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        expected = tmp_path / "expected.pgm"
+        assert run_cli([command, "-i", str(path), "-o", str(expected)]) == 0
+        # Held open for reading and writing (Linux), so neither end's open
+        # blocks, and the reader sees end of file only once it is closed.
+        held = os.open(fifo, os.O_RDWR)
+        got = []
+        with open(fifo, "rb") as fh:
+            reader = threading.Thread(target=lambda: got.append(fh.read()))
+            reader.start()
+            try:
+                assert run_cli([command, "-i", str(path), "-o", str(fifo)]) == 0
+            finally:
+                os.close(held)
+                reader.join(timeout=60)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert got == [expected.read_bytes()]
+        assert sorted(os.listdir(tmp_path)) == ["expected.pgm", "in.pgm", "out.fifo"]
+
     def test_pipeline_dimension_mismatch_is_domain_error(self, sample, tmp_path):
         img, path = sample
         other = tmp_path / "other.pgm"
@@ -616,6 +644,32 @@ class TestProcessLevel:
                               capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [[0, False]] * len(helps) + [[1, False]] * 3
+
+    def test_well_formed_commands_load_no_argparse(self, sample, tmp_path):
+        # A well-formed command line is read from the declarations: a filter,
+        # histogram --render and pipeline, in turn in one fresh interpreter.
+        _, path = sample
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({"stages": [{"op": "negate"}]}))
+        argvs = [["sharpen", "-i", str(path), "-o", str(tmp_path / "s.pgm"),
+                  "--variant", "eight"],
+                 ["histogram", "-i", str(path), "--csv", str(tmp_path / "h.csv"),
+                  "--render", str(tmp_path / "h.pgm"), "--format", "p2"],
+                 ["pipeline", "-i", str(path), "-o", str(tmp_path / "p.pgm"),
+                  "--spec", str(spec)]]
+        code = """if True:
+            import json, sys
+            from grayfilt.cli import main
+            seen = []
+            for argv in json.loads(sys.argv[1]):
+                code = main(argv)
+                seen.append([code, *(m in sys.modules for m in ("argparse", "gettext", "locale"))])
+            print(json.dumps(seen))
+            """
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, False, False, False]] * 3
 
     @staticmethod
     def _fresh(code):
@@ -918,6 +972,17 @@ def _argv(draw) -> list:
     return argv
 
 
+def _argparse_reads(argv):
+    """``vars()`` of argparse's namespace for ``argv``, or the exit code of
+    the usage error or help it gives instead."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return vars(grayfilt.cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
 class TestFuzz:
     @pytest.fixture
     def workdir(self, tmp_path, monkeypatch):
@@ -942,3 +1007,72 @@ class TestFuzz:
         if code in (2, 3):
             (line,) = err.getvalue().splitlines()
             assert line.startswith("grayfilt: ")
+
+    # A line that the direct reader takes reads as argparse reads it.
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_argv())
+    def test_the_reader_agrees_with_argparse(self, workdir, argv):
+        args = grayfilt.cli._parse(argv)
+        assert args is None or vars(args) == _argparse_reads(argv)
+
+
+class TestParse:
+    def test_declared_commands_are_the_parser_subcommands(self):
+        parser = grayfilt.cli.build_parser()
+        (sub,) = (a for a in parser._actions if a.dest == "command")
+        assert list(sub.choices) == list(grayfilt.cli._commands())
+
+    @pytest.mark.parametrize("argv", [
+        ["negate", "-i", "in.pgm", "-o", "out.pgm"],
+        ["stretch", "--input", "in.pgm", "--output", "out.pgm", "--format", "p2",
+         "--gamma", "0.5"],
+        ["laplacian", "-i", "in.pgm", "-o", "out.pgm", "--display", "rescale",
+         "--variant", "eight"],
+        ["shadow", "--invert", "-i", "in.pgm", "-o", "out.pgm"],
+        ["add", "-i", "in.pgm", "--second", "j.pgm", "-o", "out.pgm"],
+        ["histogram", "-i", "in.pgm", "--csv", "h.csv"],
+        ["histogram", "-i", "in.pgm", "--csv", "h.csv", "--render", "h.pgm", "--format", "p2"],
+        ["pipeline", "-i", "in.pgm", "-o", "out.pgm", "--spec", "s.json"],
+        ["bench"],
+        ["bench", "--size", "16", "--ksize", "5", "--iters", "2", "--workers", "2"],
+        ["binarize", "-i", "in.pgm", "-o", "out.pgm", "--threshold", " 1_0 "],
+    ])
+    def test_well_formed_lines_read_as_argparse_reads_them(self, argv):
+        args = grayfilt.cli._parse(argv)
+        assert args is not None
+        assert vars(args) == _argparse_reads(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["-h"],
+        ["--help"],
+        ["--version"],
+        ["negate", "-i", "in.pgm", "-o", "out.pgm", "-h"],
+        ["negate", "-i", "in.pgm", "-o", "out.pgm", "--help"],
+        ["negate", "-i", "in.pgm", "-o", "out.pgm", "--version"],
+        ["sharpen", "-i", "in.pgm", "-o", "out.pgm", "--var", "eight"],
+        ["sharpen", "-i", "in.pgm", "-o", "out.pgm", "--variant=eight"],
+        ["negate", "-i", "in.pgm", "-i", "in.pgm", "-o", "out.pgm"],
+        ["negate", "-i", "in.pgm", "--input", "in.pgm", "-o", "out.pgm"],
+        ["shadow", "-i", "in.pgm", "-o", "out.pgm", "--invert", "--invert"],
+        ["negate", "-i", "-in.pgm", "-o", "out.pgm"],
+        ["binarize", "-i", "in.pgm", "-o", "out.pgm", "--threshold", "-3"],
+        ["negate", "-i", "in.pgm", "-o", "out.pgm", "--"],
+        ["negate", "--", "-i", "in.pgm", "-o", "out.pgm"],
+        ["negate", "-iin.pgm", "-o", "out.pgm"],
+        ["rotate", "-i", "in.pgm", "-o", "out.pgm"],
+        ["negate", "-i", "in.pgm"],
+        ["histogram", "-i", "in.pgm", "--render", "h.pgm"],
+        ["negate", "-i", "in.pgm", "-o"],
+        ["negate", "-i", "in.pgm", "-o", "out.pgm", "stray"],
+        ["negate", "-i", "in.pgm", "-o", "out.pgm", "--format", "p7"],
+        ["negate", "-i", "", "-o", "out.pgm"],
+        ["binarize", "-i", "in.pgm", "-o", "out.pgm", "--threshold", "256"],
+        ["binarize", "-i", "in.pgm", "-o", "out.pgm", "--threshold", "abc"],
+        ["unsharp", "-i", "in.pgm", "-o", "out.pgm", "--radius", "9" * 5000],
+        ["stretch", "-i", "in.pgm", "-o", "out.pgm", "--gamma", "nan"],
+        ["bench", "--ksize", "4"],
+    ])
+    def test_anything_else_is_left_to_argparse(self, argv):
+        assert grayfilt.cli._parse(argv) is None
