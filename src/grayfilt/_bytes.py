@@ -256,40 +256,42 @@ def parse_lut(text: str) -> bytes:
 
 def write_bytes_atomic(path, data: bytes) -> None:
     """Write a new path or a regular file via a temp file in the destination
-    directory, then rename. A new file gets mode 0o666 less the umask, as
-    ``open()`` would create it; a regular file that is replaced keeps its
-    permission bits, as with ``cp``, but not its setuid, setgid or sticky
-    bit. Any other existing path, such as a FIFO or a device, is opened and
-    written in place, as a shell redirection would, not replaced; a
-    directory is refused. An error names ``path``, not the temp file."""
+    directory, then rename. A symlink, even a dangling one, is followed: its
+    target is written in the target's directory and the link stays, as with
+    ``cp``. A new file gets mode 0o666 less the umask, as ``open()`` would
+    create it; a regular file that is replaced keeps its permission bits, as
+    with ``cp``, but not its setuid, setgid or sticky bit. Any other existing
+    path, such as a FIFO or a device, is opened and written in place, as a
+    shell redirection would, not replaced; a directory is refused. An error
+    names ``path``, not its target or the temp file."""
     path = os.fspath(path)
+    target = os.path.realpath(path)
     try:
-        mode = os.stat(path).st_mode
-    except (OSError, ValueError):
+        mode = os.stat(target).st_mode
+    except OSError:
         mode = 0
     flags = os.O_WRONLY | getattr(os, "O_BINARY", 0)
-    if mode and not stat.S_ISREG(mode):
-        # No O_CREAT: should the path go in between, this fails, not creates.
-        with os.fdopen(os.open(path, flags), "wb") as fh:
-            fh.write(data)
-        return
-    directory = os.path.abspath(os.path.dirname(path))
-    flags |= os.O_CREAT | os.O_EXCL
     tmp = fd = None
     try:
+        if mode and not stat.S_ISREG(mode):
+            # No O_CREAT: should the path go in between, this fails, not creates.
+            with os.fdopen(os.open(target, flags), "wb") as fh:
+                fh.write(data)
+            return
+        flags |= os.O_CREAT | os.O_EXCL
         while fd is None:
-            tmp = os.path.join(directory, f".tmp-{os.urandom(4).hex()}")
+            tmp = os.path.join(os.path.dirname(target), f".tmp-{os.urandom(4).hex()}")
             with contextlib.suppress(FileExistsError):
                 fd = os.open(tmp, flags, 0o666)
         with os.fdopen(fd, "wb") as fh:
             if stat.S_ISREG(mode):
                 os.chmod(tmp, stat.S_IMODE(mode) & 0o777)
             fh.write(data)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         if fd is not None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.filename == tmp:
+        if isinstance(exc, OSError) and exc.filename in (tmp, target):
             raise OSError(exc.errno, exc.strerror, path) from None
         raise

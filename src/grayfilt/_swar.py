@@ -22,8 +22,9 @@ each row in Python. So each step runs only where fields × its cost a field
 + rows × ``_ROW_TAPS`` is at most ``_CUT``, and returns None above it, for
 the numpy engine to take over. A 16- or 32-bit field costs its taps plus
 ``_FIXED_TAPS``; edges' 8-bit field costs ``_EDGE_TAPS``. The stencils of the built-in
-kernel ops are declared here, as integer tuples that both engines read:
-``pipeline._clamp_step`` builds each clamp op's two forms from one of them.
+kernel ops (the Laplacians, sharpening, the shadow and its negative) are
+declared here, as integer tuples that both engines read: ``pipeline._clamp_step``
+builds each clamp op's two forms from one stencil and a bias.
 The histogram chart drawn here is also the library's ``render_histogram``.
 """
 
@@ -47,6 +48,10 @@ SHARPEN = {name: tuple(tuple((i == j == 1) - c for j, c in enumerate(row))
 SHADOW_NE = ((0, 0, 1), (0, 0, 0), (-1, 0, 0))
 #: Mid-gray bias added to the directional difference before clamping.
 SHADOW_BIAS = 128
+#: The shadow's negative is one clamp display, as 255 − clamp(v + 128) =
+#: clamp(127 − v) for every integer v: southwest minus northeast, plus 127.
+SHADOW_SW = tuple(tuple(-c for c in row) for row in SHADOW_NE)
+SHADOW_SW_BIAS = MAX_GRAY - SHADOW_BIAS
 
 #: Most pixel-taps a bytes step takes on: the work of a small image's step
 #: stays below the cost of importing numpy (CHANGES.md has the process

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 I/O or file-format error, 3 domain
 error (e.g. adding images of different sizes). Diagnostics go to stderr and
-processed data goes to files only, so the tool composes in scripts. A new
-or regular output file is written atomically (temp file + rename); a FIFO or
-a device is written in place.
+processed data goes to files only, so the tool composes in scripts. An output
+symlink is followed; a new or regular file is written atomically (temp file +
+rename), a FIFO or a device in place.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from types import SimpleNamespace
 # grayfilt never calls BLAS, yet numpy's bundled OpenBLAS starts one thread
 # per CPU when it loads, and those threads spin before they sleep: on 2 CPUs
 # that is about 70 ms of CPU per process. OpenBLAS reads this once, as numpy
-# loads. Nothing this module imports loads numpy: the handlers import the
+# loads. Nothing this module imports loads numpy: the handlers reach the
 # engine when they run, so --version, --help and usage errors exit without
 # numpy, and this line always runs before it loads. A library import of
 # grayfilt does not run it.
@@ -37,9 +37,9 @@ from .kinds import (
     MAX_BENCH_SIZE,
     PATH,
     POSITIVE_INT,
-    Kind,
+    choice,
 )
-from .pipeline import OPS, Param, _compile, _run_raster, parse_pipeline
+from .pipeline import OPS, Param, _compile, _histogram, _run_raster, parse_pipeline
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,15 +51,11 @@ EXIT_DOMAIN = 3
 # Command declarations
 # ---------------------------------------------------------------------------
 
-#: The output encodings. argparse checks a value against them as choices
-#: ("invalid choice: 'p7'"), so the kind's own check takes any text.
-_ENCODING = Kind(lambda v, name: v, choices=("p2", "p5"))
-
 _INPUT = Param("input", PATH, help="input image (PGM, maxval 255)", flags=("-i", "--input"),
                metavar="PGM")
 _OUTPUT = Param("output", PATH, help="output image path", flags=("-o", "--output"),
                 metavar="PGM")
-_FORMAT = Param("format", _ENCODING, "p5", "output PGM encoding (default p5)")
+_FORMAT = Param("format", choice("p2", "p5"), "p5", "output PGM encoding (default p5)")
 _WRITES = (_INPUT, _OUTPUT, _FORMAT)
 
 
@@ -129,8 +125,6 @@ def _parse(argv) -> SimpleNamespace | None:
         try:
             value = param.kind.check(param.kind.parse(text), param.name)
         except ValueError:
-            return None
-        if param.kind.choices and value not in param.kind.choices:
             return None
         values[param.name] = value
     if any(param.required and param.name not in values for param in params):
@@ -205,8 +199,6 @@ def _usage_error(command: str, message: str):
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-# Each handler imports the engine it runs: that is where numpy first loads.
-
 def _run(args, compiled):
     """Write ``args.output``: ``args.input`` run through ``compiled``, every
     stage built as [(label, table or step)] before the input is read, so a
@@ -228,12 +220,7 @@ def _cmd_histogram(args):
     # The chart would replace the table: a usage error, before the input is read.
     if args.render and os.path.realpath(args.csv) == os.path.realpath(args.render):
         _usage_error("histogram", "argument --render: names the same file as --csv")
-    width, height, raster = _bytes.load_pgm(args.input)
-    counts = _swar.histogram(raster)
-    if counts is None:
-        from .histogram import compute_histogram
-        from .imgio import _image
-        counts = compute_histogram(_image(width, height, raster)).bins.tolist()
+    counts = _histogram(*_bytes.load_pgm(args.input))
     _bytes.write_bytes_atomic(args.csv, _swar.histogram_csv(counts).encode("ascii"))
     if args.render:
         chart = _swar.histogram_chart(counts)

@@ -15,8 +15,8 @@ strip of sums finite and stores it through one per-strip finish.
 :class:`SignedImage`, and :func:`clamp_to_display` maps it to gray levels one
 strip of rows at a time. An integer intermediate is rescaled in exact
 integers, as (510·(v − min) + span) // (2·span) with span = max − min. The
-ops that end in gray levels (``laplacian_sharpen``, ``shadow_ne``, and the
-``laplacian`` and ``convolve`` ops) all go through ``_correlate_display``,
+clamp displays (``laplacian_sharpen``, ``shadow_ne``, ``shadow_invert``, and
+the ``laplacian`` and ``convolve`` ops) all go through ``_correlate_display``,
 whose clamp finishes each strip as gray levels, with the same rounding rule,
 so no full-size signed intermediate is built.
 
@@ -33,16 +33,15 @@ from typing import Callable
 
 import numpy as np
 
-from ._swar import LAPLACIANS, SHADOW_NE, SHARPEN
+from ._swar import LAPLACIANS, SHADOW_NE, SHADOW_SW, SHARPEN
 from .core import MAX_GRAY, Image, Kernel, SignedImage, _clamp_levels
 from .kinds import BORDER, DISPLAY, POSITIVE_INT, VARIANT
-from .point_ops import _apply_table
 
 #: Pad mode implementing each border policy of ``BORDER``.
 _BORDER_MODES = {"replicate": "edge", "zero": "constant"}
 
 #: The Kernel of each built-in stencil of :mod:`grayfilt._swar`, keyed by its tuple.
-_KERNELS = {s: Kernel(s) for s in (*LAPLACIANS.values(), *SHARPEN.values(), SHADOW_NE)}
+_KERNELS = {s: Kernel(s) for s in (*LAPLACIANS.values(), *SHARPEN.values(), SHADOW_NE, SHADOW_SW)}
 #: The stencil of each ``VARIANT``, as declared in :data:`grayfilt._swar.LAPLACIANS`.
 _LAPLACIANS = {name: _KERNELS[s] for name, s in LAPLACIANS.items()}
 #: Center -4 stencil: f(x+1,y) + f(x-1,y) + f(x,y+1) + f(x,y-1) - 4 f(x,y).
@@ -191,13 +190,12 @@ def _correlate_display(img: Image, kernel: Kernel, border: str = "replicate",
     return Image._trusted(_correlate_strips(img, kernel, border, workers, out, clamp))
 
 
-def _clamp_stencil(img: Image, stencil: tuple, bias: int = 0, table: bytes | None = None,
-                   border: str = "replicate") -> Image:
+def _clamp_stencil(img: Image, stencil: tuple, bias: int = 0, border: str = "replicate") -> Image:
     """The clamp display of the built-in ``stencil`` of :mod:`grayfilt._swar` plus
-    ``bias``, then ``table`` if given: the one numpy form of ``laplacian_sharpen``,
-    ``shadow_ne``, ``shadow_invert`` and the pipeline's clamp steps."""
-    out = _correlate_display(img, _KERNELS[stencil], border, bias=bias)
-    return _apply_table(out, table) if table else out
+    ``bias``: the one numpy form of ``laplacian_sharpen``, ``shadow_ne``,
+    ``shadow_invert`` and the pipeline's clamp steps, whose bytes form is
+    :func:`grayfilt._swar.correlate_clamp` of the same stencil and bias."""
+    return _correlate_display(img, _KERNELS[stencil], border, bias=bias)
 
 
 def convolve(img: Image, kernel: Kernel, border: str = "replicate",

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bytes import NEGATE_TABLE
-from ._swar import SHADOW_BIAS, SHADOW_NE, same_size
+from ._swar import SHADOW_BIAS, SHADOW_NE, SHADOW_SW, SHADOW_SW_BIAS, same_size
 from .convolution import _KERNELS, _clamp_stencil
 from .core import BinaryImage, Image
 from .kinds import THRESHOLD
@@ -68,5 +67,6 @@ def shadow_ne(img: Image) -> Image:
 
 
 def shadow_invert(img: Image) -> Image:
-    """Negative of the shadow rendering; swaps highlight and shadow sides."""
-    return _clamp_stencil(img, SHADOW_NE, SHADOW_BIAS, NEGATE_TABLE)
+    """Negative of the shadow rendering; swaps highlight and shadow sides.
+    It is the opposite-lit shadow, SW minus NE plus 127, clamped once."""
+    return _clamp_stencil(img, SHADOW_SW, SHADOW_SW_BIAS)

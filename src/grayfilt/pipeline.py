@@ -10,9 +10,10 @@ is bit-identical to composing the corresponding library calls by hand.
 A point op builds a 256-byte table, and a run of them composes to one. The
 clamp displays of ``sharpen``, ``laplacian`` and ``shadow``, and ``edges``
 and ``add``, build a :class:`Step`, which also has an exact numpy-free form
-(:mod:`grayfilt._swar`); a clamp op's two forms read one stencil. This
-module alone knows both engines: :func:`run_pipeline` runs every stage on
-numpy, and the CLI runs :func:`_run_raster`, bytes first.
+(:mod:`grayfilt._swar`); a clamp op's two forms read one stencil and bias.
+This module alone knows both engines: :func:`run_pipeline` runs every stage
+on numpy, and the CLI runs :func:`_run_raster` and :func:`_histogram`, bytes
+first, which fall back to numpy above a bytes form's cut.
 """
 
 from __future__ import annotations
@@ -88,21 +89,19 @@ class Step(NamedTuple):
         return self.image(img)
 
 
-def _clamp_step(stencil, bias=0, table=None):
-    """The Step of the clamp display of the built-in ``stencil`` plus ``bias``,
-    then ``table`` if given: numpy runs the library's one form of it
-    (``convolution._clamp_stencil``), bytes :func:`grayfilt._swar.correlate_clamp`."""
-    def raster(width, height, pixels):
-        out = _swar.correlate_clamp(width, height, pixels, stencil, bias=bias)
-        return out.translate(table) if table and out is not None else out
-    return Step(lambda img: api.convolution._clamp_stencil(img, stencil, bias, table), raster)
+def _clamp_step(stencil, bias=0):
+    """The Step of the clamp display of the built-in ``stencil`` plus ``bias``:
+    numpy runs the library's one form of it (``convolution._clamp_stencil``),
+    bytes :func:`grayfilt._swar.correlate_clamp`."""
+    return Step(lambda img: api.convolution._clamp_stencil(img, stencil, bias),
+                lambda width, height, raster: _swar.correlate_clamp(width, height, raster,
+                                                                    stencil, bias=bias))
 
 
 def _laplacian_step(p):
     if p["display"] == "clamp":
         return _clamp_step(_swar.LAPLACIANS[p["variant"]])
-    return lambda img: api.convolution._correlate_display(
-        img, api.convolution._LAPLACIANS[p["variant"]], mode=p["display"])
+    return lambda img: api.clamp_to_display(api.laplacian(img, p["variant"]), p["display"])
 
 
 def _convolve_step(p):
@@ -170,8 +169,8 @@ OPS = {
     "shadow": Op(
         "relief shadow on northeastern edge sides",
         (Param("invert", FLAG, False, "negate the shadow rendering"),),
-        lambda p: _clamp_step(_swar.SHADOW_NE, _swar.SHADOW_BIAS,
-                              _bytes.NEGATE_TABLE if p["invert"] else None)),
+        lambda p: (_clamp_step(_swar.SHADOW_SW, _swar.SHADOW_SW_BIAS) if p["invert"]
+                   else _clamp_step(_swar.SHADOW_NE, _swar.SHADOW_BIAS))),
 }
 
 
@@ -298,6 +297,13 @@ def _run_raster(compiled: list, width: int, height: int, raster: bytes) -> bytes
             return _apply(compiled[k:], api.imgio._image(width, height, raster)).pixels.tobytes()
         raster = out
     return raster
+
+
+def _histogram(width: int, height: int, raster: bytes) -> list:
+    """The count of each gray level of a decoded image, bytes first: above
+    the cut of :func:`grayfilt._swar.histogram`, numpy counts the wrapped raster."""
+    return (_swar.histogram(raster)
+            or api.compute_histogram(api.imgio._image(width, height, raster)).bins.tolist())
 
 
 def run_pipeline(spec: PipelineSpec, img: Image) -> Image:

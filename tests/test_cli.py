@@ -328,10 +328,14 @@ class TestExitCodes:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.endswith("window sums would not fit in 64 bits")
 
-    def test_bad_flag_value_is_usage_error(self, tmp_path):
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys):
         code = run_cli(["stretch", "--gamma", "-2",
                         "-i", "x.pgm", "-o", "y.pgm"])
         assert code == 1
+        # --format checks itself, as every choice kind does.
+        assert run_cli(["negate", "-i", "x.pgm", "-o", "y.pgm", "--format", "p7"]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.endswith("argument --format: value must be one of ('p2', 'p5'), got 'p7'")
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="int() has no digit limit")
@@ -502,6 +506,74 @@ class TestExitCodes:
         code = run_cli(["pipeline", "-i", str(path), "-o",
                         str(tmp_path / "out.pgm"), "--spec", str(spec)])
         assert code == 3
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX symlinks and file modes")
+class TestOutputLinks:
+    """An output path that is a symlink is followed, as with ``cp``: its
+    target is written in the target's own directory and the link stays."""
+
+    #: A command line per output flag; "{out}" is the output under test.
+    ARGV = {"-o": ["negate", "-i", "{in}", "-o", "{out}"],
+            "--csv": ["histogram", "-i", "{in}", "--csv", "{out}"],
+            "--render": ["histogram", "-i", "{in}", "--csv", "{csv}", "--render", "{out}"]}
+
+    @pytest.fixture(params=list(ARGV))
+    def write(self, request, sample, tmp_path):
+        """(run, expected): ``run(out)`` runs the flag's command line with
+        ``out`` as its output and returns the exit code; ``expected`` is
+        the output's bytes written to a plain path."""
+        _, path = sample
+        (tmp_path / "sub").mkdir()
+
+        def run(out):
+            names = {"{in}": str(path), "{out}": str(out), "{csv}": str(tmp_path / "h.csv")}
+            return run_cli([names.get(arg, arg) for arg in self.ARGV[request.param]])
+
+        assert run(tmp_path / "expected.out") == 0
+        return run, (tmp_path / "expected.out").read_bytes()
+
+    def test_link_to_a_regular_file_keeps_the_link_and_the_mode(self, write, tmp_path):
+        run, expected = write
+        real = tmp_path / "sub" / "real.out"
+        real.write_bytes(b"old")
+        real.chmod(0o600)
+        link = tmp_path / "link.out"
+        link.symlink_to(os.path.join("sub", "real.out"))
+        assert run(link) == 0
+        assert os.readlink(link) == os.path.join("sub", "real.out")
+        assert real.read_bytes() == expected
+        assert stat.S_IMODE(real.stat().st_mode) == 0o600
+        assert os.listdir(tmp_path / "sub") == ["real.out"]
+
+    def test_dangling_link_creates_its_target(self, write, tmp_path):
+        run, expected = write
+        link = tmp_path / "link.out"
+        link.symlink_to(os.path.join("sub", "new.out"))
+        assert run(link) == 0
+        assert os.readlink(link) == os.path.join("sub", "new.out")
+        assert (tmp_path / "sub" / "new.out").read_bytes() == expected
+        assert os.listdir(tmp_path / "sub") == ["new.out"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_link_to_a_fifo_is_written_through(self, write, tmp_path):
+        run, expected = write
+        fifo = tmp_path / "sub" / "out.fifo"
+        os.mkfifo(fifo)
+        link = tmp_path / "link.out"
+        link.symlink_to(fifo)
+        held = os.open(fifo, os.O_RDWR)  # as in the FIFO test above: no open blocks
+        got = []
+        with open(fifo, "rb") as fh:
+            reader = threading.Thread(target=lambda: got.append(fh.read()))
+            reader.start()
+            try:
+                assert run(link) == 0
+            finally:
+                os.close(held)
+                reader.join(timeout=60)
+        assert link.is_symlink() and stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert got == [expected]
 
 
 class TestCollector:

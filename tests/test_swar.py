@@ -29,6 +29,7 @@ from grayfilt import (
     run_pipeline,
     save_pgm,
 )
+from grayfilt._bytes import NEGATE_TABLE
 from grayfilt.convolution import _correlate_display
 from support import (
     clamp_round_exact,
@@ -103,6 +104,36 @@ class TestCorrelateClamp:
             else:
                 expected = _correlate_display(Image(pixels), Kernel(kernel), border, "clamp", bias)
                 assert out == expected.pixels.tobytes()
+
+
+class TestShadowSW:
+    """The shadow's negative is one clamp of SW minus NE plus 127: field for
+    field the negate table after the shadow's clamp, as 255 − clamp(v + 128)
+    = clamp(127 − v), with the same 16-bit fields and guard bit."""
+
+    def test_fields_match_the_shadow(self):
+        assert swar._field_width(1, 1, swar.SHADOW_SW_BIAS) == (16, 9)
+        assert swar._field_width(1, 1, swar.SHADOW_BIAS) == (16, 9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(images, borders)
+    @example(ROW, "replicate")
+    @example(COLUMN, "replicate")
+    @example(np.array([[0, 255], [255, 0]], np.uint8), "zero")
+    def test_equals_the_negated_shadow_on_both_sides_of_the_cut(self, pixels, border):
+        w, h, raster = _raster(pixels)
+        cost = swar_cost(w, h, 2 + swar._FIXED_TAPS, 1)
+        for cut, runs in ((cost, True), (cost - 1, False)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(swar, "_CUT", cut)
+                out = swar.correlate_clamp(w, h, raster, swar.SHADOW_SW, border,
+                                           bias=swar.SHADOW_SW_BIAS)
+                shadow = swar.correlate_clamp(w, h, raster, swar.SHADOW_NE, border,
+                                              bias=swar.SHADOW_BIAS)
+            if runs:
+                assert out == shadow.translate(NEGATE_TABLE)
+            else:
+                assert out is None and shadow is None
 
 
 class TestCut:
