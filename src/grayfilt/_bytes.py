@@ -258,27 +258,28 @@ def write_bytes_atomic(path, data: bytes) -> None:
     """Write a new path or a regular file via a temp file in the destination
     directory, then rename. A symlink, even a dangling one, is followed: its
     target is written in the target's directory and the link stays, as with
-    ``cp``. A new file gets mode 0o666 less the umask, as ``open()`` would
-    create it; a regular file that is replaced keeps its permission bits, as
-    with ``cp``, but not its setuid, setgid or sticky bit. Any other existing
-    path, such as a FIFO or a device, is opened and written in place, as a
-    shell redirection would, not replaced; a directory is refused. An error
-    names ``path``, not its target or the temp file."""
+    ``cp``. A new file gets mode 0o666 less the umask, as ``open()`` would;
+    a replaced regular file keeps its permission bits, as with ``cp``, but
+    not its setuid, setgid or sticky bit. Any other existing path, such as
+    a FIFO, a device or ``/dev/stdout``, is opened as given and written in
+    place, as a shell redirection would; a directory or a symlink loop is
+    refused. An error names ``path``, not its target or the temp file."""
     path = os.fspath(path)
-    target = os.path.realpath(path)
     try:
-        mode = os.stat(target).st_mode
-    except OSError:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
         mode = 0
     flags = os.O_WRONLY | getattr(os, "O_BINARY", 0)
+    if mode and not stat.S_ISREG(mode):
+        # No O_CREAT: should the path go in between, this fails, not creates.
+        with os.fdopen(os.open(path, flags), "wb") as fh:
+            fh.write(data)
+        return
+    # Resolved only here: a magic link such as /dev/fd/N reads as "pipe:[N]".
+    target = os.path.realpath(path)
+    flags |= os.O_CREAT | os.O_EXCL
     tmp = fd = None
     try:
-        if mode and not stat.S_ISREG(mode):
-            # No O_CREAT: should the path go in between, this fails, not creates.
-            with os.fdopen(os.open(target, flags), "wb") as fh:
-                fh.write(data)
-            return
-        flags |= os.O_CREAT | os.O_EXCL
         while fd is None:
             tmp = os.path.join(os.path.dirname(target), f".tmp-{os.urandom(4).hex()}")
             with contextlib.suppress(FileExistsError):

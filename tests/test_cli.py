@@ -575,6 +575,33 @@ class TestOutputLinks:
         assert link.is_symlink() and stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert got == [expected]
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_dev_fd_pipe_is_written_through(self, write):
+        # /dev/fd/N is a magic link that reads as "pipe:[ino]", which
+        # os.path.realpath cannot resolve; the pipe is opened as given.
+        run, expected = write
+        r, w = os.pipe()
+        got = []
+        with open(r, "rb") as fh:
+            reader = threading.Thread(target=lambda: got.append(fh.read()))
+            reader.start()
+            try:
+                assert run(f"/dev/fd/{w}") == 0
+            finally:
+                os.close(w)
+                reader.join(timeout=60)
+        assert got == [expected]
+
+    def test_link_loop_is_refused(self, write, tmp_path, capsys):
+        run, _ = write
+        loop = tmp_path / "loop.out"
+        loop.symlink_to("loop.out")
+        capsys.readouterr()
+        assert run(loop) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"grayfilt: [Errno 40] Too many levels of symbolic links: {str(loop)!r}"]
+        assert loop.is_symlink()
+
 
 class TestCollector:
     """An in-process ``main`` pauses the cyclic collector while the command
