@@ -9,12 +9,12 @@ call runs it. Whitespace is the six ASCII bytes space, \\t, \\n, \\r, \\v and
 \\f, as ``bytes.split()`` and a bytes ``\\s`` take them; '#' starts a comment
 that runs to the next \\n, only between header tokens. One compiled pattern
 reads each header token, so a header of any length is scanned in linear
-time. A P2 raster is split into tokens a slice of text at a time and
-each token is looked up among the 366 of 1 to 3 digits with a value of at
-most 255; tokens after the width*height-th are ignored. A raster with any
-other token goes to the token scanner, which gives every error message and
-byte offset and accepts whatever ``int()`` does, such as ``+7``, ``1_0`` or
-``0255``.
+time. A P2 raster is decoded a slice of text at a time with big-int SWAR
+(a few shifts and masks per slice, not an object per token) when each
+token is 1 to 3 digits with a value of at most 255; tokens after the
+width*height-th are ignored. A raster with any other token goes to the
+token scanner, which gives every error message and byte offset and accepts
+whatever ``int()`` does, such as ``+7``, ``1_0`` or ``0255``.
 """
 
 from __future__ import annotations
@@ -137,29 +137,80 @@ def p2_scan(data: bytes, pos: int, count: int) -> bytearray:
     return values
 
 
-#: Every P2 token of 1 to 3 digits and a value of at most 255, and its level.
-_P2_LEVELS = {b"%0*d" % (n, v): v for n in (1, 2, 3) for v in range(min(10**n, GRAY_LEVELS))}
 #: The whitespace bytes, as ``bytes.split()`` also takes them.
 _SPACE = re.compile(rb"\s")
-#: Bytes of P2 text split into tokens at a time.
+#: Bytes of P2 text decoded at a time.
 _SLICE = 1 << 16
+#: The class of each byte of P2 text: a digit is 1 plus 16 times its value,
+#: whitespace 2 and any other byte 4.
+_P2_CLASS = bytes((c - 48) << 4 | 1 if 48 <= c <= 57 else 2 if c in b" \t\n\r\v\f" else 4
+                  for c in range(GRAY_LEVELS))
 
 
 def p2_tokens(data: bytes, pos: int, count: int):
-    """Decode the first ``count`` P2 tokens after byte ``pos`` when each is a
-    key of ``_P2_LEVELS``, else return None. The text is split a slice at a time,
-    each cut at a whitespace byte, so few token objects are alive at once."""
-    raster = bytearray()
-    while len(raster) < count and pos < len(data):
+    """Decode the first ``count`` P2 tokens after byte ``pos`` when each is 1
+    to 3 digits with a value of at most 255, else return None. The text is
+    decoded a slice at a time, each cut at a whitespace byte, into one
+    preallocated raster."""
+    raster = bytearray(count)
+    filled = 0
+    while filled < count and pos < len(data):
         cut = _SPACE.search(data, pos + _SLICE)
         end = cut.start() if cut else len(data)
-        need = count - len(raster)
-        try:
-            raster += bytes(map(_P2_LEVELS.__getitem__, data[pos:end].split(None, need)[:need]))
-        except KeyError:
+        levels = _p2_levels(data[pos:end], count - filled)
+        if levels is None:
             return None
+        raster[filled:filled + len(levels)] = levels
+        filled += len(levels)
         pos = end
-    return raster if len(raster) == count else None
+    return raster if filled == count else None
+
+
+def _p2_levels(text: bytes, need: int):
+    """The levels of the first ``need`` tokens of ``text``, or of all of
+    them if fewer, or None where one of those is not 1 to 3 digits with a
+    value of at most 255. Whitespace or the end of the data follows ``text``.
+
+    SWAR (see ``_swar``) on one int with a byte per byte of ``text``, its
+    class in ``_P2_CLASS``: a token ends at byte i where byte i is a digit
+    and byte i + 1 whitespace. Sixteen times its level is summed there from
+    its last three digits, 16·(o + 10·t + 100·h), h counted only where t is
+    a digit too. That is below 2**14 and fills bytes i and i + 1, so no two
+    sums overlap, and a level over 255 shows in the high half of byte i + 1.
+    Else byte i holds the level's low nibble in its high half and byte i + 1
+    the high nibble in its low half, so neither byte is 0xFF, where a level
+    may be: every other byte is set to 0xFF and deleted by ``translate``,
+    and a 4-bit shift of what is left puts each level in the first byte of
+    its pair."""
+    cls = text.translate(_P2_CLASS) + b"\x02"
+    width = len(cls)
+    ones = int.from_bytes(b"\x01" * width, "little")
+    x = int.from_bytes(cls, "little")
+    digit = x & ones
+    ends = digit & x >> 9
+    pair = digit & digit << 8
+    high = ends * 0xF0
+    level = (x & high) + 10 * (x << 8 & high) + 100 * (x << 16 & (pair & ends) * 0xF0)
+    rest = (ones ^ ends ^ ends << 8) * 255
+    nibbles = (level | rest).to_bytes(width, "little").translate(None, b"\xff")
+    tokens = len(nibbles) // 2
+    other = b"\x04" in cls
+    if tokens > need or tokens == need and other:
+        # Data after the need-th token is ignored: keep the text up to the
+        # least b with at most tokens - need last digits at or after byte b.
+        # With exactly need tokens and no other byte, only whitespace follows.
+        first, last = 0, len(text)
+        while first < last:
+            mid = (first + last) // 2
+            if (ends >> 8 * mid).bit_count() <= tokens - need:
+                last = mid
+            else:
+                first = mid + 1
+        if first < len(text):
+            return _p2_levels(text[:first], need)
+    if other or pair & pair << 16 or level >> 8 & high:
+        return None
+    return (int.from_bytes(nibbles, "little") >> 4).to_bytes(2 * tokens, "little")[::2]
 
 
 def decode_pgm(data: bytes):
@@ -263,8 +314,9 @@ def write_bytes_atomic(path, data: bytes) -> None:
     not its setuid, setgid or sticky bit. Any other existing path, such as
     a FIFO, a device or ``/dev/stdout``, is opened as given and written in
     place, as a shell redirection would; a directory or a symlink loop is
-    refused. An error names ``path``, not its target or the temp file."""
-    path = os.fspath(path)
+    refused. ``path`` may be str, bytes or path-like. An error names
+    ``path``, not its target or the temp file."""
+    path = os.fsdecode(path)
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:

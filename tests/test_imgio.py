@@ -56,8 +56,8 @@ fuzz = settings(max_examples=100, deadline=None)
 @st.composite
 def p2_rasters(draw):
     """A P2 file of up to 5x5 pixels, with separators drawn from every
-    whitespace byte. Half the rasters hold only tokens that p2_tokens looks
-    up, perhaps too few of them; the rest mix 1-4 digit numbers up to 300
+    whitespace byte. Half the rasters hold only tokens that p2_tokens
+    decodes, perhaps too few of them; the rest mix 1-4 digit numbers up to 300
     (leading zeros too) with up to two tokens that only int() or nothing
     accepts, and trailing garbage. Returns (data, raster offset, (height, width))."""
     width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -86,6 +86,22 @@ header_pieces = st.sampled_from(
     [bytes([c]) for c in WHITESPACE + b"\x1c\x1d\x1e\x1f\x85\xa0\x00\xff0123456789+-_"]
     + [b"#", b"# c\n", b"#c", b"# # c\n", b"#\n", b"7#c", b"1_0", b"9" * 4301, b"1_" * 4400]
 ) | st.integers(1, 5000).map(lambda n: b"9" * n)
+
+
+@pytest.fixture(scope="module")
+def many_slices():
+    """A seeded 300x300 P2 file, several slices of text long, whose tokens
+    have 0 to 2 leading zeros and whose separators are 1 to 3 bytes drawn
+    from every whitespace byte. Returns (data, raster offset, pixels)."""
+    rng = np.random.default_rng(47)
+    pixels = rng.integers(0, 256, (300, 300), np.uint8)
+    widths = rng.integers(1, 4, pixels.size).tolist()
+    gaps = rng.integers(0, len(WHITESPACE), (pixels.size, 3)).tolist()
+    lengths = rng.integers(1, 4, pixels.size).tolist()
+    header = b"P2\n300 300\n255"
+    raster = b"".join(bytes(WHITESPACE[c] for c in gap[:n]) + str(v).zfill(w).encode()
+                      for v, w, gap, n in zip(pixels.ravel().tolist(), widths, gaps, lengths))
+    return header + raster + b"\n", len(header), pixels
 
 
 def outcome(decode):
@@ -261,6 +277,43 @@ class TestReadPgm:
         with pytest.raises(FormatError, match="non-numeric pixel token b'8x'"):
             read_pgm(data)
 
+    @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 4099, 1000, 61])
+    @pytest.mark.parametrize("shift", range(4))
+    def test_rasters_of_many_slices_agree_with_the_scanner(self, many_slices, slice_bytes, shift):
+        # Whitespace after the header moves every slice cut: onto a token's
+        # first, middle or last digit, or onto the whitespace between tokens.
+        data, pos, pixels = many_slices
+        data = data[:pos] + b" " * shift + data[pos:]
+        with mock.patch.object(_bytes, "_SLICE", slice_bytes):
+            fast = p2_tokens(data, pos, pixels.size)
+        assert fast == p2_scan(data, pos, pixels.size) == pixels.tobytes()
+
+    @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 4099])
+    @pytest.mark.parametrize("token, error", [
+        (b"1000", "pixel value 1000 out of [0, 255]"),
+        (b"256", "pixel value 256 out of [0, 255]"),
+        (b"0255", None),
+        (b"1x7", "non-numeric pixel token b'1x7'"),
+    ])
+    def test_a_bad_token_in_a_later_slice_goes_to_the_scanner(
+            self, many_slices, slice_bytes, token, error):
+        data, pos, pixels = many_slices
+        at = data.index(b" ", len(data) * 3 // 4) + 1
+        data = data[:at] + token + b" " + data[at:]
+        count = pixels.size
+        scanned = outcome(lambda: Image(np.frombuffer(p2_scan(data, pos, count), np.uint8)
+                                        .reshape(pixels.shape)))
+        with mock.patch.object(_bytes, "_SLICE", slice_bytes):
+            assert p2_tokens(data, pos, count) is None
+            assert outcome(lambda: read_pgm(data)) == scanned
+        if error is None:
+            # The token is pixel k, and the raster's last token is now trailing data.
+            k = len(data[pos:at].split())
+            levels = np.insert(pixels.ravel(), k, 255)[:count]
+            assert scanned == Image(levels.reshape(pixels.shape))
+        else:
+            assert scanned == f"{error} at byte {at}"
+
 
 class TestWritePgm:
     def test_canonical_p2_layout(self):
@@ -315,6 +368,13 @@ class TestFileHelpers:
         path = tmp_path / "out.pgm"
         save_pgm(path, img, "P5")
         assert load_pgm(path) == img
+
+    def test_save_and_load_a_bytes_path(self, tmp_path):
+        img = Image([[1, 2], [3, 4]])
+        path = os.fsencode(tmp_path / "out.pgm")
+        save_pgm(path, img, "P2")
+        assert load_pgm(path) == img
+        assert os.listdir(tmp_path) == ["out.pgm"]
 
     def test_load_text_rejects_binary(self, tmp_path):
         from grayfilt.imgio import load_text

@@ -102,13 +102,13 @@ P2_TEXT = 4 * U8
     # The raster, its translation, and the P5 output: no more than IO.
     ("P5", IO),
     # The raster, its translation and one more for a digit plane or the
-    # decoded raster's growth; the P2 text laid out at 4 B/px, and the same
+    # decoder's slice ints; the P2 text laid out at 4 B/px, and the same
     # text with its leading zeros dropped.
     ("P2", 3 * U8 + 2 * P2_TEXT),
 ])
 def test_table_path_peak_bytes_per_pixel(files, fmt, bound):
     # What a table command runs without numpy: decode to bytes, translate,
-    # encode. A P2 raster is split a slice at a time, not all at once.
+    # encode. A P2 raster is decoded a slice at a time, not all at once.
     _, data = files
     data = write_pgm(read_pgm(data), fmt)
     table = OPS["negate"].build({})
@@ -124,8 +124,8 @@ def test_table_path_peak_bytes_per_pixel(files, fmt, bound):
 
 def test_read_pgm_p2_peak_bytes_per_pixel(files):
     # read_pgm decodes P2 with the table path's decoder, which holds the
-    # decoded raster (1 B/px, plus a bytearray's growth) and one slice's
-    # tokens at a time.
+    # raster it preallocates (1 B/px) and one slice's ints at a time: a
+    # dozen or so of 64 KiB, under 1 MiB whatever the image's size.
     _, data = files
     pixels = read_pgm(data).pixels
     data = write_pgm(Image(pixels), "P2")
@@ -141,7 +141,7 @@ def test_read_pgm_p2_peak_bytes_per_pixel(files):
 
 def test_scanner_peak_bytes_per_pixel():
     # The token scanner, which takes every P2 raster with a token that
-    # p2_tokens does not look up, holds the decoded raster (1 B/px) and one
+    # p2_tokens does not decode, holds the decoded raster (1 B/px) and one
     # token at a time: it does not copy the text after the header. A smaller
     # side keeps the token-by-token parse quick under tracemalloc.
     side = SIDE // 4
