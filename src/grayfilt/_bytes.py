@@ -10,16 +10,16 @@ call runs it. Whitespace is the six ASCII bytes space, \\t, \\n, \\r, \\v and
 that runs to the next \\n, only between header tokens. One compiled pattern
 reads each header token, so a header of any length is scanned in linear
 time. A P2 raster is decoded a slice of text at a time with big-int SWAR
-(a few shifts and masks per slice, not an object per token) when each
+(a few shifts and masks per slice, not an object per token) while each
 token is 1 to 3 digits with a value of at most 255; tokens after the
-width*height-th are ignored. A raster with any other token goes to the
-token scanner, which gives every error message and byte offset and accepts
-whatever ``int()`` does, such as ``+7``, ``1_0`` or ``0255``.
+width*height-th are ignored. From the first slice with any other token,
+the token scanner decodes the rest of the raster: it gives every error
+message and byte offset and accepts whatever ``int()`` does, such as
+``+7``, ``1_0`` or ``0255``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import re
 import reprlib
@@ -114,11 +114,13 @@ def _header_int(data: bytes, pos: int, what: str):
 _TOKEN = re.compile(rb"\S+")
 
 
-def p2_scan(data: bytes, pos: int, count: int) -> bytearray:
-    """Decode the first ``count`` P2 tokens after byte ``pos`` one by one with
-    ``int()``; every P2 raster error is raised here."""
-    values = bytearray(count)
-    filled = 0
+def p2_scan(data: bytes, pos: int, count: int, values: bytearray | None = None,
+            filled: int = 0) -> bytearray:
+    """Decode P2 tokens after byte ``pos`` one by one with ``int()`` until
+    ``count`` pixels are filled: into ``values`` from pixel ``filled`` on,
+    where :func:`p2_tokens` stopped, else into a new raster. Every P2 raster
+    error is raised here."""
+    values = bytearray(count) if values is None else values
     for match in _TOKEN.finditer(data, pos):
         if filled == count:
             break
@@ -147,11 +149,12 @@ _P2_CLASS = bytes((c - 48) << 4 | 1 if 48 <= c <= 57 else 2 if c in b" \t\n\r\v\
                   for c in range(GRAY_LEVELS))
 
 
-def p2_tokens(data: bytes, pos: int, count: int):
-    """Decode the first ``count`` P2 tokens after byte ``pos`` when each is 1
-    to 3 digits with a value of at most 255, else return None. The text is
+def p2_tokens(data: bytes, pos: int, count: int) -> bytearray:
+    """Decode the first ``count`` P2 tokens after byte ``pos``. The text is
     decoded a slice at a time, each cut at a whitespace byte, into one
-    preallocated raster."""
+    preallocated raster while each token is 1 to 3 digits with a value of at
+    most 255. From the first slice with any other token, or where the text
+    runs out, :func:`p2_scan` fills the rest of the raster."""
     raster = bytearray(count)
     filled = 0
     while filled < count and pos < len(data):
@@ -159,11 +162,11 @@ def p2_tokens(data: bytes, pos: int, count: int):
         end = cut.start() if cut else len(data)
         levels = _p2_levels(data[pos:end], count - filled)
         if levels is None:
-            return None
+            break
         raster[filled:filled + len(levels)] = levels
         filled += len(levels)
         pos = end
-    return raster if filled == count else None
+    return raster if filled == count else p2_scan(data, pos, count, raster, filled)
 
 
 def _p2_levels(text: bytes, need: int):
@@ -215,8 +218,7 @@ def _p2_levels(text: bytes, need: int):
 
 def decode_pgm(data: bytes):
     """Check a P2 or P5 PGM and return (width, height, raster), the raster
-    one level per pixel, row-major. A P2 raster goes to :func:`p2_tokens`,
-    and to :func:`p2_scan` when that returns None."""
+    one level per pixel, row-major. A P2 raster goes to :func:`p2_tokens`."""
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise FormatError(f"bad magic {magic!r} at byte 0: expected P2 or P5")
@@ -250,8 +252,7 @@ def decode_pgm(data: bytes):
     # A P2 pixel takes a separator and a digit: check the bytes before allocating.
     if len(data) - pos < 2 * count:
         raise FormatError(f"truncated raster: need {count} pixels, file ends at byte {len(data)}")
-    raster = p2_tokens(data, pos, count)
-    return width, height, p2_scan(data, pos, count) if raster is None else raster
+    return width, height, p2_tokens(data, pos, count)
 
 
 #: The hundreds, tens and ones digit of each level, NUL for a leading zero.
@@ -334,8 +335,10 @@ def write_bytes_atomic(path, data: bytes) -> None:
     try:
         while fd is None:
             tmp = os.path.join(os.path.dirname(target), f".tmp-{os.urandom(4).hex()}")
-            with contextlib.suppress(FileExistsError):
+            try:
                 fd = os.open(tmp, flags, 0o666)
+            except FileExistsError:
+                pass
         with os.fdopen(fd, "wb") as fh:
             if stat.S_ISREG(mode):
                 os.chmod(tmp, stat.S_IMODE(mode) & 0o777)
@@ -343,8 +346,10 @@ def write_bytes_atomic(path, data: bytes) -> None:
         os.replace(tmp, target)
     except BaseException as exc:
         if fd is not None:
-            with contextlib.suppress(OSError):
+            try:
                 os.unlink(tmp)
+            except OSError:
+                pass
         if isinstance(exc, OSError) and exc.filename in (tmp, target):
             raise OSError(exc.errno, exc.strerror, path) from None
         raise

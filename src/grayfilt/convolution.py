@@ -29,7 +29,7 @@ engines give the same bytes. The library functions here always run numpy.
 from __future__ import annotations
 
 import os
-from typing import Callable
+from collections.abc import Callable
 
 import numpy as np
 

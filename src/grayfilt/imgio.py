@@ -7,7 +7,7 @@ is byte-identical. The maxval must be 255: other depths are rejected rather
 than silently rescaled.
 
 P2 and P5 alike are decoded by :func:`grayfilt._bytes.decode_pgm`, the
-numpy-free decoder the table commands run; ``read_pgm`` wraps its raster as
+numpy-free decoder every command runs; ``read_pgm`` wraps its raster as
 uint8 pixels. The header checks, the P2 decoder and the file helpers live
 there.
 """

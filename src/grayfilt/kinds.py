@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import reprlib
 import sys
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 #: Number of representable gray levels (8-bit images).
 GRAY_LEVELS = 256
@@ -21,15 +21,13 @@ GRAY_LEVELS = 256
 MAX_GRAY = GRAY_LEVELS - 1
 
 
-class Kind(NamedTuple):
+class Kind(namedtuple("Kind", "check parse choices", defaults=(str, ()))):
     """A parameter kind. ``check(value, name)`` is its one validator, shared
     by the library functions, the pipeline and the CLI: it returns the value
     in canonical form or raises ValueError naming the parameter. ``parse``
     turns CLI text into a value; ``choices`` lists the values of a choice kind."""
 
-    check: Callable[[object, str], object]
-    parse: Callable[[str], object] = str
-    choices: tuple = ()
+    __slots__ = ()
 
 
 def _must(ok: bool, name: str, what: str, value):
@@ -46,8 +44,8 @@ def _is_int(v) -> bool:
             and not isinstance(v, bool))
 
 
-def int_kind(what: str, ok: Callable[[int], bool]) -> Kind:
-    """The kind of the integers for which ``ok`` holds, described as ``what``."""
+def int_kind(what: str, ok) -> Kind:
+    """The kind of the integers for which ``ok(v)`` holds, described as ``what``."""
     return Kind(lambda v, name: int(_must(_is_int(v) and ok(v), name, what, v)), int)
 
 

@@ -18,8 +18,7 @@ first, which fall back to numpy above a bytes form's cut.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from collections import namedtuple
 
 # The builders reach the engine through the package's lazy exports (PEP 562),
 # so the op table, and a CLI parser built from it, loads no numpy.
@@ -39,23 +38,15 @@ from .kinds import (
     Kind,
 )
 
-if TYPE_CHECKING:
-    from .core import Image
 
-
-class Param(NamedTuple):
+class Param(namedtuple("Param", "name kind default help flags metavar optional",
+                       defaults=(None, None, (), None, False))):
     """One op or CLI parameter. ``name`` is the JSON key and the CLI
     destination; a ``default`` of None makes it required, unless it is
     ``optional``, when it is None where not given; ``flags`` overrides the
     CLI spelling ``--<name>``."""
 
-    name: str
-    kind: Kind
-    default: object = None
-    help: str | None = None
-    flags: tuple = ()
-    metavar: str | None = None
-    optional: bool = False
+    __slots__ = ()
 
     @property
     def required(self) -> bool:
@@ -66,24 +57,21 @@ class Param(NamedTuple):
         return self.flags or (f"--{self.name}",)
 
 
-class Op(NamedTuple):
+class Op(namedtuple("Op", "help params build")):
     """A filter op: help line, parameters, and a builder that takes the
     canonical parameters, loads any referenced file, and returns the step:
     for a point op its 256-byte table (:mod:`grayfilt._bytes`), for an op
     with a numpy-free form a :class:`Step`, else a function Image -> Image."""
 
-    help: str
-    params: tuple
-    build: Callable[[dict], Callable[[Image], Image] | bytes]
+    __slots__ = ()
 
 
-class Step(NamedTuple):
+class Step(namedtuple("Step", "image raster")):
     """A step with two forms. Calling it runs ``image``, the numpy form,
     Image -> Image; ``raster(width, height, raster)`` gives the same output
     raster without numpy, or None above its cut (:mod:`grayfilt._swar`)."""
 
-    image: Callable[[Image], Image]
-    raster: Callable[[int, int, bytes], bytes | None]
+    __slots__ = ()
 
     def __call__(self, img: Image) -> Image:
         return self.image(img)
@@ -264,20 +252,13 @@ def _compile(spec: PipelineSpec) -> list:
     return compiled
 
 
-@contextmanager
-def _labelled(label: str):
-    """Re-raise a DomainError of a stage with the stage's label in front."""
-    try:
-        yield
-    except DomainError as exc:
-        raise DomainError(f"{label}{exc}") from None
-
-
 def _apply(compiled: list, img: Image) -> Image:
     """Run compiled stages on ``img`` with the numpy engine."""
     for label, built in compiled:
-        with _labelled(label):
+        try:
             img = api.point_ops._apply_table(img, built) if isinstance(built, bytes) else built(img)
+        except DomainError as exc:
+            raise DomainError(f"{label}{exc}") from None
     return img
 
 
@@ -290,9 +271,11 @@ def _run_raster(compiled: list, width: int, height: int, raster: bytes) -> bytes
     image through table, sharpen, laplacian, shadow, edges and add stages
     loads no numpy at all."""
     for k, (label, built) in enumerate(compiled):
-        with _labelled(label):
+        try:
             out = (raster.translate(built) if isinstance(built, bytes) else
                    built.raster(width, height, raster) if isinstance(built, Step) else None)
+        except DomainError as exc:
+            raise DomainError(f"{label}{exc}") from None
         if out is None:
             return _apply(compiled[k:], api.imgio._image(width, height, raster)).pixels.tobytes()
         raster = out

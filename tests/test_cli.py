@@ -770,6 +770,39 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [[0, False, False, False]] * 3
 
+    def test_small_commands_load_only_what_they_run(self, sample, tmp_path):
+        # Under -S no site module loads these first: a small command, on a P5
+        # and on a P2 input, loads none of them for itself.
+        img, p5 = sample
+        p2 = tmp_path / "in2.pgm"
+        save_pgm(p2, img, "P2")
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({"stages": [{"op": "negate"}, {"op": "binarize"},
+                                               {"op": "sharpen", "variant": "four"}]}))
+        argvs = []
+        for k, path in enumerate(map(str, (p5, p2))):
+            out = str(tmp_path / f"o{k}.pgm")
+            argvs += [["negate", "-i", path, "-o", out],
+                      ["sharpen", "-i", path, "-o", out, "--variant", "eight"],
+                      ["edges", "-i", path, "-o", out],
+                      ["shadow", "-i", path, "-o", out, "--invert"],
+                      ["add", "-i", path, "-j", str(p5), "-o", out],
+                      ["histogram", "-i", path, "--csv", str(tmp_path / "h.csv"),
+                       "--render", out],
+                      ["pipeline", "-i", path, "-o", out, "--spec", str(spec)]]
+        code = """if True:
+            import json, sys
+            from grayfilt.cli import main
+            codes = [main(argv) for argv in json.loads(sys.argv[1])]
+            print(json.dumps([codes, sorted(
+                {"typing", "contextlib", "numpy", "argparse"} & set(sys.modules))]))
+            """
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(grayfilt.__file__))}
+        proc = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(argvs)],
+                              capture_output=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0] * len(argvs), []]
+
     @staticmethod
     def _fresh(code):
         """Run ``code`` in a new interpreter, without the thread setting that

@@ -56,10 +56,10 @@ fuzz = settings(max_examples=100, deadline=None)
 @st.composite
 def p2_rasters(draw):
     """A P2 file of up to 5x5 pixels, with separators drawn from every
-    whitespace byte. Half the rasters hold only tokens that p2_tokens
-    decodes, perhaps too few of them; the rest mix 1-4 digit numbers up to 300
-    (leading zeros too) with up to two tokens that only int() or nothing
-    accepts, and trailing garbage. Returns (data, raster offset, (height, width))."""
+    whitespace byte. Half the rasters hold only tokens that the SWAR decode
+    of p2_tokens takes, perhaps too few of them; the rest mix 1-4 digit
+    numbers up to 300 (leading zeros too) with up to two tokens that only
+    int() or nothing accepts, and trailing garbage. Returns (data, raster offset, (height, width))."""
     width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     count = width * height
     clean = draw(st.booleans())
@@ -110,6 +110,13 @@ def outcome(decode):
         return decode()
     except FormatError as exc:
         return str(exc)
+
+
+def swar_only(data, pos, count):
+    """``p2_tokens`` with the token scanner shut off: the raster the SWAR
+    decode gives alone."""
+    with mock.patch.object(_bytes, "p2_scan", side_effect=AssertionError("p2_scan ran")):
+        return p2_tokens(data, pos, count)
 
 
 class TestReadPgm:
@@ -232,16 +239,15 @@ class TestReadPgm:
     @fuzz
     @given(p2_rasters())
     def test_p2_fast_path_agrees_with_scanner(self, case):
-        # read_pgm gives the scanner's pixels or its message for every
-        # raster; its fast path, p2_tokens, gives those pixels or None.
+        # read_pgm, and p2_tokens alone, give the scanner's pixels or its
+        # message for every raster.
         data, pos, shape = case
         count = shape[0] * shape[1]
         scanned = outcome(lambda: Image(np.frombuffer(p2_scan(data, pos, count), np.uint8)
                                        .reshape(shape)))
         assert outcome(lambda: read_pgm(data)) == scanned
-        fast = p2_tokens(data, pos, count)
-        if fast is not None:
-            assert Image(np.frombuffer(fast, np.uint8).reshape(shape)) == scanned
+        assert outcome(lambda: Image(np.frombuffer(p2_tokens(data, pos, count), np.uint8)
+                                     .reshape(shape))) == scanned
 
     @fuzz
     @given(p2_rasters(), st.sampled_from([1, 2, 3, 7, _bytes._SLICE]))
@@ -254,26 +260,27 @@ class TestReadPgm:
             expected = (width, height, expected.pixels.tobytes())
         with mock.patch.object(_bytes, "_SLICE", slice_bytes):
             assert outcome(lambda: decode_pgm(data)) == expected
-            fast = p2_tokens(data, pos, width * height)
-        assert fast is None or (width, height, fast) == expected
+            fast = outcome(lambda: p2_tokens(data, pos, width * height))
+        assert fast == outcome(lambda: p2_scan(data, pos, width * height))
 
     @given(pixel_arrays)
     def test_canonical_p2_takes_the_fast_path(self, pixels):
         data = write_pgm(Image(pixels), "P2")
         pos = data.index(b"255") + 3
-        assert p2_tokens(data, pos, pixels.size) == pixels.tobytes()
+        assert swar_only(data, pos, pixels.size) == pixels.tobytes()
 
     @pytest.mark.parametrize("tail", [b"# end\n", b"x", b"P5\n2 1\n255\n\x00\xff"])
     def test_trailing_data_keeps_the_fast_path(self, tail):
         pixels = np.arange(12, dtype=np.uint8).reshape(3, 4) * 21
         data = write_pgm(Image(pixels), "P2") + tail
         pos = data.index(b"255") + 3
-        assert p2_tokens(data, pos, pixels.size) == pixels.tobytes()
+        assert swar_only(data, pos, pixels.size) == pixels.tobytes()
         assert read_pgm(data) == Image(pixels)
 
     def test_junk_joined_to_the_last_token_goes_to_the_scanner(self):
         data = write_pgm(Image([[7, 8]]), "P2").rstrip() + b"x"
-        assert p2_tokens(data, data.index(b"255") + 3, 2) is None
+        pos = data.index(b"255") + 3
+        assert outcome(lambda: p2_tokens(data, pos, 2)) == outcome(lambda: p2_scan(data, pos, 2))
         with pytest.raises(FormatError, match="non-numeric pixel token b'8x'"):
             read_pgm(data)
 
@@ -285,7 +292,7 @@ class TestReadPgm:
         data, pos, pixels = many_slices
         data = data[:pos] + b" " * shift + data[pos:]
         with mock.patch.object(_bytes, "_SLICE", slice_bytes):
-            fast = p2_tokens(data, pos, pixels.size)
+            fast = swar_only(data, pos, pixels.size)
         assert fast == p2_scan(data, pos, pixels.size) == pixels.tobytes()
 
     @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 4099])
@@ -304,7 +311,8 @@ class TestReadPgm:
         scanned = outcome(lambda: Image(np.frombuffer(p2_scan(data, pos, count), np.uint8)
                                         .reshape(pixels.shape)))
         with mock.patch.object(_bytes, "_SLICE", slice_bytes):
-            assert p2_tokens(data, pos, count) is None
+            assert outcome(lambda: Image(np.frombuffer(p2_tokens(data, pos, count), np.uint8)
+                                         .reshape(pixels.shape))) == scanned
             assert outcome(lambda: read_pgm(data)) == scanned
         if error is None:
             # The token is pixel k, and the raster's last token is now trailing data.
@@ -313,6 +321,29 @@ class TestReadPgm:
             assert scanned == Image(levels.reshape(pixels.shape))
         else:
             assert scanned == f"{error} at byte {at}"
+
+    @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 4099])
+    def test_a_bad_token_in_the_last_slice_is_scanned_from_that_slice(
+            self, many_slices, slice_bytes):
+        # The slices before the one holding `0050` are decoded already: the
+        # scanner starts inside the last slice, not at the start of the raster.
+        data, pos, pixels = many_slices
+        end = len(data.rstrip())
+        at = end - len(data.split()[-1])
+        data = data[:at] + b"0050" + data[end:]
+        assert len(data) - pos > 3 * slice_bytes
+        starts = []
+
+        def scan(data, pos, *rest):
+            starts.append(pos)
+            return p2_scan(data, pos, *rest)
+
+        with mock.patch.object(_bytes, "_SLICE", slice_bytes), \
+                mock.patch.object(_bytes, "p2_scan", scan):
+            raster = p2_tokens(data, pos, pixels.size)
+        assert raster == p2_scan(data, pos, pixels.size) == pixels.tobytes()[:-1] + b"\x32"
+        [start] = starts
+        assert 0 < at - start <= slice_bytes
 
 
 class TestWritePgm:
