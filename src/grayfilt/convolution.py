@@ -16,14 +16,17 @@ strip of sums finite and stores it through one per-strip finish.
 strip of rows at a time. An integer intermediate is rescaled in exact
 integers, as (510·(v − min) + span) // (2·span) with span = max − min. The
 clamp displays (``laplacian_sharpen``, ``shadow_ne``, ``shadow_invert``, and
-the ``laplacian`` and ``convolve`` ops) all go through ``_correlate_display``,
-whose clamp finishes each strip as gray levels, with the same rounding rule,
-so no full-size signed intermediate is built.
+the clamp of the ``laplacian`` and ``convolve`` ops) all go through one
+entry, ``_clamp_display``, whose finish clamps each strip to gray levels
+with the same rounding rule, so no full-size signed intermediate is built.
+Those two ops' rescale is the library calls, ``clamp_to_display`` of
+:func:`laplacian` or :func:`convolve`.
 
 The built-in stencils are declared once, as integer tuples, in
 :mod:`grayfilt._swar`, beside the numpy-free clamp display the CLI runs on a
-small image; their numpy one is ``_clamp_stencil``. Both are exact, so both
-engines give the same bytes. The library functions here always run numpy.
+small image; it takes the same tuple and bias as ``_clamp_display``. Both
+are exact, so both engines give the same bytes. The library functions here
+always run numpy.
 """
 
 from __future__ import annotations
@@ -33,17 +36,15 @@ from collections.abc import Callable
 
 import numpy as np
 
-from ._swar import LAPLACIANS, SHADOW_NE, SHADOW_SW, SHARPEN
+from ._swar import LAPLACIANS
 from .core import MAX_GRAY, Image, Kernel, SignedImage, _clamp_levels
 from .kinds import BORDER, DISPLAY, POSITIVE_INT, VARIANT
 
 #: Pad mode implementing each border policy of ``BORDER``.
 _BORDER_MODES = {"replicate": "edge", "zero": "constant"}
 
-#: The Kernel of each built-in stencil of :mod:`grayfilt._swar`, keyed by its tuple.
-_KERNELS = {s: Kernel(s) for s in (*LAPLACIANS.values(), *SHARPEN.values(), SHADOW_NE, SHADOW_SW)}
 #: The stencil of each ``VARIANT``, as declared in :data:`grayfilt._swar.LAPLACIANS`.
-_LAPLACIANS = {name: _KERNELS[s] for name, s in LAPLACIANS.items()}
+_LAPLACIANS = {name: Kernel(s) for name, s in LAPLACIANS.items()}
 #: Center -4 stencil: f(x+1,y) + f(x-1,y) + f(x,y+1) + f(x,y-1) - 4 f(x,y).
 LAPLACIAN_FOUR = _LAPLACIANS["four"]
 #: Center -8 stencil surrounded by 1s; responds to diagonals as well.
@@ -170,16 +171,13 @@ def correlate(img: Image, kernel: Kernel, border: str = "replicate",
                                                   lambda acc: acc))
 
 
-def _correlate_display(img: Image, kernel: Kernel, border: str = "replicate",
-                       mode: str = "clamp", bias: int = 0, workers: int = 1) -> Image:
-    """``clamp_to_display(bias + correlate(img, kernel, border, workers), mode)``,
-    the one place where a correlation becomes gray levels. The clamp is fused
-    into the strip loop: each strip is clamped into the uint8 output while it
-    is in cache, so no full-size accumulator exists. A rescale needs the
-    whole range first; no caller combines it with a bias. A non-finite float
-    sum raises the same DomainError as ``correlate``."""
-    if mode != "clamp":
-        return clamp_to_display(correlate(img, kernel, border, workers), mode)
+def _clamp_display(img: Image, stencil, bias: int = 0, border: str = "replicate") -> Image:
+    """``clamp_round(bias + correlate(img, Kernel(stencil), border))``, the one
+    numpy clamp display. ``stencil`` is what :func:`grayfilt._swar.correlate_clamp`
+    takes, a built-in tuple, or a parsed kernel's ``coeffs``. The clamp is
+    fused into the strip loop: each strip is clamped into the uint8 output
+    while it is in cache, so no full-size accumulator exists. A non-finite
+    float sum raises the same DomainError as ``correlate``."""
 
     def clamp(acc):
         if bias:
@@ -187,15 +185,7 @@ def _correlate_display(img: Image, kernel: Kernel, border: str = "replicate",
         return _clamp_levels(acc)  # _correlate_strips has checked acc finite
 
     out = np.empty((img.height, img.width), np.uint8)
-    return Image._trusted(_correlate_strips(img, kernel, border, workers, out, clamp))
-
-
-def _clamp_stencil(img: Image, stencil: tuple, bias: int = 0, border: str = "replicate") -> Image:
-    """The clamp display of the built-in ``stencil`` of :mod:`grayfilt._swar` plus
-    ``bias``: the one numpy form of ``laplacian_sharpen``, ``shadow_ne``,
-    ``shadow_invert`` and the pipeline's clamp steps, whose bytes form is
-    :func:`grayfilt._swar.correlate_clamp` of the same stencil and bias."""
-    return _correlate_display(img, _KERNELS[stencil], border, bias=bias)
+    return Image._trusted(_correlate_strips(img, Kernel(stencil), border, 1, out, clamp))
 
 
 def convolve(img: Image, kernel: Kernel, border: str = "replicate",

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from ._swar import SHADOW_BIAS, SHADOW_NE, SHADOW_SW, SHADOW_SW_BIAS, same_size
-from .convolution import _KERNELS, _clamp_stencil
-from .core import BinaryImage, Image
+from .convolution import _clamp_display
+from .core import BinaryImage, Image, Kernel
 from .kinds import THRESHOLD
 
 #: Difference of the northeast neighbor minus the southwest neighbor
 #: (:data:`grayfilt._swar.SHADOW_NE`); SHADOW_BIAS, mid-gray, is added to it.
-SHADOW_NE_KERNEL = _KERNELS[SHADOW_NE]
+SHADOW_NE_KERNEL = Kernel(SHADOW_NE)
 
 
 def binarize(img: Image, threshold: int = 128) -> BinaryImage:
@@ -63,10 +63,10 @@ def shadow_ne(img: Image) -> Image:
     to highlights on one diagonal and shadows on the other. Each strip of
     rows is clamped to gray levels as soon as it is correlated.
     """
-    return _clamp_stencil(img, SHADOW_NE, SHADOW_BIAS)
+    return _clamp_display(img, SHADOW_NE, SHADOW_BIAS)
 
 
 def shadow_invert(img: Image) -> Image:
     """Negative of the shadow rendering; swaps highlight and shadow sides.
     It is the opposite-lit shadow, SW minus NE plus 127, clamped once."""
-    return _clamp_stencil(img, SHADOW_SW, SHADOW_SW_BIAS)
+    return _clamp_display(img, SHADOW_SW, SHADOW_SW_BIAS)

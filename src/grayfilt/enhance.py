@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._swar import SHARPEN
-from .convolution import _clamp_stencil, _row_strips, clamp_to_display
+from .convolution import _clamp_display, _row_strips, clamp_to_display
 from .core import MAX_GRAY, Image, SignedImage
 from .errors import DomainError
 from .kinds import BORDER, DISPLAY, POSITIVE_INT, VARIANT
@@ -123,4 +123,4 @@ def laplacian_sharpen(img: Image, variant: str = "four",
     negative center coefficient; flat regions pass through unchanged. It is
     one integer correlation with δ − L, clamped strip by strip.
     """
-    return _clamp_stencil(img, SHARPEN[VARIANT.check(variant, "variant")], border=border)
+    return _clamp_display(img, SHARPEN[VARIANT.check(variant, "variant")], border=border)

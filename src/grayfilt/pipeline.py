@@ -79,9 +79,9 @@ class Step(namedtuple("Step", "image raster")):
 
 def _clamp_step(stencil, bias=0):
     """The Step of the clamp display of the built-in ``stencil`` plus ``bias``:
-    numpy runs the library's one form of it (``convolution._clamp_stencil``),
-    bytes :func:`grayfilt._swar.correlate_clamp`."""
-    return Step(lambda img: api.convolution._clamp_stencil(img, stencil, bias),
+    numpy runs the library's one clamp display (``convolution._clamp_display``),
+    bytes :func:`grayfilt._swar.correlate_clamp`, both of the same tuple and bias."""
+    return Step(lambda img: api.convolution._clamp_display(img, stencil, bias),
                 lambda width, height, raster: _swar.correlate_clamp(width, height, raster,
                                                                     stencil, bias=bias))
 
@@ -93,8 +93,11 @@ def _laplacian_step(p):
 
 
 def _convolve_step(p):
-    kern = api.rot180(api.parse_kernel(_bytes.load_text(p["kernel"])))
-    return lambda img: api.convolution._correlate_display(img, kern, p["border"], p["display"])
+    kern = api.parse_kernel(_bytes.load_text(p["kernel"]))
+    if p["display"] == "clamp":
+        stencil = api.rot180(kern).coeffs
+        return lambda img: api.convolution._clamp_display(img, stencil, border=p["border"])
+    return lambda img: api.clamp_to_display(api.convolve(img, kern, p["border"]), p["display"])
 
 
 def _add_step(p):

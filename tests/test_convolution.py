@@ -27,7 +27,7 @@ from grayfilt import (
     rot180,
     shadow_ne,
 )
-from grayfilt.convolution import _RESCALE_INT_SPAN, _correlate_display
+from grayfilt.convolution import _RESCALE_INT_SPAN, _clamp_display
 from grayfilt.edges import SHADOW_BIAS
 from grayfilt.pipeline import OPS
 
@@ -432,10 +432,11 @@ class TestClampToDisplay:
 
 
 class TestFusedDisplay:
-    """Every op that ends in gray levels goes through ``_correlate_display``,
-    whose clamp display clamps each strip of rows as soon as it is
-    correlated. The entry must equal the unfused chain, and the brute-force
-    oracle, in both display modes at every strip size and worker count."""
+    """Every clamp display goes through ``_clamp_display``, which clamps
+    each strip of rows as soon as it is correlated; a rescale display is
+    ``clamp_to_display`` of the correlation. The clamp must equal the
+    unfused chain at every worker count, and both the brute-force oracle, at
+    every strip size."""
 
     @settings(max_examples=80, deadline=None)
     @given(small_images, st.one_of(kernel_coeffs, real_coeffs), borders,
@@ -453,17 +454,17 @@ class TestFusedDisplay:
             expected = rescale_oracle([[int(v) for v in row] for row in sums])
         else:
             # A float rescale rounds its quotient to a double before it rounds
-            # it to a level, so it is held to the unfused chain alone.
+            # it to a level, so only an integer one is held to the exact oracle.
             expected = None
         with strips_of(strip):
-            fused = _correlate_display(img, k, border, mode, bias, workers)
             signed = correlate(img, k, border, workers)
-            if not bias:
-                assert clamp_to_display(signed, mode) == fused
             if mode == "clamp":
-                assert clamp_round(bias + signed.values).tolist() == expected
+                out = _clamp_display(img, coeffs, bias, border)
+                assert clamp_round(bias + signed.values).tolist() == out.pixels.tolist()
+            else:
+                out = clamp_to_display(signed, mode)
         if expected is not None:
-            assert fused.pixels.tolist() == expected
+            assert out.pixels.tolist() == expected
 
     @settings(max_examples=40, deadline=None)
     @given(small_images, st.sampled_from(["four", "eight"]), borders, strip_pixels)
@@ -510,7 +511,7 @@ class TestFusedDisplay:
         pixels = np.zeros((8, 4), np.uint8)
         pixels[5:] = 200
         img, k = Image(pixels), Kernel([[1e308, 1e308, 1e308]])
-        for run in (lambda: _correlate_display(img, k, workers=workers),
+        for run in (lambda: _clamp_display(img, k.coeffs),
                     lambda: correlate(img, k, workers=workers)):
             with pytest.raises(DomainError, match="^signed image values must be finite$"):
                 run()
@@ -518,12 +519,12 @@ class TestFusedDisplay:
     def test_each_float_strip_is_checked_finite_once(self, monkeypatch):
         monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 4)
         img = Image(np.arange(32, dtype=np.uint8).reshape(8, 4))
-        k = Kernel([[0.5, 0.25, 0.25]])
         checked = []
         isfinite = np.isfinite
         monkeypatch.setattr(np, "isfinite", lambda a: checked.append(a.shape) or isfinite(a))
-        _correlate_display(img, k)
-        assert checked == [(1, 4)] * 8  # one check per one-row strip
+        _clamp_display(img, ((0.5, 0.25, 0.25),))
+        # The 1x3 kernel is checked as it is built, then each one-row strip once.
+        assert checked == [(1, 3)] + [(1, 4)] * 8
 
 
 def rescale_oracle(values):

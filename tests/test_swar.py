@@ -15,7 +15,6 @@ import grayfilt._swar as swar
 from grayfilt import (
     DomainError,
     Image,
-    Kernel,
     PipelineSpec,
     binarize,
     bits_to_image,
@@ -30,7 +29,7 @@ from grayfilt import (
     save_pgm,
 )
 from grayfilt._bytes import NEGATE_TABLE
-from grayfilt.convolution import _correlate_display
+from grayfilt.convolution import _clamp_display
 from support import (
     clamp_round_exact,
     correlate_brute,
@@ -75,7 +74,7 @@ class TestCorrelateClamp:
     @given(images, int_kernels, borders, biases)
     def test_matches_numpy_engine(self, pixels, kernel, border, bias):
         out = swar.correlate_clamp(*_raster(pixels), kernel, border, bias)
-        expected = _correlate_display(Image(pixels), Kernel(kernel), border, "clamp", bias)
+        expected = _clamp_display(Image(pixels), kernel, bias, border)
         assert out == expected.pixels.tobytes()
 
     # Each field-width bound, and one step past it: 2**g ≥ neg·255 + 256 and
@@ -102,7 +101,7 @@ class TestCorrelateClamp:
             if width is None:
                 assert out is None
             else:
-                expected = _correlate_display(Image(pixels), Kernel(kernel), border, "clamp", bias)
+                expected = _clamp_display(Image(pixels), kernel, bias, border)
                 assert out == expected.pixels.tobytes()
 
 
@@ -179,7 +178,7 @@ class TestCut:
             height += 1
         column = np.random.default_rng(3).integers(0, 256, (height, 1), np.uint8)
         out = swar.correlate_clamp(*_raster(column), kernel)
-        assert out == _correlate_display(Image(column), Kernel(kernel)).pixels.tobytes()
+        assert out == _clamp_display(Image(column), kernel).pixels.tobytes()
 
     def test_every_4mp_input_but_edges_is_above_its_cut(self):
         # add, of one tap and no padding, is the cheapest 16-bit step.
