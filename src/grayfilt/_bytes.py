@@ -16,6 +16,11 @@ width*height-th are ignored. From the first slice with any other token,
 the token scanner decodes the rest of the raster: it gives every error
 message and byte offset and accepts whatever ``int()`` does, such as
 ``+7``, ``1_0`` or ``0255``.
+
+A CLI process copies no raster it does not need to: :func:`load_pgm`
+reads the file into one bytearray and hands back its P5 raster in place,
+and :func:`pgm_chunks` gives the header and the raster, which
+:func:`write_bytes_atomic` writes one after the other, never joined.
 """
 
 from __future__ import annotations
@@ -91,11 +96,12 @@ def refused(token, noun: str) -> str:
 
 
 def _int_at(token: bytes, start: int, noun: str, prefix: str = "") -> int:
-    """``int(token)``, or a FormatError saying why it was refused at byte ``start``."""
+    """``int(token)``, or a FormatError saying why it was refused at byte
+    ``start``. A token read from a bytearray is echoed as bytes."""
     try:
         return int(token)
     except ValueError:
-        raise FormatError(f"{prefix}{refused(token, noun)} at byte {start}") from None
+        raise FormatError(f"{prefix}{refused(bytes(token), noun)} at byte {start}") from None
 
 
 #: Whitespace and '#' comments, then a header token. The token is empty only
@@ -216,10 +222,13 @@ def _p2_levels(text: bytes, need: int):
     return (int.from_bytes(nibbles, "little") >> 4).to_bytes(2 * tokens, "little")[::2]
 
 
-def decode_pgm(data: bytes):
-    """Check a P2 or P5 PGM and return (width, height, raster), the raster
-    one level per pixel, row-major. A P2 raster goes to :func:`p2_tokens`."""
-    magic = data[:2]
+def decode_pgm(data):
+    """Check a P2 or P5 PGM, bytes or a bytearray, and return (width,
+    height, raster), the raster one level per pixel, row-major. A P2 raster
+    goes to :func:`p2_tokens`. The P5 raster of a bytearray is ``data``
+    itself, its header and any bytes after the raster cut off in place, so
+    it is not copied; bytes are copied to a bytearray once first."""
+    magic = bytes(data[:2])
     if magic not in (b"P2", b"P5"):
         raise FormatError(f"bad magic {magic!r} at byte 0: expected P2 or P5")
     if not _SPACE.match(data, 2):
@@ -242,12 +251,17 @@ def decode_pgm(data: bytes):
     if magic == b"P5":
         if not _SPACE.match(data, pos):
             raise FormatError(f"expected a single whitespace byte before raster at byte {pos}")
-        raster = data[pos + 1:pos + 1 + count]
-        if len(raster) < count:
+        end = pos + 1 + count
+        if len(data) < end:
             raise FormatError(
                 f"truncated raster: need {count} bytes, file ends at byte {len(data)}"
             )
-        return width, height, raster
+        if isinstance(data, bytes):
+            data = bytearray(data)
+        # CPython drops a bytearray's prefix in O(1), by moving its start.
+        del data[end:]
+        del data[:pos + 1]
+        return width, height, data
 
     # A P2 pixel takes a separator and a digit: check the bytes before allocating.
     if len(data) - pos < 2 * count:
@@ -260,26 +274,54 @@ _DIGITS = [bytes(48 + v // 10**k % 10 if v >= 10**k or k == 0 else 0 for v in ra
            for k in (2, 1, 0)]
 
 
-def encode_pgm(width: int, height: int, raster: bytes, format: str) -> bytes:
-    """The canonical PGM of a raster: magic line, "width height" line, "255"
-    line, then raw bytes for P5, or for P2 one line of space-separated levels
-    per row, each laid out as three digit bytes and a separator before the
-    NULs of leading zeros go."""
+def pgm_chunks(width: int, height: int, raster, format: str) -> tuple:
+    """The canonical PGM of a raster as (header, body): the magic line, the
+    "width height" line and the "255" line, then for P5 ``raster`` itself,
+    uncopied, or for P2 one line of space-separated levels per row, each laid
+    out as three digit bytes and a separator before the NULs of leading
+    zeros go. ``raster`` is bytes, a bytearray, or a memoryview of numpy's
+    output, which the P2 layout copies to bytes first."""
     header = f"{format}\n{width} {height}\n{MAX_GRAY}\n".encode("ascii")
     if format == "P5":
-        return header + raster
+        return header, raster
+    if isinstance(raster, memoryview):
+        raster = raster.tobytes()
     text = bytearray(b" ") * (4 * len(raster))
     for k, digits in enumerate(_DIGITS):
         text[k::4] = raster.translate(digits)
     text[4 * width - 1::4 * width] = b"\n" * height
-    text = text.translate(None, b"\0")  # frees the laid-out text before the join
-    return header + text
+    return header, text.translate(None, b"\0")
+
+
+def encode_pgm(width: int, height: int, raster, format: str) -> bytes:
+    """The canonical PGM of a raster, as one bytes (:func:`pgm_chunks`)."""
+    return b"".join(pgm_chunks(width, height, raster, format))
+
+
+def read_file(path) -> bytearray:
+    """Every byte of a file, a FIFO or a device, in one bytearray. A regular
+    file is read straight into a buffer one byte longer than the file, so
+    the read that finds its end needs no other buffer; for a FIFO or a
+    device, or a file that grows, the buffer doubles in place as it fills."""
+    with open(path, "rb", buffering=0) as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size + 1)
+        filled = 0
+        while True:
+            if filled == len(data):
+                data *= 2
+            with memoryview(data) as view:
+                n = fh.readinto(view[filled:])
+            if not n:
+                break
+            filled += n
+    del data[filled:]
+    return data
 
 
 def load_pgm(path):
-    """Read and decode a PGM file: (width, height, raster), as :func:`decode_pgm`."""
-    with open(path, "rb") as fh:
-        return decode_pgm(fh.read())
+    """Read and decode a PGM file: (width, height, raster), as :func:`decode_pgm`.
+    A P5 raster is the buffer the file was read into."""
+    return decode_pgm(read_file(path))
 
 
 def load_text(path) -> str:
@@ -306,13 +348,15 @@ def parse_lut(text: str) -> bytes:
         raise FormatError(str(exc)) from None
 
 
-def write_bytes_atomic(path, data: bytes) -> None:
-    """Write a new path or a regular file via a temp file in the destination
-    directory, then rename. A symlink, even a dangling one, is followed: its
-    target is written in the target's directory and the link stays, as with
-    ``cp``. A new file gets mode 0o666 less the umask, as ``open()`` would;
-    a replaced regular file keeps its permission bits, as with ``cp``, but
-    not its setuid, setgid or sticky bit. Any other existing path, such as
+def write_bytes_atomic(path, *chunks) -> None:
+    """Write ``chunks``, bytes-like objects, one after the other (a header
+    and a raster are not joined first): a new path or a regular file via a
+    temp file in the destination directory, then a rename. A symlink, even
+    a dangling one, is followed: its target is written in the target's
+    directory and the link stays, as with ``cp``. A new file gets mode
+    0o666 less the umask, as ``open()`` would; a replaced regular file keeps
+    its permission bits, as with ``cp``, but not its setuid, setgid or
+    sticky bit. Any other existing path, such as
     a FIFO, a device or ``/dev/stdout``, is opened as given and written in
     place, as a shell redirection would; a directory or a symlink loop is
     refused. ``path`` may be str, bytes or path-like. An error names
@@ -326,7 +370,7 @@ def write_bytes_atomic(path, data: bytes) -> None:
     if mode and not stat.S_ISREG(mode):
         # No O_CREAT: should the path go in between, this fails, not creates.
         with os.fdopen(os.open(path, flags), "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         return
     # Resolved only here: a magic link such as /dev/fd/N reads as "pipe:[N]".
     target = os.path.realpath(path)
@@ -342,7 +386,7 @@ def write_bytes_atomic(path, data: bytes) -> None:
         with os.fdopen(fd, "wb") as fh:
             if stat.S_ISREG(mode):
                 os.chmod(tmp, stat.S_IMODE(mode) & 0o777)
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, target)
     except BaseException as exc:
         if fd is not None:

@@ -206,7 +206,7 @@ def _run(args, compiled):
     width, height, raster = _bytes.load_pgm(args.input)
     raster = _run_raster(compiled, width, height, raster)
     _bytes.write_bytes_atomic(args.output,
-                              _bytes.encode_pgm(width, height, raster, args.format.upper()))
+                              *_bytes.pgm_chunks(width, height, raster, args.format.upper()))
     return EXIT_OK
 
 
@@ -224,7 +224,7 @@ def _cmd_histogram(args):
     _bytes.write_bytes_atomic(args.csv, _swar.histogram_csv(counts).encode("ascii"))
     if args.render:
         chart = _swar.histogram_chart(counts)
-        _bytes.write_bytes_atomic(args.render, _bytes.encode_pgm(
+        _bytes.write_bytes_atomic(args.render, *_bytes.pgm_chunks(
             GRAY_LEVELS, _swar.CHART_HEIGHT, chart, args.format.upper()))
     return EXIT_OK
 

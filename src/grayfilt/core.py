@@ -199,16 +199,18 @@ def round_half_away(v):
     decided correctly even where ``floor(v + 0.5)`` would misround.
     """
     arr = np.asarray(v, dtype=np.float64)
-    rounded = _round_nonnegative(np.abs(arr))
+    # With ``out``, a 0-d input stays an array that can be overwritten.
+    rounded = _round_nonnegative(np.abs(arr, out=np.empty_like(arr)))
     return np.where(arr < 0, -rounded, rounded)
 
 
-def _round_nonnegative(mag):
-    """Round values >= 0 half up, which is half away from zero; ``mag`` is
-    overwritten with the fractional parts."""
-    whole = np.floor(mag)
+def _round_nonnegative(mag, whole=None):
+    """Round float64 values >= 0 half up, which is half away from zero:
+    the whole part, plus 1 where the exact fractional part is at least 0.5.
+    The result is made in ``whole`` when given; ``mag`` is overwritten."""
+    whole = np.floor(mag, out=whole)
     mag -= whole
-    whole += mag >= 0.5  # adds 1.0 or 0.0, both exact
+    whole += np.greater_equal(mag, 0.5, out=mag)  # adds 1.0 or 0.0, both exact
     return whole
 
 
@@ -228,17 +230,22 @@ def clamp_round(v):
         arr = np.asarray(arr, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise DomainError("clamp_round requires finite input")
-    out = _clamp_levels(arr)
+    out = _clamp_levels(arr, np.empty_like(arr)).astype(np.uint8)
     if arr.ndim == 0:
         return int(out)
     return out
 
 
-def _clamp_levels(arr: np.ndarray) -> np.ndarray:
+def _clamp_levels(arr: np.ndarray, work: np.ndarray, spare=None) -> np.ndarray:
     """``clamp_round`` of an integer or float64 array whose values are
-    already known to be finite, as a uint8 array."""
-    if np.issubdtype(arr.dtype, np.integer):
-        return np.clip(arr, 0, MAX_GRAY).astype(np.uint8)
+    already known to be finite, as an array of levels of the input's dtype,
+    made in place: ``work``, of ``arr``'s dtype and shape, and possibly
+    ``arr`` itself, gets the clipped values, which are the levels of
+    integers. Float levels are made in ``spare``, a float64 buffer of the
+    same shape, or in a new array when it is None."""
     # Every value below 0 rounds to 0 or less and every value above 255
     # to 255 or more, so clipping first leaves only [0, 255] to round.
-    return _round_nonnegative(np.clip(arr, 0, MAX_GRAY)).astype(np.uint8)
+    np.clip(arr, 0, MAX_GRAY, out=work)
+    if np.issubdtype(work.dtype, np.integer):
+        return work
+    return _round_nonnegative(work, spare)

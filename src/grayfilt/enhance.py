@@ -22,18 +22,29 @@ def box_blur(img: Image, radius: int = 1, border: str = "replicate") -> Image:
     """Windowed mean: each pixel becomes the rounded average of its
     (2*radius+1)**2 neighborhood under the border policy.
 
-    The window sums come from separable running sums over the zero-padded
-    image, so the work per pixel does not grow with the radius; "replicate"
-    adds the copies of the edge rows and columns that a window covers
-    beyond the image. Zero padding wider than the image adds nothing, so
-    memory does not grow with the radius either. Row strip by row strip,
-    the column sums are carried on from the strip above, then summed along
-    the rows, rounded in exact integers and stored as gray levels.
+    Separable window sums over the zero-padded image, row strip by row
+    strip, in buffers allocated once per call; "replicate" adds the copies
+    of the edge rows and columns that a window covers beyond the image.
+    Zero padding wider than the image adds nothing, so neither memory nor
+    work grows with the radius beyond the image's size. Down the columns,
+    each output row's column sums are the row above's plus the pixel row
+    entering the window minus the one leaving it, carried from strip to
+    strip: constant work per pixel. Along the rows, each window sum is a
+    few contiguous shifted adds of the strip's column sums laid end to end,
+    log-step: one per bit of the window's width, plus one per further set
+    bit, so about 2·log2(2·radius + 1) adds per pixel. The sums are then
+    rounded in exact integers and stored as gray levels. They are int16
+    up to radius 5, int32 up to radius 1449, else int64.
 
     Raises:
         DomainError: if a window sum does not fit in 64 bits (a radius over
             about 9.5e7).
     """
+    return Image._trusted(_box_means(img, radius, border))
+
+
+def _box_means(img: Image, radius: int, border: str) -> np.ndarray:
+    """The pixels of :func:`box_blur`, a new writable uint8 array."""
     radius = POSITIVE_INT.check(radius, "radius")
     replicate = BORDER.check(border, "border") == "replicate"
     n = 2 * radius + 1
@@ -42,41 +53,77 @@ def box_blur(img: Image, radius: int = 1, border: str = "replicate") -> Image:
     largest = MAX_GRAY * area + area // 2
     if largest >= 2**63:
         raise DomainError("radius is too large: window sums would not fit in 64 bits")
-    dtype = np.int32 if largest < 2**31 else np.int64
-    h, w = img.height, img.width
-    ry, rx = min(radius, h), min(radius, w)
-    ny, nx = 2 * ry + 1, 2 * rx + 1
-    # Padded pixel (y + 1 + ry, x + 1 + rx) is image pixel (y, x). The extra
-    # leading row and column make the zero-padded window of output pixel
-    # (y, x) padded rows y + 1 .. y + ny and padded columns x + 1 .. x + nx.
-    padded = np.pad(img.pixels, ((ry + 1, ry), (rx + 1, rx)))
-    col = padded[:ny].sum(axis=0, dtype=dtype)  # the column sums "above" row 0
+    dtype = np.int16 if largest < 2**15 else np.int32 if largest < 2**31 else np.int64
+    pixels = img.pixels
+    h, w = pixels.shape
+    rx = min(radius, w)
+    stride = w + 2 * rx  # a row of column sums between rx zero columns on either side
+    strips = _row_strips(h, stride)
+    size = strips[0][1] * stride  # the first strip is the largest
+    sums, spare, spare2 = np.empty(size, dtype), np.empty(size, dtype), np.empty(size, dtype)
+    # The column sums of the zero-padded rows -radius - 1 .. radius - 1, "above" row 0.
+    carry = pixels[:min(radius, h)].sum(axis=0, dtype=dtype)
     out = np.empty((h, w), np.uint8)
-    for s0, s1 in _row_strips(h, padded.shape[1]):
-        # Each output row's column sums gain padded row y + ny and lose row y.
+    for s0, s1 in strips:
+        rows = s1 - s0
+        grid = sums[:rows * stride].reshape(rows, stride)
+        grid[:, :rx] = 0
+        grid[:, rx + w:] = 0
+        cols = grid[:, rx:rx + w]
+        # Output row y gains pixel row y + radius, if there is one, and loses
+        # row y - radius - 1: rows before ``enter`` gain one, rows from
+        # ``leave`` on lose one.
+        enter = min(max(h - radius, s0), s1)
+        leave = min(max(radius + 1, s0), s1)
+        a, b = min(enter, leave), max(enter, leave)
+        cols[:a - s0] = pixels[s0 + radius:a + radius]
+        if enter > leave:
+            np.subtract(pixels[a + radius:b + radius], pixels[a - radius - 1:b - radius - 1],
+                        out=cols[a - s0:b - s0], dtype=dtype)
+        else:
+            cols[a - s0:b - s0] = 0
+        np.negative(pixels[b - radius - 1:s1 - radius - 1], out=cols[b - s0:], dtype=dtype)
         # Row by row: numpy's cumsum along axis 0 strides across the rows and
         # is about ten times slower.
-        cols = np.subtract(padded[s0 + ny:s1 + ny], padded[s0:s1], dtype=dtype)
-        cols[0] += col
-        for i in range(1, len(cols)):
+        cols[0] += carry
+        for i in range(1, rows):
             cols[i] += cols[i - 1]
-        col = cols[-1].copy()
+        carry[:] = cols[-1]
         if replicate:
-            _add_edge_copies(cols, s0, h, radius, padded[ry + 1], padded[ry + h])
-            first, last = cols[:, rx + 1].copy(), cols[:, rx + w].copy()
-        # Along the rows, each window is the difference of two running sums;
-        # the extra leading column cancels out. The running sums may wrap
-        # around in dtype; their difference is still exact.
-        np.cumsum(cols, axis=1, out=cols)
-        sums = cols[:, nx:] - cols[:, :-nx]
+            _add_edge_copies(cols, s0, h, radius, pixels[0], pixels[h - 1])
+            first, last = cols[:, 0].copy(), cols[:, w - 1].copy()
+        _window_sums(sums[:rows * stride], 2 * rx + 1, (rows - 1) * stride + w, spare, spare2)
+        windows = grid[:, :w]
         if replicate:
-            _add_edge_copies(sums.T, 0, w, radius, first, last)
+            _add_edge_copies(windows.T, 0, w, radius, first, last)
         # The area is odd, so no mean is a tie: rounding half away from zero is
         # rounding to nearest, floor((s + area/2) / area) = (s + area//2) // area.
-        sums += area // 2
-        sums //= area
-        out[s0:s1] = sums
-    return Image._trusted(out)
+        flat = sums[:(rows - 1) * stride + w]
+        flat += area // 2
+        flat //= area
+        out[s0:s1] = windows
+    return out
+
+
+def _window_sums(sums: np.ndarray, n: int, length: int, spare: np.ndarray,
+                 spare2: np.ndarray) -> None:
+    """Replace ``sums[x]`` with ``sums[x] + ... + sums[x + n - 1]`` for each
+    x < ``length``, in shifted contiguous adds, log-step: a sum over a
+    window of 2**(k+1) is two sums over windows of 2**k, made into the
+    spare buffers in turn, and each set bit k > 0 of ``n`` (odd) adds the
+    window of 2**k that follows the part already summed. Integer sums are
+    exact in any order. Window sums that run past a row's end into the
+    next row are not used."""
+    span, doubled = 1, sums
+    done = 1
+    while 2 * span <= n:
+        nxt = spare if doubled is not spare else spare2
+        m = len(sums) - 2 * span + 1
+        np.add(doubled[:m], doubled[span:span + m], out=nxt[:m])
+        doubled, span = nxt, 2 * span
+        if n & span:
+            sums[:length] += doubled[done:done + length]
+            done += span
 
 
 def _add_edge_copies(sums: np.ndarray, p0: int, length: int, radius: int,
@@ -106,11 +153,12 @@ def unsharp_mask(img: Image, radius: int = 1, display: str = "clamp",
     """
     display = DISPLAY.check(display, "display")
     f = img.pixels
-    blurred = box_blur(img, radius, border).pixels
+    blurred = _box_means(img, radius, border)
     if display == "clamp":
-        # clamp(f - blur) = max(f - blur, 0) = f - min(f, blur), all in uint8.
-        low = np.minimum(f, blurred)
-        return Image._trusted(np.subtract(f, low, out=low))
+        # clamp(f - blur) = max(f - blur, 0) = f - min(f, blur), all in uint8,
+        # in place in the blurred copy.
+        np.minimum(f, blurred, out=blurred)
+        return Image._trusted(np.subtract(f, blurred, out=blurred))
     signed = SignedImage._trusted(f.astype(np.int16) - blurred)
     return clamp_to_display(signed, display)
 

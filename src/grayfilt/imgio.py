@@ -48,7 +48,7 @@ def write_pgm(img: Image, format: str = "P5") -> bytes:
     line, then the raster (raw bytes for P5; one space-separated text row
     per line for P2). read_pgm inverts this exactly for both formats."""
     choice("P2", "P5").check(format, "format")
-    return _bytes.encode_pgm(img.width, img.height, img.pixels.tobytes(), format)
+    return _bytes.encode_pgm(img.width, img.height, img.pixels.ravel().data, format)
 
 
 def load_pgm(path) -> Image:

@@ -35,7 +35,6 @@ from .kinds import (
     POSITIVE_INT,
     THRESHOLD,
     VARIANT,
-    Kind,
 )
 
 
@@ -265,12 +264,13 @@ def _apply(compiled: list, img: Image) -> Image:
     return img
 
 
-def _run_raster(compiled: list, width: int, height: int, raster: bytes) -> bytes:
+def _run_raster(compiled: list, width: int, height: int, raster: bytes):
     """The output raster of compiled stages run on a decoded image, bytes
     first: a table is one ``bytes.translate`` and a :class:`Step` runs its
     numpy-free form. At the first stage that has none, or whose input is
     above its cut, the raster is wrapped once, without a copy, as an Image,
-    and that stage and the rest run on numpy (:func:`_apply`). So a small
+    and that stage and the rest run on numpy (:func:`_apply`); the output
+    is then a memoryview of numpy's output pixels, not a copy. So a small
     image through table, sharpen, laplacian, shadow, edges and add stages
     loads no numpy at all."""
     for k, (label, built) in enumerate(compiled):
@@ -280,7 +280,7 @@ def _run_raster(compiled: list, width: int, height: int, raster: bytes) -> bytes
         except DomainError as exc:
             raise DomainError(f"{label}{exc}") from None
         if out is None:
-            return _apply(compiled[k:], api.imgio._image(width, height, raster)).pixels.tobytes()
+            return _apply(compiled[k:], api.imgio._image(width, height, raster)).pixels.ravel().data
         raster = out
     return raster
 

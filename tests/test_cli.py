@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import grayfilt
+import grayfilt._swar
 import grayfilt.bench
 import grayfilt.cli
 import grayfilt.convolution
@@ -601,6 +602,54 @@ class TestOutputLinks:
         assert capsys.readouterr().err.splitlines() == [
             f"grayfilt: [Errno 40] Too many levels of symbolic links: {str(loop)!r}"]
         assert loop.is_symlink()
+
+
+class TestInputBuffer:
+    """A CLI process reads its input into one buffer, and a P5 raster is
+    that buffer with the header and any bytes after the raster cut off in
+    place, whichever engine then runs (the bytes engine, or numpy when its
+    cut is 0). A FIFO has no size to read into, so its buffer grows."""
+
+    COMMANDS = [(["negate"], negate), (["sharpen", "--variant", "eight"],
+                                       lambda img: laplacian_sharpen(img, "eight")),
+                (["shadow", "--invert"], shadow_invert),
+                (["unsharp", "--radius", "2"], lambda img: unsharp_mask(img, 2))]
+
+    @pytest.fixture(params=[None, 0], ids=["bytes-first", "numpy"])
+    def cut(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(grayfilt._swar, "_CUT", request.param)
+
+    @pytest.mark.parametrize("argv, library", COMMANDS, ids=[c[0][0] for c in COMMANDS])
+    def test_p5_with_bytes_after_the_raster(self, sample, tmp_path, cut, argv, library):
+        img, path = sample
+        src, out = tmp_path / "trailing.pgm", tmp_path / "out.pgm"
+        src.write_bytes(path.read_bytes() + b"\n# end\n\x00\xff" * 3)
+        assert run_cli([argv[0], "-i", str(src), "-o", str(out), *argv[1:]]) == 0
+        assert out.read_bytes() == write_pgm(library(img))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("argv, library", COMMANDS, ids=[c[0][0] for c in COMMANDS])
+    def test_fifo_input(self, tmp_path, cut, argv, library):
+        # Larger than a pipe's 64 KiB buffer, so it arrives in several reads.
+        rng = np.random.default_rng(62)
+        img = Image(rng.integers(0, 256, (300, 301), np.uint8))
+        fifo, out = tmp_path / "in.fifo", tmp_path / "out.pgm"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(write_pgm(img) + b"# end\n")
+
+        # A daemon: if the command fails before it opens the FIFO, the
+        # writer stays blocked in open() and must not hold up the exit.
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            assert run_cli([argv[0], "-i", str(fifo), "-o", str(out), *argv[1:]]) == 0
+        finally:
+            writer.join(timeout=60)
+        assert out.read_bytes() == write_pgm(library(img))
 
 
 class TestCollector:

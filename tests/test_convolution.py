@@ -27,7 +27,8 @@ from grayfilt import (
     rot180,
     shadow_ne,
 )
-from grayfilt.convolution import _RESCALE_INT_SPAN, _clamp_display
+from grayfilt._swar import correlate_clamp
+from grayfilt.convolution import _RESCALE_INT_SPAN, _accumulator, _clamp_display
 from grayfilt.edges import SHADOW_BIAS
 from grayfilt.pipeline import OPS
 
@@ -525,6 +526,64 @@ class TestFusedDisplay:
         _clamp_display(img, ((0.5, 0.25, 0.25),))
         # The 1x3 kernel is checked as it is built, then each one-row strip once.
         assert checked == [(1, 3)] + [(1, 4)] * 8
+
+
+class TestPaddedStrips:
+    """Every strip loop builds each strip's padded rows, borders included,
+    in one reused buffer at row stride W + kw − 1 and adds each tap as one
+    contiguous slice of it. Kernels wider or taller than the image, one-row
+    and one-column images and a short last strip must all give the
+    oracle's sums, at either border and worker count."""
+
+    CASES = [((1, 3), (1, 9)), ((3, 1), (9, 1)), ((2, 2), (7, 7)), ((1, 13), (3, 5)),
+             ((13, 1), (5, 3)), ((1, 13), (1, 3)), ((13, 1), (3, 1)), ((7, 5), (3, 3))]
+
+    @pytest.mark.parametrize("shape, kshape", CASES, ids=[f"{s}-{k}" for s, k in CASES])
+    @pytest.mark.parametrize("border", ["replicate", "zero"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sums_and_clamp_match_oracle(self, monkeypatch, shape, kshape, border, workers):
+        rng = np.random.default_rng(37)
+        img = Image(rng.integers(0, 256, shape, np.uint8))
+        width = shape[1]
+        kernels = [rng.integers(-4, 5, kshape).astype(float),
+                   np.round(rng.normal(0.0, 1.0, kshape), 3)]
+        # Strips of 2 or 3 rows leave a short last strip of a 13-, 7- or
+        # 2-row image; then one-row strips, and the default one strip.
+        for strip_pixels in (2 * width, 3 * width, 1, 2**16):
+            monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", strip_pixels)
+            for coeffs in kernels:
+                coeffs[kshape[0] // 2, kshape[1] // 2] += 1.0  # never all zero
+                sums = correlate_brute(img.pixels.tolist(), coeffs.tolist(), border)
+                assert correlate(img, Kernel(coeffs), border, workers).values.tolist() == sums
+                assert _clamp_display(img, coeffs, 0, border).pixels.tolist() == \
+                    [[clamp_round_exact(Fraction(v)) for v in row] for row in sums]
+
+
+class TestInt16Bound:
+    """The fused clamp accumulates in int16 where sum(|c|)·255 + |bias| is
+    below 2**15. The 1x1 kernel 128 reaches 32640 on a white pixel: with
+    bias 127 the largest sum is 32767, which int16 holds; with bias 128 it
+    would wrap, so that sum takes int32. Both engines give the clamp."""
+
+    @pytest.mark.parametrize("coeff, bias, dtype", [
+        (128, 127, np.int16), (128, 128, np.int32),
+        (-128, 127, np.int16), (-128, 128, np.int32),
+    ])
+    @pytest.mark.parametrize("border", ["replicate", "zero"])
+    def test_both_sides_of_the_bound(self, coeff, bias, dtype, border):
+        pixels = np.array([[0, 1, 127], [128, 254, 255]], np.uint8)
+        stencil = ((coeff,),)
+        assert _accumulator(np.array(stencil, float), bias) is dtype
+        expected = [[min(max(coeff * p + bias, 0), 255) for p in row] for row in pixels.tolist()]
+        out = _clamp_display(Image(pixels), stencil, bias, border)
+        assert out.pixels.tolist() == expected
+        raster = correlate_clamp(3, 2, pixels.tobytes(), stencil, border, bias)
+        assert raster == out.pixels.tobytes()
+
+    def test_correlate_keeps_int32(self):
+        # int16 is only for sums that never leave the fused clamp.
+        assert correlate(Image([[255]]), Kernel([[128]])).values.dtype == np.int32
+        assert _accumulator(np.array([[128.0]])) is np.int32
 
 
 def rescale_oracle(values):

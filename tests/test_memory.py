@@ -11,13 +11,16 @@ of the signed intermediates, except where a rescale needs the whole range.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import grayfilt._swar
 from grayfilt import Image, read_pgm, save_pgm, write_pgm
-from grayfilt._bytes import decode_pgm, encode_pgm, p2_scan
+from grayfilt._bytes import decode_pgm, encode_pgm, load_pgm, p2_scan
 from grayfilt._swar import _EDGE_TAPS, _FIXED_TAPS
+from grayfilt.cli import _run
 from grayfilt.convolution import _STRIP_PIXELS
 from grayfilt.pipeline import OPS, _apply
 from support import swar_side_at_cut
@@ -92,6 +95,58 @@ def test_peak_bytes_per_pixel(files, op, params, bound):
     finally:
         tracemalloc.stop()
     assert peak / SIDE**2 <= bound
+
+
+#: Ops whose CLI path runs numpy above the bytes engine's cut, with the
+#: bound of their strip buffers: each strip loop builds its padded rows in
+#: buffers of a few strips, not a padded copy of the image, and an int16
+#: loop's buffers take a quarter of what a float64 loop's take.
+CLI_CASES = [
+    ("sharpen", {"variant": "eight"}, STRIPS / 4),
+    ("shadow", {"invert": True}, STRIPS / 4),
+    ("convolve", {"kernel": "real5.txt", "border": "replicate", "display": "clamp"}, STRIPS),
+    ("unsharp", {"radius": 5, "display": "clamp"}, STRIPS / 4),
+]
+
+
+@pytest.mark.parametrize("op, params, strips", CLI_CASES,
+                         ids=[f"{op}-{'-'.join(map(str, p.values()))}" for op, p, _ in CLI_CASES])
+def test_cli_path_peak_bytes_per_pixel(files, tmp_path, monkeypatch, op, params, strips):
+    # What a CLI process runs between its command line and its exit, with
+    # numpy forced at any size: read the file, run the step, write P5. It
+    # holds the buffer the file was read into and the output pixels, and
+    # no padded copy, no copy of the output and no header joined to it.
+    d, data = files
+    src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    src.write_bytes(data)
+    monkeypatch.setattr(grayfilt._swar, "_CUT", 0)
+    params = {k: str(d / v) if k == "kernel" else v for k, v in params.items()}
+    step = OPS[op].build(params)
+    args = SimpleNamespace(input=str(src), output=str(dst), format="p5")
+    tracemalloc.start()
+    try:
+        _run(args, [("", step)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dst.read_bytes() == write_pgm(step(read_pgm(data)), "P5")
+    assert peak / SIDE**2 <= 2 * U8 + strips
+
+
+def test_load_pgm_peak_is_one_buffer(files, tmp_path):
+    # The file is read into one buffer, and its P5 raster is that buffer
+    # with the header and the bytes after the raster cut off in place.
+    _, data = files
+    src = tmp_path / "in.pgm"
+    src.write_bytes(data + b"# trailing data\n" * 4)
+    tracemalloc.start()
+    try:
+        width, height, raster = load_pgm(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (width, height, raster) == (SIDE, SIDE, data[-SIDE * SIDE:])
+    assert peak <= SIDE**2 * U8 + 64 * 1024
 
 
 #: The P2 text of a level is at most 4 B: up to three digits and a separator.
