@@ -324,10 +324,18 @@ def load_pgm(path):
     return decode_pgm(read_file(path))
 
 
+#: The most bytes a text input (kernel, LUT table, pipeline spec) may hold: 16 MiB.
+TEXT_LIMIT = 2**24
+
+
 def load_text(path) -> str:
-    """Read a small text input (kernel, LUT table, pipeline spec)."""
+    """Read a small text input (kernel, LUT table, pipeline spec). At most
+    ``TEXT_LIMIT`` bytes and one more are read, so a longer file, or a
+    device without an end such as /dev/zero, is refused, not read."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(TEXT_LIMIT + 1)
+    if len(data) > TEXT_LIMIT:
+        raise FormatError(f"{os.fspath(path)}: text input longer than {TEXT_LIMIT} bytes")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError:

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 I/O or file-format error, 3 domain
-error (e.g. adding images of different sizes). Diagnostics go to stderr and
-processed data goes to files only, so the tool composes in scripts. An output
-symlink is followed; a new or regular file is written atomically (temp file +
-rename), a FIFO or a device in place.
+Exit codes: 0 success, 1 usage error, 2 I/O or file-format error, or memory
+exhausted, 3 domain error (e.g. adding images of different sizes).
+Diagnostics go to stderr and processed data goes to files only, so the tool
+composes in scripts. An output symlink is followed; a new or regular file is
+written atomically (temp file + rename), a FIFO or a device in place.
 """
 
 from __future__ import annotations
@@ -269,6 +269,9 @@ def main(argv=None) -> int:
             return args.handler(args)
         except (FormatError, OSError) as exc:
             print(f"grayfilt: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except MemoryError:
+            print("grayfilt: out of memory", file=sys.stderr)
             return EXIT_IO
         except DomainError as exc:
             print(f"grayfilt: {exc}", file=sys.stderr)

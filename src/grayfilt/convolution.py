@@ -20,13 +20,13 @@ finite and stores it through one per-strip finish.
 :class:`SignedImage`, and :func:`clamp_to_display` maps it to gray levels one
 strip of rows at a time. An integer intermediate is rescaled in exact
 integers, as (510·(v − min) + span) // (2·span) with span = max − min. The
-clamp displays (``laplacian_sharpen``, ``shadow_ne``, ``shadow_invert``, and
-the clamp of the ``laplacian`` and ``convolve`` ops) all go through one
-entry, ``_clamp_display``, whose finish clamps each strip to gray levels
+clamp displays (``laplacian_sharpen``, ``shadow_ne``, ``shadow_invert``, the
+clamp of the ``laplacian`` and ``convolve`` ops, and ``edges``) all go through
+one entry, ``_clamp_display``, whose finish clamps each strip to gray levels
 in place with the same rounding rule, so no full-size signed intermediate
 is built.
-Those two ops' rescale is the library calls, ``clamp_to_display`` of
-:func:`laplacian` or :func:`convolve`.
+The ``laplacian`` and ``convolve`` ops' rescale is the library calls,
+``clamp_to_display`` of :func:`laplacian` or :func:`convolve`.
 
 The built-in stencils are declared once, as integer tuples, in
 :mod:`grayfilt._swar`, beside the numpy-free clamp display the CLI runs on a

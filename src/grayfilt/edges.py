@@ -1,4 +1,5 @@
-"""Binary edge detection, saturating image addition, and shadow effects."""
+"""Binary edge detection, saturating image addition, and shadow effects.
+The ``edges`` op's numpy form is an equal clamp display (:mod:`grayfilt.pipeline`)."""
 
 from __future__ import annotations
 
@@ -27,20 +28,16 @@ def edge_map(u: BinaryImage) -> BinaryImage:
     frame never registers as an edge by itself.
     """
     bits = u.bits
-    h, w = bits.shape
     padded = np.pad(bits, 1, mode="edge")
-    up = padded[0:h, 1:w + 1]
-    down = padded[2:h + 2, 1:w + 1]
-    left = padded[1:h + 1, 0:w]
-    right = padded[1:h + 1, 2:w + 2]
-    g = (bits ^ up) | (bits ^ down) | (bits ^ left) | (bits ^ right)
+    g = bits ^ padded[:-2, 1:-1]
+    for near in (padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:]):
+        g |= bits ^ near
     return BinaryImage._trusted(g)
 
 
 def edge_points(u: BinaryImage) -> BinaryImage:
     """Black pixels with at least one white 4-neighbor: u = 0 and edge_map = 1."""
-    g = edge_map(u)
-    return BinaryImage._trusted(((u.bits == 0) & (g.bits == 1)).view(np.uint8))
+    return BinaryImage._trusted(np.greater(edge_map(u).bits, u.bits).view(np.uint8))
 
 
 def bits_to_image(u: BinaryImage) -> Image:

@@ -11,6 +11,8 @@ A point op builds a 256-byte table, and a run of them composes to one. The
 clamp displays of ``sharpen``, ``laplacian`` and ``shadow``, and ``edges``
 and ``add``, build a :class:`Step`, which also has an exact numpy-free form
 (:mod:`grayfilt._swar`); a clamp op's two forms read one stencil and bias.
+On numpy ``edges`` is a clamp too, of Laplacian-four on its 0/255 threshold
+image: 255 just at a 0 pixel with a white 4-neighbor, the edge rule.
 This module alone knows both engines: :func:`run_pipeline` runs every stage
 on numpy, and the CLI runs :func:`_run_raster` and :func:`_histogram`, bytes
 first, which fall back to numpy above a bytes form's cut.
@@ -147,8 +149,8 @@ OPS = {
     "edges": Op(
         "binary edge points (threshold, then XOR neighbor rule), rendered 0/255",
         (Param("threshold", THRESHOLD, 128),),
-        lambda p: Step(lambda img: api.bits_to_image(
-            api.edge_points(api.binarize(img, p["threshold"]))),
+        lambda p: Step(lambda img: api.convolution._clamp_display(
+            api.bits_to_image(api.binarize(img, p["threshold"])), _swar.LAPLACIANS["four"]),
             lambda width, height, raster: _swar.edge_points(width, height, raster,
                                                              p["threshold"]))),
     "add": Op(

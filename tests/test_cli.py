@@ -279,6 +279,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             f"grayfilt: LUT entries must lie in [0, 255], got {10**20}"]
 
+    @pytest.mark.parametrize("command, flag", [("lut", "--table"), ("convolve", "--kernel"),
+                                               ("pipeline", "--spec")])
+    def test_text_input_over_the_bound_is_io_error(self, tmp_path, capsys, monkeypatch,
+                                                   command, flag):
+        img, text = tmp_path / "in.pgm", tmp_path / "input.txt"
+        save_pgm(img, Image([[0, 1]]))
+        text.write_text({"lut": " ".join(["7"] * 256), "convolve": "1 1\n2\n",
+                         "pipeline": '{"stages": [{"op": "negate"}]}'}[command])
+        argv = [command, "-i", str(img), "-o", str(tmp_path / "out.pgm"), flag, str(text)]
+        monkeypatch.setattr(grayfilt._bytes, "TEXT_LIMIT", text.stat().st_size)
+        assert run_cli(argv) == 0
+        monkeypatch.setattr(grayfilt._bytes, "TEXT_LIMIT", text.stat().st_size - 1)
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"grayfilt: {text}: text input longer than {text.stat().st_size - 1} bytes"]
+
     def test_long_header_token_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "long.pgm"
         bad.write_bytes(b"P5 " + b"9" * 5000 + b" 1 255 x")
@@ -613,7 +629,9 @@ class TestInputBuffer:
     COMMANDS = [(["negate"], negate), (["sharpen", "--variant", "eight"],
                                        lambda img: laplacian_sharpen(img, "eight")),
                 (["shadow", "--invert"], shadow_invert),
-                (["unsharp", "--radius", "2"], lambda img: unsharp_mask(img, 2))]
+                (["unsharp", "--radius", "2"], lambda img: unsharp_mask(img, 2)),
+                (["edges", "--threshold", "90"],
+                 lambda img: bits_to_image(edge_points(binarize(img, 90))))]
 
     @pytest.fixture(params=[None, 0], ids=["bytes-first", "numpy"])
     def cut(self, request, monkeypatch):
@@ -739,6 +757,31 @@ class TestProcessLevel:
         assert proc.returncode == 2 and b"Traceback" not in proc.stderr
         (line,) = proc.stderr.decode().splitlines()
         assert line.startswith("grayfilt: pipeline spec") and "too many digits" in line
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    @pytest.mark.parametrize("argv", [["lut", "--table", "/dev/zero"],
+                                      ["pipeline", "--spec", "/dev/zero"],
+                                      ["convolve", "--kernel", "/dev/zero"],
+                                      ["negate", "-i", "/dev/zero"]], ids=lambda argv: argv[0])
+    def test_endless_input_under_a_memory_limit_is_one_line_io_error(self, tmp_path, argv):
+        # The child caps its own address space before the command runs, so
+        # an unbounded read fails there, not on the host. A text input stops
+        # at its 16 MiB bound; an image has none and runs out of memory.
+        pytest.importorskip("resource")
+        save_pgm(tmp_path / "in.pgm", Image([[7, 8]]))
+        if argv[0] == "negate":
+            message = "grayfilt: out of memory"
+        else:
+            message = f"grayfilt: /dev/zero: text input longer than {2**24} bytes"
+            argv = [*argv, "-i", str(tmp_path / "in.pgm")]
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28)); "
+                "from grayfilt.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", code, *argv, "-o",
+                               str(tmp_path / "out.pgm")], capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode().splitlines() == [message]
+        assert os.listdir(tmp_path) == ["in.pgm"]
 
     def test_the_heap_is_frozen_at_exit(self, tmp_path):
         # Three commands register one exit hook. Exit hooks run last

@@ -59,8 +59,10 @@ CASES = [
      IO + F64 + STRIPS),
     ("convolve", {"kernel": "ones9.txt", "border": "replicate", "display": "clamp"},
      IO + STRIPS),
-    # One bool array of threshold bits; edges adds the edge bits.
+    # One bool array of threshold bits.
     ("binarize", {"threshold": 128}, IO + U8),
+    # The threshold bits and their 0/255 image, whose Laplacian-four clamp
+    # then runs in int16 strips.
     ("edges", {"threshold": 128}, IO + 2 * U8),
     # The saturating sum is taken in uint16.
     ("add", {"image": "second.pgm"}, IO + 2 * I16),

@@ -30,6 +30,7 @@ from grayfilt import (
 )
 from grayfilt._bytes import NEGATE_TABLE
 from grayfilt.convolution import _clamp_display
+from grayfilt.pipeline import OPS
 from support import (
     clamp_round_exact,
     correlate_brute,
@@ -212,6 +213,7 @@ class TestEdgesAddHistogram:
         assert list(out) == [255 * v for row in edge_points_brute(bits) for v in row]
         img = Image(pixels)
         assert out == bits_to_image(edge_points(binarize(img, threshold))).pixels.tobytes()
+        assert out == OPS["edges"].build({"threshold": threshold})(img).pixels.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(images.flatmap(lambda a: st.tuples(
