@@ -34,6 +34,8 @@ from .errors import FormatError
 from .kinds import GRAY_LEVELS, MAX_GRAY, _is_int
 
 NEGATE_TABLE = bytes(range(MAX_GRAY, -1, -1))
+#: The first two bytes of a PGM: plain (P2) or raw (P5).
+_MAGICS = (b"P2", b"P5")
 
 
 def lut_table(entries, shape=None) -> bytes:
@@ -159,14 +161,21 @@ def p2_tokens(data: bytes, pos: int, count: int) -> bytearray:
     """Decode the first ``count`` P2 tokens after byte ``pos``. The text is
     decoded a slice at a time, each cut at a whitespace byte, into one
     preallocated raster while each token is 1 to 3 digits with a value of at
-    most 255. From the first slice with any other token, or where the text
-    runs out, :func:`p2_scan` fills the rest of the raster."""
+    most 255; the slice that reaches the count-th token is decoded only up to
+    the whitespace after it. From the first slice with any other token, or
+    where the text runs out, :func:`p2_scan` fills the rest of the raster."""
     raster = bytearray(count)
     filled = 0
     while filled < count and pos < len(data):
         cut = _SPACE.search(data, pos + _SLICE)
         end = cut.start() if cut else len(data)
-        levels = _p2_levels(data[pos:end], count - filled)
+        text = data[pos:end]
+        levels = _p2_levels(text)
+        need = count - filled
+        if levels is None or len(levels) > need:
+            # bytes.split's whitespace is _P2_CLASS's: rest[-1] follows the need-th token.
+            rest = text.split(None, need)
+            levels = _p2_levels(text[:len(text) - len(rest[-1])]) if len(rest) > need else None
         if levels is None:
             break
         raster[filled:filled + len(levels)] = levels
@@ -175,10 +184,10 @@ def p2_tokens(data: bytes, pos: int, count: int) -> bytearray:
     return raster if filled == count else p2_scan(data, pos, count, raster, filled)
 
 
-def _p2_levels(text: bytes, need: int):
-    """The levels of the first ``need`` tokens of ``text``, or of all of
-    them if fewer, or None where one of those is not 1 to 3 digits with a
-    value of at most 255. Whitespace or the end of the data follows ``text``.
+def _p2_levels(text: bytes):
+    """The levels of the tokens of ``text``, or None where one of them is
+    not 1 to 3 digits with a value of at most 255. Whitespace or the end of
+    the data follows ``text``.
 
     SWAR (see ``_swar``) on one int with a byte per byte of ``text``, its
     class in ``_P2_CLASS``: a token ends at byte i where byte i is a digit
@@ -192,6 +201,8 @@ def _p2_levels(text: bytes, need: int):
     and a 4-bit shift of what is left puts each level in the first byte of
     its pair."""
     cls = text.translate(_P2_CLASS) + b"\x02"
+    if b"\x04" in cls:
+        return None
     width = len(cls)
     ones = int.from_bytes(b"\x01" * width, "little")
     x = int.from_bytes(cls, "little")
@@ -200,26 +211,11 @@ def _p2_levels(text: bytes, need: int):
     pair = digit & digit << 8
     high = ends * 0xF0
     level = (x & high) + 10 * (x << 8 & high) + 100 * (x << 16 & (pair & ends) * 0xF0)
+    if pair & pair << 16 or level >> 8 & high:
+        return None
     rest = (ones ^ ends ^ ends << 8) * 255
     nibbles = (level | rest).to_bytes(width, "little").translate(None, b"\xff")
-    tokens = len(nibbles) // 2
-    other = b"\x04" in cls
-    if tokens > need or tokens == need and other:
-        # Data after the need-th token is ignored: keep the text up to the
-        # least b with at most tokens - need last digits at or after byte b.
-        # With exactly need tokens and no other byte, only whitespace follows.
-        first, last = 0, len(text)
-        while first < last:
-            mid = (first + last) // 2
-            if (ends >> 8 * mid).bit_count() <= tokens - need:
-                last = mid
-            else:
-                first = mid + 1
-        if first < len(text):
-            return _p2_levels(text[:first], need)
-    if other or pair & pair << 16 or level >> 8 & high:
-        return None
-    return (int.from_bytes(nibbles, "little") >> 4).to_bytes(2 * tokens, "little")[::2]
+    return (int.from_bytes(nibbles, "little") >> 4).to_bytes(len(nibbles), "little")[::2]
 
 
 def decode_pgm(data):
@@ -229,7 +225,7 @@ def decode_pgm(data):
     itself, its header and any bytes after the raster cut off in place, so
     it is not copied; bytes are copied to a bytearray once first."""
     magic = bytes(data[:2])
-    if magic not in (b"P2", b"P5"):
+    if magic not in _MAGICS:
         raise FormatError(f"bad magic {magic!r} at byte 0: expected P2 or P5")
     if not _SPACE.match(data, 2):
         raise FormatError("expected whitespace after magic at byte 2")
@@ -299,15 +295,18 @@ def encode_pgm(width: int, height: int, raster, format: str) -> bytes:
 
 
 def read_file(path) -> bytearray:
-    """Every byte of a file, a FIFO or a device, in one bytearray. A regular
-    file is read straight into a buffer one byte longer than the file, so
-    the read that finds its end needs no other buffer; for a FIFO or a
-    device, or a file that grows, the buffer doubles in place as it fills."""
+    """Every byte of a PGM file, a FIFO or a device, in one bytearray. A
+    regular file is read straight into a buffer one byte longer than the
+    file, so the read that finds its end needs no other buffer; for a FIFO
+    or a device, or a file that grows, the buffer doubles in place as it
+    fills, while its first two bytes are a PGM magic."""
     with open(path, "rb", buffering=0) as fh:
         data = bytearray(os.fstat(fh.fileno()).st_size + 1)
         filled = 0
         while True:
             if filled == len(data):
+                if filled > 1 and data[:2] not in _MAGICS:
+                    break
                 data *= 2
             with memoryview(data) as view:
                 n = fh.readinto(view[filled:])

@@ -758,30 +758,51 @@ class TestProcessLevel:
         (line,) = proc.stderr.decode().splitlines()
         assert line.startswith("grayfilt: pipeline spec") and "too many digits" in line
 
+    @staticmethod
+    def _run_limited(argv, stdin=None):
+        # The child caps its own address space before the command runs, so
+        # an unbounded read fails there, not on the host.
+        pytest.importorskip("resource")
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28)); "
+                "from grayfilt.cli import main; sys.exit(main(sys.argv[1:]))")
+        return subprocess.run([sys.executable, "-c", code, *argv], stdin=stdin,
+                              capture_output=True, timeout=120)
+
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
     @pytest.mark.parametrize("argv", [["lut", "--table", "/dev/zero"],
                                       ["pipeline", "--spec", "/dev/zero"],
                                       ["convolve", "--kernel", "/dev/zero"],
                                       ["negate", "-i", "/dev/zero"]], ids=lambda argv: argv[0])
     def test_endless_input_under_a_memory_limit_is_one_line_io_error(self, tmp_path, argv):
-        # The child caps its own address space before the command runs, so
-        # an unbounded read fails there, not on the host. A text input stops
-        # at its 16 MiB bound; an image has none and runs out of memory.
-        pytest.importorskip("resource")
+        # A text input stops at its 16 MiB bound, an image at its bad magic.
         save_pgm(tmp_path / "in.pgm", Image([[7, 8]]))
         if argv[0] == "negate":
-            message = "grayfilt: out of memory"
+            message = "grayfilt: bad magic b'\\x00\\x00' at byte 0: expected P2 or P5"
         else:
             message = f"grayfilt: /dev/zero: text input longer than {2**24} bytes"
             argv = [*argv, "-i", str(tmp_path / "in.pgm")]
-        code = ("import resource, sys; "
-                "resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28)); "
-                "from grayfilt.cli import main; sys.exit(main(sys.argv[1:]))")
-        proc = subprocess.run([sys.executable, "-c", code, *argv, "-o",
-                               str(tmp_path / "out.pgm")], capture_output=True, timeout=120)
+        proc = self._run_limited([*argv, "-o", str(tmp_path / "out.pgm")])
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert proc.stderr.decode().splitlines() == [message]
         assert os.listdir(tmp_path) == ["in.pgm"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_endless_pgm_under_a_memory_limit_runs_out_of_memory(self, tmp_path):
+        # An input that starts with a magic and never ends is read until the
+        # child's cap: one line and exit 2, no traceback and no file.
+        writer = subprocess.Popen(
+            [sys.executable, "-c", "import os\nwhile True: os.write(1, b'P5\\n' * 4096)"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        with writer:
+            try:
+                proc = self._run_limited(["negate", "-i", "/dev/stdin", "-o",
+                                          str(tmp_path / "out.pgm")], writer.stdout)
+            finally:
+                writer.kill()
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode().splitlines() == ["grayfilt: out of memory"]
+        assert os.listdir(tmp_path) == []
 
     def test_the_heap_is_frozen_at_exit(self, tmp_path):
         # Three commands register one exit hook. Exit hooks run last

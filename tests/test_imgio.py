@@ -269,13 +269,22 @@ class TestReadPgm:
         pos = data.index(b"255") + 3
         assert swar_only(data, pos, pixels.size) == pixels.tobytes()
 
-    @pytest.mark.parametrize("tail", [b"# end\n", b"x", b"P5\n2 1\n255\n\x00\xff"])
-    def test_trailing_data_keeps_the_fast_path(self, tail):
+    @pytest.mark.parametrize("tail", [b"# end\n", b"x", b"P5\n2 1\n255\n\x00\xff",
+                                      b"P2\n2 1\n255\n0 255\n"])
+    def test_trailing_data_keeps_the_fast_path(self, many_slices, tail):
         pixels = np.arange(12, dtype=np.uint8).reshape(3, 4) * 21
         data = write_pgm(Image(pixels), "P2") + tail
         pos = data.index(b"255") + 3
         assert swar_only(data, pos, pixels.size) == pixels.tobytes()
         assert read_pgm(data) == Image(pixels)
+        # After a raster of many slices, the count-th token ends in a later
+        # slice, at an offset in it that moves with the slice size.
+        data, pos, pixels = many_slices
+        data += tail
+        for slice_bytes in [_bytes._SLICE, 4099, 1000, 61]:
+            with mock.patch.object(_bytes, "_SLICE", slice_bytes):
+                fast = swar_only(data, pos, pixels.size)
+            assert fast == p2_scan(data, pos, pixels.size) == pixels.tobytes()
 
     def test_junk_joined_to_the_last_token_goes_to_the_scanner(self):
         data = write_pgm(Image([[7, 8]]), "P2").rstrip() + b"x"
