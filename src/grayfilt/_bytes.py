@@ -109,12 +109,14 @@ def _int_at(token: bytes, start: int, noun: str, prefix: str = "") -> int:
 #: Whitespace and '#' comments, then a header token. The token is empty only
 #: at the end of the data, so the match never fails and never backtracks.
 _HEADER_TOKEN = re.compile(rb"\s*(?:#[^\n]*\s*)*([^\s#]*)")
+#: The message of a header that the data ends in, which more bytes may complete.
+_HEADER_END = "unexpected end of header"
 
 
 def _header_int(data: bytes, pos: int, what: str):
     match = _HEADER_TOKEN.match(data, pos)
     if not match.group(1):
-        raise FormatError(f"unexpected end of header at byte {len(data)}")
+        raise FormatError(f"{_HEADER_END} at byte {len(data)}")
     return _int_at(match.group(1), match.start(1), "token", f"{what}: "), match.end()
 
 
@@ -147,13 +149,14 @@ def p2_scan(data: bytes, pos: int, count: int, values: bytearray | None = None,
     return values
 
 
-#: The whitespace bytes, as ``bytes.split()`` also takes them.
+#: The whitespace bytes, as ``bytes.split()`` and a bytes ``\s`` take them.
+_WHITESPACE = b" \t\n\r\v\f"
 _SPACE = re.compile(rb"\s")
 #: Bytes of P2 text decoded at a time.
 _SLICE = 1 << 16
 #: The class of each byte of P2 text: a digit is 1 plus 16 times its value,
 #: whitespace 2 and any other byte 4.
-_P2_CLASS = bytes((c - 48) << 4 | 1 if 48 <= c <= 57 else 2 if c in b" \t\n\r\v\f" else 4
+_P2_CLASS = bytes((c - 48) << 4 | 1 if 48 <= c <= 57 else 2 if c in _WHITESPACE else 4
                   for c in range(GRAY_LEVELS))
 
 
@@ -218,18 +221,16 @@ def _p2_levels(text: bytes):
     return (int.from_bytes(nibbles, "little") >> 4).to_bytes(len(nibbles), "little")[::2]
 
 
-def decode_pgm(data):
-    """Check a P2 or P5 PGM, bytes or a bytearray, and return (width,
-    height, raster), the raster one level per pixel, row-major. A P2 raster
-    goes to :func:`p2_tokens`. The P5 raster of a bytearray is ``data``
-    itself, its header and any bytes after the raster cut off in place, so
-    it is not copied; bytes are copied to a bytearray once first."""
+def _header(data):
+    """Check the header of a PGM: the magic, whitespace after it, and the
+    width, height and maxval tokens, dimensions >= 1 and maxval 255. Return
+    (magic, width, height, size, pos), ``size`` the "WxH" text and ``pos``
+    the byte after maxval; else raise the FormatError of the first fault."""
     magic = bytes(data[:2])
     if magic not in _MAGICS:
         raise FormatError(f"bad magic {magic!r} at byte 0: expected P2 or P5")
     if not _SPACE.match(data, 2):
         raise FormatError("expected whitespace after magic at byte 2")
-
     width, pos = _header_int(data, 2, "width")
     height, pos = _header_int(data, pos, "height")
     maxval, pos = _header_int(data, pos, "maxval")
@@ -238,6 +239,16 @@ def decode_pgm(data):
         raise FormatError(f"dimensions must be >= 1, got {size}")
     if maxval != MAX_GRAY:
         raise FormatError(f"unsupported maxval {reprlib.repr(maxval)}: only 255 is accepted")
+    return magic, width, height, size, pos
+
+
+def decode_pgm(data):
+    """Check a P2 or P5 PGM, bytes or a bytearray, and return (width,
+    height, raster), the raster one level per pixel, row-major. A P2 raster
+    goes to :func:`p2_tokens`. The P5 raster of a bytearray is ``data``
+    itself, its header and any bytes after the raster cut off in place, so
+    it is not copied; bytes are copied to a bytearray once first."""
+    magic, width, height, size, pos = _header(data)
     if max(width, height) > len(data):
         # Caught before the product, whose digits could outnumber what Python
         # converts to text for the messages below.
@@ -299,14 +310,27 @@ def read_file(path) -> bytearray:
     regular file is read straight into a buffer one byte longer than the
     file, so the read that finds its end needs no other buffer; for a FIFO
     or a device, or a file that grows, the buffer doubles in place as it
-    fills, while its first two bytes are a PGM magic."""
+    fills. Until the header has passed :func:`_header` once, the buffer
+    stops growing when the header is refused: the bytes are judged up to
+    their last whitespace byte, as a FIFO may deliver the ``25`` of ``255``
+    before the ``5``, and only a header the data ends in reads on."""
     with open(path, "rb", buffering=0) as fh:
         data = bytearray(os.fstat(fh.fileno()).st_size + 1)
         filled = 0
+        header = False
         while True:
             if filled == len(data):
-                if filled > 1 and data[:2] not in _MAGICS:
-                    break
+                if not header and filled > 2:
+                    # Two bytes may be part of a magic. With no whitespace
+                    # from byte 2 on, the first three refuse the header.
+                    cut = max(max(map(data.rfind, _WHITESPACE)) + 1, 3)
+                    try:
+                        _header(data[:cut])
+                    except FormatError as exc:
+                        if not str(exc).startswith(_HEADER_END):
+                            break
+                    else:
+                        header = True
                 data *= 2
             with memoryview(data) as view:
                 n = fh.readinto(view[filled:])

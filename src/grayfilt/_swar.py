@@ -23,8 +23,8 @@ each row in Python. So each step runs only where fields × its cost a field
 the numpy engine to take over. A 16- or 32-bit field costs its taps plus
 ``_FIXED_TAPS``; edges' 8-bit field costs ``_EDGE_TAPS``. The stencils of the built-in
 kernel ops (the Laplacians, sharpening, the shadow and its negative) are
-declared here, as integer tuples that both engines read: ``pipeline._clamp_step``
-builds each clamp op's two forms from one stencil and a bias.
+declared here, as integer tuples that both engines read: ``pipeline._kernel_step``
+builds every kernel op's forms from one stencil, bias, border and display.
 The histogram chart drawn here is also the library's ``render_histogram``.
 """
 
@@ -130,7 +130,9 @@ def correlate_clamp(width: int, height: int, raster: bytes, kernel, border: str 
                     bias: int = 0):
     """``clamp_round(bias + correlate(...))`` of the image for an integer
     ``kernel`` of odd-length rows, as the raster of the result; None above the
-    cut or past 32-bit fields."""
+    cut, past 32-bit fields, or for a coefficient that is not a Python int."""
+    if not all(isinstance(c, int) for row in kernel for c in row):
+        return None
     taps = [(i, j, c) for i, row in enumerate(kernel) for j, c in enumerate(row) if c]
     pos = sum(c for _, _, c in taps if c > 0)
     neg = -sum(c for _, _, c in taps if c < 0)

@@ -25,8 +25,8 @@ clamp of the ``laplacian`` and ``convolve`` ops, and ``edges``) all go through
 one entry, ``_clamp_display``, whose finish clamps each strip to gray levels
 in place with the same rounding rule, so no full-size signed intermediate
 is built.
-The ``laplacian`` and ``convolve`` ops' rescale is the library calls,
-``clamp_to_display`` of :func:`laplacian` or :func:`convolve`.
+The ``laplacian`` and ``convolve`` ops' rescale is ``clamp_to_display`` of
+:func:`correlate` of the op's stencil, as in :func:`laplacian` and :func:`convolve`.
 
 The built-in stencils are declared once, as integer tuples, in
 :mod:`grayfilt._swar`, beside the numpy-free clamp display the CLI runs on a
@@ -207,7 +207,8 @@ def correlate(img: Image, kernel: Kernel, border: str = "replicate",
 def _clamp_display(img: Image, stencil, bias: int = 0, border: str = "replicate") -> Image:
     """``clamp_round(bias + correlate(img, Kernel(stencil), border))``, the one
     numpy clamp display. ``stencil`` is what :func:`grayfilt._swar.correlate_clamp`
-    takes, a built-in tuple, or a parsed kernel's ``coeffs``. The clamp is
+    takes from ``pipeline._kernel_step``: a built-in integer tuple, or a
+    parsed kernel's float64 ``coeffs``, which only this form runs. The clamp is
     fused into the strip loop: each strip is clamped into the uint8 output
     in place while it is in cache, so no full-size accumulator exists, and
     an integer stencil whose sums and bias stay below 2**15 accumulates in

@@ -7,10 +7,10 @@ parameter is checked (and every referenced file loaded) before the first
 stage executes, so a bad spec never half-processes an image. Running a spec
 is bit-identical to composing the corresponding library calls by hand.
 
-A point op builds a 256-byte table, and a run of them composes to one. The
-clamp displays of ``sharpen``, ``laplacian`` and ``shadow``, and ``edges``
-and ``add``, build a :class:`Step`, which also has an exact numpy-free form
-(:mod:`grayfilt._swar`); a clamp op's two forms read one stencil and bias.
+A point op builds a 256-byte table, and a run of them composes to one. One
+builder, :func:`_kernel_step`, maps each kernel op's stencil, bias, border
+and display to both engines; its clamp display, ``edges`` and ``add`` build a
+:class:`Step`, which also has an exact numpy-free form (:mod:`grayfilt._swar`).
 On numpy ``edges`` is a clamp too, of Laplacian-four on its 0/255 threshold
 image: 255 just at a 0 pixel with a white 4-neighbor, the edge rule.
 This module alone knows both engines: :func:`run_pipeline` runs every stage
@@ -78,27 +78,16 @@ class Step(namedtuple("Step", "image raster")):
         return self.image(img)
 
 
-def _clamp_step(stencil, bias=0):
-    """The Step of the clamp display of the built-in ``stencil`` plus ``bias``:
-    numpy runs the library's one clamp display (``convolution._clamp_display``),
-    bytes :func:`grayfilt._swar.correlate_clamp`, both of the same tuple and bias."""
-    return Step(lambda img: api.convolution._clamp_display(img, stencil, bias),
+def _kernel_step(stencil, bias=0, border="replicate", display="clamp"):
+    """The step of a kernel op, the ``display`` of ``bias`` plus the image
+    correlated with ``stencil`` under ``border``: for a clamp a :class:`Step`
+    whose two forms read one stencil (a kernel file's floats stay on numpy)."""
+    if display == "rescale":
+        return lambda img: api.clamp_to_display(
+            api.correlate(img, api.Kernel(stencil), border), "rescale")
+    return Step(lambda img: api.convolution._clamp_display(img, stencil, bias, border),
                 lambda width, height, raster: _swar.correlate_clamp(width, height, raster,
-                                                                    stencil, bias=bias))
-
-
-def _laplacian_step(p):
-    if p["display"] == "clamp":
-        return _clamp_step(_swar.LAPLACIANS[p["variant"]])
-    return lambda img: api.clamp_to_display(api.laplacian(img, p["variant"]), p["display"])
-
-
-def _convolve_step(p):
-    kern = api.parse_kernel(_bytes.load_text(p["kernel"]))
-    if p["display"] == "clamp":
-        stencil = api.rot180(kern).coeffs
-        return lambda img: api.convolution._clamp_display(img, stencil, border=p["border"])
-    return lambda img: api.clamp_to_display(api.convolve(img, kern, p["border"]), p["display"])
+                                                                    stencil, border, bias))
 
 
 def _add_step(p):
@@ -128,10 +117,10 @@ OPS = {
         "second-derivative filter (display-mapped)",
         (_VARIANT._replace(help="4- or 8-neighbor stencil (default four)"),
          _DISPLAY._replace(help="how to map signed output to gray levels (default clamp)")),
-        _laplacian_step),
+        lambda p: _kernel_step(_swar.LAPLACIANS[p["variant"]], display=p["display"])),
     "sharpen": Op(
         "Laplacian sharpening: clamp(f - laplacian(f))", (_VARIANT,),
-        lambda p: _clamp_step(_swar.SHARPEN[p["variant"]])),
+        lambda p: _kernel_step(_swar.SHARPEN[p["variant"]])),
     "unsharp": Op(
         "unsharp masking: f minus a box-blurred copy of f",
         (Param("radius", POSITIVE_INT, 1, "blur window radius (default 1 = 3x3)"), _DISPLAY),
@@ -141,7 +130,8 @@ OPS = {
         (Param("kernel", PATH, help="kernel file: 'kheight kwidth' line, then coefficient rows",
                metavar="FILE"),
          Param("border", BORDER, "replicate"), _DISPLAY),
-        _convolve_step),
+        lambda p: _kernel_step(api.rot180(api.parse_kernel(_bytes.load_text(p["kernel"]))).coeffs,
+                               border=p["border"], display=p["display"])),
     "binarize": Op(
         "threshold to a 0/255 image",
         (Param("threshold", THRESHOLD, 128, "pixels >= threshold become 255 (default 128)"),),
@@ -161,8 +151,8 @@ OPS = {
     "shadow": Op(
         "relief shadow on northeastern edge sides",
         (Param("invert", FLAG, False, "negate the shadow rendering"),),
-        lambda p: (_clamp_step(_swar.SHADOW_SW, _swar.SHADOW_SW_BIAS) if p["invert"]
-                   else _clamp_step(_swar.SHADOW_NE, _swar.SHADOW_BIAS))),
+        lambda p: (_kernel_step(_swar.SHADOW_SW, _swar.SHADOW_SW_BIAS) if p["invert"]
+                   else _kernel_step(_swar.SHADOW_NE, _swar.SHADOW_BIAS))),
 }
 
 

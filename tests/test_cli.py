@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -669,6 +670,32 @@ class TestInputBuffer:
             writer.join(timeout=60)
         assert out.read_bytes() == write_pgm(library(img))
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_fifo_input_one_byte_a_write(self, tmp_path, cut):
+        # The buffer grows at 1, 2, 4, 8 and 16 bytes, each time judging the
+        # header so far: it ends inside the magic, the comment, and the 25 of
+        # 255. None of these refuses the header, which is judged only up to
+        # its last whitespace byte.
+        img = Image(np.random.default_rng(64).integers(0, 256, (5, 7), np.uint8))
+        data = b"P5\n# a cm\n7 5\n255\n" + img.pixels.tobytes()
+        assert data[14:16] == b"25"
+        fifo, out = tmp_path / "in.fifo", tmp_path / "out.pgm"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb", buffering=0) as fh:
+                for k in range(len(data)):
+                    fh.write(data[k:k + 1])
+                    time.sleep(0.001)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            assert run_cli(["sharpen", "-i", str(fifo), "-o", str(out)]) == 0
+        finally:
+            writer.join(timeout=60)
+        assert out.read_bytes() == write_pgm(laplacian_sharpen(img))
+
 
 class TestCollector:
     """An in-process ``main`` pauses the cyclic collector while the command
@@ -787,13 +814,15 @@ class TestProcessLevel:
         assert proc.stderr.decode().splitlines() == [message]
         assert os.listdir(tmp_path) == ["in.pgm"]
 
-    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
-    def test_endless_pgm_under_a_memory_limit_runs_out_of_memory(self, tmp_path):
-        # An input that starts with a magic and never ends is read until the
-        # child's cap: one line and exit 2, no traceback and no file.
-        writer = subprocess.Popen(
-            [sys.executable, "-c", "import os\nwhile True: os.write(1, b'P5\\n' * 4096)"],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    def _endless(self, tmp_path, head, body):
+        """Run ``negate`` in a memory-capped child on ``head`` and then
+        ``body`` repeated forever, piped to its /dev/stdin; return its
+        stderr lines once it has exited 2 with no stdout and no file."""
+        if not os.path.exists("/dev/stdin"):
+            pytest.skip("needs /dev/stdin")
+        code = f"import os\nos.write(1, {head!r})\nwhile True: os.write(1, {body * 4096!r})"
+        writer = subprocess.Popen([sys.executable, "-c", code],
+                                  stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
         with writer:
             try:
                 proc = self._run_limited(["negate", "-i", "/dev/stdin", "-o",
@@ -801,8 +830,19 @@ class TestProcessLevel:
             finally:
                 writer.kill()
         assert (proc.returncode, proc.stdout) == (2, b"")
-        assert proc.stderr.decode().splitlines() == ["grayfilt: out of memory"]
         assert os.listdir(tmp_path) == []
+        return proc.stderr.decode().splitlines()
+
+    def test_endless_pgm_under_a_memory_limit_runs_out_of_memory(self, tmp_path):
+        # An input whose header is valid and whose raster never ends is read
+        # until the child's cap: one line and exit 2, no traceback and no file.
+        assert self._endless(tmp_path, b"P2\n1 1\n255\n", b"0 ") == ["grayfilt: out of memory"]
+
+    def test_endless_input_stops_at_its_refused_header(self, tmp_path):
+        # The width token P5 refuses the header a byte after the magic: the
+        # read stops there, under the same cap, long before memory runs out.
+        assert self._endless(tmp_path, b"", b"P5\n") == [
+            "grayfilt: width: non-numeric token b'P5' at byte 3"]
 
     def test_the_heap_is_frozen_at_exit(self, tmp_path):
         # Three commands register one exit hook. Exit hooks run last
@@ -899,6 +939,8 @@ class TestProcessLevel:
                       ["sharpen", "-i", path, "-o", out, "--variant", "eight"],
                       ["edges", "-i", path, "-o", out],
                       ["shadow", "-i", path, "-o", out, "--invert"],
+                      ["laplacian", "-i", path, "-o", out],
+                      ["laplacian", "-i", path, "-o", out, "--variant", "eight"],
                       ["add", "-i", path, "-j", str(p5), "-o", out],
                       ["histogram", "-i", path, "--csv", str(tmp_path / "h.csv"),
                        "--render", out],

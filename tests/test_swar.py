@@ -16,13 +16,17 @@ from grayfilt import (
     DomainError,
     Image,
     PipelineSpec,
+    PipelineStage,
     binarize,
     bits_to_image,
+    clamp_to_display,
     compute_histogram,
+    convolve,
     edge_points,
     histogram_csv,
     image_add,
     load_pgm,
+    parse_kernel,
     parse_pipeline,
     render_histogram,
     run_pipeline,
@@ -104,6 +108,22 @@ class TestCorrelateClamp:
             else:
                 expected = _clamp_display(Image(pixels), kernel, bias, border)
                 assert out == expected.pixels.tobytes()
+
+    def test_non_integer_stencil_is_left_to_numpy(self):
+        # A parsed kernel's coefficients are float64, even where each is an integer.
+        raster = bytes(range(12))
+        floats = ((0.0, 1.0, 0.0), (1.0, -4.0, 1.0), (0.0, 1.0, 0.0))
+        assert swar.correlate_clamp(4, 3, raster, floats) is None
+        assert swar.correlate_clamp(4, 3, raster, np.array(floats)) is None
+        assert swar.correlate_clamp(4, 3, raster, swar.LAPLACIANS["four"]) is not None
+
+    def test_an_integer_kernel_file_runs_on_numpy(self, pair):
+        stage = PipelineStage("convolve", {"kernel": str(pair["kernel"]), "border": "zero"})
+        step = OPS["convolve"].build(stage.params)
+        img = Image(np.arange(12, dtype=np.uint8).reshape(3, 4) * 20)
+        assert step.raster(4, 3, img.pixels.tobytes()) is None
+        kernel = parse_kernel(pair["kernel"].read_text())
+        assert step(img) == clamp_to_display(convolve(img, kernel, "zero"))
 
 
 class TestShadowSW:
@@ -271,11 +291,14 @@ def pair(tmp_path):
     for name in ("in", "second"):
         paths[name] = tmp_path / f"{name}.pgm"
         save_pgm(paths[name], Image(rng.integers(0, 256, (9, 13), np.uint8)))
+    paths["kernel"] = tmp_path / "k.txt"
+    paths["kernel"].write_text("3 3\n1 -2 0\n0 4 -1\n2 0 -3\n")
     return paths
 
 
 #: (CLI command line after the paths, one-stage pipeline params) of each op
-#: with a bytes form.
+#: with a bytes form, then of the kernel ops that run numpy at any cut: a
+#: kernel file's float64 coefficients, and the rescale display.
 BYTES_OPS = [
     (["sharpen"], {"op": "sharpen"}),
     (["sharpen", "--variant", "eight"], {"op": "sharpen", "variant": "eight"}),
@@ -285,15 +308,23 @@ BYTES_OPS = [
     (["edges", "--threshold", "90"], {"op": "edges", "threshold": 90}),
     (["add", "-j", "{second}"], {"op": "add", "image": "{second}"}),
 ]
+NUMPY_KERNEL_OPS = [
+    (["convolve", "--kernel", "{kernel}", "--border", "zero"],
+     {"op": "convolve", "kernel": "{kernel}", "border": "zero"}),
+    (["convolve", "--kernel", "{kernel}", "--border", "zero", "--display", "rescale"],
+     {"op": "convolve", "kernel": "{kernel}", "border": "zero", "display": "rescale"}),
+    (["laplacian", "--display", "rescale"], {"op": "laplacian", "display": "rescale"}),
+]
 
 
 class TestCliOnBothSidesOfTheCut:
     @pytest.mark.parametrize("cut", [0, 2**40])
-    @pytest.mark.parametrize("argv, stage", BYTES_OPS)
+    @pytest.mark.parametrize("argv, stage", BYTES_OPS + NUMPY_KERNEL_OPS)
     def test_filter_writes_the_library_bytes(self, monkeypatch, tmp_path, pair, cut, argv, stage):
         monkeypatch.setattr(swar, "_CUT", cut)
-        argv = [str(pair["second"]) if a == "{second}" else a for a in argv]
-        stage = {k: str(pair["second"]) if v == "{second}" else v for k, v in stage.items()}
+        paths = {"{second}": str(pair["second"]), "{kernel}": str(pair["kernel"])}
+        argv = [paths.get(a, a) for a in argv]
+        stage = {k: paths.get(v, v) for k, v in stage.items()}
         expected = run_pipeline(PipelineSpec([stage]), load_pgm(pair["in"]))
         out = tmp_path / "out.pgm"
         for fmt in ("p5", "p2"):
