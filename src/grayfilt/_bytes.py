@@ -17,10 +17,9 @@ the token scanner decodes the rest of the raster: it gives every error
 message and byte offset and accepts whatever ``int()`` does, such as
 ``+7``, ``1_0`` or ``0255``.
 
-A CLI process copies no raster it does not need to: :func:`load_pgm`
-reads the file into one bytearray and hands back its P5 raster in place,
-and :func:`pgm_chunks` gives the header and the raster, which
-:func:`write_bytes_atomic` writes one after the other, never joined.
+No raster is copied that need not be: :func:`load_pgm` hands back a P5
+raster in the buffer the file was read into, and every PGM written to a file
+is :func:`pgm_chunks`' header and raster, never joined (:func:`write_bytes_atomic`).
 """
 
 from __future__ import annotations
@@ -300,37 +299,32 @@ def pgm_chunks(width: int, height: int, raster, format: str) -> tuple:
     return header, text.translate(None, b"\0")
 
 
-def encode_pgm(width: int, height: int, raster, format: str) -> bytes:
-    """The canonical PGM of a raster, as one bytes (:func:`pgm_chunks`)."""
-    return b"".join(pgm_chunks(width, height, raster, format))
-
-
 def read_file(path) -> bytearray:
     """Every byte of a PGM file, a FIFO or a device, in one bytearray. A
     regular file is read straight into a buffer one byte longer than the
     file, so the read that finds its end needs no other buffer; for a FIFO
     or a device, or a file that grows, the buffer doubles in place as it
-    fills. Until the header has passed :func:`_header` once, the buffer
-    stops growing when the header is refused: the bytes are judged up to
+    fills. It stops growing where :func:`_header` refuses the bytes up to
     their last whitespace byte, as a FIFO may deliver the ``25`` of ``255``
-    before the ``5``, and only a header the data ends in reads on."""
+    before the ``5``, so only a header the data ends in reads on; and once
+    the header passes, at the end of a P5 raster. A P2 raster has no bound."""
     with open(path, "rb", buffering=0) as fh:
         data = bytearray(os.fstat(fh.fileno()).st_size + 1)
         filled = 0
-        header = False
-        while True:
+        end = None  # of the frame, once the header has passed
+        while end is None or filled < end:
             if filled == len(data):
-                if not header and filled > 2:
+                if end is None and filled > 2:
                     # Two bytes may be part of a magic. With no whitespace
                     # from byte 2 on, the first three refuse the header.
                     cut = max(max(map(data.rfind, _WHITESPACE)) + 1, 3)
                     try:
-                        _header(data[:cut])
+                        magic, width, height, _, pos = _header(data[:cut])
                     except FormatError as exc:
                         if not str(exc).startswith(_HEADER_END):
                             break
                     else:
-                        header = True
+                        end = pos + 1 + width * height if magic == b"P5" else float("inf")
                 data *= 2
             with memoryview(data) as view:
                 n = fh.readinto(view[filled:])

@@ -6,10 +6,9 @@ emits one canonical byte sequence per image and format, so write-read-write
 is byte-identical. The maxval must be 255: other depths are rejected rather
 than silently rescaled.
 
-P2 and P5 alike are decoded by :func:`grayfilt._bytes.decode_pgm`, the
-numpy-free decoder every command runs; ``read_pgm`` wraps its raster as
-uint8 pixels. The header checks, the P2 decoder and the file helpers live
-there.
+The codec is :mod:`grayfilt._bytes`, the numpy-free one every command runs:
+``read_pgm`` wraps the raster of its ``decode_pgm`` as uint8 pixels, and the
+writers hand the image's own pixels to its ``pgm_chunks``.
 """
 
 from __future__ import annotations
@@ -43,12 +42,17 @@ def _image(width: int, height: int, raster) -> Image:
     return Image._trusted(np.frombuffer(raster, dtype=np.uint8).reshape(height, width))
 
 
+def _chunks(img: Image, format: str) -> tuple:
+    """``img``'s (header, pixels) in a checked ``format``: :func:`_bytes.pgm_chunks`."""
+    choice("P2", "P5").check(format, "format")
+    return _bytes.pgm_chunks(img.width, img.height, img.pixels.ravel().data, format)
+
+
 def write_pgm(img: Image, format: str = "P5") -> bytes:
     """Encode an Image canonically: magic line, "width height" line, "255"
     line, then the raster (raw bytes for P5; one space-separated text row
-    per line for P2). read_pgm inverts this exactly for both formats."""
-    choice("P2", "P5").check(format, "format")
-    return _bytes.encode_pgm(img.width, img.height, img.pixels.ravel().data, format)
+    per line for P2), joined in one bytes. read_pgm inverts this exactly."""
+    return b"".join(_chunks(img, format))
 
 
 def load_pgm(path) -> Image:
@@ -56,7 +60,8 @@ def load_pgm(path) -> Image:
 
 
 def save_pgm(path, img: Image, format: str = "P5") -> None:
-    write_bytes_atomic(path, write_pgm(img, format))
+    """Write :func:`write_pgm`'s bytes to ``path``, as a command does: unjoined."""
+    write_bytes_atomic(path, *_chunks(img, format))
 
 
 def parse_kernel(text: str) -> Kernel:

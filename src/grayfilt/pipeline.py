@@ -7,10 +7,10 @@ parameter is checked (and every referenced file loaded) before the first
 stage executes, so a bad spec never half-processes an image. Running a spec
 is bit-identical to composing the corresponding library calls by hand.
 
-A point op builds a 256-byte table, and a run of them composes to one. One
-builder, :func:`_kernel_step`, maps each kernel op's stencil, bias, border
-and display to both engines; its clamp display, ``edges`` and ``add`` build a
-:class:`Step`, which also has an exact numpy-free form (:mod:`grayfilt._swar`).
+A point op builds a 256-byte table, and a run of them composes to one; any
+other op a :class:`Step`. One builder, :func:`_kernel_step`, maps each kernel
+op's stencil, bias, border and display to both engines; its clamp display,
+``edges`` and ``add`` also have an exact numpy-free form (:mod:`grayfilt._swar`).
 On numpy ``edges`` is a clamp too, of Laplacian-four on its 0/255 threshold
 image: 255 just at a 0 pixel with a white 4-neighbor, the edge rule.
 This module alone knows both engines: :func:`run_pipeline` runs every stage
@@ -61,16 +61,15 @@ class Param(namedtuple("Param", "name kind default help flags metavar optional",
 class Op(namedtuple("Op", "help params build")):
     """A filter op: help line, parameters, and a builder that takes the
     canonical parameters, loads any referenced file, and returns the step:
-    for a point op its 256-byte table (:mod:`grayfilt._bytes`), for an op
-    with a numpy-free form a :class:`Step`, else a function Image -> Image."""
+    its 256-byte table for a point op (:mod:`grayfilt._bytes`), else a :class:`Step`."""
 
     __slots__ = ()
 
 
-class Step(namedtuple("Step", "image raster")):
-    """A step with two forms. Calling it runs ``image``, the numpy form,
-    Image -> Image; ``raster(width, height, raster)`` gives the same output
-    raster without numpy, or None above its cut (:mod:`grayfilt._swar`)."""
+class Step(namedtuple("Step", "image raster", defaults=(lambda width, height, raster: None,))):
+    """A step with two forms: calling it runs ``image``, Image -> Image, on
+    numpy; ``raster(width, height, raster)`` gives its output raster without
+    numpy, or None above its cut (:mod:`grayfilt._swar`) or, by default, always."""
 
     __slots__ = ()
 
@@ -79,12 +78,12 @@ class Step(namedtuple("Step", "image raster")):
 
 
 def _kernel_step(stencil, bias=0, border="replicate", display="clamp"):
-    """The step of a kernel op, the ``display`` of ``bias`` plus the image
-    correlated with ``stencil`` under ``border``: for a clamp a :class:`Step`
-    whose two forms read one stencil (a kernel file's floats stay on numpy)."""
+    """The :class:`Step` of a kernel op, the ``display`` of ``bias`` plus the
+    image correlated with ``stencil`` under ``border``; a clamp's two forms
+    read one stencil (a kernel file's floats stay on numpy)."""
     if display == "rescale":
-        return lambda img: api.clamp_to_display(
-            api.correlate(img, api.Kernel(stencil), border), "rescale")
+        return Step(lambda img: api.clamp_to_display(
+            api.correlate(img, api.Kernel(stencil), border), "rescale"))
     return Step(lambda img: api.convolution._clamp_display(img, stencil, bias, border),
                 lambda width, height, raster: _swar.correlate_clamp(width, height, raster,
                                                                     stencil, border, bias))
@@ -124,7 +123,7 @@ OPS = {
     "unsharp": Op(
         "unsharp masking: f minus a box-blurred copy of f",
         (Param("radius", POSITIVE_INT, 1, "blur window radius (default 1 = 3x3)"), _DISPLAY),
-        lambda p: lambda img: api.unsharp_mask(img, p["radius"], p["display"])),
+        lambda p: Step(lambda img: api.unsharp_mask(img, p["radius"], p["display"]))),
     "convolve": Op(
         "convolve with a kernel from a text file",
         (Param("kernel", PATH, help="kernel file: 'kheight kwidth' line, then coefficient rows",
@@ -259,16 +258,16 @@ def _apply(compiled: list, img: Image) -> Image:
 def _run_raster(compiled: list, width: int, height: int, raster: bytes):
     """The output raster of compiled stages run on a decoded image, bytes
     first: a table is one ``bytes.translate`` and a :class:`Step` runs its
-    numpy-free form. At the first stage that has none, or whose input is
-    above its cut, the raster is wrapped once, without a copy, as an Image,
-    and that stage and the rest run on numpy (:func:`_apply`); the output
-    is then a memoryview of numpy's output pixels, not a copy. So a small
-    image through table, sharpen, laplacian, shadow, edges and add stages
-    loads no numpy at all."""
+    numpy-free form. At the first stage whose form gives None (it has none,
+    or its input is above its cut), the raster is wrapped once, without a
+    copy, as an Image, and that stage and the rest run on numpy
+    (:func:`_apply`); the output is then a memoryview of numpy's output
+    pixels, not a copy. So a small image through table, sharpen, laplacian,
+    shadow, edges and add stages loads no numpy at all."""
     for k, (label, built) in enumerate(compiled):
         try:
             out = (raster.translate(built) if isinstance(built, bytes) else
-                   built.raster(width, height, raster) if isinstance(built, Step) else None)
+                   built.raster(width, height, raster))
         except DomainError as exc:
             raise DomainError(f"{label}{exc}") from None
         if out is None:

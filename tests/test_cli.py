@@ -814,10 +814,10 @@ class TestProcessLevel:
         assert proc.stderr.decode().splitlines() == [message]
         assert os.listdir(tmp_path) == ["in.pgm"]
 
-    def _endless(self, tmp_path, head, body):
+    def _feed_endless(self, tmp_path, head, body):
         """Run ``negate`` in a memory-capped child on ``head`` and then
-        ``body`` repeated forever, piped to its /dev/stdin; return its
-        stderr lines once it has exited 2 with no stdout and no file."""
+        ``body`` repeated forever, piped to its /dev/stdin, to ``out.pgm``
+        in ``tmp_path``; return the finished child."""
         if not os.path.exists("/dev/stdin"):
             pytest.skip("needs /dev/stdin")
         code = f"import os\nos.write(1, {head!r})\nwhile True: os.write(1, {body * 4096!r})"
@@ -829,6 +829,12 @@ class TestProcessLevel:
                                           str(tmp_path / "out.pgm")], writer.stdout)
             finally:
                 writer.kill()
+        return proc
+
+    def _endless(self, tmp_path, head, body):
+        """The stderr lines of :meth:`_feed_endless`'s child, once it has
+        exited 2 with no stdout and no file."""
+        proc = self._feed_endless(tmp_path, head, body)
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert os.listdir(tmp_path) == []
         return proc.stderr.decode().splitlines()
@@ -843,6 +849,17 @@ class TestProcessLevel:
         # read stops there, under the same cap, long before memory runs out.
         assert self._endless(tmp_path, b"", b"P5\n") == [
             "grayfilt: width: non-numeric token b'P5' at byte 3"]
+
+    def test_endless_input_stops_at_the_last_pixel_of_a_p5(self, tmp_path):
+        # Once a P5 header has passed, the read ends with the raster: the
+        # zeros after it are never read, under the same cap, and the image
+        # is written.
+        pixels = bytes(range(8))
+        proc = self._feed_endless(tmp_path, b"P5\n4 2\n255\n" + pixels, b"\0")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert os.listdir(tmp_path) == ["out.pgm"]
+        img = Image(np.frombuffer(pixels, np.uint8).reshape(2, 4))
+        assert (tmp_path / "out.pgm").read_bytes() == write_pgm(negate(img))
 
     def test_the_heap_is_frozen_at_exit(self, tmp_path):
         # Three commands register one exit hook. Exit hooks run last

@@ -370,9 +370,12 @@ class TestWritePgm:
         header = f"P2\n{pixels.shape[1]} {pixels.shape[0]}\n255\n"
         assert write_pgm(Image(pixels), "P2") == (header + body).encode("ascii")
 
-    def test_unknown_format_rejected(self):
+    def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(Image([[0]]), "P7")
+        with pytest.raises(ValueError):
+            save_pgm(tmp_path / "a.pgm", Image([[0]]), "P7")
+        assert os.listdir(tmp_path) == []
 
     @given(pixel_arrays)
     def test_round_trip_p5(self, pixels):

@@ -18,7 +18,7 @@ import pytest
 
 import grayfilt._swar
 from grayfilt import Image, read_pgm, save_pgm, write_pgm
-from grayfilt._bytes import decode_pgm, encode_pgm, load_pgm, p2_scan
+from grayfilt._bytes import decode_pgm, load_pgm, p2_scan, pgm_chunks
 from grayfilt._swar import _EDGE_TAPS, _FIXED_TAPS
 from grayfilt.cli import _run
 from grayfilt.convolution import _STRIP_PIXELS
@@ -151,6 +151,23 @@ def test_load_pgm_peak_is_one_buffer(files, tmp_path):
     assert peak <= SIDE**2 * U8 + 64 * 1024
 
 
+def test_save_pgm_holds_no_copy_of_the_pixels(files, tmp_path):
+    # save_pgm writes the header and the image's own pixels one after the
+    # other, as a command does, never joined: once its imports are warm, a
+    # call allocates a few KiB whatever the image's size, not 1 B/px.
+    _, data = files
+    img, dst = read_pgm(data), tmp_path / "out.pgm"
+    save_pgm(dst, img)
+    tracemalloc.start()
+    try:
+        save_pgm(dst, img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dst.read_bytes() == data
+    assert peak < 64 * 1024
+
+
 #: The P2 text of a level is at most 4 B: up to three digits and a separator.
 P2_TEXT = 4 * U8
 
@@ -172,7 +189,7 @@ def test_table_path_peak_bytes_per_pixel(files, fmt, bound):
     tracemalloc.start()
     try:
         width, height, raster = decode_pgm(data)
-        encode_pgm(width, height, raster.translate(table), fmt)
+        pgm_chunks(width, height, raster.translate(table), fmt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -252,7 +269,7 @@ def test_bytes_step_peak_bytes_per_pixel_below_the_cut(tmp_path, op, params, cos
     try:
         width, height, raster = decode_pgm(data)
         out = step.raster(width, height, raster)
-        encode_pgm(width, height, out, "P5")
+        pgm_chunks(width, height, out, "P5")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -31,7 +31,7 @@ from grayfilt import (
     unsharp_mask,
 )
 from grayfilt.cli import build_parser
-from grayfilt.pipeline import OPS
+from grayfilt.pipeline import OPS, PipelineStage, Step
 
 from support import run_cli
 
@@ -119,11 +119,28 @@ def test_cli_subcommands_are_the_ops_plus_three():
     assert set(sub.choices) == set(OPS) | {"histogram", "pipeline", "bench"}
 
 
-@pytest.mark.parametrize("op,flags,params,library", CASES,
-                         ids=[f"{c[0]}-{'-'.join(c[1]) or 'defaults'}" for c in CASES])
+CASE_IDS = [f"{c[0]}-{'-'.join(c[1]) or 'defaults'}" for c in CASES]
+
+
+def _filled(value, paths):
+    """``value`` with the fixture's file paths put in for its placeholders."""
+    return value.format(**paths) if isinstance(value, str) else value
+
+
+@pytest.mark.parametrize("op,flags,params,library", CASES, ids=CASE_IDS)
+def test_every_op_builds_a_table_or_a_step(files, op, flags, params, library):
+    # A point op's step is its 256-byte table; every other op's is a Step,
+    # whose numpy-free form may give None.
+    _, paths, _ = files
+    stage = PipelineStage(op, {k: _filled(v, paths) for k, v in params.items()})
+    built = OPS[op].build(stage.params)
+    assert isinstance(built, Step) or (type(built) is bytes and len(built) == 256)
+
+
+@pytest.mark.parametrize("op,flags,params,library", CASES, ids=CASE_IDS)
 def test_cli_pipeline_and_library_agree(files, tmp_path, op, flags, params, library):
     img, paths, loaded = files
-    fill = lambda v: v.format(**paths) if isinstance(v, str) else v
+    fill = lambda v: _filled(v, paths)
     out = tmp_path / "out.pgm"
     argv = [op, "-i", paths["input"], "-o", str(out), *map(fill, flags)]
     assert run_cli(argv) == 0
