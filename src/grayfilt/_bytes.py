@@ -153,6 +153,8 @@ _WHITESPACE = b" \t\n\r\v\f"
 _SPACE = re.compile(rb"\s")
 #: Bytes of P2 text decoded at a time.
 _SLICE = 1 << 16
+#: 1 for a whitespace byte, else 0: a P2 token ends where 0 is followed by 1.
+_ENDS = bytes(c in _WHITESPACE for c in range(GRAY_LEVELS))
 #: The class of each byte of P2 text: a digit is 1 plus 16 times its value,
 #: whitespace 2 and any other byte 4.
 _P2_CLASS = bytes((c - 48) << 4 | 1 if 48 <= c <= 57 else 2 if c in _WHITESPACE else 4
@@ -307,11 +309,13 @@ def read_file(path) -> bytearray:
     fills. It stops growing where :func:`_header` refuses the bytes up to
     their last whitespace byte, as a FIFO may deliver the ``25`` of ``255``
     before the ``5``, so only a header the data ends in reads on; and once
-    the header passes, at the end of a P5 raster. A P2 raster has no bound."""
+    the header passes, at the end of a P5 raster, or for P2 at the first
+    fill after a whitespace byte ends its width*height-th token."""
     with open(path, "rb", buffering=0) as fh:
         data = bytearray(os.fstat(fh.fileno()).st_size + 1)
         filled = 0
         end = None  # of the frame, once the header has passed
+        tokens = 0  # P2 raster tokens yet to end, once the header has passed
         while end is None or filled < end:
             if filled == len(data):
                 if end is None and filled > 2:
@@ -323,8 +327,14 @@ def read_file(path) -> bytearray:
                     except FormatError as exc:
                         if not str(exc).startswith(_HEADER_END):
                             break
-                    else:
-                        end = pos + 1 + width * height if magic == b"P5" else float("inf")
+                    else:  # a P2 raster ends with a token, not at a byte
+                        tokens = width * height if magic == b"P2" else 0
+                        end = float("inf") if tokens else pos + 1 + width * height
+                if tokens:
+                    tokens -= data[pos:filled].translate(_ENDS).count(b"\x00\x01")
+                    if tokens <= 0:
+                        break
+                    pos = filled - 1  # its pair with the next byte is not yet counted
                 data *= 2
             with memoryview(data) as view:
                 n = fh.readinto(view[filled:])

@@ -25,7 +25,8 @@ from .kinds import choice
 
 
 def read_pgm(data: bytes) -> Image:
-    """Decode a P2 or P5 PGM byte sequence into an Image.
+    """Decode a P2 or P5 PGM byte sequence into an Image, copying it once at
+    most: a bytearray or memoryview to the bytearray ``decode_pgm`` cuts in place.
 
     Raises:
         FormatError: bad magic, maxval != 255, dimensions < 1, truncated
@@ -34,7 +35,7 @@ def read_pgm(data: bytes) -> Image:
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise FormatError("PGM input must be a byte sequence")
-    return _image(*_bytes.decode_pgm(bytes(data)))
+    return _image(*_bytes.decode_pgm(data if isinstance(data, bytes) else bytearray(data)))
 
 
 def _image(width: int, height: int, raster) -> Image:

@@ -840,9 +840,9 @@ class TestProcessLevel:
         return proc.stderr.decode().splitlines()
 
     def test_endless_pgm_under_a_memory_limit_runs_out_of_memory(self, tmp_path):
-        # An input whose header is valid and whose raster never ends is read
-        # until the child's cap: one line and exit 2, no traceback and no file.
-        assert self._endless(tmp_path, b"P2\n1 1\n255\n", b"0 ") == ["grayfilt: out of memory"]
+        # An input whose header comment never ends is read until the child's
+        # cap: one line and exit 2, no traceback and no file.
+        assert self._endless(tmp_path, b"P2\n#", b"a") == ["grayfilt: out of memory"]
 
     def test_endless_input_stops_at_its_refused_header(self, tmp_path):
         # The width token P5 refuses the header a byte after the magic: the
@@ -860,6 +860,15 @@ class TestProcessLevel:
         assert os.listdir(tmp_path) == ["out.pgm"]
         img = Image(np.frombuffer(pixels, np.uint8).reshape(2, 4))
         assert (tmp_path / "out.pgm").read_bytes() == write_pgm(negate(img))
+
+    def test_endless_input_stops_at_the_last_token_of_a_p2(self, tmp_path):
+        # Once a P2 header has passed, the read ends at the first buffer fill
+        # after the width*height-th token has a whitespace byte after it: the
+        # tokens after it are never read, under the same cap.
+        proc = self._feed_endless(tmp_path, b"P2\n2 1\n255\n1 2\n", b"0 ")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert os.listdir(tmp_path) == ["out.pgm"]
+        assert (tmp_path / "out.pgm").read_bytes() == write_pgm(negate(Image([[1, 2]])))
 
     def test_the_heap_is_frozen_at_exit(self, tmp_path):
         # Three commands register one exit hook. Exit hooks run last

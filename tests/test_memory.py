@@ -168,6 +168,26 @@ def test_save_pgm_holds_no_copy_of_the_pixels(files, tmp_path):
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview], ids=lambda kind: kind.__name__)
+def test_read_pgm_copies_a_p5_once(files, kind):
+    # decode_pgm cuts a P5 raster out of a private bytearray in place, so
+    # read_pgm makes that one copy of its input, of whatever type, and no
+    # other: a warm call peaks at the raster (1 B/px) and a few KiB, and
+    # the input is left as it was.
+    _, original = files
+    data = kind(original)
+    read_pgm(data)
+    tracemalloc.start()
+    try:
+        img = read_pgm(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert img.pixels.tobytes() == original[-SIDE * SIDE:]
+    assert bytes(data) == original
+    assert peak < 1.1 * SIDE**2 * U8
+
+
 #: The P2 text of a level is at most 4 B: up to three digits and a separator.
 P2_TEXT = 4 * U8
 
