@@ -25,8 +25,8 @@ from .kinds import choice
 
 
 def read_pgm(data: bytes) -> Image:
-    """Decode a P2 or P5 PGM byte sequence into an Image, copying it once at
-    most: a bytearray or memoryview to the bytearray ``decode_pgm`` cuts in place.
+    """Decode a P2 or P5 PGM byte sequence into an Image. ``data`` is left
+    as it is: a P5 raster is copied out of it once, and P2 text not at all.
 
     Raises:
         FormatError: bad magic, maxval != 255, dimensions < 1, truncated
@@ -35,7 +35,7 @@ def read_pgm(data: bytes) -> Image:
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise FormatError("PGM input must be a byte sequence")
-    return _image(*_bytes.decode_pgm(data if isinstance(data, bytes) else bytearray(data)))
+    return _image(*_bytes.decode_pgm(data))
 
 
 def _image(width: int, height: int, raster) -> Image:

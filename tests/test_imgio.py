@@ -1,4 +1,6 @@
+import io
 import os
+import random
 import stat
 import time
 from unittest import mock
@@ -50,6 +52,9 @@ text_pieces = st.sampled_from(
     ["", " ", "\n", "-", "0", "0.5", "1e999", "nan", _HUGE, "-" + _HUGE]
 ) | st.text(max_size=3)
 small_arrays = hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=4))
+#: Canonical P2 and P5 files of small images, mutated.
+mutated_pgms = mutated(st.tuples(small_arrays, st.sampled_from(["P2", "P5"])).map(
+    lambda case: write_pgm(Image(case[0]), case[1])), byte_pieces)
 fuzz = settings(max_examples=100, deadline=None)
 
 
@@ -104,6 +109,42 @@ def many_slices():
     return header + raster + b"\n", len(header), pixels
 
 
+class Trickle(io.RawIOBase):
+    """A binary file of ``data`` whose reads give 1 to 9 bytes at a time, as
+    ``rng`` draws them, like a pipe that a slow writer feeds."""
+
+    def __init__(self, data, rng):
+        self.data, self.pos, self.rng = data, 0, rng
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = min(len(buffer), self.rng.randint(1, 9), len(self.data) - self.pos)
+        buffer[:n] = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return n
+
+
+class Endless(io.RawIOBase):
+    """A binary file of ``head`` and then ``body`` repeated forever, which
+    counts the bytes it gives."""
+
+    def __init__(self, head, body):
+        self.data, self.body, self.given = head, body, 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        while len(self.data) < len(buffer):
+            self.data += self.body * 4096
+        buffer[:] = self.data[:len(buffer)]
+        self.data = self.data[len(buffer):]
+        self.given += len(buffer)
+        return len(buffer)
+
+
 def outcome(decode):
     """What ``decode()`` returns, or the message of the FormatError it raises."""
     try:
@@ -112,11 +153,40 @@ def outcome(decode):
         return str(exc)
 
 
+def tokens(data, pos, count):
+    """``p2_tokens`` of the text of ``data`` from byte ``pos`` on, in the
+    pieces ``decode_pgm`` cuts it into: each runs to the first whitespace
+    byte ``_SLICE`` bytes on or later, the last to the end."""
+    def pieces(start):
+        while start < len(data):
+            cut = _bytes._SPACE.search(data, start + _bytes._SLICE)
+            end = cut.start() if cut else len(data)
+            yield start, data[start:end]
+            start = end
+    return p2_tokens(pieces(pos), count)
+
+
+def scan(data, pos, count):
+    """``p2_scan`` of the whole text of ``data`` from byte ``pos`` on."""
+    return p2_scan(memoryview(data)[pos:], pos, count)
+
+
+def whole(decode, data, pos, shape):
+    """The image ``decode`` gives of the raster of ``data``, or the message
+    ``decode_pgm`` gives where it finds too few tokens in the text."""
+    count = shape[0] * shape[1]
+    levels = decode(data, pos, count)
+    if len(levels) < count:
+        raise FormatError(f"truncated raster: need {count} pixels, "
+                          f"found {len(levels)} by byte {len(data)}")
+    return Image(np.frombuffer(levels, np.uint8).reshape(shape))
+
+
 def swar_only(data, pos, count):
     """``p2_tokens`` with the token scanner shut off: the raster the SWAR
     decode gives alone."""
     with mock.patch.object(_bytes, "p2_scan", side_effect=AssertionError("p2_scan ran")):
-        return p2_tokens(data, pos, count)
+        return tokens(data, pos, count)
 
 
 class TestReadPgm:
@@ -200,6 +270,10 @@ class TestReadPgm:
             # The product of two 4000-digit dimensions has too many digits to print.
             (b"P5 " + b"9" * 4000 + b" " + b"9" * 4000 + b" 255 x",
              "truncated raster: a 999", "cannot fit in 8010 bytes"),
+            (b"P2 " + b"9" * 4000 + b" " + b"9" * 4000 + b" 255 1",
+             "truncated raster: a 999", "cannot fit in 8010 bytes"),
+            (b"P2 " + b"9" * 4000 + b" " + b"9" * 4000 + b" 255",
+             "truncated raster: a 999", "cannot fit in 8008 bytes"),
             # Underscores between digits are valid, and not counted as digits.
             (b"P2 1 1 255 " + b"1_" * 4400 + b"1", "too many digits in pixel token b'1_1",
              "at byte 11"),
@@ -216,6 +290,7 @@ class TestReadPgm:
             message = str(info.value)
             assert message.startswith(start) and message.endswith(end), message
             assert len(message) < 150
+            assert outcome(lambda: decode_pgm(b"", Trickle(data, random.Random(0)))) == message
 
     @fuzz
     @given(st.lists(header_pieces, max_size=12).map(b"".join), st.integers(0, 60),
@@ -242,12 +317,9 @@ class TestReadPgm:
         # read_pgm, and p2_tokens alone, give the scanner's pixels or its
         # message for every raster.
         data, pos, shape = case
-        count = shape[0] * shape[1]
-        scanned = outcome(lambda: Image(np.frombuffer(p2_scan(data, pos, count), np.uint8)
-                                       .reshape(shape)))
+        scanned = outcome(lambda: whole(scan, data, pos, shape))
         assert outcome(lambda: read_pgm(data)) == scanned
-        assert outcome(lambda: Image(np.frombuffer(p2_tokens(data, pos, count), np.uint8)
-                                     .reshape(shape))) == scanned
+        assert outcome(lambda: whole(tokens, data, pos, shape)) == scanned
 
     @fuzz
     @given(p2_rasters(), st.sampled_from([1, 2, 3, 7, _bytes._SLICE]))
@@ -260,8 +332,8 @@ class TestReadPgm:
             expected = (width, height, expected.pixels.tobytes())
         with mock.patch.object(_bytes, "_SLICE", slice_bytes):
             assert outcome(lambda: decode_pgm(data)) == expected
-            fast = outcome(lambda: p2_tokens(data, pos, width * height))
-        assert fast == outcome(lambda: p2_scan(data, pos, width * height))
+            fast = outcome(lambda: tokens(data, pos, width * height))
+        assert fast == outcome(lambda: scan(data, pos, width * height))
 
     @given(pixel_arrays)
     def test_canonical_p2_takes_the_fast_path(self, pixels):
@@ -284,12 +356,12 @@ class TestReadPgm:
         for slice_bytes in [_bytes._SLICE, 4099, 1000, 61]:
             with mock.patch.object(_bytes, "_SLICE", slice_bytes):
                 fast = swar_only(data, pos, pixels.size)
-            assert fast == p2_scan(data, pos, pixels.size) == pixels.tobytes()
+            assert fast == scan(data, pos, pixels.size) == pixels.tobytes()
 
     def test_junk_joined_to_the_last_token_goes_to_the_scanner(self):
         data = write_pgm(Image([[7, 8]]), "P2").rstrip() + b"x"
         pos = data.index(b"255") + 3
-        assert outcome(lambda: p2_tokens(data, pos, 2)) == outcome(lambda: p2_scan(data, pos, 2))
+        assert outcome(lambda: tokens(data, pos, 2)) == outcome(lambda: scan(data, pos, 2))
         with pytest.raises(FormatError, match="non-numeric pixel token b'8x'"):
             read_pgm(data)
 
@@ -302,7 +374,7 @@ class TestReadPgm:
         data = data[:pos] + b" " * shift + data[pos:]
         with mock.patch.object(_bytes, "_SLICE", slice_bytes):
             fast = swar_only(data, pos, pixels.size)
-        assert fast == p2_scan(data, pos, pixels.size) == pixels.tobytes()
+        assert fast == scan(data, pos, pixels.size) == pixels.tobytes()
 
     @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 4099])
     @pytest.mark.parametrize("token, error", [
@@ -317,11 +389,9 @@ class TestReadPgm:
         at = data.index(b" ", len(data) * 3 // 4) + 1
         data = data[:at] + token + b" " + data[at:]
         count = pixels.size
-        scanned = outcome(lambda: Image(np.frombuffer(p2_scan(data, pos, count), np.uint8)
-                                        .reshape(pixels.shape)))
+        scanned = outcome(lambda: whole(scan, data, pos, pixels.shape))
         with mock.patch.object(_bytes, "_SLICE", slice_bytes):
-            assert outcome(lambda: Image(np.frombuffer(p2_tokens(data, pos, count), np.uint8)
-                                         .reshape(pixels.shape))) == scanned
+            assert outcome(lambda: whole(tokens, data, pos, pixels.shape)) == scanned
             assert outcome(lambda: read_pgm(data)) == scanned
         if error is None:
             # The token is pixel k, and the raster's last token is now trailing data.
@@ -343,16 +413,67 @@ class TestReadPgm:
         assert len(data) - pos > 3 * slice_bytes
         starts = []
 
-        def scan(data, pos, *rest):
-            starts.append(pos)
-            return p2_scan(data, pos, *rest)
+        def recorded(text, offset, *rest):
+            starts.append(offset)
+            return p2_scan(text, offset, *rest)
 
         with mock.patch.object(_bytes, "_SLICE", slice_bytes), \
-                mock.patch.object(_bytes, "p2_scan", scan):
-            raster = p2_tokens(data, pos, pixels.size)
-        assert raster == p2_scan(data, pos, pixels.size) == pixels.tobytes()[:-1] + b"\x32"
+                mock.patch.object(_bytes, "p2_scan", recorded):
+            raster = tokens(data, pos, pixels.size)
+        assert raster == scan(data, pos, pixels.size) == pixels.tobytes()[:-1] + b"\x32"
         [start] = starts
         assert 0 < at - start <= slice_bytes
+
+    @fuzz
+    @given(st.one_of(p2_rasters().map(lambda case: case[0]), mutated_pgms),
+           st.sampled_from([_bytes._SLICE, 7, 61]), st.integers(0, 30),
+           st.randoms(use_true_random=False))
+    def test_reading_in_chunks_equals_decoding_in_memory(self, data, slice_bytes, head, rng):
+        # decode_pgm reading a file that gives 1 to 9 bytes a read, after
+        # the first ``head`` bytes given in memory, decodes the same pixels,
+        # or raises the same message and byte offset, as on all the bytes in
+        # memory: however the header, the reads and the pieces are cut.
+        with mock.patch.object(_bytes, "_SLICE", slice_bytes):
+            expected = outcome(lambda: decode_pgm(data))
+            assert outcome(lambda: decode_pgm(data[:head], Trickle(data[head:], rng))) == expected
+
+    @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 7])
+    def test_a_bad_token_in_text_too_short_for_the_raster_reads_on(self, slice_bytes):
+        # Text too short to hold the raster, 2 bytes a pixel, is the first
+        # fault: a bad token ahead of it is reported only once the text has
+        # been read on to that length, or to its end.
+        head = b"P2\n100 100\n255\nx "
+        with mock.patch.object(_bytes, "_SLICE", slice_bytes):
+            data = head + b"0 " * 5000
+            message = "truncated raster: need 10000 pixels, file ends at byte 10017"
+            assert outcome(lambda: decode_pgm(b"", Trickle(data, random.Random(1)))) == message
+            # An endless input is read, its bytes dropped as they come, up to
+            # 2 bytes a pixel; then the token is the fault.
+            endless = Endless(head, b"0 ")
+            with pytest.raises(FormatError, match=r"^non-numeric pixel token b'x' at byte 15$"):
+                decode_pgm(b"", endless)
+            # The raster's text starts at byte 14, the whitespace after 255.
+            assert 14 + 2 * 10000 <= endless.given <= 14 + 2 * 10000 + _bytes._READ
+
+    def test_a_non_plain_token_sends_only_its_piece_to_the_scanner(self):
+        # The first token is written "+v", which the SWAR decode refuses: the
+        # scanner decodes that token's piece alone, and SWAR every later one.
+        pixels = np.random.default_rng(48).integers(0, 256, (300, 300), np.uint8)
+        data = write_pgm(Image(pixels), "P2")
+        pos = data.index(b"255\n") + 4
+        data = data[:pos] + b"+" + data[pos:]
+        assert len(data) - pos > 3 * _bytes._SLICE
+        scanned = []
+
+        def recorded(text, offset, count):
+            scanned.append((offset, len(text)))
+            return p2_scan(text, offset, count)
+
+        with mock.patch.object(_bytes, "p2_scan", recorded):
+            assert read_pgm(data) == Image(pixels)
+        [(offset, length)] = scanned
+        # A piece runs to the first whitespace byte _SLICE bytes on or later.
+        assert offset == pos - 1 and length <= _bytes._SLICE + 3
 
 
 class TestWritePgm:
@@ -481,8 +602,7 @@ class TestFuzz:
     """Mutated inputs give a value or a FormatError, never anything else."""
 
     @fuzz
-    @given(mutated(st.tuples(small_arrays, st.sampled_from(["P2", "P5"])).map(
-        lambda case: write_pgm(Image(case[0]), case[1])), byte_pieces))
+    @given(mutated_pgms)
     def test_read_pgm(self, data):
         try:
             assert isinstance(read_pgm(data), Image)

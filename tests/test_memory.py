@@ -216,13 +216,15 @@ def test_table_path_peak_bytes_per_pixel(files, fmt, bound):
     assert peak / SIDE**2 <= bound
 
 
-def test_read_pgm_p2_peak_bytes_per_pixel(files):
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview], ids=lambda kind: kind.__name__)
+def test_read_pgm_p2_peak_bytes_per_pixel(files, kind):
     # read_pgm decodes P2 with the table path's decoder, which holds the
-    # raster it preallocates (1 B/px) and one slice's ints at a time: a
-    # dozen or so of 64 KiB, under 1 MiB whatever the image's size.
+    # raster (1 B/px) and one slice's ints at a time: a dozen or so of 64
+    # KiB, under 1 MiB whatever the image's size. It copies one slice of
+    # the text at a time, never the whole text, whatever type holds it.
     _, data = files
     pixels = read_pgm(data).pixels
-    data = write_pgm(Image(pixels), "P2")
+    data = kind(write_pgm(Image(pixels), "P2"))
     tracemalloc.start()
     try:
         img = read_pgm(data)
@@ -230,6 +232,25 @@ def test_read_pgm_p2_peak_bytes_per_pixel(files):
     finally:
         tracemalloc.stop()
     assert np.array_equal(img.pixels, pixels)
+    assert peak / SIDE**2 <= 3 * U8
+
+
+def test_load_pgm_p2_peak_bytes_per_pixel(files, tmp_path):
+    # A P2 file is decoded as it is read, into one buffer of 1 MiB at most:
+    # a call peaks at the raster (1 B/px), that buffer and one slice's ints,
+    # not at the whole text (3.6 B/px here) and the raster.
+    _, data = files
+    pixels = read_pgm(data).pixels
+    src = tmp_path / "in.pgm"
+    src.write_bytes(write_pgm(Image(pixels), "P2"))
+    load_pgm(src)
+    tracemalloc.start()
+    try:
+        width, height, raster = load_pgm(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (width, height, raster) == (SIDE, SIDE, pixels.tobytes())
     assert peak / SIDE**2 <= 3 * U8
 
 
@@ -245,7 +266,7 @@ def test_scanner_peak_bytes_per_pixel():
     pos = data.index(b"255\n") + 3
     tracemalloc.start()
     try:
-        values = p2_scan(data, pos, side * side)
+        values = p2_scan(memoryview(data)[pos:], pos, side * side)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
