@@ -156,29 +156,20 @@ _P2_CLASS = bytes((c - 48) << 4 | 1 if 48 <= c <= 57 else 2 if c in _WHITESPACE 
                   for c in range(GRAY_LEVELS))
 
 
-def p2_tokens(pieces, count: int) -> bytearray:
-    """Decode the first ``count`` P2 tokens of ``pieces``, (offset, text)
-    pairs of consecutive text each cut at a whitespace byte or the end of the
-    data, into a raster that grows as they come: shorter than ``count`` where
-    they run out. A piece whose tokens are all 1 to 3 digits with a value of
-    at most 255 is decoded with SWAR, the one holding the count-th token up
-    to the whitespace after it; any other goes to :func:`p2_scan`, alone. No
-    piece is taken after the count-th token."""
-    raster = bytearray()
-    for offset, text in pieces:
-        need = count - len(raster)
-        levels = _p2_levels(text)
-        if levels is None or len(levels) > need:
-            # bytes.split's whitespace is _P2_CLASS's: rest[-1] follows the
-            # need-th token. A header may declare more than split can count.
-            rest = text.split(None, min(need, len(text)))
-            if len(rest) > need:
-                text = text[:len(text) - len(rest[-1])]
-                levels = _p2_levels(text)
-        raster += p2_scan(text, offset, need) if levels is None else levels
-        if len(raster) == count:
-            break
-    return raster
+def _p2_piece(text, offset: int, need: int):
+    """The levels of the first ``need`` P2 tokens of ``text``, a piece from
+    byte ``offset`` on cut at a whitespace byte or the end of the data. SWAR
+    decodes it up to the whitespace after the need-th token where those
+    tokens are all 1 to 3 digits up to 255; else :func:`p2_scan` does."""
+    levels = _p2_levels(text)
+    if levels is None or len(levels) > need:
+        # bytes.split's whitespace is _P2_CLASS's: rest[-1] follows the
+        # need-th token. A header may declare more than split can count.
+        rest = text.split(None, min(need, len(text)))
+        if len(rest) > need:
+            text = text[:len(text) - len(rest[-1])]
+            levels = _p2_levels(text)
+    return p2_scan(text, offset, need) if levels is None else levels
 
 
 def _p2_levels(text: bytes):
@@ -238,11 +229,11 @@ def _header(data):
 
 def decode_pgm(data, fh=None):
     """Check a P2 or P5 PGM and return (width, height, raster), the raster a
-    bytearray of one level per pixel, row-major. ``data``, bytes-like, is
-    left as it is: a P5 raster is copied out of it, and P2 text is decoded
-    in pieces (:func:`p2_tokens`). Given a binary file ``fh`` too, the PGM is
-    ``data`` and then what ``fh`` reads, only as far as the image needs, into
-    a buffer of its own: a P5 raster is that buffer, cut in place."""
+    bytearray of one level per pixel, row-major. ``data``, bytes-like, is left as
+    it is: a P5 raster is copied out of it, and P2 text a piece at a time, each
+    decoded by :func:`_p2_piece` up to the width*height-th token. Given a binary
+    file ``fh`` too, the PGM is ``data`` and then what ``fh`` reads, only as far as
+    the image needs, into a buffer of its own: a P5 raster is that buffer, cut in place."""
     buf, base, filled, ended, room = data, 0, len(data), fh is None, 0
     if fh is not None:
         # A regular file's size, and a byte for the read that finds its end.
@@ -262,31 +253,20 @@ def decode_pgm(data, fh=None):
         ended = not (n := fh.readinto(memoryview(buf)[filled:]))
         filled += n
 
-    def pieces(start):
-        # The text from byte start on, read as it is taken, in (offset, text) pieces
-        # cut at a whitespace byte _SLICE bytes on or later, splitting no token, or at the end.
-        while True:
-            while not (cut := _SPACE.search(buf, start - base + _SLICE, filled)) and not ended:
-                more(start - base, min(room, _READ))
-            end = base + (cut.start() if cut else filled)
-            # A bytearray, one copy whatever buf is: its translate, the decode's
-            # first step, runs about a quarter faster than that of bytes.
-            yield start, bytearray(memoryview(buf)[start - base:end - base])
-            if not cut:
-                return
-            start = end
-
     def short(need, unit):
         # Refuse an input that cannot hold the raster: need bytes, a P5's after one
-        # whitespace byte. That fault comes ahead of a token's: read on, discarding, to
-        # learn it, and before a message names the count, whose digits could outnumber
-        # what Python converts to text.
+        # whitespace byte. Read on to learn it, a P5 keeping what it reads (so base
+        # stays 0), a P2 dropping it: that fault comes ahead of a token's, and before
+        # a message names the count, whose digits could outnumber what Python converts.
         while base + filled < need and not ended:
-            more(filled)
+            if magic == b"P5":
+                more(0, min(need, room))
+            else:
+                more(filled)
         if max(width, height) > base + filled:
             raise FormatError(f"truncated raster: a {size} image cannot fit in "
                               f"{base + filled} bytes") from None
-        if magic == b"P5" and not _SPACE.match(buf, pos):
+        if magic == b"P5" and not _SPACE.match(buf, pos, filled):
             raise FormatError(f"expected a single whitespace byte before raster at byte {pos}")
         if base + filled < need:
             raise FormatError(f"truncated raster: need {count} {unit}, "
@@ -311,8 +291,6 @@ def decode_pgm(data, fh=None):
 
     if magic == b"P5":
         end = pos + 1 + count
-        while filled < end and not ended:
-            more(0, min(end, room))
         short(end, "bytes")
         if fh is None:
             return width, height, bytearray(memoryview(data)[pos + 1:end])
@@ -321,8 +299,19 @@ def decode_pgm(data, fh=None):
         del buf[:pos + 1]
         return width, height, buf
 
+    # P2 text from byte start on is read as it is taken and cut into pieces at a whitespace
+    # byte _SLICE bytes on or later, splitting no token, or at the end: the last piece.
+    raster, start, cut = bytearray(), pos, True
     try:
-        raster = p2_tokens(pieces(pos), count)
+        while cut and len(raster) < count:
+            while not (cut := _SPACE.search(buf, start - base + _SLICE, filled)) and not ended:
+                more(start - base, min(room, _READ))
+            end = base + (cut.start() if cut else filled)
+            # A bytearray, one copy whatever buf is: its translate, the decode's
+            # first step, runs about a quarter faster than that of bytes.
+            text = bytearray(memoryview(buf)[start - base:end - base])
+            raster += _p2_piece(text, start, count - len(raster))
+            start = end
     except FormatError:
         short(pos + 2 * count, "pixels")  # a P2 pixel takes a separator and a digit
         raise

@@ -26,7 +26,7 @@ from .kinds import choice
 
 def read_pgm(data: bytes) -> Image:
     """Decode a P2 or P5 PGM byte sequence into an Image. ``data`` is left
-    as it is: a P5 raster is copied out of it once, and P2 text not at all.
+    as it is: a P5 raster is copied out of it once, P2 text a piece at a time.
 
     Raises:
         FormatError: bad magic, maxval != 255, dimensions < 1, truncated

@@ -23,7 +23,7 @@ from grayfilt import (
     write_pgm,
 )
 from grayfilt import _bytes
-from grayfilt._bytes import decode_pgm, p2_scan, p2_tokens
+from grayfilt._bytes import decode_pgm, p2_scan
 from support import WHITESPACE, header_int_brute
 
 pixel_arrays = hnp.arrays(
@@ -62,9 +62,9 @@ fuzz = settings(max_examples=100, deadline=None)
 def p2_rasters(draw):
     """A P2 file of up to 5x5 pixels, with separators drawn from every
     whitespace byte. Half the rasters hold only tokens that the SWAR decode
-    of p2_tokens takes, perhaps too few of them; the rest mix 1-4 digit
-    numbers up to 300 (leading zeros too) with up to two tokens that only
-    int() or nothing accepts, and trailing garbage. Returns (data, raster offset, (height, width))."""
+    takes, perhaps too few of them; the rest mix 1-4 digit numbers up to 300
+    (leading zeros too) with up to two tokens that only int() or nothing
+    accepts, and trailing garbage. Returns (data, raster offset, (height, width))."""
     width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     count = width * height
     clean = draw(st.booleans())
@@ -153,40 +153,27 @@ def outcome(decode):
         return str(exc)
 
 
-def tokens(data, pos, count):
-    """``p2_tokens`` of the text of ``data`` from byte ``pos`` on, in the
-    pieces ``decode_pgm`` cuts it into: each runs to the first whitespace
-    byte ``_SLICE`` bytes on or later, the last to the end."""
-    def pieces(start):
-        while start < len(data):
-            cut = _bytes._SPACE.search(data, start + _bytes._SLICE)
-            end = cut.start() if cut else len(data)
-            yield start, data[start:end]
-            start = end
-    return p2_tokens(pieces(pos), count)
-
-
 def scan(data, pos, count):
     """``p2_scan`` of the whole text of ``data`` from byte ``pos`` on."""
     return p2_scan(memoryview(data)[pos:], pos, count)
 
 
-def whole(decode, data, pos, shape):
-    """The image ``decode`` gives of the raster of ``data``, or the message
+def whole(data, pos, shape):
+    """The image :func:`scan` gives of the raster of ``data``, or the message
     ``decode_pgm`` gives where it finds too few tokens in the text."""
     count = shape[0] * shape[1]
-    levels = decode(data, pos, count)
+    levels = scan(data, pos, count)
     if len(levels) < count:
         raise FormatError(f"truncated raster: need {count} pixels, "
                           f"found {len(levels)} by byte {len(data)}")
     return Image(np.frombuffer(levels, np.uint8).reshape(shape))
 
 
-def swar_only(data, pos, count):
-    """``p2_tokens`` with the token scanner shut off: the raster the SWAR
-    decode gives alone."""
+def swar_only(data):
+    """The raster of ``decode_pgm`` with the token scanner shut off: the one
+    the SWAR decode gives alone."""
     with mock.patch.object(_bytes, "p2_scan", side_effect=AssertionError("p2_scan ran")):
-        return tokens(data, pos, count)
+        return decode_pgm(data)[2]
 
 
 class TestReadPgm:
@@ -314,40 +301,34 @@ class TestReadPgm:
     @fuzz
     @given(p2_rasters())
     def test_p2_fast_path_agrees_with_scanner(self, case):
-        # read_pgm, and p2_tokens alone, give the scanner's pixels or its
-        # message for every raster.
+        # read_pgm gives the scanner's pixels or its message for every raster.
         data, pos, shape = case
-        scanned = outcome(lambda: whole(scan, data, pos, shape))
-        assert outcome(lambda: read_pgm(data)) == scanned
-        assert outcome(lambda: whole(tokens, data, pos, shape)) == scanned
+        assert outcome(lambda: read_pgm(data)) == outcome(lambda: whole(data, pos, shape))
 
     @fuzz
     @given(p2_rasters(), st.sampled_from([1, 2, 3, 7, _bytes._SLICE]))
     def test_bytes_decoder_agrees_with_read_pgm(self, case, slice_bytes):
-        # The decoder the numpy-free table path runs: the same pixels, or
-        # the same message, for every raster, however the text is sliced.
+        # The decoder the numpy-free table path runs, and read_pgm unsliced
+        # (the test above): the scanner's pixels, or its message, for every
+        # raster, however the text is sliced.
         data, pos, (height, width) = case
-        expected = outcome(lambda: read_pgm(data))
+        expected = outcome(lambda: whole(data, pos, (height, width)))
         if isinstance(expected, Image):
             expected = (width, height, expected.pixels.tobytes())
         with mock.patch.object(_bytes, "_SLICE", slice_bytes):
             assert outcome(lambda: decode_pgm(data)) == expected
-            fast = outcome(lambda: tokens(data, pos, width * height))
-        assert fast == outcome(lambda: scan(data, pos, width * height))
 
     @given(pixel_arrays)
     def test_canonical_p2_takes_the_fast_path(self, pixels):
         data = write_pgm(Image(pixels), "P2")
-        pos = data.index(b"255") + 3
-        assert swar_only(data, pos, pixels.size) == pixels.tobytes()
+        assert swar_only(data) == pixels.tobytes()
 
     @pytest.mark.parametrize("tail", [b"# end\n", b"x", b"P5\n2 1\n255\n\x00\xff",
                                       b"P2\n2 1\n255\n0 255\n"])
     def test_trailing_data_keeps_the_fast_path(self, many_slices, tail):
         pixels = np.arange(12, dtype=np.uint8).reshape(3, 4) * 21
         data = write_pgm(Image(pixels), "P2") + tail
-        pos = data.index(b"255") + 3
-        assert swar_only(data, pos, pixels.size) == pixels.tobytes()
+        assert swar_only(data) == pixels.tobytes()
         assert read_pgm(data) == Image(pixels)
         # After a raster of many slices, the count-th token ends in a later
         # slice, at an offset in it that moves with the slice size.
@@ -355,13 +336,13 @@ class TestReadPgm:
         data += tail
         for slice_bytes in [_bytes._SLICE, 4099, 1000, 61]:
             with mock.patch.object(_bytes, "_SLICE", slice_bytes):
-                fast = swar_only(data, pos, pixels.size)
+                fast = swar_only(data)
             assert fast == scan(data, pos, pixels.size) == pixels.tobytes()
 
     def test_junk_joined_to_the_last_token_goes_to_the_scanner(self):
         data = write_pgm(Image([[7, 8]]), "P2").rstrip() + b"x"
         pos = data.index(b"255") + 3
-        assert outcome(lambda: tokens(data, pos, 2)) == outcome(lambda: scan(data, pos, 2))
+        assert outcome(lambda: decode_pgm(data)) == outcome(lambda: scan(data, pos, 2))
         with pytest.raises(FormatError, match="non-numeric pixel token b'8x'"):
             read_pgm(data)
 
@@ -373,7 +354,7 @@ class TestReadPgm:
         data, pos, pixels = many_slices
         data = data[:pos] + b" " * shift + data[pos:]
         with mock.patch.object(_bytes, "_SLICE", slice_bytes):
-            fast = swar_only(data, pos, pixels.size)
+            fast = swar_only(data)
         assert fast == scan(data, pos, pixels.size) == pixels.tobytes()
 
     @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 4099])
@@ -389,9 +370,8 @@ class TestReadPgm:
         at = data.index(b" ", len(data) * 3 // 4) + 1
         data = data[:at] + token + b" " + data[at:]
         count = pixels.size
-        scanned = outcome(lambda: whole(scan, data, pos, pixels.shape))
+        scanned = outcome(lambda: whole(data, pos, pixels.shape))
         with mock.patch.object(_bytes, "_SLICE", slice_bytes):
-            assert outcome(lambda: whole(tokens, data, pos, pixels.shape)) == scanned
             assert outcome(lambda: read_pgm(data)) == scanned
         if error is None:
             # The token is pixel k, and the raster's last token is now trailing data.
@@ -419,7 +399,7 @@ class TestReadPgm:
 
         with mock.patch.object(_bytes, "_SLICE", slice_bytes), \
                 mock.patch.object(_bytes, "p2_scan", recorded):
-            raster = tokens(data, pos, pixels.size)
+            raster = decode_pgm(data)[2]
         assert raster == scan(data, pos, pixels.size) == pixels.tobytes()[:-1] + b"\x32"
         [start] = starts
         assert 0 < at - start <= slice_bytes
@@ -436,6 +416,24 @@ class TestReadPgm:
         with mock.patch.object(_bytes, "_SLICE", slice_bytes):
             expected = outcome(lambda: decode_pgm(data))
             assert outcome(lambda: decode_pgm(data[:head], Trickle(data[head:], rng))) == expected
+
+    @pytest.mark.parametrize("end", [b"", b"x", b" "], ids=["cut", "x", "space"])
+    @pytest.mark.parametrize("pgm", [
+        b"P5\n# c\n3 2\n255\n\x00\n\x14 \xfe\xff# end\n",
+        b"P2\n# c\n3 2\n255\n0 10 20\n30 254 255\n# end\n",
+    ], ids=["P5", "P2"])
+    def test_every_prefix_reads_alike_from_memory_a_file_and_a_pipe(self, tmp_path, pgm, end):
+        # A file's read buffer may be longer than what was read into it: no
+        # judgement of the bytes read may look past them. The P5 raster holds
+        # whitespace and 0xFF bytes.
+        src = tmp_path / "in.pgm"
+        for cut in range(len(pgm) + 1):
+            data = pgm[:cut] + end
+            src.write_bytes(data)
+            expected = outcome(lambda: decode_pgm(data))
+            assert outcome(lambda: _bytes.load_pgm(src)) == expected, data
+            trickle = Trickle(data, random.Random(cut))
+            assert outcome(lambda: decode_pgm(b"", trickle)) == expected, data
 
     @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 7])
     def test_a_bad_token_in_text_too_short_for_the_raster_reads_on(self, slice_bytes):
