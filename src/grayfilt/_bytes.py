@@ -385,6 +385,22 @@ def parse_lut(text: str) -> bytes:
         raise FormatError(str(exc)) from None
 
 
+def _descriptor(path: str):
+    """N if ``path`` is, or its symlinks reach, ``/proc/self/fd/N``, as
+    ``/dev/stdout`` and ``/dev/fd/N`` do on Linux; else None."""
+    fds = os.path.realpath("/proc/self/fd")
+    for _ in range(40):  # then a loop, which os.stat refuses
+        head, name = os.path.split(path)
+        head = os.path.realpath(head)
+        if head == fds and name.isdigit():
+            return int(name)
+        path = os.path.join(head, name)
+        if not os.path.islink(path):
+            return None
+        path = os.path.join(head, os.readlink(path))
+    return None
+
+
 def write_bytes_atomic(path, *chunks) -> None:
     """Write ``chunks``, bytes-like objects, one after the other (a header
     and a raster are not joined first): a new path or a regular file via a
@@ -393,21 +409,28 @@ def write_bytes_atomic(path, *chunks) -> None:
     directory and the link stays, as with ``cp``. A new file gets mode
     0o666 less the umask, as ``open()`` would; a replaced regular file keeps
     its permission bits, as with ``cp``, but not its setuid, setgid or
-    sticky bit. Any other existing path, such as
-    a FIFO, a device or ``/dev/stdout``, is opened as given and written in
-    place, as a shell redirection would; a directory or a symlink loop is
-    refused. ``path`` may be str, bytes or path-like. An error names
-    ``path``, not its target or the temp file."""
+    sticky bit. A descriptor's path (``/dev/stdout``, ``/dev/fd/N``) is
+    written through a duplicate of it, at its offset and in its append mode,
+    as ``>&N`` would: the path names the file behind it, which a shell may
+    since have replaced. Any other existing path, such as a FIFO or a
+    device, is opened as given and written in place, as a shell redirection
+    would; a directory or a symlink loop is refused. ``path`` may be str,
+    bytes or path-like. An error names ``path``, not its target or the temp
+    file."""
     path = os.fsdecode(path)
+    fd = _descriptor(path)
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = 0
     flags = os.O_WRONLY | getattr(os, "O_BINARY", 0)
-    if mode and not stat.S_ISREG(mode):
+    if fd is not None or mode and not stat.S_ISREG(mode):
         # No O_CREAT: should the path go in between, this fails, not creates.
-        with os.fdopen(os.open(path, flags), "wb") as fh:
-            fh.writelines(chunks)
+        try:
+            with os.fdopen(os.open(path, flags) if fd is None else os.dup(fd), "wb") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
         return
     # Resolved only here: a magic link such as /dev/fd/N reads as "pipe:[N]".
     target = os.path.realpath(path)

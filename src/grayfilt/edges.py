@@ -1,11 +1,11 @@
-"""Binary edge detection, saturating image addition, and shadow effects.
-The ``edges`` op's numpy form is an equal clamp display (:mod:`grayfilt.pipeline`)."""
+"""Binary edges, where the bits' Laplacian-four (replicate border) is nonzero, as
+in the ``edges`` op's numpy form; saturating image addition; shadow effects."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._swar import SHADOW_BIAS, SHADOW_NE, SHADOW_SW, SHADOW_SW_BIAS, same_size
+from ._swar import LAPLACIANS, SHADOW_BIAS, SHADOW_NE, SHADOW_SW, SHADOW_SW_BIAS, same_size
 from .convolution import _clamp_display
 from .core import BinaryImage, Image, Kernel
 from .kinds import THRESHOLD
@@ -22,22 +22,18 @@ def binarize(img: Image, threshold: int = 128) -> BinaryImage:
 
 
 def edge_map(u: BinaryImage) -> BinaryImage:
-    """Mark pixels that differ (XOR) from at least one 4-neighbor.
-
-    Out-of-bounds neighbors count as equal to the center, so the image
-    frame never registers as an edge by itself.
-    """
-    bits = u.bits
-    padded = np.pad(bits, 1, mode="edge")
-    g = bits ^ padded[:-2, 1:-1]
-    for near in (padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:]):
-        g |= bits ^ near
-    return BinaryImage._trusted(g)
+    """Bits that differ from a 4-neighbor (outside ones equal the center): where
+    the bits' Laplacian-four is nonzero, as differing neighbors add one sign."""
+    lap = _clamp_display(Image._trusted(u.bits), LAPLACIANS["four"], 4).pixels
+    lap.setflags(write=True)  # a new array: compared in place, as in edge_points
+    return BinaryImage._trusted(np.not_equal(lap, 4, out=lap.view(np.bool_)).view(np.uint8))
 
 
 def edge_points(u: BinaryImage) -> BinaryImage:
     """Black pixels with at least one white 4-neighbor: u = 0 and edge_map = 1."""
-    return BinaryImage._trusted(np.greater(edge_map(u).bits, u.bits).view(np.uint8))
+    g = edge_map(u).bits
+    g.setflags(write=True)  # edge_map's new array
+    return BinaryImage._trusted(np.greater(g, u.bits, out=g.view(np.bool_)).view(np.uint8))
 
 
 def bits_to_image(u: BinaryImage) -> Image:

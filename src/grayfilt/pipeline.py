@@ -11,8 +11,9 @@ A point op builds a 256-byte table, and a run of them composes to one; any
 other op a :class:`Step`. One builder, :func:`_kernel_step`, maps each kernel
 op's stencil, bias, border and display to both engines; its clamp display,
 ``edges`` and ``add`` also have an exact numpy-free form (:mod:`grayfilt._swar`).
-On numpy ``edges`` is a clamp too, of Laplacian-four on its 0/255 threshold
-image: 255 just at a 0 pixel with a white 4-neighbor, the edge rule.
+The edge rule: a bit differs from a 4-neighbor just where the bits'
+Laplacian-four (replicate border) is nonzero. On numpy ``edges`` clamps it on
+the 0/255 threshold image: 255·k at a 0 pixel with k white 4-neighbors, else 0.
 This module alone knows both engines: :func:`run_pipeline` runs every stage
 on numpy, and the CLI runs :func:`_run_raster` and :func:`_histogram`, bytes
 first, which fall back to numpy above a bytes form's cut.

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -610,6 +611,14 @@ class TestOutputLinks:
                 reader.join(timeout=60)
         assert got == [expected]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_in_place_names_the_output(self, write, capsys):
+        run, _ = write
+        capsys.readouterr()
+        assert run("/dev/full") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "grayfilt: [Errno 28] No space left on device: '/dev/full'"]
+
     def test_link_loop_is_refused(self, write, tmp_path, capsys):
         run, _ = write
         loop = tmp_path / "loop.out"
@@ -766,6 +775,45 @@ class TestProcessLevel:
         assert proc.stdout == b""
         assert proc.stderr == b""
         assert load_pgm(out) == negate(img)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux /proc/self/fd")
+    def test_descriptor_outputs_keep_the_shells_offset_and_append_mode(self, tmp_path):
+        # /dev/stdout and /dev/fd/1 name the shell's descriptor: two commands
+        # and an echo in one `>` group follow one another in one file, and
+        # `>>` keeps what the file held. No temp or replaced file is left.
+        a, b = Image([[7, 8, 9]]), Image([[200], [100]])
+        save_pgm(tmp_path / "a.pgm", a)
+        save_pgm(tmp_path / "b.pgm", b)
+        (tmp_path / "log.txt").write_bytes(b"earlier\n")
+        cli = f"{shlex.quote(sys.executable)} -m grayfilt.cli"
+        script = (f"{{ {cli} negate -i a.pgm -o /dev/stdout && "
+                  f"{cli} negate -i b.pgm -o /dev/fd/1 && echo end; }} > cine.pgm && "
+                  f"{cli} histogram -i a.pgm --csv /dev/stdout >> log.txt")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(grayfilt.__file__))}
+        proc = subprocess.run(["sh", "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert (tmp_path / "cine.pgm").read_bytes() == (
+            write_pgm(negate(a)) + write_pgm(negate(b)) + b"end\n")
+        assert (tmp_path / "log.txt").read_bytes() == (
+            b"earlier\n" + histogram_csv(compute_histogram(a)).encode("ascii"))
+        assert sorted(os.listdir(tmp_path)) == ["a.pgm", "b.pgm", "cine.pgm", "log.txt"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux /proc/self/fd")
+    def test_read_only_descriptor_output_is_refused_not_replaced(self, tmp_path):
+        # /dev/stdin on a file names a read-only descriptor: the write fails,
+        # and the file behind it is not replaced.
+        path = tmp_path / "in.pgm"
+        save_pgm(path, Image([[7, 8]]))
+        before = path.read_bytes()
+        with open(path, "rb") as fh:
+            proc = subprocess.run([sys.executable, "-m", "grayfilt.cli", "negate", "-i",
+                                   str(path), "-o", "/dev/stdin"], stdin=fh,
+                                  capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode().splitlines() == [
+            "grayfilt: [Errno 9] Bad file descriptor: '/dev/stdin'"]
+        assert path.read_bytes() == before and os.listdir(tmp_path) == ["in.pgm"]
 
     def test_usage_error_goes_to_stderr(self):
         proc = self._run("stretch", "--gamma", "zero")

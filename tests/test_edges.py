@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import grayfilt.convolution
 from grayfilt import (
     SHADOW_NE_KERNEL,
     BinaryImage,
@@ -26,6 +29,13 @@ bit_arrays = hnp.arrays(
     hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16),
     elements=st.integers(min_value=0, max_value=1),
 )
+#: Bit images up to 40x40, 1xN and Nx1 among them: with convolution's strips
+#: cut down to a few pixels, each spans many strips.
+seam_bits = st.one_of(*(
+    hnp.arrays(np.uint8, shape, elements=st.integers(min_value=0, max_value=1))
+    for shape in (st.tuples(st.just(1), st.integers(1, 40)),
+                  st.tuples(st.integers(1, 40), st.just(1)),
+                  hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40))))
 pixel_arrays = hnp.arrays(
     np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12))
 
@@ -125,6 +135,19 @@ class TestEdgePoints:
         u = BinaryImage(bits)
         out = edge_points(u)
         assert np.all(bits[out.bits == 1] == 0)
+
+
+class TestStripSeams:
+    """edge_map is a Laplacian-four clamp run in convolution's row strips, so
+    the rule must hold where one strip's rows meet the next one's."""
+
+    @given(seam_bits, st.integers(min_value=1, max_value=40))
+    def test_edge_map_and_points_match_brute_force_across_strips(self, bits, strip_pixels):
+        u = BinaryImage(bits)
+        with mock.patch.object(grayfilt.convolution, "_STRIP_PIXELS", strip_pixels):
+            got_map, got_points = edge_map(u), edge_points(u)
+        assert got_map.bits.tolist() == edge_map_brute(bits.tolist())
+        assert got_points.bits.tolist() == edge_points_brute(bits.tolist())
 
 
 class TestBitsToImage:

@@ -255,11 +255,11 @@ def test_load_pgm_p2_peak_bytes_per_pixel(files, tmp_path):
 
 
 def test_scanner_peak_bytes_per_pixel():
-    # The token scanner, which p2_tokens hands its raster to from the first
-    # slice with a token the SWAR decode refuses, holds the decoded raster
-    # (1 B/px) and one token at a time: it does not copy the text after the
-    # header. A smaller side keeps the token-by-token parse quick under
-    # tracemalloc.
+    # The token scanner, which decode_pgm's _p2_piece hands each piece of
+    # text the SWAR decode refuses, holds the levels it decodes (1 B/px) and
+    # one token at a time: it does not copy the text it is given. Here it is
+    # given the whole text after the header. A smaller side keeps the
+    # token-by-token parse quick under tracemalloc.
     side = SIDE // 4
     rng = np.random.default_rng(43)
     data = write_pgm(Image(rng.integers(0, 256, (side, side), np.uint8)), "P2")
