@@ -12,19 +12,19 @@ that a double holds).
 
 Every correlation runs one strip loop, ``_correlate_strips``. It writes each
 strip's source rows, borders included, into one flat buffer of the
-accumulator's dtype (``_padded_strips``), so each tap is one contiguous
-slice add, and no padded copy of the image is made. Its buffers are
-allocated once per call, or per thread. It checks each strip of sums
-finite and stores it through one per-strip finish.
-:func:`correlate` never clamps: its finish keeps the sums, its output is a
-:class:`SignedImage`, and :func:`clamp_to_display` maps it to gray levels one
-strip of rows at a time. An integer intermediate is rescaled in exact
-integers, as (510·(v − min) + span) // (2·span) with span = max − min. The
-clamp displays (``laplacian_sharpen``, ``shadow_ne``, ``shadow_invert``, the
-clamp of the ``laplacian`` and ``convolve`` ops, and ``edges``) all go through
-one entry, ``_clamp_display``, whose finish clamps each strip to gray levels
-in place with the same rounding rule, so no full-size signed intermediate
-is built.
+accumulator's dtype, so each tap is one contiguous slice add, and no padded
+copy of the image is made. Its buffers are allocated once per call, or per
+thread. It checks each strip of sums finite, and its ``bias`` alone picks
+what it stores: the sums when it is None, else the strip clamped to gray
+levels in place, with the same rounding rule, over the flat strip.
+:func:`correlate` passes no bias: its output is a :class:`SignedImage`, and
+:func:`clamp_to_display` maps it to gray levels one strip of rows at a time.
+An integer intermediate is rescaled in exact integers, as
+(510·(v − min) + span) // (2·span) with span = max − min. The clamp displays
+(``laplacian_sharpen``, ``shadow_ne``, ``shadow_invert``, the clamp of the
+``laplacian`` and ``convolve`` ops, and ``edges``) all go through one entry,
+``_clamp_display``, which passes a bias, so no full-size signed
+intermediate is built.
 The ``laplacian`` and ``convolve`` ops' rescale is ``clamp_to_display`` of
 :func:`correlate` of the op's stencil, as in :func:`laplacian` and :func:`convolve`.
 
@@ -93,65 +93,60 @@ def _accumulator(coeffs: np.ndarray, bias: int | None = None) -> type:
     return np.float64
 
 
-def _padded_strips(pixels: np.ndarray, strips: list, kh: int, kw: int, border: str,
-                   dtype: type):
-    """Yield (s0, s1, source) for each [s0, s1) of ``strips``: ``source`` is
-    one flat ``dtype`` buffer, allocated once and refilled per strip, that
-    holds padded rows s0 − kh//2 .. s1 − 1 + kh//2 of the image at row
-    stride W + kw − 1, kw//2 border columns on either side of each, under
-    the border policy: copies of the nearest edge pixel, or zeros."""
-    height, width = pixels.shape
-    ph, pw = kh // 2, kw // 2
-    grid = np.empty((max(s1 - s0 for s0, s1 in strips) + kh - 1, width + kw - 1), dtype)
-    replicate = border == "replicate"
-    for s0, s1 in strips:
-        rows = grid[:s1 - s0 + kh - 1]
-        inner = rows[:, pw:pw + width]
-        first, last = max(s0 - ph, 0), min(s1 + ph, height)  # the image's own rows
-        top, bottom = first - (s0 - ph), last - (s0 - ph)
-        inner[top:bottom] = pixels[first:last]
-        inner[:top] = pixels[0] if replicate else 0
-        inner[bottom:] = pixels[height - 1] if replicate else 0
-        rows[:, :pw] = rows[:, pw:pw + 1] if replicate else 0
-        rows[:, pw + width:] = rows[:, pw + width - 1:pw + width] if replicate else 0
-        yield s0, s1, grid.reshape(-1)
+def _correlate_strips(img: Image, kernel: Kernel, border: str, workers: int,
+                      bias: int | None = None) -> SignedImage | Image:
+    """Correlate ``img`` with ``kernel`` strip by strip, accumulating in
+    ``_accumulator(kernel.coeffs, bias)``: the sums as a :class:`SignedImage`
+    when ``bias`` is None, else ``clamp_round(bias + sums)`` as an :class:`Image`.
 
+    Each strip's padded rows s0 − kh//2 .. s1 − 1 + kh//2, with kw//2 border
+    columns on either side under the border policy (copies of the nearest
+    edge pixel, or zeros), are written into one flat buffer at row stride
+    S = W + kw − 1, and the sums are kept at that stride: tap (i, j) of every
+    pixel of the strip is the contiguous slice at offset i·S + j, so each tap
+    is one 1-D add, in row-major tap order. Zero taps are skipped and ±1 taps
+    added or subtracted directly; the sums start at +0.0 (or 0), so neither
+    changes any sum. A float sum that overflows becomes non-finite, so
+    numpy's float warnings are silenced; numpy keeps that setting per thread.
 
-def _correlate_strips(img: Image, coeffs: np.ndarray, border: str, workers: int,
-                      out: np.ndarray, finish: Callable) -> np.ndarray:
-    """Correlate with ``coeffs``, already of the accumulator's dtype, strip
-    by strip into ``out`` and return it.
-
-    A strip's sums are kept at the padded source's row stride S = W + kw − 1,
-    so tap (i, j) of every pixel of the strip is one contiguous slice of the
-    source, at offset i·S + j: each tap is one 1-D add, in row-major tap
-    order. Zero taps are skipped and ±1 taps added or subtracted directly;
-    the sums start at +0.0 (or 0), so neither changes any sum. A float sum
-    that overflows becomes non-finite, so numpy's float warnings are
-    silenced; numpy keeps that setting per thread.
-
-    Each strip's sums, a (rows, W) view, are checked finite, then stored as
-    ``out[s0:s1] = finish(sums, spare)`` while in cache; ``finish`` may
-    change ``sums`` and use ``spare``, a free buffer of the same shape.
-    Strips do not overlap, so threads store their rows without a lock, and
-    each thread allocates its own buffers once."""
+    Each strip's sums, a (rows, W) view, are checked finite. A clamp then
+    adds the bias, clips and rounds in place over the flat rows·S strip,
+    padding columns included; only the (rows, W) view is stored, while in
+    cache. Strips do not overlap, so threads store their rows without a
+    lock, and each thread allocates its own buffers once."""
     border = BORDER.check(border, "border")
     workers = POSITIVE_INT.check(workers, "workers")
+    coeffs = kernel.coeffs.astype(_accumulator(kernel.coeffs, bias))
+    pixels = img.pixels
+    height, width = pixels.shape
     kh, kw = coeffs.shape
-    width = img.width
+    ph, pw = kh // 2, kw // 2
     stride = width + kw - 1
+    replicate = border == "replicate"
     taps = [(i * stride + j, c) for (i, j), c in np.ndenumerate(coeffs) if c != 0]
+    out = np.empty((height, width), coeffs.dtype if bias is None else np.uint8)
 
     def run(strips):
-        size = max(s1 - s0 for s0, s1 in strips) * stride
-        acc, prod = np.empty(size, coeffs.dtype), np.empty(size, coeffs.dtype)
+        most = max(s1 - s0 for s0, s1 in strips)
+        grid = np.empty((most + kh - 1, stride), coeffs.dtype)
+        source = grid.reshape(-1)
+        acc, prod = np.empty(most * stride, coeffs.dtype), np.empty(most * stride, coeffs.dtype)
         with np.errstate(over="ignore", invalid="ignore"):
-            for s0, s1, source in _padded_strips(img.pixels, strips, kh, kw, border,
-                                                 coeffs.dtype):
+            for s0, s1 in strips:
                 rows = s1 - s0
+                padded = grid[:rows + kh - 1]
+                inner = padded[:, pw:pw + width]
+                first, last = max(s0 - ph, 0), min(s1 + ph, height)  # the image's own rows
+                top, bottom = first - (s0 - ph), last - (s0 - ph)
+                inner[top:bottom] = pixels[first:last]
+                inner[:top] = pixels[0] if replicate else 0
+                inner[bottom:] = pixels[height - 1] if replicate else 0
+                padded[:, :pw] = padded[:, pw:pw + 1] if replicate else 0
+                padded[:, pw + width:] = padded[:, pw + width - 1:pw + width] if replicate else 0
+                flat = acc[:rows * stride]
+                flat.fill(0)
                 n = (rows - 1) * stride + width  # the last row's padding is not summed
-                sums = acc[:n]
-                sums.fill(0)
+                sums = flat[:n]
                 for offset, c in taps:
                     tap = source[offset:offset + n]
                     if c == 1:
@@ -160,11 +155,14 @@ def _correlate_strips(img: Image, coeffs: np.ndarray, border: str, workers: int,
                         sums -= tap
                     else:
                         sums += np.multiply(tap, c, out=prod[:n])
-                sums = acc[:rows * stride].reshape(rows, stride)[:, :width]
-                spare = prod[:rows * stride].reshape(rows, stride)[:, :width]
-                out[s0:s1] = finish(SignedImage._finite(sums), spare)
+                SignedImage._finite(flat.reshape(rows, stride)[:, :width])
+                if bias is not None:
+                    if bias:
+                        flat += bias
+                    flat = _clamp_levels(flat, flat, prod[:rows * stride])
+                out[s0:s1] = flat.reshape(rows, stride)[:, :width]
 
-    strips = _row_strips(img.height, width)
+    strips = _row_strips(height, width)
     threads = min(workers, len(strips), os.cpu_count() or 1)
     if threads == 1:
         run(strips)
@@ -175,7 +173,7 @@ def _correlate_strips(img: Image, coeffs: np.ndarray, border: str, workers: int,
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, [strips[k::threads] for k in range(threads)]))
-    return out
+    return SignedImage._trusted(out) if bias is None else Image._trusted(out)
 
 
 def correlate(img: Image, kernel: Kernel, border: str = "replicate",
@@ -198,31 +196,19 @@ def correlate(img: Image, kernel: Kernel, border: str = "replicate",
         A SignedImage with the same dimensions as the input: int32 values
         for an integer kernel within the int32 bound, else float64.
     """
-    coeffs = kernel.coeffs.astype(_accumulator(kernel.coeffs))
-    out = np.empty((img.height, img.width), coeffs.dtype)
-    return SignedImage._trusted(_correlate_strips(img, coeffs, border, workers, out,
-                                                  lambda sums, spare: sums))
+    return _correlate_strips(img, kernel, border, workers)
 
 
 def _clamp_display(img: Image, stencil, bias: int = 0, border: str = "replicate") -> Image:
     """``clamp_round(bias + correlate(img, Kernel(stencil), border))``, the one
     numpy clamp display. ``stencil`` is what :func:`grayfilt._swar.correlate_clamp`
     takes from ``pipeline._kernel_step``: a built-in integer tuple, or a
-    parsed kernel's float64 ``coeffs``, which only this form runs. The clamp is
-    fused into the strip loop: each strip is clamped into the uint8 output
-    in place while it is in cache, so no full-size accumulator exists, and
-    an integer stencil whose sums and bias stay below 2**15 accumulates in
-    int16. A non-finite float sum raises the same DomainError as ``correlate``."""
-    kernel = Kernel(stencil)
-    coeffs = kernel.coeffs.astype(_accumulator(kernel.coeffs, bias))
-
-    def clamp(sums, spare):
-        if bias:
-            sums += bias
-        return _clamp_levels(sums, sums, spare)  # _correlate_strips has checked sums finite
-
-    out = np.empty((img.height, img.width), np.uint8)
-    return Image._trusted(_correlate_strips(img, coeffs, border, 1, out, clamp))
+    parsed kernel's float64 ``coeffs``, which only this form runs. It is
+    ``_correlate_strips`` with a bias, so each strip is clamped in place while
+    it is in cache and no full-size accumulator exists, and an integer
+    stencil whose sums and bias stay below 2**15 accumulates in int16. A
+    non-finite float sum raises the same DomainError as ``correlate``."""
+    return _correlate_strips(img, Kernel(stencil), border, 1, bias)
 
 
 def convolve(img: Image, kernel: Kernel, border: str = "replicate",

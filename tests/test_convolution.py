@@ -517,6 +517,16 @@ class TestFusedDisplay:
             with pytest.raises(DomainError, match="^signed image values must be finite$"):
                 run()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_padding_column_overflow_is_not_an_error(self, workers):
+        # Both rows share one strip at row stride 5. The sum in each padding
+        # column of the first row is 2e308, which overflows to inf, while
+        # every stored sum is finite: only the (rows, W) view is checked.
+        img, k = Image([[0, 0, 1], [1, 0, 0]]), Kernel([[1e308, 0, 1e308]])
+        assert correlate(img, k, workers=workers).values.tolist() == \
+            [[0, 1e308, 1e308], [1e308, 1e308, 0]]
+        assert _clamp_display(img, k.coeffs).pixels.tolist() == [[0, 255, 255], [255, 255, 0]]
+
     def test_each_float_strip_is_checked_finite_once(self, monkeypatch):
         monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 4)
         img = Image(np.arange(32, dtype=np.uint8).reshape(8, 4))
@@ -555,8 +565,10 @@ class TestPaddedStrips:
                 coeffs[kshape[0] // 2, kshape[1] // 2] += 1.0  # never all zero
                 sums = correlate_brute(img.pixels.tolist(), coeffs.tolist(), border)
                 assert correlate(img, Kernel(coeffs), border, workers).values.tolist() == sums
-                assert _clamp_display(img, coeffs, 0, border).pixels.tolist() == \
-                    [[clamp_round_exact(Fraction(v)) for v in row] for row in sums]
+                # The bias is added over the flat strip, padding columns included.
+                for bias in (0, 4, 128, -127):
+                    assert _clamp_display(img, coeffs, bias, border).pixels.tolist() == \
+                        [[clamp_round_exact(Fraction(v) + bias) for v in row] for row in sums]
 
 
 class TestInt16Bound:
