@@ -159,17 +159,17 @@ _P2_CLASS = bytes((c - 48) << 4 | 1 if 48 <= c <= 57 else 2 if c in _WHITESPACE 
 def _p2_piece(text, offset: int, need: int):
     """The levels of the first ``need`` P2 tokens of ``text``, a piece from
     byte ``offset`` on cut at a whitespace byte or the end of the data. SWAR
-    decodes it up to the whitespace after the need-th token where those
-    tokens are all 1 to 3 digits up to 255; else :func:`p2_scan` does."""
+    decodes it whole, or else up to the whitespace after the need-th token,
+    where those tokens are all 1 to 3 digits up to 255; else :func:`p2_scan` does."""
     levels = _p2_levels(text)
-    if levels is None or len(levels) > need:
-        # bytes.split's whitespace is _P2_CLASS's: rest[-1] follows the
-        # need-th token. A header may declare more than split can count.
+    if levels is None:
+        # A bad token may lie past the need-th, which rest[-1] follows: bytes.split's
+        # whitespace is _P2_CLASS's. A header may declare more than split can count.
         rest = text.split(None, min(need, len(text)))
         if len(rest) > need:
             text = text[:len(text) - len(rest[-1])]
             levels = _p2_levels(text)
-    return p2_scan(text, offset, need) if levels is None else levels
+    return p2_scan(text, offset, need) if levels is None else levels[:need]
 
 
 def _p2_levels(text: bytes):

@@ -1,5 +1,5 @@
-"""Binary edges, where the bits' Laplacian-four (replicate border) is nonzero, as
-in the ``edges`` op's numpy form; saturating image addition; shadow effects."""
+"""Binary edges, where the bits' Laplacian-four (replicate border) is nonzero,
+and edge points, where it is positive; saturating image addition; shadow effects."""
 
 from __future__ import annotations
 
@@ -30,10 +30,11 @@ def edge_map(u: BinaryImage) -> BinaryImage:
 
 
 def edge_points(u: BinaryImage) -> BinaryImage:
-    """Black pixels with at least one white 4-neighbor: u = 0 and edge_map = 1."""
-    g = edge_map(u).bits
-    g.setflags(write=True)  # edge_map's new array
-    return BinaryImage._trusted(np.greater(g, u.bits, out=g.view(np.bool_)).view(np.uint8))
+    """Black pixels with a white 4-neighbor: where the bits' Laplacian-four is
+    positive, as it is k at a 0 bit with k white 4-neighbors and k - 4 at a 1 bit."""
+    g = _clamp_display(Image._trusted(u.bits), LAPLACIANS["four"]).pixels
+    g.setflags(write=True)  # a new array: compared in place, as in edge_map
+    return BinaryImage._trusted(np.greater(g, 0, out=g.view(np.bool_)).view(np.uint8))
 
 
 def bits_to_image(u: BinaryImage) -> Image:
@@ -42,10 +43,12 @@ def bits_to_image(u: BinaryImage) -> Image:
 
 
 def image_add(a: Image, b: Image) -> Image:
-    """Pixelwise saturating sum: min(a + b, 255), never wraparound."""
+    """Pixelwise saturating sum min(a + b, 255): min(a, 255 - b) + b in uint8."""
     same_size((a.width, a.height), (b.width, b.height))
-    sums = a.pixels.astype(np.uint16) + b.pixels
-    return Image._trusted(np.minimum(sums, a.max_gray, out=sums).astype(np.uint8))
+    out = np.subtract(a.max_gray, b.pixels, dtype=np.uint8)
+    np.minimum(out, a.pixels, out=out)
+    out += b.pixels
+    return Image._trusted(out)
 
 
 def shadow_ne(img: Image) -> Image:

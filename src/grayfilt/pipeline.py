@@ -11,9 +11,7 @@ A point op builds a 256-byte table, and a run of them composes to one; any
 other op a :class:`Step`. One builder, :func:`_kernel_step`, maps each kernel
 op's stencil, bias, border and display to both engines; its clamp display,
 ``edges`` and ``add`` also have an exact numpy-free form (:mod:`grayfilt._swar`).
-The edge rule: a bit differs from a 4-neighbor just where the bits'
-Laplacian-four (replicate border) is nonzero. On numpy ``edges`` clamps it on
-the 0/255 threshold image: 255·k at a 0 pixel with k white 4-neighbors, else 0.
+On numpy ``edges`` is the library chain ``binarize``, ``edge_points``, ``bits_to_image``.
 This module alone knows both engines: :func:`run_pipeline` runs every stage
 on numpy, and the CLI runs :func:`_run_raster` and :func:`_histogram`, bytes
 first, which fall back to numpy above a bytes form's cut.
@@ -139,8 +137,8 @@ OPS = {
     "edges": Op(
         "binary edge points (threshold, then XOR neighbor rule), rendered 0/255",
         (Param("threshold", THRESHOLD, 128),),
-        lambda p: Step(lambda img: api.convolution._clamp_display(
-            api.bits_to_image(api.binarize(img, p["threshold"])), _swar.LAPLACIANS["four"]),
+        lambda p: Step(
+            lambda img: api.bits_to_image(api.edge_points(api.binarize(img, p["threshold"]))),
             lambda width, height, raster: _swar.edge_points(width, height, raster,
                                                              p["threshold"]))),
     "add": Op(

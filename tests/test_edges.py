@@ -38,6 +38,12 @@ seam_bits = st.one_of(*(
                   hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40))))
 pixel_arrays = hnp.arrays(
     np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12))
+#: Any level, but often one at or next to 0, mid-gray or 255, where a
+#: saturating sum turns.
+add_levels = st.one_of(st.sampled_from([0, 1, 127, 128, 254, 255]), st.integers(0, 255))
+add_arrays = hnp.arrays(
+    np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+    elements=add_levels)
 
 
 def shadow_brute(pixels):
@@ -167,14 +173,16 @@ class TestImageAdd:
         out = image_add(Image([[200]]), Image([[100]]))
         assert out.pixels[0, 0] == 255
 
-    @given(pixel_arrays.flatmap(
-        lambda a: st.tuples(st.just(a), hnp.arrays(np.uint8, a.shape))))
+    @given(add_arrays.flatmap(lambda a: st.tuples(
+        st.just(a), hnp.arrays(np.uint8, a.shape, elements=add_levels))))
     def test_commutative_and_matches_min_oracle(self, pair):
+        # Sums at and past 255, from levels at 0 and 255 in either argument,
+        # are where a uint8 form could wrap.
         a, b = Image(pair[0]), Image(pair[1])
         out = image_add(a, b)
         assert out == image_add(b, a)
-        expected = np.minimum(pair[0].astype(np.uint16) + pair[1], 255)
-        assert np.array_equal(out.pixels, expected.astype(np.uint8))
+        assert out.pixels.tolist() == [[min(int(x) + int(y), 255) for x, y in zip(ra, rb)]
+                                       for ra, rb in zip(pair[0].tolist(), pair[1].tolist())]
 
     def test_all_max_is_absorbing(self):
         rng = np.random.default_rng(33)

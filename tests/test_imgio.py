@@ -473,6 +473,27 @@ class TestReadPgm:
         # A piece runs to the first whitespace byte _SLICE bytes on or later.
         assert offset == pos - 1 and length <= _bytes._SLICE + 3
 
+    @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 4099, 61])
+    def test_a_piece_whose_tokens_all_decode_is_decoded_once(self, many_slices, slice_bytes):
+        # Valid tokens follow the raster, so the last piece holds more than it
+        # needs: its levels are cut to the count, not decoded a second time.
+        data, pos, pixels = many_slices
+        data += b"7 8 9\n" * 4
+        pieces, decodes = [], []
+
+        def counted(real, calls):
+            def call(*args):
+                calls.append(args)
+                return real(*args)
+            return call
+
+        with mock.patch.object(_bytes, "_SLICE", slice_bytes), \
+                mock.patch.object(_bytes, "_p2_piece", counted(_bytes._p2_piece, pieces)), \
+                mock.patch.object(_bytes, "_p2_levels", counted(_bytes._p2_levels, decodes)):
+            assert decode_pgm(data)[2] == pixels.tobytes()
+        assert len(pieces) > 1 and len(decodes) == len(pieces)
+        assert pieces[-1][0].split()[-1] == b"9"
+
 
 class TestWritePgm:
     def test_canonical_p2_layout(self):

@@ -61,11 +61,11 @@ CASES = [
      IO + STRIPS),
     # One bool array of threshold bits.
     ("binarize", {"threshold": 128}, IO + U8),
-    # The threshold bits and their 0/255 image, whose Laplacian-four clamp
-    # then runs in int16 strips.
+    # The threshold bits and their Laplacian-four clamp, run in int16 strips;
+    # then the edge points and their 0/255 image.
     ("edges", {"threshold": 128}, IO + 2 * U8),
-    # The saturating sum is taken in uint16.
-    ("add", {"image": "second.pgm"}, IO + 2 * I16),
+    # The saturating sum is taken in one uint8 array, min(a, 255 - b) + b.
+    ("add", {"image": "second.pgm"}, IO + U8),
     ("shadow", {"invert": False}, IO + STRIPS),
     ("shadow", {"invert": True}, IO + STRIPS),
 ]
@@ -108,6 +108,8 @@ CLI_CASES = [
     ("shadow", {"invert": True}, STRIPS / 4),
     ("convolve", {"kernel": "real5.txt", "border": "replicate", "display": "clamp"}, STRIPS),
     ("unsharp", {"radius": 5, "display": "clamp"}, STRIPS / 4),
+    # No strips: the output is its one uint8 array, and 64 KiB is for small objects.
+    ("add", {"image": "second.pgm"}, 64 * 1024 / SIDE**2),
 ]
 
 
@@ -122,7 +124,7 @@ def test_cli_path_peak_bytes_per_pixel(files, tmp_path, monkeypatch, op, params,
     src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
     src.write_bytes(data)
     monkeypatch.setattr(grayfilt._swar, "_CUT", 0)
-    params = {k: str(d / v) if k == "kernel" else v for k, v in params.items()}
+    params = {k: str(d / v) if k in ("kernel", "image") else v for k, v in params.items()}
     step = OPS[op].build(params)
     args = SimpleNamespace(input=str(src), output=str(dst), format="p5")
     tracemalloc.start()

@@ -31,10 +31,11 @@ from grayfilt import (
     render_histogram,
     run_pipeline,
     save_pgm,
+    unsharp_mask,
 )
 from grayfilt._bytes import NEGATE_TABLE
 from grayfilt.convolution import _clamp_display
-from grayfilt.pipeline import OPS
+from grayfilt.pipeline import OPS, _compile, _run_raster
 from support import (
     clamp_round_exact,
     correlate_brute,
@@ -234,6 +235,23 @@ class TestEdgesAddHistogram:
         img = Image(pixels)
         assert out == bits_to_image(edge_points(binarize(img, threshold))).pixels.tobytes()
         assert out == OPS["edges"].build({"threshold": threshold})(img).pixels.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(images, thresholds)
+    @example(ROW, 100)
+    @example(COLUMN, 100)
+    @example(np.full((3, 5), 200, np.uint8), 200)
+    @example(np.full((4, 1), 9, np.uint8), 0)
+    def test_edges_after_unsharp_run_the_numpy_library_chain(self, pixels, threshold):
+        # unsharp has no bytes form, so the edges stage after it runs on
+        # numpy at any size: the library chain, and the brute-force rule.
+        spec = PipelineSpec([{"op": "unsharp", "radius": 1},
+                             {"op": "edges", "threshold": threshold}])
+        out = bytes(_run_raster(_compile(spec), *_raster(pixels)))
+        sharp = unsharp_mask(Image(pixels), 1)
+        assert out == bits_to_image(edge_points(binarize(sharp, threshold))).pixels.tobytes()
+        bits = [[int(v >= threshold) for v in row] for row in sharp.pixels.tolist()]
+        assert list(out) == [255 * v for row in edge_points_brute(bits) for v in row]
 
     @settings(max_examples=100, deadline=None)
     @given(images.flatmap(lambda a: st.tuples(
