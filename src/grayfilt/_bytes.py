@@ -9,13 +9,14 @@ call runs it, on a file it reads itself or on bytes. Whitespace is the six
 ASCII bytes space, \\t, \\n, \\r, \\v and \\f, as ``bytes.split()`` and a
 bytes ``\\s`` take them; '#' starts a comment that runs to the next \\n,
 only between header tokens. One compiled pattern reads each header token,
-so a header of any length is scanned in linear time. P2 text is decoded a
-slice at a time with big-int SWAR (a few shifts and masks per slice, not an
-object per token) while each token is 1 to 3 digits with a value of at most
-255; tokens after the width*height-th are ignored. A slice with any other
-token goes to the token scanner, which decodes that slice alone: it gives
-every error message and byte offset and accepts whatever ``int()`` does,
-such as ``+7``, ``1_0`` or ``0255``.
+so a header of any length is scanned in linear time. P2 text is read and
+decoded a piece at a time, each cut at a whitespace byte ``_SLICE`` bytes on
+or later, with big-int SWAR (a few shifts and masks a piece, not an object
+per token) while each token is 1 to 3 digits with a value of at most 255;
+tokens after the width*height-th are ignored. A piece with any other token
+goes to the token scanner, which decodes that piece alone: it gives every
+error message and byte offset and accepts whatever ``int()`` does, such as
+``+7``, ``1_0`` or ``0255``.
 
 No raster is copied that need not be: :func:`load_pgm` hands back a P5
 raster in the buffer the file was read into, and every PGM written to a file
@@ -24,6 +25,7 @@ is :func:`pgm_chunks`' header and raster, never joined (:func:`write_bytes_atomi
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import reprlib
@@ -96,13 +98,14 @@ def refused(token, noun: str) -> str:
     return f"{reason} {noun} {reprlib.repr(token)}"
 
 
-def _int_at(token: bytes, start: int, noun: str, prefix: str = "") -> int:
-    """``int(token)``, or a FormatError saying why it was refused at byte
-    ``start``. A token read from a bytearray is echoed as bytes."""
+def token_int(token, noun: str, prefix: str = "", start: int | None = None) -> int:
+    """``int(token)``, or a FormatError: ``prefix`` and why it was refused,
+    and the byte it starts at where ``start`` is given."""
     try:
         return int(token)
     except ValueError:
-        raise FormatError(f"{prefix}{refused(bytes(token), noun)} at byte {start}") from None
+        at = "" if start is None else f" at byte {start}"
+        raise FormatError(f"{prefix}{refused(token, noun)}{at}") from None
 
 
 #: Whitespace and '#' comments, then a header token. The token is empty only
@@ -116,7 +119,7 @@ def _header_int(data: bytes, pos: int, what: str):
     match = _HEADER_TOKEN.match(data, pos)
     if not match.group(1):
         raise FormatError(f"{_HEADER_END} at byte {len(data)}")
-    return _int_at(match.group(1), match.start(1), "token", f"{what}: "), match.end()
+    return token_int(match.group(1), "token", f"{what}: ", match.start(1)), match.end()
 
 
 #: A P2 raster token: a run of bytes that ``bytes.split()`` does not split.
@@ -132,7 +135,7 @@ def p2_scan(text, offset: int, count: int) -> bytearray:
         if len(values) == count:
             break
         start = offset + match.start()
-        value = _int_at(match.group(), start, "pixel token")
+        value = token_int(match.group(), "pixel token", start=start)
         if not 0 <= value <= MAX_GRAY:
             raise FormatError(
                 f"pixel value {reprlib.repr(value)} out of [0, {MAX_GRAY}] at byte {start}"
@@ -141,15 +144,19 @@ def p2_scan(text, offset: int, count: int) -> bytearray:
     return values
 
 
+def _ones(fields: int, b: int = 8) -> int:
+    """The int with a 1 in each of ``fields`` b-bit fields."""
+    return int.from_bytes((b"\x01" + bytes(b // 8 - 1)) * fields, "little")
+
+
 #: The whitespace bytes, as ``bytes.split()`` and a bytes ``\s`` take them.
 _WHITESPACE = b" \t\n\r\v\f"
 _SPACE = re.compile(rb"\s")
-#: Bytes of P2 text decoded at a time.
-_SLICE = 1 << 16
-#: The first read of a regular file, at most: enough for a header.
-_HEAD = 1 << 12
-#: The read buffer of P2 text, unless one token fills it.
-_READ = 1 << 20
+#: Bytes of the first read of a regular file, at most, and of a piece of P2
+#: text, at least: the text is read a piece at a time, into about two pieces.
+_SLICE = 1 << 14
+#: ``_ones`` of the last few piece widths; ``_p2_levels`` keeps none over two pieces.
+_piece_ones = functools.lru_cache(8)(_ones)
 #: The class of each byte of P2 text: a digit is 1 plus 16 times its value,
 #: whitespace 2 and any other byte 4.
 _P2_CLASS = bytes((c - 48) << 4 | 1 if 48 <= c <= 57 else 2 if c in _WHITESPACE else 4
@@ -192,7 +199,7 @@ def _p2_levels(text: bytes):
     if b"\x04" in cls:
         return None
     width = len(cls)
-    ones = int.from_bytes(b"\x01" * width, "little")
+    ones = (_piece_ones if width <= 2 * _SLICE else _ones)(width)
     x = int.from_bytes(cls, "little")
     digit = x & ones
     ends = digit & x >> 9
@@ -232,13 +239,13 @@ def decode_pgm(data, fh=None):
     bytearray of one level per pixel, row-major. ``data``, bytes-like, is left as
     it is: a P5 raster is copied out of it, and P2 text a piece at a time, each
     decoded by :func:`_p2_piece` up to the width*height-th token. Given a binary
-    file ``fh`` too, the PGM is ``data`` and then what ``fh`` reads, only as far as
-    the image needs, into a buffer of its own: a P5 raster is that buffer, cut in place."""
+    file ``fh`` too, the PGM is ``data`` and then what ``fh`` reads, as far as the image
+    needs, into a buffer of its own, ``_SLICE`` bytes at first: a P5 raster is that buffer."""
     buf, base, filled, ended, room = data, 0, len(data), fh is None, 0
     if fh is not None:
         # A regular file's size, and a byte for the read that finds its end.
         room = os.fstat(fh.fileno()).st_size + 1 if fh.seekable() else 1
-        buf = bytearray(data).ljust(len(data) + min(room, _HEAD))
+        buf = bytearray(data).ljust(len(data) + min(room, _SLICE))
 
     def more(keep=0, least=0):
         # Read on, keeping buf[keep:filled]: a full buf moves it to its front
@@ -305,7 +312,7 @@ def decode_pgm(data, fh=None):
     try:
         while cut and len(raster) < count:
             while not (cut := _SPACE.search(buf, start - base + _SLICE, filled)) and not ended:
-                more(start - base, min(room, _READ))
+                more(start - base)
             end = base + (cut.start() if cut else filled)
             # A bytearray, one copy whatever buf is: its translate, the decode's
             # first step, runs about a quarter faster than that of bytes.
@@ -373,12 +380,7 @@ def load_text(path) -> str:
 
 def parse_lut(text: str) -> bytes:
     """Parse a LUT table file: 256 whitespace-separated integers in [0, 255]."""
-    values = []
-    for tok in text.split():
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise FormatError(f"LUT table: {refused(tok, 'entry')}") from None
+    values = [token_int(tok, "entry", "LUT table: ") for tok in text.split()]
     try:
         return lut_table(values)
     except ValueError as exc:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ._bytes import binarize_table
+from ._bytes import _ones, binarize_table
 from .errors import DomainError
 from .kinds import GRAY_LEVELS, MAX_GRAY
 
@@ -80,11 +80,6 @@ def _under_cut(fields: int, cost: int, rows: int = 0) -> bool:
     """Whether ``cost`` taps' worth of work over each of ``fields`` fields,
     and ``rows`` padded rows, are work below the cost of importing numpy."""
     return fields * cost + rows * _ROW_TAPS <= _CUT
-
-
-def _ones(fields: int, b: int) -> int:
-    """The int with a 1 in each of ``fields`` b-bit fields."""
-    return int.from_bytes((b"\x01" + bytes(b // 8 - 1)) * fields, "little")
 
 
 def _widen(raster: bytes, b: int) -> int:

@@ -18,7 +18,7 @@ import reprlib
 import numpy as np
 
 from . import _bytes
-from ._bytes import load_text, refused, write_bytes_atomic  # noqa: F401
+from ._bytes import load_text, token_int, write_bytes_atomic  # noqa: F401
 from .core import Image, Kernel
 from .errors import FormatError
 from .kinds import choice
@@ -70,10 +70,10 @@ def parse_kernel(text: str) -> Kernel:
     then kheight rows of kwidth whitespace-separated reals.
 
     Raises:
-        FormatError: non-positive dimensions, wrong token count or
-            non-numeric token (messages name the offending line number), or
-            anything :class:`Kernel` rejects, such as even dimensions or an
-            all-zero kernel.
+        FormatError: non-positive dimensions, wrong token count, non-numeric
+            token or one a float reads as inf or nan (messages name the line),
+            or anything :class:`Kernel` rejects, such as even dimensions or an
+            all-zero kernel (naming a token a float reads as 0, if any).
     """
     lines = text.splitlines()
     if not lines or not lines[0].split():
@@ -81,18 +81,12 @@ def parse_kernel(text: str) -> Kernel:
     header = lines[0].split()
     if len(header) != 2:
         raise FormatError(f"line 1: expected 'kheight kwidth', got {len(header)} tokens")
-    dims = []
-    for tok in header:
-        try:
-            dims.append(int(tok))
-        except ValueError:
-            raise FormatError(f"line 1: {refused(tok, 'dimension')}") from None
-    kheight, kwidth = dims
+    kheight, kwidth = dims = [token_int(tok, "dimension", "line 1: ") for tok in header]
     kh, kw = map(reprlib.repr, dims)  # messages echo a 4000-digit dimension short
     if kheight < 1 or kwidth < 1:
         raise FormatError(f"line 1: dimensions must be positive, got {kh}x{kw}")
 
-    rows = []
+    rows, underflow = [], None
     for lineno, line in enumerate(lines[1:], start=2):
         tokens = line.split()
         if not tokens:
@@ -107,8 +101,17 @@ def parse_kernel(text: str) -> Kernel:
             rows.append([float(tok) for tok in tokens])
         except ValueError:
             raise FormatError(f"line {lineno}: non-numeric coefficient") from None
+        # A float reads a token past its range as inf, and a nonzero one below it as 0.
+        for tok, value in zip(tokens, rows[-1]):
+            if not np.isfinite(value) or (not value and float(tok.lower().partition("e")[0])):
+                misread = f"line {lineno}: coefficient {reprlib.repr(tok)} is {value} as a float"
+                if value:
+                    raise FormatError(f"{misread}: kernel coefficients must be finite")
+                underflow = underflow or misread
     if len(rows) < kheight:
         raise FormatError(f"expected {kh} coefficient rows, got {len(rows)}")
+    if underflow and not any(map(any, rows)):
+        raise FormatError(f"{underflow}: kernel must have at least one nonzero coefficient")
     try:
         return Kernel(rows)
     except ValueError as exc:

@@ -323,6 +323,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "finite" in err
 
+    @pytest.mark.parametrize("spelled, code, message", [
+        ("1e400", 2, "grayfilt: line 2: coefficient '1e400' is inf as a float: "
+                     "kernel coefficients must be finite"),
+        ("1e-400", 2, "grayfilt: line 2: coefficient '1e-400' is 0.0 as a float: "
+                      "kernel must have at least one nonzero coefficient"),
+        ("1e-400 1 0", 0, None),
+    ])
+    def test_a_kernel_token_a_float_misreads_is_named(self, tmp_path, capsys, spelled, code,
+                                                      message):
+        img = tmp_path / "in.pgm"
+        save_pgm(img, Image([[7, 9], [200, 3]]))
+        kern = tmp_path / "k.txt"
+        kern.write_text(f"1 {len(spelled.split())}\n{spelled}\n")
+        out = tmp_path / "out.pgm"
+        assert run_cli(["convolve", "-i", str(img), "-o", str(out), "--kernel", str(kern)]) == code
+        err = capsys.readouterr().err
+        if message is None:
+            # The underflowing tap reads as 0: the kernel is the identity.
+            assert err == "" and load_pgm(out) == Image([[7, 9], [200, 3]])
+        else:
+            assert err == message + "\n" and not out.exists()
+
     def test_overflow_in_a_later_strip_is_one_domain_error(self, tmp_path, capsys, monkeypatch):
         # One-row strips; the first rows sum to 0, and each strip is clamped
         # to gray levels before the next one is correlated.

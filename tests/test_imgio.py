@@ -306,7 +306,7 @@ class TestReadPgm:
         assert outcome(lambda: read_pgm(data)) == outcome(lambda: whole(data, pos, shape))
 
     @fuzz
-    @given(p2_rasters(), st.sampled_from([1, 2, 3, 7, _bytes._SLICE]))
+    @given(p2_rasters(), st.sampled_from([1, 2, 3, 7, _bytes._SLICE, 1 << 16]))
     def test_bytes_decoder_agrees_with_read_pgm(self, case, slice_bytes):
         # The decoder the numpy-free table path runs, and read_pgm unsliced
         # (the test above): the scanner's pixels, or its message, for every
@@ -334,7 +334,7 @@ class TestReadPgm:
         # slice, at an offset in it that moves with the slice size.
         data, pos, pixels = many_slices
         data += tail
-        for slice_bytes in [_bytes._SLICE, 4099, 1000, 61]:
+        for slice_bytes in [_bytes._SLICE, 1 << 16, 4099, 1000, 61]:
             with mock.patch.object(_bytes, "_SLICE", slice_bytes):
                 fast = swar_only(data)
             assert fast == scan(data, pos, pixels.size) == pixels.tobytes()
@@ -346,7 +346,7 @@ class TestReadPgm:
         with pytest.raises(FormatError, match="non-numeric pixel token b'8x'"):
             read_pgm(data)
 
-    @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 4099, 1000, 61])
+    @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 1 << 16, 4099, 1000, 61])
     @pytest.mark.parametrize("shift", range(4))
     def test_rasters_of_many_slices_agree_with_the_scanner(self, many_slices, slice_bytes, shift):
         # Whitespace after the header moves every slice cut: onto a token's
@@ -357,7 +357,7 @@ class TestReadPgm:
             fast = swar_only(data)
         assert fast == scan(data, pos, pixels.size) == pixels.tobytes()
 
-    @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 4099])
+    @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 1 << 16, 4099])
     @pytest.mark.parametrize("token, error", [
         (b"1000", "pixel value 1000 out of [0, 255]"),
         (b"256", "pixel value 256 out of [0, 255]"),
@@ -381,7 +381,7 @@ class TestReadPgm:
         else:
             assert scanned == f"{error} at byte {at}"
 
-    @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 4099])
+    @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 1 << 16, 4099])
     def test_a_bad_token_in_the_last_slice_is_scanned_from_that_slice(
             self, many_slices, slice_bytes):
         # The slices before the one holding `0050` are decoded already: the
@@ -406,7 +406,7 @@ class TestReadPgm:
 
     @fuzz
     @given(st.one_of(p2_rasters().map(lambda case: case[0]), mutated_pgms),
-           st.sampled_from([_bytes._SLICE, 7, 61]), st.integers(0, 30),
+           st.sampled_from([_bytes._SLICE, 1 << 16, 7, 61]), st.integers(0, 30),
            st.randoms(use_true_random=False))
     def test_reading_in_chunks_equals_decoding_in_memory(self, data, slice_bytes, head, rng):
         # decode_pgm reading a file that gives 1 to 9 bytes a read, after
@@ -435,7 +435,7 @@ class TestReadPgm:
             trickle = Trickle(data, random.Random(cut))
             assert outcome(lambda: decode_pgm(b"", trickle)) == expected, data
 
-    @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 7])
+    @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 1 << 16, 7])
     def test_a_bad_token_in_text_too_short_for_the_raster_reads_on(self, slice_bytes):
         # Text too short to hold the raster, 2 bytes a pixel, is the first
         # fault: a bad token ahead of it is reported only once the text has
@@ -450,8 +450,9 @@ class TestReadPgm:
             endless = Endless(head, b"0 ")
             with pytest.raises(FormatError, match=r"^non-numeric pixel token b'x' at byte 15$"):
                 decode_pgm(b"", endless)
-            # The raster's text starts at byte 14, the whitespace after 255.
-            assert 14 + 2 * 10000 <= endless.given <= 14 + 2 * 10000 + _bytes._READ
+            # The raster's text starts at byte 14, the whitespace after 255. The
+            # reads past it fill the buffer once: about two pieces.
+            assert 14 + 2 * 10000 <= endless.given <= 14 + 2 * 10000 + 2 * _bytes._SLICE
 
     def test_a_non_plain_token_sends_only_its_piece_to_the_scanner(self):
         # The first token is written "+v", which the SWAR decode refuses: the
@@ -473,7 +474,7 @@ class TestReadPgm:
         # A piece runs to the first whitespace byte _SLICE bytes on or later.
         assert offset == pos - 1 and length <= _bytes._SLICE + 3
 
-    @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 4099, 61])
+    @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 1 << 16, 4099, 61])
     def test_a_piece_whose_tokens_all_decode_is_decoded_once(self, many_slices, slice_bytes):
         # Valid tokens follow the raster, so the last piece holds more than it
         # needs: its levels are cut to the count, not decoded a second time.
@@ -698,8 +699,31 @@ class TestParseKernel:
             parse_kernel("1 1\n1\n2\n")
 
     def test_all_zero_kernel_rejected(self):
-        with pytest.raises(FormatError, match="nonzero"):
+        with pytest.raises(FormatError, match="^kernel must have at least one nonzero coefficient$"):
             parse_kernel("1 3\n0 0 0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 1\n1e400\n", "line 2: coefficient '1e400' is inf as a float: "
+                          "kernel coefficients must be finite"),
+        ("1 3\n1e-400 2 -1E999\n", "line 2: coefficient '-1E999' is -inf as a float: "
+                                   "kernel coefficients must be finite"),
+        ("3 1\n0\n1\nnan\n", "line 4: coefficient 'nan' is nan as a float: "
+                             "kernel coefficients must be finite"),
+        ("1 1\n1e-400\n", "line 2: coefficient '1e-400' is 0.0 as a float: "
+                           "kernel must have at least one nonzero coefficient"),
+        ("3 1\n0.0e9\n\n-2_5e-999\n1e-400\n", "line 4: coefficient '-2_5e-999' is -0.0 as "
+                                               "a float: kernel must have at least one nonzero "
+                                               "coefficient"),
+    ])
+    def test_a_token_a_float_misreads_is_named(self, text, message):
+        # A finite token past a float's range reads as inf, and a nonzero one
+        # below it as 0: the message names the line and the token.
+        with pytest.raises(FormatError) as info:
+            parse_kernel(text)
+        assert str(info.value) == message
+
+    def test_an_underflowing_token_beside_a_nonzero_one_reads_as_zero(self):
+        assert parse_kernel("1 3\n1e-400 1 0\n").coeffs.tolist() == [[0.0, 1.0, 0.0]]
 
     def test_blank_lines_tolerated(self):
         assert parse_kernel("1 1\n\n1\n\n") == Kernel([[1.0]])

@@ -16,8 +16,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import grayfilt._bytes
 import grayfilt._swar
-from grayfilt import Image, read_pgm, save_pgm, write_pgm
+from grayfilt import FormatError, Image, read_pgm, save_pgm, write_pgm
 from grayfilt._bytes import decode_pgm, load_pgm, p2_scan, pgm_chunks
 from grayfilt._swar import _EDGE_TAPS, _FIXED_TAPS
 from grayfilt.cli import _run
@@ -29,9 +30,10 @@ SIDE = 1024
 
 #: Bytes per pixel of one full-size array of each dtype.
 U8, I16, I32, F64 = 1, 2, 4, 8
-#: The P5 path's own uint8 arrays: the decoded input, the output, the encoded
-#: bytes, and one more for a codec temporary or a padded copy of the input.
-IO = 4 * U8
+#: What the P5 path holds itself: two uint8 arrays, the decoded input and the
+#: output while the op runs, then the output and the encoded bytes, and 64 KiB
+#: of small objects.
+IO = 2 * U8 + 64 * 1024 / SIDE**2
 #: Temporaries that do not grow with the image: up to four float64 strips of
 #: _STRIP_PIXELS (2 B/px at 1024x1024), whatever one strip's arithmetic needs.
 STRIPS = 4 * F64 * _STRIP_PIXELS / SIDE**2
@@ -40,9 +42,10 @@ STRIPS = 4 * F64 * _STRIP_PIXELS / SIDE**2
 #: may hold at once. Ops that end in gray levels hold no signed full-size
 #: array, so a full-size int32 or float64 intermediate exceeds their bound.
 CASES = [
-    ("negate", {}, IO),
-    ("stretch", {"gamma": 2.0}, IO),
-    ("lut", {"table": "lut.txt"}, IO),
+    # A table maps a bytes copy of the input.
+    ("negate", {}, IO + U8),
+    ("stretch", {"gamma": 2.0}, IO + U8),
+    ("lut", {"table": "lut.txt"}, IO + U8),
     ("laplacian", {"variant": "eight", "display": "clamp"}, IO + STRIPS),
     # The rescale needs the whole range: one int32 correlation.
     ("laplacian", {"variant": "eight", "display": "rescale"}, IO + I32 + STRIPS),
@@ -64,8 +67,9 @@ CASES = [
     # The threshold bits and their Laplacian-four clamp, run in int16 strips;
     # then the edge points and their 0/255 image.
     ("edges", {"threshold": 128}, IO + 2 * U8),
-    # The saturating sum is taken in one uint8 array, min(a, 255 - b) + b.
-    ("add", {"image": "second.pgm"}, IO + U8),
+    # The saturating sum is taken in the output, min(a, 255 - b) + b; the
+    # second image is read when the step is built.
+    ("add", {"image": "second.pgm"}, IO),
     ("shadow", {"invert": False}, IO + STRIPS),
     ("shadow", {"invert": True}, IO + STRIPS),
 ]
@@ -195,7 +199,7 @@ P2_TEXT = 4 * U8
 
 
 @pytest.mark.parametrize("fmt, bound", [
-    # The raster, its translation, and the P5 output: no more than IO.
+    # The raster and its translation, which is the P5 output uncopied.
     ("P5", IO),
     # The raster, its translation and one more for a digit plane or the
     # decoder's slice ints; the P2 text laid out at 4 B/px, and the same
@@ -221,9 +225,9 @@ def test_table_path_peak_bytes_per_pixel(files, fmt, bound):
 @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview], ids=lambda kind: kind.__name__)
 def test_read_pgm_p2_peak_bytes_per_pixel(files, kind):
     # read_pgm decodes P2 with the table path's decoder, which holds the
-    # raster (1 B/px) and one slice's ints at a time: a dozen or so of 64
-    # KiB, under 1 MiB whatever the image's size. It copies one slice of
-    # the text at a time, never the whole text, whatever type holds it.
+    # raster (1 B/px) and one piece's ints at a time: a dozen or so of 16
+    # KiB, and the masks of a few piece widths. It copies one piece of the
+    # text at a time, never the whole text, whatever type holds it.
     _, data = files
     pixels = read_pgm(data).pixels
     data = kind(write_pgm(Image(pixels), "P2"))
@@ -234,13 +238,13 @@ def test_read_pgm_p2_peak_bytes_per_pixel(files, kind):
     finally:
         tracemalloc.stop()
     assert np.array_equal(img.pixels, pixels)
-    assert peak / SIDE**2 <= 3 * U8
+    assert peak / SIDE**2 <= 1.4 * U8
 
 
 def test_load_pgm_p2_peak_bytes_per_pixel(files, tmp_path):
-    # A P2 file is decoded as it is read, into one buffer of 1 MiB at most:
-    # a call peaks at the raster (1 B/px), that buffer and one slice's ints,
-    # not at the whole text (3.6 B/px here) and the raster.
+    # A P2 file is decoded as it is read, a piece at a time, into a buffer of
+    # about two pieces: a call peaks at the raster (1 B/px), that buffer and
+    # one piece's ints, not at the whole text (3.6 B/px here) and the raster.
     _, data = files
     pixels = read_pgm(data).pixels
     src = tmp_path / "in.pgm"
@@ -253,7 +257,25 @@ def test_load_pgm_p2_peak_bytes_per_pixel(files, tmp_path):
     finally:
         tracemalloc.stop()
     assert (width, height, raster) == (SIDE, SIDE, pixels.tobytes())
-    assert peak / SIDE**2 <= 3 * U8
+    assert peak / SIDE**2 <= 1.4 * U8
+
+
+def test_a_digit_run_longer_than_two_pieces_leaves_no_mask_that_wide():
+    # The run's piece is as wide as the run: SWAR builds its all-ones mask
+    # and refuses it, and the scanner reports the token. The decoder keeps
+    # the masks of recent piece widths, but none over two pieces wide, so
+    # the call leaves nothing the run's size allocated.
+    run = b"1" * (1 << 20)
+    assert len(run) > 2 * grayfilt._bytes._SLICE
+    data = b"P2\n2 1\n255\n7 " + run + b"\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="^too many digits in pixel token b'111"):
+            decode_pgm(data)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * grayfilt._bytes._SLICE
 
 
 def test_scanner_peak_bytes_per_pixel():
