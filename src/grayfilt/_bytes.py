@@ -388,74 +388,72 @@ def parse_lut(text: str) -> bytes:
 
 
 def _descriptor(path: str):
-    """N if ``path`` is, or its symlinks reach, ``/proc/self/fd/N``, as
-    ``/dev/stdout`` and ``/dev/fd/N`` do on Linux; else None."""
+    """N if ``path``, or a symlink it reaches, is ``/proc/self/fd/N``, as
+    ``/dev/stdout`` and ``/dev/fd/N`` are on Linux, with N as the kernel
+    writes a descriptor (ASCII digits, no leading zero, below 2**31); else
+    the path its symlinks reach. Only each head is resolved: a magic link
+    such as ``/dev/fd/N`` reads as "pipe:[ino]"."""
     fds = os.path.realpath("/proc/self/fd")
     for _ in range(40):  # then a loop, which os.stat refuses
         head, name = os.path.split(path)
         head = os.path.realpath(head)
-        if head == fds and name.isdigit():
+        if head == fds and re.fullmatch(r"0|[1-9][0-9]{0,9}", name) and int(name) < 2**31:
             return int(name)
         path = os.path.join(head, name)
         if not os.path.islink(path):
-            return None
+            return path
         path = os.path.join(head, os.readlink(path))
-    return None
+    return path
 
 
 def write_bytes_atomic(path, *chunks) -> None:
     """Write ``chunks``, bytes-like objects, one after the other (a header
-    and a raster are not joined first): a new path or a regular file via a
-    temp file in the destination directory, then a rename. A symlink, even
-    a dangling one, is followed: its target is written in the target's
+    and a raster are not joined first) to one descriptor, as
+    :func:`_descriptor` resolves ``path``: a new path or a regular file via
+    a temp file in the destination directory, then a rename. A symlink,
+    even a dangling one, is followed: its target is written in the target's
     directory and the link stays, as with ``cp``. A new file gets mode
     0o666 less the umask, as ``open()`` would; a replaced regular file keeps
     its permission bits, as with ``cp``, but not its setuid, setgid or
-    sticky bit. A descriptor's path (``/dev/stdout``, ``/dev/fd/N``) is
-    written through a duplicate of it, at its offset and in its append mode,
-    as ``>&N`` would: the path names the file behind it, which a shell may
-    since have replaced. Any other existing path, such as a FIFO or a
-    device, is opened as given and written in place, as a shell redirection
-    would; a directory or a symlink loop is refused. ``path`` may be str,
-    bytes or path-like. An error names ``path``, not its target or the temp
-    file."""
+    sticky bit. A descriptor's path is written through a duplicate of it, at
+    its offset and in its append mode, as ``>&N`` would: the path names the
+    file behind it, which a shell may since have replaced. Any other
+    existing path, such as a FIFO or a device, is written in place, as a
+    shell redirection would; a directory or a symlink loop is refused.
+    ``path`` may be str, bytes or path-like. Every error names ``path``, not
+    its target or the temp file, and leaves no temp file behind."""
     path = os.fsdecode(path)
-    fd = _descriptor(path)
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        mode = 0
     flags = os.O_WRONLY | getattr(os, "O_BINARY", 0)
-    if fd is not None or mode and not stat.S_ISREG(mode):
-        # No O_CREAT: should the path go in between, this fails, not creates.
-        try:
-            with os.fdopen(os.open(path, flags) if fd is None else os.dup(fd), "wb") as fh:
-                fh.writelines(chunks)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, path) from None
-        return
-    # Resolved only here: a magic link such as /dev/fd/N reads as "pipe:[N]".
-    target = os.path.realpath(path)
-    flags |= os.O_CREAT | os.O_EXCL
-    tmp = fd = None
+    fd = tmp = None
     try:
+        target = _descriptor(path)
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = 0
+        if isinstance(target, int):
+            fd = os.dup(target)
+        elif mode and not stat.S_ISREG(mode):
+            # No O_CREAT: should the path go in between, this fails, not creates.
+            fd = os.open(target, flags)
         while fd is None:
             tmp = os.path.join(os.path.dirname(target), f".tmp-{os.urandom(4).hex()}")
             try:
-                fd = os.open(tmp, flags, 0o666)
+                fd = os.open(tmp, flags | os.O_CREAT | os.O_EXCL, 0o666)
             except FileExistsError:
                 pass
         with os.fdopen(fd, "wb") as fh:
-            if stat.S_ISREG(mode):
+            if tmp and mode:  # a regular file, replaced
                 os.chmod(tmp, stat.S_IMODE(mode) & 0o777)
             fh.writelines(chunks)
-        os.replace(tmp, target)
+        if tmp:
+            os.replace(tmp, target)
     except BaseException as exc:
-        if fd is not None:
+        if tmp and fd is not None:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
-        if isinstance(exc, OSError) and exc.filename in (tmp, target):
+        if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, path) from None
         raise

@@ -159,7 +159,8 @@ def unsharp_mask(img: Image, radius: int = 1, display: str = "clamp",
         # in place in the blurred copy.
         np.minimum(f, blurred, out=blurred)
         return Image._trusted(np.subtract(f, blurred, out=blurred))
-    signed = SignedImage._trusted(f.astype(np.int16) - blurred)
+    signed = SignedImage._trusted(np.subtract(f, blurred, dtype=np.int16))
+    del blurred  # not held while the display's strips are
     return clamp_to_display(signed, display)
 
 

@@ -501,6 +501,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             f"grayfilt: [Errno 2] No such file or directory: {out!r}"]
 
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX paths")
+    def test_output_with_a_trailing_slash_is_not_a_file(self, sample, tmp_path, capsys):
+        # "out.pgm/" names a directory that does not exist, as in a shell
+        # redirection; the file "out.pgm" is not written in its place.
+        _, path = sample
+        out = str(tmp_path / "out.pgm") + "/"
+        assert run_cli(["negate", "-i", str(path), "-o", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"grayfilt: [Errno 2] No such file or directory: {out!r}"]
+        assert os.listdir(tmp_path) == ["in.pgm"]
+
     @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
     @pytest.mark.parametrize("command", ["negate", "sharpen"])
     def test_rewritten_output_keeps_its_mode(self, sample, tmp_path, command):
@@ -837,6 +848,39 @@ class TestProcessLevel:
             "grayfilt: [Errno 9] Bad file descriptor: '/dev/stdin'"]
         assert path.read_bytes() == before and os.listdir(tmp_path) == ["in.pgm"]
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux /proc/self/fd")
+    @pytest.mark.parametrize("out", ["/dev/fd/01", "/proc/self/fd/01", "/dev/fd/\u0661",
+                                     "/dev/fd/\u00b2", "/dev/fd/2147483648"])
+    def test_descriptor_names_the_kernel_does_not_write_are_paths(self, tmp_path,
+                                                                  monkeypatch, out):
+        # Only N as the kernel writes it (ASCII digits, no leading zero, a C
+        # int) names a descriptor. Any other name is an ordinary path, and
+        # these do not exist: the write fails and nothing reaches stdout.
+        monkeypatch.setenv("PYTHONUTF8", "1")
+        path = tmp_path / "in.pgm"
+        save_pgm(path, Image([[7, 8]]))
+        proc = self._run("negate", "-i", str(path), "-o", out)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode().splitlines() == [
+            f"grayfilt: [Errno 2] No such file or directory: {out!r}"]
+        assert os.listdir(tmp_path) == ["in.pgm"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux RLIMIT_FSIZE")
+    @pytest.mark.parametrize("flag, argv", [("-o", ["negate"]), ("--csv", ["histogram"])],
+                             ids=["negate", "histogram-csv"])
+    def test_failed_write_to_a_new_file_names_the_output(self, tmp_path, flag, argv):
+        # CPython ignores SIGXFSZ, so a write past the child's file size
+        # limit raises EFBIG. The 4 KiB raster and the 1679-byte table each
+        # pass the 1 KiB limit part way through.
+        path, out = tmp_path / "in.pgm", str(tmp_path / "new.out")
+        save_pgm(path, Image(np.random.default_rng(65).integers(0, 256, (64, 64), np.uint8)))
+        proc = self._run_limited([*argv, "-i", str(path), flag, out], limit="RLIMIT_FSIZE",
+                                 size=1024)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode().splitlines() == [
+            f"grayfilt: [Errno 27] File too large: {out!r}"]
+        assert os.listdir(tmp_path) == ["in.pgm"]
+
     def test_usage_error_goes_to_stderr(self):
         proc = self._run("stretch", "--gamma", "zero")
         assert proc.returncode == 1
@@ -856,12 +900,13 @@ class TestProcessLevel:
         assert line.startswith("grayfilt: pipeline spec") and "too many digits" in line
 
     @staticmethod
-    def _run_limited(argv, stdin=None):
-        # The child caps its own address space before the command runs, so
-        # an unbounded read fails there, not on the host.
+    def _run_limited(argv, stdin=None, limit="RLIMIT_AS", size=2**28):
+        # The child caps its own resource ``limit`` before the command runs:
+        # its address space by default, so an unbounded read fails there,
+        # not on the host.
         pytest.importorskip("resource")
         code = ("import resource, sys; "
-                "resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28)); "
+                f"resource.setrlimit(resource.{limit}, ({size}, {size})); "
                 "from grayfilt.cli import main; sys.exit(main(sys.argv[1:]))")
         return subprocess.run([sys.executable, "-c", code, *argv], stdin=stdin,
                               capture_output=True, timeout=120)

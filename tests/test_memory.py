@@ -53,8 +53,9 @@ CASES = [
     ("sharpen", {"variant": "eight"}, IO + STRIPS),
     ("unsharp", {"radius": 1, "display": "clamp"}, IO + STRIPS),
     ("unsharp", {"radius": 5, "display": "clamp"}, IO + STRIPS),
-    # The rescale needs the whole range: one int16 difference.
-    ("unsharp", {"radius": 1, "display": "rescale"}, IO + I16 + STRIPS),
+    # The rescale needs the whole range: one int16 difference, the blurred
+    # copy dropped first; the display holds one uint64 and one float64 strip.
+    ("unsharp", {"radius": 1, "display": "rescale"}, IO + I16 + STRIPS / 2),
     ("convolve", {"kernel": "real5.txt", "border": "replicate", "display": "clamp"},
      IO + STRIPS),
     # The rescale needs the whole range: one float64 correlation.
