@@ -1,4 +1,3 @@
-import atexit
 import gc
 import io
 import json
@@ -781,14 +780,28 @@ class TestCollector:
         assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
         assert paused == ([] if code == 1 else [False])
 
-    def test_the_freeze_hook_is_registered_once(self, sample, tmp_path):
-        _, path = sample
-        argv = ["negate", "-i", str(path), "-o", str(tmp_path / "out.pgm")]
-        assert run_cli(argv) == 0
-        before = atexit._ncallbacks()
-        for _ in range(5):
-            assert run_cli(argv) == 0
-        assert atexit._ncallbacks() == before
+    def test_an_in_process_call_changes_no_process_state(self, tmp_path):
+        # A fresh child, so that no earlier call has registered or frozen
+        # anything: two calls, one of them loading numpy, leave the exit
+        # hooks, the frozen heap and the collector as the caller set them.
+        path = tmp_path / "in.pgm"
+        save_pgm(path, Image([[0, 20, 40, 60], [80, 100, 120, 140], [160, 180, 200, 220]]))
+        argvs = [["negate", "-i", str(path), "-o", str(tmp_path / "negate.pgm")],
+                 ["unsharp", "-i", str(path), "-o", str(tmp_path / "unsharp.pgm")]]
+        code = """if True:
+            import atexit, gc, json, sys
+            from grayfilt.cli import main
+            gc.set_threshold(650, 11, 9)
+            state = lambda: [atexit._ncallbacks(), gc.get_freeze_count(), gc.isenabled(),
+                             gc.get_threshold()]
+            before = state()
+            codes = [main(argv) for argv in json.loads(sys.argv[1])]
+            print(json.dumps([codes, "numpy" in sys.modules, before == state()]))
+            """
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, 0], True, True]
 
 
 class TestProcessLevel:
@@ -986,18 +999,57 @@ class TestProcessLevel:
         assert (tmp_path / "out.pgm").read_bytes() == write_pgm(negate(Image([[1, 2]])))
 
     def test_the_heap_is_frozen_at_exit(self, tmp_path):
-        # Three commands register one exit hook. Exit hooks run last
-        # registered first, so the one registered here sees the freeze.
+        # The process's own command registers no exit hook, and one
+        # registered before it sees the heap frozen and the collector on.
         path = tmp_path / "in.pgm"
         save_pgm(path, Image([[7, 8]]))
         code = ("import atexit, gc, sys; from grayfilt.cli import main; "
                 "atexit.register(lambda: print(gc.get_freeze_count() > 0, gc.isenabled())); "
-                "before = atexit._ncallbacks(); "
-                "assert [main(sys.argv[1:]) for _ in range(3)] == [0, 0, 0]; "
-                "print(atexit._ncallbacks() - before)")
+                "before = atexit._ncallbacks(); code = main(); "
+                "print(atexit._ncallbacks() - before); sys.exit(code)")
         proc = subprocess.run([sys.executable, "-c", code, "negate", "-i", str(path),
                                "-o", str(tmp_path / "out.pgm")], capture_output=True, timeout=120)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"1\nTrue True\n", b"")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0\nTrue True\n", b"")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["unsharp", "-i", "{in}", "-o", "{out}"], 0),
+        (["unsharp", "-i", "{in}", "-o", "{out}", "--radius", "0"], 1),
+        (["unsharp", "-i", "{missing}", "-o", "{out}"], 2),
+        (["add", "-i", "{in}", "-j", "{one}", "-o", "{out}"], 3),
+    ])
+    def test_the_command_freezes_the_heap_as_it_returns(self, tmp_path, argv, code):
+        # The process's own command leaves the heap frozen and the collector
+        # on at exit, on every exit path. Once a handler has returned, no
+        # collection starts: after an op that loads numpy, a pass over the
+        # ~21,500 objects its import left would. The probe reports on
+        # stderr's last line, since stdout must stay empty.
+        path, one = tmp_path / "in.pgm", tmp_path / "one.pgm"
+        save_pgm(path, Image([[0, 20, 40, 60], [80, 100, 120, 140], [160, 180, 200, 220]]))
+        save_pgm(one, Image([[1]]))
+        names = {"{in}": str(path), "{out}": str(tmp_path / "out.pgm"), "{one}": str(one),
+                 "{missing}": str(tmp_path / "missing.pgm")}
+        probe = """if True:
+            import atexit, gc, json, sys
+            import grayfilt.cli as cli
+            returned, starts = [], []
+            gc.callbacks.append(
+                lambda phase, info: returned and phase == "start" and starts.append(info))
+            def handler(args, real=cli._cmd_filter):
+                try:
+                    return real(args)
+                finally:
+                    returned.append(True)
+            cli._cmd_filter = handler
+            atexit.register(lambda: print(json.dumps(
+                [returned, starts, gc.get_freeze_count() > 0, gc.isenabled(),
+                 "numpy" in sys.modules]), file=sys.stderr))
+            sys.exit(cli.main())
+            """
+        proc = subprocess.run([sys.executable, "-c", probe, *(names.get(a, a) for a in argv)],
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+        assert json.loads(proc.stderr.splitlines()[-1]) == [
+            [] if code == 1 else [True], [], True, True, code == 0]
 
     def test_startup_skips_unneeded_imports(self):
         # Threads, pipelines, the bench report and every handler import these
