@@ -115,10 +115,10 @@ _HEADER_TOKEN = re.compile(rb"\s*(?:#[^\n]*\s*)*([^\s#]*)")
 _HEADER_END = "unexpected end of header"
 
 
-def _header_int(data: bytes, pos: int, what: str):
-    match = _HEADER_TOKEN.match(data, pos)
+def _header_int(data: bytes, pos: int, end: int, what: str):
+    match = _HEADER_TOKEN.match(data, pos, end)
     if not match.group(1):
-        raise FormatError(f"{_HEADER_END} at byte {len(data)}")
+        raise FormatError(f"{_HEADER_END} at byte {end}")
     return token_int(match.group(1), "token", f"{what}: ", match.start(1)), match.end()
 
 
@@ -213,19 +213,19 @@ def _p2_levels(text: bytes):
     return (int.from_bytes(nibbles, "little") >> 4).to_bytes(len(nibbles), "little")[::2]
 
 
-def _header(data):
-    """Check the header of a PGM: the magic, whitespace after it, and the
-    width, height and maxval tokens, dimensions >= 1 and maxval 255. Return
-    (magic, width, height, size, pos), ``size`` the "WxH" text and ``pos``
-    the byte after maxval; else raise the FormatError of the first fault."""
-    magic = bytes(data[:2])
+def _header(data, end: int):
+    """Check the header of a PGM in ``data[:end]``, read in place: the magic, whitespace
+    after it, and the width, height and maxval tokens, dimensions >= 1 and maxval
+    255. Return (magic, width, height, size, pos), ``size`` the "WxH" text and
+    ``pos`` the byte after maxval; else raise the FormatError of the first fault."""
+    magic = bytes(data[:min(2, end)])
     if magic not in _MAGICS:
         raise FormatError(f"bad magic {magic!r} at byte 0: expected P2 or P5")
-    if not _SPACE.match(data, 2):
+    if not _SPACE.match(data, 2, end):
         raise FormatError("expected whitespace after magic at byte 2")
-    width, pos = _header_int(data, 2, "width")
-    height, pos = _header_int(data, pos, "height")
-    maxval, pos = _header_int(data, pos, "maxval")
+    width, pos = _header_int(data, 2, end, "width")
+    height, pos = _header_int(data, pos, end, "height")
+    maxval, pos = _header_int(data, pos, end, "maxval")
     size = f"{reprlib.repr(width)}x{reprlib.repr(height)}"
     if width < 1 or height < 1:
         raise FormatError(f"dimensions must be >= 1, got {size}")
@@ -288,7 +288,7 @@ def decode_pgm(data, fh=None):
             # 2 on, the first three refuse the header.
             cut = filled if ended else max(max(map(buf.rfind, _WHITESPACE)) + 1, 3)
             try:
-                magic, width, height, size, pos = _header(buf if fh is None else buf[:cut])
+                magic, width, height, size, pos = _header(buf, cut)
                 break
             except FormatError as exc:
                 if ended or not str(exc).startswith(_HEADER_END):

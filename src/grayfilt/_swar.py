@@ -106,9 +106,7 @@ def _pad(width: int, height: int, raster: bytes, py: int, px: int, replicate: bo
 
 
 def _crop(flat: bytes, width: int, height: int, stride: int) -> bytes:
-    """The first ``width`` bytes of each of the first ``height`` rows of ``stride``."""
-    if stride == width:
-        return flat[:width * height]
+    """The first ``width`` bytes of each of the first ``height`` padded rows of ``stride``."""
     return b"".join([flat[y:y + width] for y in range(0, stride * height, stride)])
 
 

@@ -69,8 +69,7 @@ def _commands() -> dict:
         "gray-level histogram as CSV and optional bar chart",
         (_INPUT,
          Param("csv", PATH, help="where to write the level,count table", metavar="FILE"),
-         Param("render", PATH, help="also write a 256x100 bar-chart image", metavar="PGM",
-               optional=True),
+         Param("render", PATH, False, "also write a 256x100 bar-chart image", metavar="PGM"),
          _FORMAT._replace(help="encoding for the rendered chart (default p5)")),
         _cmd_histogram)
     commands["pipeline"] = (
@@ -215,9 +214,20 @@ def _cmd_filter(args):
     return _run(args, [("", built)])
 
 
+def _one_file(a: str, b: str) -> bool:
+    """Whether one output would lose the other's bytes: one path, as
+    write_bytes_atomic resolves both, or a path and a descriptor on one file."""
+    a, b = _bytes._descriptor(a), _bytes._descriptor(b)
+    try:
+        return a == b or (isinstance(a, int) != isinstance(b, int)
+                          and os.path.samestat(os.stat(a), os.stat(b)))
+    except OSError:  # a new path, or a descriptor that is not open
+        return False
+
+
 def _cmd_histogram(args):
     # The chart would replace the table: a usage error, before the input is read.
-    if args.render and os.path.realpath(args.csv) == os.path.realpath(args.render):
+    if args.render and _one_file(args.csv, args.render):
         _usage_error("histogram", "argument --render: names the same file as --csv")
     counts = _histogram(*_bytes.load_pgm(args.input))
     _bytes.write_bytes_atomic(args.csv, _swar.histogram_csv(counts).encode("ascii"))

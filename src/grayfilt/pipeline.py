@@ -39,18 +39,17 @@ from .kinds import (
 )
 
 
-class Param(namedtuple("Param", "name kind default help flags metavar optional",
-                       defaults=(None, None, (), None, False))):
+class Param(namedtuple("Param", "name kind default help flags metavar",
+                       defaults=(None, None, (), None))):
     """One op or CLI parameter. ``name`` is the JSON key and the CLI
-    destination; a ``default`` of None makes it required, unless it is
-    ``optional``, when it is None where not given; ``flags`` overrides the
-    CLI spelling ``--<name>``."""
+    destination; a ``default`` of None makes it required, and a path that
+    may be left out defaults to False; ``flags`` overrides the CLI spelling ``--<name>``."""
 
     __slots__ = ()
 
     @property
     def required(self) -> bool:
-        return self.default is None and not self.optional
+        return self.default is None
 
     @property
     def cli_flags(self) -> tuple:

@@ -11,14 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 from ._bytes import NEGATE_TABLE, lut_table, stretch_table
+from .convolution import _STRIP_PIXELS
 from .core import Image
 from .imgio import _image
 from .kinds import POSITIVE_FLOAT
 
 
 def _apply_table(img: Image, table: bytes) -> Image:
-    """Map every pixel r to ``table[r]``."""
-    return _image(img.width, img.height, img.pixels.tobytes().translate(table))
+    """Map every pixel r to ``table[r]`` in a copy of the input, a strip at a time."""
+    out = bytearray(img.pixels.ravel().data)
+    for s in range(0, len(out), _STRIP_PIXELS):
+        out[s:s + _STRIP_PIXELS] = out[s:s + _STRIP_PIXELS].translate(table)
+    return _image(img.width, img.height, out)
 
 
 def apply_lut(img: Image, lut) -> Image:

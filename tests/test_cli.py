@@ -322,6 +322,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "finite" in err
 
+    @pytest.mark.parametrize("text", ["", "\n1 1\n1\n"], ids=["empty", "blank-first-line"])
+    def test_kernel_without_dimensions_is_format_error(self, tmp_path, capsys, text):
+        img = tmp_path / "in.pgm"
+        save_pgm(img, Image([[7, 9]]))
+        kern = tmp_path / "k.txt"
+        kern.write_text(text)
+        out = tmp_path / "out.pgm"
+        assert run_cli(["convolve", "-i", str(img), "-o", str(out), "--kernel", str(kern)]) == 2
+        assert capsys.readouterr().err == "grayfilt: line 1: missing kernel dimensions\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("spelled, code, message", [
         ("1e400", 2, "grayfilt: line 2: coefficient '1e400' is inf as a float: "
                      "kernel coefficients must be finite"),
@@ -418,6 +429,18 @@ class TestExitCodes:
             last = capsys.readouterr().err.splitlines()[-1]
             assert last.endswith("argument --render: names the same file as --csv")
             assert not (tmp_path / "h.csv").exists()
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX paths")
+    def test_histogram_render_with_a_trailing_slash_is_another_path(self, sample, tmp_path,
+                                                                   monkeypatch, capsys):
+        # "h.csv/" names a directory, not the file h.csv, as -o does: the
+        # table is written, and then the chart fails on its own path.
+        img, path = sample
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["histogram", "-i", str(path), "--csv", "h.csv", "--render", "h.csv/"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "grayfilt: [Errno 20] Not a directory: 'h.csv/'"]
+        assert (tmp_path / "h.csv").read_text() == histogram_csv(compute_histogram(img))
 
     def test_unknown_command_is_usage_error(self):
         assert run_cli(["rotate"]) == 1
@@ -844,6 +867,51 @@ class TestProcessLevel:
         assert (tmp_path / "log.txt").read_bytes() == (
             b"earlier\n" + histogram_csv(compute_histogram(a)).encode("ascii"))
         assert sorted(os.listdir(tmp_path)) == ["a.pgm", "b.pgm", "cine.pgm", "log.txt"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux /proc/self/fd")
+    @pytest.mark.parametrize("csv, render", [("/dev/stdout", "/dev/stderr"),
+                                             ("/dev/fd/1", "/dev/fd/2")], ids=["dev", "fd"])
+    @pytest.mark.parametrize("sink", ["file", "pipe"])
+    def test_histogram_to_two_descriptors_on_one_file(self, sample, tmp_path, csv, render,
+                                                      sink):
+        # Two descriptors are two outputs, even with stderr joined to stdout
+        # (2>&1): each is written through at its offset, the table and then the chart.
+        img, path = sample
+        argv = [sys.executable, "-m", "grayfilt.cli", "histogram", "-i", str(path),
+                "--csv", csv, "--render", render]
+        with open(tmp_path / "both.out", "w+b") as fh:
+            proc = subprocess.run(argv, stdout=fh if sink == "file" else subprocess.PIPE,
+                                  stderr=subprocess.STDOUT, timeout=120)
+            fh.seek(0)
+            written = fh.read() if sink == "file" else proc.stdout
+        counts = compute_histogram(img)
+        assert proc.returncode == 0
+        assert written == (histogram_csv(counts).encode("ascii")
+                           + write_pgm(render_histogram(counts)))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux /proc/self/fd")
+    @pytest.mark.parametrize("csv, render", [("/dev/stdout", "out.pgm"),
+                                             ("out.pgm", "/dev/stdout"),
+                                             ("/dev/fd/1", "link.pgm")],
+                             ids=["csv-descriptor", "render-descriptor", "fd-and-link"])
+    def test_histogram_descriptor_and_path_on_one_file_is_usage_error(self, sample, tmp_path,
+                                                                      csv, render):
+        # `--csv /dev/stdout --render out.pgm > out.pgm`: the rename of out.pgm
+        # would take the file from the descriptor, and one output with it.
+        # Neither input is read: a missing one exits 1 too.
+        _, path = sample
+        os.symlink("out.pgm", tmp_path / "link.pgm")
+        csv, render = (str(tmp_path / p) if p.endswith(".pgm") else p for p in (csv, render))
+        for source in (str(path), str(tmp_path / "missing.pgm")):
+            with open(tmp_path / "out.pgm", "wb") as fh:
+                proc = subprocess.run([sys.executable, "-m", "grayfilt.cli", "histogram", "-i",
+                                       source, "--csv", csv, "--render", render],
+                                      stdout=fh, stderr=subprocess.PIPE, timeout=120)
+            assert proc.returncode == 1
+            assert proc.stderr.splitlines()[-1].endswith(
+                b"argument --render: names the same file as --csv")
+            assert (tmp_path / "out.pgm").read_bytes() == b""
+            assert sorted(os.listdir(tmp_path)) == ["in.pgm", "link.pgm", "out.pgm"]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux /proc/self/fd")
     def test_read_only_descriptor_output_is_refused_not_replaced(self, tmp_path):

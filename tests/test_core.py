@@ -202,6 +202,11 @@ class TestBinaryImage:
         with pytest.raises(ValueError, match="0 or 1"):
             BinaryImage(bits)
 
+    def test_float_array_rejected(self):
+        with pytest.raises(ValueError) as info:
+            BinaryImage(np.array([[0.0, 1.0]]))
+        assert str(info.value) == "binary image elements must be integers, got dtype float64"
+
 
 class TestHistogram:
     def test_bin_count_enforced(self):
@@ -232,6 +237,11 @@ class TestHistogram:
             Histogram(bins)
         bins[7] = 2**63 - 1
         assert Histogram(bins).bins[7] == 2**63 - 1
+
+    def test_float_counts_rejected(self):
+        with pytest.raises(ValueError) as info:
+            Histogram(np.zeros(256))
+        assert str(info.value) == "histogram counts must be integers, got dtype float64"
 
 
 class TestValueTypes:

@@ -284,8 +284,41 @@ class TestReadPgm:
            st.sampled_from(["width", "height", "maxval"]))
     def test_header_int_agrees_with_byte_loop(self, data, pos, what):
         pos = min(pos, len(data))
-        assert (outcome(lambda: _bytes._header_int(data, pos, what))
+        assert (outcome(lambda: _bytes._header_int(data, pos, len(data), what))
                 == outcome(lambda: header_int_brute(data, pos, what)))
+
+    @fuzz
+    @given(st.lists(header_pieces, max_size=12).map(b"".join), st.integers(0, 60),
+           st.integers(0, 60), st.sampled_from(["width", "height", "maxval"]))
+    def test_header_int_reads_only_up_to_its_end(self, data, pos, end, what):
+        # What follows end is never read: a header judged in place is the
+        # header of the bytes up to end.
+        data += b"7 # 255\n"
+        end = min(end, len(data))
+        pos = min(pos, end)
+        assert (outcome(lambda: _bytes._header_int(data, pos, end, what))
+                == outcome(lambda: header_int_brute(data[:end], pos, what)))
+
+    @pytest.mark.parametrize("data, end", [
+        (b"P5 # a comment\n 7 ", 8),  # in a comment token
+        (b"P5 # a comment\n 7 ", 15),  # on the newline that ends it
+        (b"P5    7 ", 5),  # in the whitespace before the integer
+    ], ids=["comment", "newline", "whitespace"])
+    def test_header_int_ending_before_its_token_is_an_unexpected_end(self, data, end):
+        message = f"unexpected end of header at byte {end}"
+        assert outcome(lambda: _bytes._header_int(data, 2, end, "width")) == message
+        assert outcome(lambda: header_int_brute(data[:end], 2, "width")) == message
+
+    def test_header_int_ending_in_its_token_reads_the_digits_before_it(self):
+        data = b"P5 1234 "
+        assert _bytes._header_int(data, 2, 5, "width") == (12, 5)
+        assert header_int_brute(data[:5], 2, "width") == (12, 5)
+
+    @pytest.mark.parametrize("data", ["P5\n1 1\n255\n\x00", 12, None])
+    def test_input_that_is_not_bytes_is_refused(self, data):
+        with pytest.raises(FormatError) as info:
+            read_pgm(data)
+        assert str(info.value) == "PGM input must be a byte sequence"
 
     @pytest.mark.parametrize("run, expected", [
         (b" ", (1, 1, b"\x00")),
@@ -693,6 +726,13 @@ class TestParseKernel:
                 parse_kernel(text)
             message = str(info.value)
             assert message.startswith(start) and len(message) < 120, message
+
+    @pytest.mark.parametrize("text", ["", "\n3 3\n0 1 0\n1 -4 1\n0 1 0\n", " \t\n1 1\n1\n"],
+                             ids=["empty", "blank-first-line", "spaces-first-line"])
+    def test_missing_dimensions_are_named(self, text):
+        with pytest.raises(FormatError) as info:
+            parse_kernel(text)
+        assert str(info.value) == "line 1: missing kernel dimensions"
 
     def test_extra_rows_rejected(self):
         with pytest.raises(FormatError, match="line 3"):

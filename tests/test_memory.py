@@ -37,15 +37,19 @@ IO = 2 * U8 + 64 * 1024 / SIDE**2
 #: Temporaries that do not grow with the image: up to four float64 strips of
 #: _STRIP_PIXELS (2 B/px at 1024x1024), whatever one strip's arithmetic needs.
 STRIPS = 4 * F64 * _STRIP_PIXELS / SIDE**2
+#: A table maps the output, a copy of the input, one uint8 strip at a time: the
+#: strip and its translation, and one strip more of margin (a first call's
+#: import of point_ops takes about 48 KiB of it). A bytes copy of the whole
+#: input, 1 B/px, exceeds it.
+TABLE = IO + 3 * U8 * _STRIP_PIXELS / SIDE**2
 
 #: (op, params, bound in bytes per input pixel): the full-size arrays each op
 #: may hold at once. Ops that end in gray levels hold no signed full-size
 #: array, so a full-size int32 or float64 intermediate exceeds their bound.
 CASES = [
-    # A table maps a bytes copy of the input.
-    ("negate", {}, IO + U8),
-    ("stretch", {"gamma": 2.0}, IO + U8),
-    ("lut", {"table": "lut.txt"}, IO + U8),
+    ("negate", {}, TABLE),
+    ("stretch", {"gamma": 2.0}, TABLE),
+    ("lut", {"table": "lut.txt"}, TABLE),
     ("laplacian", {"variant": "eight", "display": "clamp"}, IO + STRIPS),
     # The rescale needs the whole range: one int32 correlation.
     ("laplacian", {"variant": "eight", "display": "rescale"}, IO + I32 + STRIPS),
@@ -63,8 +67,8 @@ CASES = [
      IO + F64 + STRIPS),
     ("convolve", {"kernel": "ones9.txt", "border": "replicate", "display": "clamp"},
      IO + STRIPS),
-    # One bool array of threshold bits.
-    ("binarize", {"threshold": 128}, IO + U8),
+    # A table op too: its 0/255 table is mapped as negate's is.
+    ("binarize", {"threshold": 128}, TABLE),
     # The threshold bits and their Laplacian-four clamp, run in int16 strips;
     # then the edge points and their 0/255 image.
     ("edges", {"threshold": 128}, IO + 2 * U8),

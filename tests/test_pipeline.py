@@ -82,6 +82,12 @@ class TestSpecValidation:
         spec = PipelineSpec([{"op": "unsharp"}])
         assert spec.stages[0].params == {"radius": 1, "display": "clamp"}
 
+    def test_length_and_reprs(self):
+        spec = PipelineSpec([{"op": "negate"}, {"op": "binarize", "threshold": 9}])
+        assert len(spec) == 2
+        assert repr(spec) == "PipelineSpec(['negate', 'binarize'])"
+        assert repr(spec.stages[1]) == "PipelineStage('binarize', {'threshold': 9})"
+
 
 class TestParsePipeline:
     def test_json_example(self):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import grayfilt.point_ops
 from grayfilt import (
     Image,
     PipelineSpec,
@@ -177,6 +178,22 @@ class TestExactTables:
         assert OPS["negate"].build({}) == bytes(255 - r for r in range(256))
         levels = Image(np.arange(256, dtype=np.uint8).reshape(1, -1))
         assert negate(levels).pixels.tobytes() == OPS["negate"].build({})
+
+    @pytest.mark.parametrize("strip", [None, 1000])
+    def test_table_ops_across_strips_equal_the_indexed_table(self, monkeypatch, strip):
+        # 257x263 is more than one 65,536-pixel strip, and 263 columns divide
+        # neither strip size, so strips end inside rows.
+        if strip:
+            monkeypatch.setattr(grayfilt.point_ops, "_STRIP_PIXELS", strip)
+        pixels = np.random.default_rng(5).integers(0, 256, (257, 263), dtype=np.uint8)
+        table = np.random.default_rng(6).integers(0, 256, 256)
+        img = Image(pixels.copy())
+        stretch = np.frombuffer(stretch_table(2.0), np.uint8)
+        for out, expected in [(negate(img), negation_table()[pixels]),
+                              (gray_stretch(img, 2.0), stretch[pixels]),
+                              (apply_lut(img, table), table[pixels])]:
+            np.testing.assert_array_equal(out.pixels, expected)
+        np.testing.assert_array_equal(img.pixels, pixels)
 
     @settings(max_examples=40, deadline=None)
     @given(pixel_arrays, st.lists(st.sampled_from(["negate", "stretch", "lut", "binarize"]),
