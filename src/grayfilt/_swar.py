@@ -2,29 +2,30 @@
 
 SWAR, "SIMD within a register" (Fisher and Dietz, "Compiling for SIMD
 Within a Register", LCPC 1998): the padded raster is widened into one
-Python int with a b-bit field per pixel, and a few big-int operations then
-compute every pixel's field at once. A tap at offset d is a right shift by
-b·d. Starting from ones·(K + bias), where ``ones`` has a 1 in every field,
-each positive tap is added and each negative tap subtracted, so every field
-of the total T holds K + bias + sum. K = 2**g is a power of two with
-K ≥ neg·255 + 256 and K > pos·255 + bias, for the sums pos·255 of the
-positive and neg·255 of the negative taps over 8-bit pixels. So every field
-stays in [256, 2**(g+1)) in any tap order: no field borrows from or carries
-into its neighbour, and every sum is exact. Bit g of a field is set where
-bias + sum is at least 0, and bit g of T − 256·ones where it is at least
-256; these two guard-bit masks clamp the low byte of each field, which K
-leaves as it is, to [0, 255]. b is 16 where g ≤ 15 and 32 where g ≤ 31; a
-wider kernel has no bytes form.
+Python int with a b-bit field per pixel, b = 16, and a few big-int
+operations then compute every pixel's field at once. A tap at offset d is
+a right shift by 16·d. Starting from ones·(K + bias), where ``ones`` has a
+1 in every field, each positive tap is added and each negative tap
+subtracted, so every field of the total T holds K + bias + sum. K = 2**g
+is a power of two with K ≥ neg·255 + 256 and K > pos·255 + bias, for the
+sums pos·255 of the positive and neg·255 of the negative taps over 8-bit
+pixels. So every field stays in [256, 2**(g+1)), within its 16 bits where
+g ≤ 15, in any tap order: no field borrows from or carries into its
+neighbour, and every sum is exact. Bit g of a field is set where bias + sum
+is at least 0, and bit g of T − 256·ones where it is at least 256; these
+two guard-bit masks clamp the low byte of each field, which K leaves as it
+is, to [0, 255]. A stencil whose guard bit passes 15 has no bytes form.
 
 A step's work grows with fields × taps, where numpy's barely grows at these
 sizes once its import is paid for, and a padded step also slices and joins
 each row in Python. So each step runs only where fields × its cost a field
 + rows × ``_ROW_TAPS`` is at most ``_CUT``, and returns None above it, for
-the numpy engine to take over. A 16- or 32-bit field costs its taps plus
+the numpy engine to take over. A 16-bit field costs its taps plus
 ``_FIXED_TAPS``; edges' 8-bit field costs ``_EDGE_TAPS``. The stencils of the built-in
 kernel ops (the Laplacians, sharpening, the shadow and its negative) are
 declared here, as integer tuples that both engines read: ``pipeline._kernel_step``
-builds every kernel op's forms from one stencil, bias, border and display.
+builds every kernel op's forms from one stencil, bias, border and display,
+and gives the bytes form only to these, with the replicate border.
 The histogram chart drawn here is also the library's ``render_histogram``.
 """
 
@@ -57,7 +58,7 @@ SHADOW_SW_BIAS = MAX_GRAY - SHADOW_BIAS
 #: stays below the cost of importing numpy (CHANGES.md has the process
 #: timings), and every 2048x2048 input, 2**22 pixels, is above it but for edges.
 _CUT = 2**25
-#: The taps' worth of work a 16- or 32-bit field step does per field whatever
+#: The taps' worth of work a step of 16-bit fields does per field whatever
 #: its taps: padding, widening, the clamp masks and the read-back.
 _FIXED_TAPS = 16
 #: The taps' worth of work ``edge_points`` does per 8-bit field, all told: it
@@ -82,27 +83,21 @@ def _under_cut(fields: int, cost: int, rows: int = 0) -> bool:
     return fields * cost + rows * _ROW_TAPS <= _CUT
 
 
-def _widen(raster: bytes, b: int) -> int:
-    """One b-bit field per byte of ``raster``, the first byte lowest."""
-    wide = bytearray(len(raster) * (b // 8))
-    wide[::b // 8] = raster
+def _widen(raster: bytes) -> int:
+    """One 16-bit field per byte of ``raster``, the first byte lowest."""
+    wide = bytearray(2 * len(raster))
+    wide[::2] = raster
     return int.from_bytes(wide, "little")
 
 
-def _pad(width: int, height: int, raster: bytes, py: int, px: int, replicate: bool) -> bytes:
+def _pad(width: int, height: int, raster: bytes, py: int, px: int) -> bytes:
     """``raster`` with ``py`` rows above and below and ``px`` columns left and
-    right, copies of the edge pixels or zeros."""
+    right, copies of the edge pixels."""
     rows = []
     for y in range(0, width * height, width):
         row = raster[y:y + width]
-        if replicate:
-            rows.append(row[:1] * px + row + row[-1:] * px)
-        else:
-            rows.append(bytes(px) + row + bytes(px))
-    blank = bytes(width + 2 * px)
-    top = rows[0] if replicate else blank
-    bottom = rows[-1] if replicate else blank
-    return b"".join([top] * py + rows + [bottom] * py)
+        rows.append(row[:1] * px + row + row[-1:] * px)
+    return b"".join([rows[0]] * py + rows + [rows[-1]] * py)
 
 
 def _crop(flat: bytes, width: int, height: int, stride: int) -> bytes:
@@ -110,40 +105,27 @@ def _crop(flat: bytes, width: int, height: int, stride: int) -> bytes:
     return b"".join([flat[y:y + width] for y in range(0, stride * height, stride)])
 
 
-def _field_width(pos: int, neg: int, bias: int):
-    """(b, g) for sums in [−neg·255, pos·255] plus ``bias``: the guard bit g
-    has 2**g ≥ neg·255 + 256 and 2**g > pos·255 + bias; None past 32-bit fields."""
-    g = max(neg * MAX_GRAY + GRAY_LEVELS - 1, pos * MAX_GRAY + bias).bit_length()
-    for b in (16, 32):
-        if g < b:
-            return b, g
-    return None
-
-
-def correlate_clamp(width: int, height: int, raster: bytes, kernel, border: str = "replicate",
-                    bias: int = 0):
-    """``clamp_round(bias + correlate(...))`` of the image for an integer
-    ``kernel`` of odd-length rows, as the raster of the result; None above the
-    cut, past 32-bit fields, or for a coefficient that is not a Python int."""
-    if not all(isinstance(c, int) for row in kernel for c in row):
-        return None
+def correlate_clamp(width: int, height: int, raster: bytes, kernel, bias: int = 0):
+    """``clamp_round(bias + correlate(...))`` of the image under the replicate
+    border for an integer ``kernel`` of odd-length rows, as the raster of the
+    result; None above the cut, or where the guard bit g, with 2**g ≥
+    neg·255 + 256 and 2**g > pos·255 + ``bias``, passes 15."""
     taps = [(i, j, c) for i, row in enumerate(kernel) for j, c in enumerate(row) if c]
     pos = sum(c for _, _, c in taps if c > 0)
     neg = -sum(c for _, _, c in taps if c < 0)
-    fit = _field_width(pos, neg, bias)
+    g = max(neg * MAX_GRAY + GRAY_LEVELS - 1, pos * MAX_GRAY + bias).bit_length()
     py, px = len(kernel) // 2, len(kernel[0]) // 2
     stride = width + 2 * px
     fields = (height + 2 * py) * stride
-    if fit is None or not _under_cut(fields, len(taps) + _FIXED_TAPS, height + 2 * py):
+    if g > 15 or not _under_cut(fields, len(taps) + _FIXED_TAPS, height + 2 * py):
         return None
-    b, g = fit
-    padded = _pad(width, height, raster, py, px, border == "replicate")
-    x = _widen(padded, b)
+    padded = _pad(width, height, raster, py, px)
+    x = _widen(padded)
     del padded
-    ones = _ones(fields, b)
+    ones = _ones(fields, 16)
     total = ones * ((1 << g) + bias)
     for i, j, c in taps:
-        term = x >> b * (i * stride + j)
+        term = x >> 16 * (i * stride + j)
         if abs(c) != 1:
             term *= abs(c)
         total = total + term if c > 0 else total - term
@@ -155,7 +137,7 @@ def correlate_clamp(width: int, height: int, raster: bytes, kernel, border: str 
     del over
     total &= (nonneg << 8) - nonneg
     del nonneg
-    flat = total.to_bytes(fields * b // 8, "little")[::b // 8]
+    flat = total.to_bytes(2 * fields, "little")[::2]
     return _crop(flat, width, height, stride)
 
 
@@ -166,7 +148,7 @@ def edge_points(width: int, height: int, raster: bytes, threshold: int):
     stride = width + 2
     if not _under_cut((height + 2) * stride, _EDGE_TAPS, height + 2):
         return None
-    padded = _pad(width, height, raster.translate(binarize_table(threshold)), 1, 1, True)
+    padded = _pad(width, height, raster.translate(binarize_table(threshold)), 1, 1)
     fields = len(padded)
     x = int.from_bytes(padded, "little")
     del padded
@@ -190,7 +172,7 @@ def add(width: int, height: int, raster: bytes, second) -> bytes:
     same_size((width, height), second[:2])
     if not _under_cut(width * height, 1 + _FIXED_TAPS):
         return None
-    total = _widen(raster, 16) + _widen(second[2], 16)
+    total = _widen(raster) + _widen(second[2])
     over = (total >> 8) & _ones(len(raster), 16)  # a sum of at most 510 sets bit 8 from 256
     total |= (over << 8) - over
     return total.to_bytes(2 * len(raster), "little")[::2]

@@ -215,12 +215,16 @@ def _cmd_filter(args):
 
 
 def _one_file(a: str, b: str) -> bool:
-    """Whether one output would lose the other's bytes: one path, as
-    write_bytes_atomic resolves both, or a path and a descriptor on one file."""
+    """Whether one output would lose the other's bytes, as write_bytes_atomic
+    resolves both: one path, new or a regular file, that the second rename
+    replaces, or a descriptor and a path on one regular file, which the
+    path's rename takes from the descriptor. Every other pair, such as a
+    FIFO or a device named twice, is written in place, one after the other."""
     a, b = _bytes._descriptor(a), _bytes._descriptor(b)
+    if isinstance(a, int) == isinstance(b, int):
+        return a == b and isinstance(a, str) and (os.path.isfile(a) or not os.path.exists(a))
     try:
-        return a == b or (isinstance(a, int) != isinstance(b, int)
-                          and os.path.samestat(os.stat(a), os.stat(b)))
+        return os.path.samestat(os.stat(a), os.stat(b)) and os.path.isfile(a)
     except OSError:  # a new path, or a descriptor that is not open
         return False
 

@@ -201,9 +201,9 @@ def correlate(img: Image, kernel: Kernel, border: str = "replicate",
 
 def _clamp_display(img: Image, stencil, bias: int = 0, border: str = "replicate") -> Image:
     """``clamp_round(bias + correlate(img, Kernel(stencil), border))``, the one
-    numpy clamp display. ``stencil`` is what :func:`grayfilt._swar.correlate_clamp`
-    takes from ``pipeline._kernel_step``: a built-in integer tuple, or a
-    parsed kernel's float64 ``coeffs``, which only this form runs. It is
+    numpy clamp display. ``stencil`` is what ``pipeline._kernel_step`` passes:
+    a built-in integer tuple, which the bytes engine's ``correlate_clamp``
+    also takes, or a parsed kernel's float64 ``coeffs``, which only this form runs. It is
     ``_correlate_strips`` with a bias, so each strip is clamped in place while
     it is in cache and no full-size accumulator exists, and an integer
     stencil whose sums and bias stay below 2**15 accumulates in int16. A

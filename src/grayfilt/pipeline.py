@@ -9,8 +9,9 @@ is bit-identical to composing the corresponding library calls by hand.
 
 A point op builds a 256-byte table, and a run of them composes to one; any
 other op a :class:`Step`. One builder, :func:`_kernel_step`, maps each kernel
-op's stencil, bias, border and display to both engines; its clamp display,
-``edges`` and ``add`` also have an exact numpy-free form (:mod:`grayfilt._swar`).
+op's stencil, bias, border and display to both engines; its clamp display of
+a built-in stencil under the replicate border, ``edges`` and ``add`` also
+have an exact numpy-free form (:mod:`grayfilt._swar`).
 On numpy ``edges`` is the library chain ``binarize``, ``edge_points``, ``bits_to_image``.
 This module alone knows both engines: :func:`run_pipeline` runs every stage
 on numpy, and the CLI runs :func:`_run_raster` and :func:`_histogram`, bytes
@@ -77,14 +78,17 @@ class Step(namedtuple("Step", "image raster", defaults=(lambda width, height, ra
 
 def _kernel_step(stencil, bias=0, border="replicate", display="clamp"):
     """The :class:`Step` of a kernel op, the ``display`` of ``bias`` plus the
-    image correlated with ``stencil`` under ``border``; a clamp's two forms
-    read one stencil (a kernel file's floats stay on numpy)."""
+    image correlated with ``stencil`` under ``border``. Only a clamp of a
+    built-in stencil, an integer tuple, under the replicate border has a
+    bytes form: a kernel file's float64 coefficients stay on numpy."""
     if display == "rescale":
         return Step(lambda img: api.clamp_to_display(
             api.correlate(img, api.Kernel(stencil), border), "rescale"))
-    return Step(lambda img: api.convolution._clamp_display(img, stencil, bias, border),
-                lambda width, height, raster: _swar.correlate_clamp(width, height, raster,
-                                                                    stencil, border, bias))
+    step = Step(lambda img: api.convolution._clamp_display(img, stencil, bias, border))
+    if isinstance(stencil, tuple) and border == "replicate":
+        step = step._replace(raster=lambda width, height, raster: _swar.correlate_clamp(
+            width, height, raster, stencil, bias))
+    return step
 
 
 def _add_step(p):

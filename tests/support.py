@@ -1,5 +1,5 @@
-"""Shared test support: brute-force oracles, random input makers, and an
-in-process CLI runner.
+"""Shared test support: brute-force oracles, random input makers, an
+in-process CLI runner, and op cases generated from ``pipeline.OPS``.
 
 The oracles are deliberately naive nested-loop implementations, written
 against the definitions rather than the library internals, so they can
@@ -8,13 +8,17 @@ oracles use exact rational arithmetic.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 import numpy as np
+import pytest
 
-from grayfilt import BinaryImage, FormatError, Image
+from grayfilt import BinaryImage, FormatError, Image, PipelineSpec, _swar, convolution, point_ops
 from grayfilt._bytes import refused
 from grayfilt.cli import main
+from grayfilt.kinds import FLAG, POSITIVE_FLOAT, POSITIVE_INT, THRESHOLD
+from grayfilt.pipeline import OPS, _compile, _run_raster
 
 
 def run_cli(argv):
@@ -207,6 +211,55 @@ def swar_side_at_cut(cost, pad):
     while swar_cost(side, side, cost, pad) > _swar._CUT:
         side -= 1
     return side
+
+
+# ---------------------------------------------------------------------------
+# Op cases, and the CLI's engine under a patched cut and strip size
+# ---------------------------------------------------------------------------
+
+#: The values a parameter of each kind that is neither a choice nor a path
+#: takes in the generated op cases.
+_SAMPLES = {POSITIVE_FLOAT: (0.5, 2.0), POSITIVE_INT: (1, 2), THRESHOLD: (90, 170),
+            FLAG: (False, True)}
+
+
+def op_stages(paths):
+    """A stage mapping for each op in ``pipeline.OPS`` and each combination
+    of its parameters' values: every option of a choice, ``_SAMPLES`` of
+    the other kinds, and for a path parameter the paths in
+    ``paths[param.name]``. An op declared later is covered as it comes."""
+    for name, op in OPS.items():
+        values = [param.kind.choices or _SAMPLES.get(param.kind) or paths[param.name]
+                  for param in op.params]
+        for combo in product(*values):
+            yield {"op": name, **{param.name: v for param, v in zip(op.params, combo)}}
+
+
+def stage_label(stage) -> str:
+    """The op name of a stage mapping, then each parameter as key=value."""
+    return " ".join([stage["op"], *(f"{k}={v}" for k, v in stage.items() if k != "op")])
+
+
+#: The engines the CLI's ``_run_raster`` runs: "bytes" at the default cut,
+#: so that a small image takes every bytes form; "numpy" at a cut of 0; and
+#: "seams", numpy with strips of 5 pixels, so that strip seams fall inside
+#: any image of more than 5 pixels (between every row at width 5 or more).
+ENGINES = {"bytes": {}, "numpy": {"cut": 0}, "seams": {"cut": 0, "strip": 5}}
+
+
+def run_stages(stages, pixels, cut=None, strip=None) -> bytes:
+    """The output raster of the stage mappings ``stages`` on the uint8 array
+    ``pixels``, as the CLI computes it (``_run_raster``), with ``_swar._CUT``
+    set to ``cut`` and the strip size of the numpy loops to ``strip`` where
+    each is given."""
+    height, width = pixels.shape
+    with pytest.MonkeyPatch.context() as patch:
+        if cut is not None:
+            patch.setattr(_swar, "_CUT", cut)
+        if strip is not None:
+            patch.setattr(convolution, "_STRIP_PIXELS", strip)
+            patch.setattr(point_ops, "_STRIP_PIXELS", strip)
+        return bytes(_run_raster(_compile(PipelineSpec(stages)), width, height, pixels.tobytes()))
 
 
 # ---------------------------------------------------------------------------

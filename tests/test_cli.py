@@ -890,6 +890,55 @@ class TestProcessLevel:
                            + write_pgm(render_histogram(counts)))
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux /proc/self/fd")
+    @pytest.mark.parametrize("sink", ["file", "pipe"])
+    def test_histogram_to_one_descriptor_twice(self, sample, tmp_path, sink):
+        # `--csv /dev/stdout --render /dev/stdout`: both outputs go through
+        # the one descriptor at its offset, the table and then the chart, so
+        # neither is lost, on a file as on a pipe.
+        img, path = sample
+        argv = [sys.executable, "-m", "grayfilt.cli", "histogram", "-i", str(path),
+                "--csv", "/dev/stdout", "--render", "/dev/stdout"]
+        with open(tmp_path / "both.out", "w+b") as fh:
+            proc = subprocess.run(argv, stdout=fh if sink == "file" else subprocess.PIPE,
+                                  stderr=subprocess.PIPE, timeout=120)
+            fh.seek(0)
+            written = fh.read() if sink == "file" else proc.stdout
+        counts = compute_histogram(img)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert written == (histogram_csv(counts).encode("ascii")
+                           + write_pgm(render_histogram(counts)))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_histogram_to_dev_null_twice(self, sample):
+        # A device is written in place, never replaced: naming it twice loses nothing.
+        _, path = sample
+        proc = self._run("histogram", "-i", str(path), "--csv", "/dev/null",
+                         "--render", "/dev/null")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_histogram_to_one_fifo_twice(self, sample, tmp_path):
+        # A FIFO is written in place too: its reader gets the table and then the chart.
+        img, path = sample
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        held = os.open(fifo, os.O_RDWR)  # as in the FIFO output tests: no open blocks
+        got = []
+        with open(fifo, "rb") as fh:
+            reader = threading.Thread(target=lambda: got.append(fh.read()))
+            reader.start()
+            try:
+                proc = self._run("histogram", "-i", str(path), "--csv", str(fifo),
+                                 "--render", str(fifo))
+            finally:
+                os.close(held)
+                reader.join(timeout=60)
+        counts = compute_histogram(img)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert got == [histogram_csv(counts).encode("ascii") + write_pgm(render_histogram(counts))]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux /proc/self/fd")
     @pytest.mark.parametrize("csv, render", [("/dev/stdout", "out.pgm"),
                                              ("out.pgm", "/dev/stdout"),
                                              ("/dev/fd/1", "link.pgm")],

@@ -30,7 +30,7 @@ from grayfilt import (
 from grayfilt._swar import correlate_clamp
 from grayfilt.convolution import _RESCALE_INT_SPAN, _accumulator, _clamp_display
 from grayfilt.edges import SHADOW_BIAS
-from grayfilt.pipeline import OPS
+from grayfilt.pipeline import OPS, _kernel_step
 
 from support import (
     clamp_round_exact,
@@ -575,7 +575,10 @@ class TestInt16Bound:
     """The fused clamp accumulates in int16 where sum(|c|)·255 + |bias| is
     below 2**15. The 1x1 kernel 128 reaches 32640 on a white pixel: with
     bias 127 the largest sum is 32767, which int16 holds; with bias 128 it
-    would wrap, so that sum takes int32. Both engines give the clamp."""
+    would wrap, so that sum takes int32. The bytes form's 16-bit fields hold
+    guard bit 15, that of the kernel 128 with bias 127, under the replicate
+    border; the kernel 128 with bias 128, and the kernel −128 with either
+    (neg·255 + 256 = 32896), need bit 16, and have no bytes form."""
 
     @pytest.mark.parametrize("coeff, bias, dtype", [
         (128, 127, np.int16), (128, 128, np.int32),
@@ -589,8 +592,12 @@ class TestInt16Bound:
         expected = [[min(max(coeff * p + bias, 0), 255) for p in row] for row in pixels.tolist()]
         out = _clamp_display(Image(pixels), stencil, bias, border)
         assert out.pixels.tolist() == expected
-        raster = correlate_clamp(3, 2, pixels.tobytes(), stencil, border, bias)
-        assert raster == out.pixels.tobytes()
+        raster = _kernel_step(stencil, bias, border).raster(3, 2, pixels.tobytes())
+        if (coeff, bias, border) == (128, 127, "replicate"):
+            assert raster == correlate_clamp(3, 2, pixels.tobytes(), stencil, bias)
+            assert raster == out.pixels.tobytes()
+        else:
+            assert raster is None
 
     def test_correlate_keeps_int32(self):
         # int16 is only for sums that never leave the fused clamp.

@@ -1,6 +1,6 @@
 """The numpy-free bytes forms of the small-image filters (grayfilt._swar)
-against the brute-force oracles and the numpy engine, at each field-width
-bound and on both sides of each step's cut."""
+against the brute-force oracles and the numpy engine, on both sides of the
+16-bit field bound and of each step's cut."""
 
 import json
 from fractions import Fraction
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import grayfilt._swar as swar
+import grayfilt.pipeline as pipeline
 from grayfilt import (
     DomainError,
     Image,
@@ -41,6 +42,7 @@ from support import (
     correlate_brute,
     edge_points_brute,
     histogram_brute,
+    op_stages,
     round_half_away_exact,
     run_cli,
     swar_cost,
@@ -55,7 +57,6 @@ odd_sides = st.sampled_from([1, 3, 5])
 int_kernels = st.tuples(odd_sides, odd_sides).flatmap(
     lambda shape: hnp.arrays(np.int64, shape, elements=st.integers(-40, 40))
     .filter(lambda a: a.any()).map(lambda a: tuple(map(tuple, a.tolist()))))
-borders = st.sampled_from(["replicate", "zero"])
 biases = st.sampled_from([0, 128])
 thresholds = st.integers(0, 255)
 
@@ -65,26 +66,53 @@ def _raster(pixels):
     return w, h, pixels.tobytes()
 
 
+def _guard_bit(kernel, bias):
+    """The guard bit g of ``kernel`` and ``bias``: the least g with 2**g ≥
+    neg·255 + 256 and 2**g > pos·255 + bias, for the sums pos and neg of its
+    positive and negative coefficients. A 16-bit field holds g ≤ 15."""
+    taps = [c for row in kernel for c in row]
+    pos, neg = sum(c for c in taps if c > 0), -sum(c for c in taps if c < 0)
+    return max(neg * 255 + 255, pos * 255 + bias).bit_length()
+
+
+#: A 3x3 kernel whose sums need bit 16 with bias 128, and bit 15 with bias 0.
+WIDE = ((0, 0, 0), (0, 128, 0), (0, 0, 0))
+
+
 class TestCorrelateClamp:
+    # Drawn kernels fall on both sides of the 16-bit bound: past it (a
+    # guard bit past 15) there is no bytes form.
     @settings(max_examples=150, deadline=None)
-    @given(images, int_kernels, borders, biases)
-    @example(ROW, ((1, -3, 40), (-40, 5, 1), (2, 0, -1)), "replicate", 128)
-    @example(COLUMN, ((1, -3, 40), (-40, 5, 1), (2, 0, -1)), "zero", 0)
-    def test_matches_brute_force(self, pixels, kernel, border, bias):
-        out = swar.correlate_clamp(*_raster(pixels), kernel, border, bias)
-        sums = correlate_brute(pixels.tolist(), kernel, border)
+    @given(images, int_kernels, biases)
+    @example(ROW, ((1, -3, 40), (-40, 5, 1), (2, 0, -1)), 128)
+    @example(COLUMN, ((1, -3, 40), (-40, 5, 1), (2, 0, -1)), 0)
+    @example(ROW, WIDE, 0)
+    @example(COLUMN, WIDE, 128)
+    def test_matches_brute_force(self, pixels, kernel, bias):
+        out = swar.correlate_clamp(*_raster(pixels), kernel, bias)
+        if _guard_bit(kernel, bias) > 15:
+            assert out is None
+            return
+        sums = correlate_brute(pixels.tolist(), kernel)
         expected = [clamp_round_exact(bias + int(v)) for row in sums for v in row]
         assert list(out) == expected
 
     @settings(max_examples=150, deadline=None)
-    @given(images, int_kernels, borders, biases)
-    def test_matches_numpy_engine(self, pixels, kernel, border, bias):
-        out = swar.correlate_clamp(*_raster(pixels), kernel, border, bias)
-        expected = _clamp_display(Image(pixels), kernel, bias, border)
-        assert out == expected.pixels.tobytes()
+    @given(images, int_kernels, biases)
+    @example(ROW, WIDE, 0)
+    @example(ROW, WIDE, 128)
+    def test_matches_numpy_engine(self, pixels, kernel, bias):
+        out = swar.correlate_clamp(*_raster(pixels), kernel, bias)
+        if _guard_bit(kernel, bias) > 15:
+            assert out is None
+        else:
+            assert out == _clamp_display(Image(pixels), kernel, bias).pixels.tobytes()
 
-    # Each field-width bound, and one step past it: 2**g ≥ neg·255 + 256 and
-    # 2**g > pos·255 + bias, with g < b. A 32-bit field is the widest.
+    # The 16-bit bound, and one step past it: 2**g ≥ neg·255 + 256 and
+    # 2**g > pos·255 + bias, with g ≤ 15. ``width`` is the narrowest field of
+    # 16 or 32 bits that holds the sums (None: neither); only the 16-bit
+    # field has a bytes form, and only under the replicate border: the
+    # kernel step of the zero border has none.
     @pytest.mark.parametrize("kernel, bias, width", [
         (((128,),), 0, 16), (((129,),), 0, 32), (((128,),), 128, 32),
         (((127,),), 128, 16), (((-127,),), 0, 16), (((-128,),), 0, 32),
@@ -96,27 +124,56 @@ class TestCorrelateClamp:
     ])
     @pytest.mark.parametrize("border", ["replicate", "zero"])
     def test_field_width_bounds(self, kernel, bias, width, border):
-        taps = [c for row in kernel for c in row]
-        fit = swar._field_width(sum(c for c in taps if c > 0), -sum(c for c in taps if c < 0),
-                                bias)
-        assert (fit and fit[0]) == width
-        rng = np.random.default_rng(abs(taps[0]))
+        assert (_guard_bit(kernel, bias) <= 15) == (width == 16)
+        step = pipeline._kernel_step(kernel, bias, border)
+        rng = np.random.default_rng(abs(kernel[0][0]))
         for pixels in (rng.integers(0, 256, (4, 5), np.uint8), np.full((3, 2), 255, np.uint8),
                        np.array([[0, 255, 1, 254]], np.uint8)):
-            out = swar.correlate_clamp(*_raster(pixels), kernel, border, bias)
-            if width is None:
+            out = step.raster(*_raster(pixels))
+            if width != 16 or border == "zero":
                 assert out is None
             else:
-                expected = _clamp_display(Image(pixels), kernel, bias, border)
-                assert out == expected.pixels.tobytes()
+                assert out == step(Image(pixels)).pixels.tobytes()
+                assert out == _clamp_display(Image(pixels), kernel, bias).pixels.tobytes()
 
-    def test_non_integer_stencil_is_left_to_numpy(self):
-        # A parsed kernel's coefficients are float64, even where each is an integer.
-        raster = bytes(range(12))
-        floats = ((0.0, 1.0, 0.0), (1.0, -4.0, 1.0), (0.0, 1.0, 0.0))
-        assert swar.correlate_clamp(4, 3, raster, floats) is None
-        assert swar.correlate_clamp(4, 3, raster, np.array(floats)) is None
-        assert swar.correlate_clamp(4, 3, raster, swar.LAPLACIANS["four"]) is not None
+    def test_non_integer_stencil_is_left_to_numpy(self, pair):
+        # A parsed kernel's coefficients are float64, even where each is an
+        # integer: convolve builds a Step with no bytes form, at any border and display.
+        img = Image(np.arange(12, dtype=np.uint8).reshape(3, 4) * 20)
+        for border in ("replicate", "zero"):
+            for display in ("clamp", "rescale"):
+                step = OPS["convolve"].build({"kernel": str(pair["kernel"]), "border": border,
+                                              "display": display})
+                assert step.raster(4, 3, img.pixels.tobytes()) is None
+                kernel = parse_kernel(pair["kernel"].read_text())
+                assert step(img) == clamp_to_display(convolve(img, kernel, border), display)
+
+    def test_every_built_in_stencil_has_a_bytes_form(self, pair):
+        # Every kernel op's clamp of a built-in stencil, generated from OPS,
+        # runs on bytes, within 16-bit fields by a margin: its guard bit is
+        # at most 12.
+        built = []
+        kernel_step = pipeline._kernel_step
+
+        def record(stencil, bias=0, border="replicate", display="clamp"):
+            step = kernel_step(stencil, bias, border, display)
+            built.append((stencil, bias, display, step))
+            return step
+
+        paths = {"table": (str(pair["table"]),), "kernel": (str(pair["kernel"]),),
+                 "image": (str(pair["second"]),)}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "_kernel_step", record)
+            for stage in op_stages(paths):
+                OPS[stage.pop("op")].build(stage)
+        clamps = [(stencil, bias, step) for stencil, bias, display, step in built
+                  if isinstance(stencil, tuple) and display == "clamp"]
+        assert {stencil for stencil, _, _ in clamps} == {
+            *swar.LAPLACIANS.values(), *swar.SHARPEN.values(), swar.SHADOW_NE, swar.SHADOW_SW}
+        pixels = np.random.default_rng(9).integers(0, 256, (6, 7), np.uint8)
+        for stencil, bias, step in clamps:
+            assert _guard_bit(stencil, bias) <= 12
+            assert step.raster(*_raster(pixels)) == step(Image(pixels)).pixels.tobytes()
 
     def test_an_integer_kernel_file_runs_on_numpy(self, pair):
         stage = PipelineStage("convolve", {"kernel": str(pair["kernel"]), "border": "zero"})
@@ -130,26 +187,27 @@ class TestCorrelateClamp:
 class TestShadowSW:
     """The shadow's negative is one clamp of SW minus NE plus 127: field for
     field the negate table after the shadow's clamp, as 255 − clamp(v + 128)
-    = clamp(127 − v), with the same 16-bit fields and guard bit."""
+    = clamp(127 − v), with the same 16-bit fields and guard bit, under the
+    replicate border."""
 
     def test_fields_match_the_shadow(self):
-        assert swar._field_width(1, 1, swar.SHADOW_SW_BIAS) == (16, 9)
-        assert swar._field_width(1, 1, swar.SHADOW_BIAS) == (16, 9)
+        assert _guard_bit(swar.SHADOW_SW, swar.SHADOW_SW_BIAS) == 9
+        assert _guard_bit(swar.SHADOW_NE, swar.SHADOW_BIAS) == 9
 
     @settings(max_examples=150, deadline=None)
-    @given(images, borders)
-    @example(ROW, "replicate")
-    @example(COLUMN, "replicate")
-    @example(np.array([[0, 255], [255, 0]], np.uint8), "zero")
-    def test_equals_the_negated_shadow_on_both_sides_of_the_cut(self, pixels, border):
+    @given(images)
+    @example(ROW)
+    @example(COLUMN)
+    @example(np.array([[0, 255], [255, 0]], np.uint8))
+    def test_equals_the_negated_shadow_on_both_sides_of_the_cut(self, pixels):
         w, h, raster = _raster(pixels)
         cost = swar_cost(w, h, 2 + swar._FIXED_TAPS, 1)
         for cut, runs in ((cost, True), (cost - 1, False)):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(swar, "_CUT", cut)
-                out = swar.correlate_clamp(w, h, raster, swar.SHADOW_SW, border,
+                out = swar.correlate_clamp(w, h, raster, swar.SHADOW_SW,
                                            bias=swar.SHADOW_SW_BIAS)
-                shadow = swar.correlate_clamp(w, h, raster, swar.SHADOW_NE, border,
+                shadow = swar.correlate_clamp(w, h, raster, swar.SHADOW_NE,
                                               bias=swar.SHADOW_BIAS)
             if runs:
                 assert out == shadow.translate(NEGATE_TABLE)
@@ -311,6 +369,8 @@ def pair(tmp_path):
         save_pgm(paths[name], Image(rng.integers(0, 256, (9, 13), np.uint8)))
     paths["kernel"] = tmp_path / "k.txt"
     paths["kernel"].write_text("3 3\n1 -2 0\n0 4 -1\n2 0 -3\n")
+    paths["table"] = tmp_path / "lut.txt"
+    paths["table"].write_text(" ".join(str(255 - v) for v in range(256)))
     return paths
 
 
