@@ -110,17 +110,35 @@ class TestSubcommands:
         assert code == 0
         assert load_pgm(out) == apply_lut(img, 255 - np.arange(256))
 
-    def test_convolve(self, sample, tmp_path):
+    @pytest.mark.parametrize("border, display", [("zero", "rescale"), ("replicate", "clamp")])
+    def test_convolve(self, sample, tmp_path, border, display):
         img, path = sample
         kern = tmp_path / "k.txt"
         kern.write_text("3 3\n1 2 1\n2 4 2\n1 2 1\n")
         out = tmp_path / "out.pgm"
         code = run_cli(["convolve", "-i", str(path), "-o", str(out),
-                        "--kernel", str(kern), "--border", "zero",
-                        "--display", "rescale"])
+                        "--kernel", str(kern), "--border", border,
+                        "--display", display])
         assert code == 0
         k = parse_kernel(kern.read_text())
-        assert load_pgm(out) == clamp_to_display(convolve(img, k, "zero"), "rescale")
+        assert load_pgm(out) == clamp_to_display(convolve(img, k, border), display)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: only the first frame is written")
+    def test_negate_writes_every_frame(self, tmp_path):
+        src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        src.write_bytes(b"P5\n2 1\n255\n\x01\x02" + b"P5\n2 1\n255\n\x03\x04")
+        assert run_cli(["negate", "-i", str(src), "-o", str(out)]) == 0
+        assert out.read_bytes() == b"P5\n2 1\n255\n\xfe\xfd" + b"P5\n2 1\n255\n\xfc\xfb"
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 16: a decimal coefficient is a double")
+    def test_a_kernel_and_its_mirror_round_alike(self, tmp_path):
+        # 3 * (0.141 + 0.197 + 0.162) is exactly 1.5, which rounds half away to 2.
+        src, kern, out = tmp_path / "in.pgm", tmp_path / "k.txt", tmp_path / "out.pgm"
+        src.write_bytes(b"P5\n1 1\n255\n\x03")
+        for row in ("0.141 0.197 0.162", "0.162 0.197 0.141"):
+            kern.write_text(f"1 3\n{row}\n")
+            assert run_cli(["convolve", "-i", str(src), "-o", str(out), "--kernel", str(kern)]) == 0
+            assert out.read_bytes() == b"P5\n1 1\n255\n\x02", row
 
     def test_add(self, sample, tmp_path):
         img, path = sample
@@ -539,6 +557,12 @@ class TestExitCodes:
     def test_rewritten_output_keeps_its_mode(self, sample, tmp_path, command):
         _, path = sample
         out = tmp_path / "out.pgm"
+        previous = os.umask(0o022)
+        try:
+            assert run_cli([command, "-i", str(path), "-o", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644  # new: 0o666 less the umask
         out.write_bytes(b"old")
         out.chmod(0o600)
         assert run_cli([command, "-i", str(path), "-o", str(out)]) == 0
@@ -713,8 +737,10 @@ class TestInputBuffer:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
     @pytest.mark.parametrize("argv, library", COMMANDS, ids=[c[0][0] for c in COMMANDS])
-    def test_fifo_input(self, tmp_path, cut, argv, library):
-        # Larger than a pipe's 64 KiB buffer, so it arrives in several reads.
+    @pytest.mark.parametrize("fmt", ["P5", "P2"])
+    def test_fifo_input(self, tmp_path, cut, argv, library, fmt):
+        # Larger than a pipe's 64 KiB buffer, so it arrives in several reads;
+        # a P2 spans many of the decoder's 16 KiB pieces.
         rng = np.random.default_rng(62)
         img = Image(rng.integers(0, 256, (300, 301), np.uint8))
         fifo, out = tmp_path / "in.fifo", tmp_path / "out.pgm"
@@ -722,7 +748,7 @@ class TestInputBuffer:
 
         def feed():
             with open(fifo, "wb") as fh:
-                fh.write(write_pgm(img) + b"# end\n")
+                fh.write(write_pgm(img, fmt) + b"# end\n")
 
         # A daemon: if the command fails before it opens the FIFO, the
         # writer stays blocked in open() and must not hold up the exit.
@@ -996,8 +1022,9 @@ class TestProcessLevel:
         assert os.listdir(tmp_path) == ["in.pgm"]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux RLIMIT_FSIZE")
-    @pytest.mark.parametrize("flag, argv", [("-o", ["negate"]), ("--csv", ["histogram"])],
-                             ids=["negate", "histogram-csv"])
+    @pytest.mark.parametrize("flag, argv", [("-o", ["negate"]), ("-o", ["sharpen"]),
+                                            ("--csv", ["histogram"])],
+                             ids=["negate", "sharpen", "histogram-csv"])
     def test_failed_write_to_a_new_file_names_the_output(self, tmp_path, flag, argv):
         # CPython ignores SIGXFSZ, so a write past the child's file size
         # limit raises EFBIG. The 4 KiB raster and the 1679-byte table each
@@ -1318,6 +1345,18 @@ class TestProcessLevel:
                 "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))")
         assert self._fresh(code) == b"True 1\n"
 
+    @staticmethod
+    def _main_in_turn(argvs):
+        """Run ``cli.main`` on each argv in turn in one fresh interpreter;
+        return the exit codes and whether numpy was loaded."""
+        code = ("import json, sys; from grayfilt.cli import main; "
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+                "print(json.dumps([codes, 'numpy' in sys.modules]))")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
     def test_table_commands_load_no_numpy(self, tmp_path):
         # Each table op on P5 and P2 input, to either format, and an
         # all-table pipeline, in turn in one fresh interpreter.
@@ -1348,13 +1387,7 @@ class TestProcessLevel:
                     argvs.append([command, "-i", files[f"in-{src}.pgm"], "-o", out,
                                   "--format", fmt, *flags])
                     expected[out] = write_pgm(call(img), fmt.upper())
-        code = ("import json, sys; from grayfilt.cli import main; "
-                "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
-                "print(json.dumps([codes, 'numpy' in sys.modules]))")
-        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
-                              capture_output=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[0] * len(argvs), False]
+        assert self._main_in_turn(argvs) == [[0] * len(argvs), False]
         for out, data in expected.items():
             with open(out, "rb") as fh:
                 assert fh.read() == data, out
@@ -1398,16 +1431,62 @@ class TestProcessLevel:
                           "--render", chart, "--format", src.lower()])
             expected[csv] = histogram_csv(hist).encode("ascii")
             expected[chart] = write_pgm(render_histogram(hist), src)
-        code = ("import json, sys; from grayfilt.cli import main; "
-                "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
-                "print(json.dumps([codes, 'numpy' in sys.modules]))")
-        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
-                              capture_output=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[0] * len(argvs), False]
+        assert self._main_in_turn(argvs) == [[0] * len(argvs), False]
         for out, data in expected.items():
             with open(out, "rb") as fh:
                 assert fh.read() == data, out
+
+    def test_a_4_mp_input_runs_numpy_as_the_library_does(self, tmp_path):
+        # A 2048x2048 P5 that ends in a comment is above every cut of the
+        # bytes engine: each op, in turn in one fresh interpreter, runs numpy
+        # on the buffer the file was read into and writes the header and
+        # numpy's pixels unjoined. A real-valued kernel takes the float64
+        # clamp, rounded over each flat strip, where the library rounds in
+        # clamp_to_display's own loop; after a numpy stage, edges runs numpy.
+        # half.txt's output, the row below (the last row repeated) halved
+        # and rounded half away, is known without the library.
+        img = Image(np.random.default_rng(7).integers(0, 256, (2048, 2048), np.uint8))
+        src = tmp_path / "in.pgm"
+        src.write_bytes(write_pgm(img) + b"# end\n")
+        texts = {"k.txt": "3 3\n1 -2 0\n0 4 -1\n2 0 -3\n",
+                 "k5.txt": "5 5\n0.000 0.020 0.033 0.012 0.000\n0.017 0.085 0.132 0.085 0.010\n"
+                           "0.032 0.126 0.174 0.122 0.046\n0.028 0.080 0.114 0.088 0.029\n"
+                           "0.000 0.019 0.026 0.023 0.000\n",
+                 "half.txt": "3 1\n0.5\n0\n0\n",
+                 "s.json": json.dumps({"stages": [{"op": "sharpen"},
+                                                  {"op": "edges", "threshold": 100}]})}
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+        k, k5 = parse_kernel(texts["k.txt"]), parse_kernel(texts["k5.txt"])
+        k_file, k5_file = str(tmp_path / "k.txt"), str(tmp_path / "k5.txt")
+        below = np.vstack([img.pixels[1:], img.pixels[-1:]])
+        cases = [
+            (["sharpen", "--variant", "eight"], lambda i: laplacian_sharpen(i, "eight")),
+            (["shadow", "--invert"], shadow_invert),
+            (["convolve", "--kernel", k_file, "--border", "zero"],
+             lambda i: clamp_to_display(convolve(i, k, "zero"), "clamp")),
+            (["unsharp", "--radius", "5"], lambda i: unsharp_mask(i, 5)),
+            (["laplacian", "--variant", "eight", "--display", "rescale"],
+             lambda i: clamp_to_display(laplacian(i, "eight"), "rescale")),
+            *((["convolve", "--kernel", k5_file, "--border", border],
+               lambda i, border=border: clamp_to_display(convolve(i, k5, border), "clamp"))
+              for border in ("replicate", "zero")),
+            (["pipeline", "--spec", str(tmp_path / "s.json")],
+             lambda i: bits_to_image(edge_points(binarize(laplacian_sharpen(i), 100)))),
+            (["convolve", "--kernel", str(tmp_path / "half.txt")],
+             lambda i: Image((below >> 1) + (below & 1))),
+        ]
+        outs = [str(tmp_path / f"out{n}.pgm") for n in range(len(cases))]
+        argvs = [[argv[0], "-i", str(src), "-o", out, *argv[1:]]
+                 for (argv, _), out in zip(cases, outs)]
+        assert self._main_in_turn(argvs) == [[0] * len(argvs), True]
+        for (argv, library), out in zip(cases, outs):
+            with open(out, "rb") as fh:
+                assert fh.read() == write_pgm(library(img)), argv
+        # To a pipe, too, the header and the pixels are written one after the other.
+        proc = self._run("sharpen", "-i", str(src), "-o", "/dev/stdout")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == write_pgm(laplacian_sharpen(img))
 
     def test_bench_reports_on_stderr_only(self):
         proc = self._run("bench", "--size", "16", "--ksize", "3", "--iters", "1")

@@ -17,7 +17,6 @@ from grayfilt import (
     DomainError,
     Image,
     PipelineSpec,
-    PipelineStage,
     binarize,
     bits_to_image,
     clamp_to_display,
@@ -174,14 +173,6 @@ class TestCorrelateClamp:
         for stencil, bias, step in clamps:
             assert _guard_bit(stencil, bias) <= 12
             assert step.raster(*_raster(pixels)) == step(Image(pixels)).pixels.tobytes()
-
-    def test_an_integer_kernel_file_runs_on_numpy(self, pair):
-        stage = PipelineStage("convolve", {"kernel": str(pair["kernel"]), "border": "zero"})
-        step = OPS["convolve"].build(stage.params)
-        img = Image(np.arange(12, dtype=np.uint8).reshape(3, 4) * 20)
-        assert step.raster(4, 3, img.pixels.tobytes()) is None
-        kernel = parse_kernel(pair["kernel"].read_text())
-        assert step(img) == clamp_to_display(convolve(img, kernel, "zero"))
 
 
 class TestShadowSW:
