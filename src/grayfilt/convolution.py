@@ -38,7 +38,6 @@ always run numpy.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
 
 import numpy as np
 
@@ -228,54 +227,11 @@ def laplacian(img: Image, variant: str = "four", border: str = "replicate",
     return correlate(img, _LAPLACIANS[VARIANT.check(variant, "variant")], border, workers)
 
 
-def _int_levels(vmin: int, span: int) -> Callable:
-    """The rescale of integer values in [vmin, vmin + span], span >= 1, in
-    exact integers: (510·(v − vmin) + span) // (2·span) is 255·(v − vmin)/span
-    rounded half up, which for these nonnegative quotients is half away from
-    zero. It works in place in ``work``, uint64, where v − vmin is exact
-    modulo 2**64 for any integer dtype, since it lies in [0, span], and
-    510·span + span stays below 2**64."""
-    base = np.uint64(vmin % 2**64)
-
-    def divide(v, work, spare):
-        np.copyto(work, v, casting="unsafe")
-        work -= base
-        work *= np.uint64(510)
-        work += np.uint64(span)
-        work //= np.uint64(2 * span)
-        return work
-
-    return divide
-
-
-def _float_levels(vmin: float, vmax: float) -> Callable:
-    """The rescale of values in [vmin, vmax], vmin < vmax, in float64 in
-    place in ``work``, rounded as ``clamp_round`` rounds; every scaled value
-    is finite."""
-    if vmax - vmin < _RESCALE_EXACT_SPAN:
-        def scale(v, work, spare):
-            # Multiply before dividing: for integer-valued inputs the
-            # numerator stays exact, so half-way quotients round the same as
-            # exact rationals.
-            np.subtract(v, vmin, out=work, dtype=np.float64)
-            work *= 255.0
-            work /= vmax - vmin
-            return _clamp_levels(work, work, spare)
-    else:
-        def scale(v, work, spare):
-            # The product, or the span itself, would overflow: halve every
-            # term (exact for normal doubles) and divide first.
-            np.divide(v, 2, out=work, dtype=np.float64)
-            work -= vmin / 2
-            work /= vmax / 2 - vmin / 2
-            work *= 255.0
-            return _clamp_levels(work, work, spare)
-    return scale
-
-
 def clamp_to_display(signed: SignedImage, mode: str = "clamp") -> Image:
     """Map a signed intermediate back to displayable gray levels, one strip
-    of rows at a time, in buffers allocated once per call.
+    of rows at a time, in buffers allocated once per call: an integer
+    display holds one work strip, uint64 for a rescale, and a float display
+    a float64 work strip and a spare one that its levels are rounded in.
 
     "clamp" rounds each value half away from zero and clips to [0, 255].
     "rescale" maps [min, max] affinely onto [0, 255] (an all-equal input
@@ -289,24 +245,52 @@ def clamp_to_display(signed: SignedImage, mode: str = "clamp") -> Image:
     2**64 / 511 or more, are rescaled in float64.
     """
     values = signed.values
+    mode = DISPLAY.check(mode, "mode")
     work = values.dtype
-    if DISPLAY.check(mode, "mode") == "clamp":
-        levels = _clamp_levels  # signed image values are finite
-    else:
+    if mode == "rescale":
         # Python ints for integer values, Python floats for float64 ones.
         vmin, vmax = values.min().item(), values.max().item()
         if vmin == vmax:
             return Image._trusted(np.zeros(values.shape, dtype=np.uint8))
         if isinstance(vmin, int) and vmax - vmin <= _RESCALE_INT_SPAN:
-            levels, work = _int_levels(vmin, vmax - vmin), np.uint64
+            work, span = np.uint64, vmax - vmin
+            base, times, half, whole = (np.uint64(n) for n in (vmin % 2**64, 510, span, 2 * span))
         else:
             # Python floats hold every float64 and every integer below 2**53 exactly.
-            levels, work = _float_levels(float(vmin), float(vmax)), np.float64
+            work, vmin, vmax = np.float64, float(vmin), float(vmax)
     strips = _row_strips(*values.shape)
     shape = (strips[0][1], values.shape[1])  # the first strip is the largest
-    # An integer display never touches ``spare``, so its pages are never faulted in.
-    work, spare = np.empty(shape, work), np.empty(shape, np.float64)
+    work = np.empty(shape, work)
+    spare = np.empty(shape, np.float64) if work.dtype == np.float64 else None
     out = np.empty(values.shape, np.uint8)
     for s0, s1 in strips:
-        out[s0:s1] = levels(values[s0:s1], work[:s1 - s0], spare[:s1 - s0])
+        v, w = values[s0:s1], work[:s1 - s0]
+        if mode == "clamp":  # signed image values are finite
+            out[s0:s1] = _clamp_levels(v, w, None if spare is None else spare[:s1 - s0])
+        elif work.dtype == np.uint64:
+            # (510·(v − min) + span) // (2·span) is 255·(v − min)/span rounded
+            # half up, half away from zero for these nonnegative quotients. In
+            # uint64, v − min is exact modulo 2**64 for any integer dtype, as it
+            # lies in [0, span], and 510·span + span stays below 2**64.
+            np.copyto(w, v, casting="unsafe")
+            w -= base
+            w *= times
+            w += half
+            out[s0:s1] = np.floor_divide(w, whole, out=w)
+        elif vmax - vmin < _RESCALE_EXACT_SPAN:
+            # Multiply before dividing: for integer-valued inputs the
+            # numerator stays exact, so half-way quotients round the same as
+            # exact rationals.
+            np.subtract(v, vmin, out=w, dtype=np.float64)
+            w *= 255.0
+            w /= vmax - vmin
+            out[s0:s1] = _clamp_levels(w, w, spare[:s1 - s0])
+        else:
+            # The product, or the span itself, would overflow: halve every
+            # term (exact for normal doubles) and divide first.
+            np.divide(v, 2, out=w, dtype=np.float64)
+            w -= vmin / 2
+            w /= vmax / 2 - vmin / 2
+            w *= 255.0
+            out[s0:s1] = _clamp_levels(w, w, spare[:s1 - s0])
     return Image._trusted(out)

@@ -5,15 +5,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import convolution
 from ._swar import CHART_HEIGHT, histogram_chart, histogram_csv as _csv
 from .core import GRAY_LEVELS, Histogram, Image
 from .imgio import _image
 
 
 def compute_histogram(img: Image) -> Histogram:
-    """Count pixels per gray level; counts always sum to width * height."""
-    counts = np.bincount(img.pixels.ravel(), minlength=GRAY_LEVELS)
-    return Histogram(counts)
+    """Count pixels per gray level; counts always sum to width * height.
+    ``np.bincount`` widens what it counts to intp, so it counts a strip at a time."""
+    flat, step = img.pixels.ravel(), convolution._STRIP_PIXELS
+    return Histogram(sum(np.bincount(flat[s:s + step], minlength=GRAY_LEVELS)
+                         for s in range(0, flat.size, step)))
 
 
 def histogram_csv(hist: Histogram) -> str:

@@ -28,7 +28,12 @@ from grayfilt import (
     shadow_ne,
 )
 from grayfilt._swar import correlate_clamp
-from grayfilt.convolution import _RESCALE_INT_SPAN, _accumulator, _clamp_display
+from grayfilt.convolution import (
+    _RESCALE_EXACT_SPAN,
+    _RESCALE_INT_SPAN,
+    _accumulator,
+    _clamp_display,
+)
 from grayfilt.edges import SHADOW_BIAS
 from grayfilt.pipeline import OPS, _kernel_step
 
@@ -430,6 +435,31 @@ class TestClampToDisplay:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             clamp_to_display(SignedImage([[0.0]]), "wrap")
+
+    @pytest.mark.parametrize("rule", ["clamp", "rescale", "halved rescale"])
+    def test_float_rules_across_strip_seams(self, monkeypatch, rule):
+        # 7 rows of 5 in strips of 2 rows: three seams inside the image, a
+        # last strip of one row, and the minimum and the maximum in the
+        # first and the last strip.
+        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 10)
+        rng = np.random.default_rng(43)
+        if rule == "clamp":
+            values = rng.integers(-300, 700, (7, 5)) / 2  # halves are ties
+            expected = clamp_round(values)
+        elif rule == "rescale":
+            values = rng.integers(-300, 600, (7, 5)).astype(np.float64)
+            values[0, 0], values[3, 2], values[-1, -1] = -301, 150, 601  # 150 is a tie
+            expected = rescale_oracle(values.astype(np.int64).tolist())
+            assert expected[3][2] == 128
+        else:
+            values = rng.uniform(-1.0, 1.0, (7, 5)) * 1e308
+            lo, hi = -1.5e308, 1.5e308
+            values[0, 0], values[-1, -1] = lo, hi
+            assert hi - lo >= _RESCALE_EXACT_SPAN
+            expected = clamp_round((values / 2 - lo / 2) / (hi / 2 - lo / 2) * 255.0)
+        mode = rule.split()[-1]
+        out = clamp_to_display(SignedImage(values), mode)
+        assert out.pixels.tolist() == np.asarray(expected).tolist()
 
 
 class TestFusedDisplay:

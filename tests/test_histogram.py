@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis.extra import numpy as hnp
 
+import grayfilt.convolution
 from grayfilt import (
     Histogram,
     Image,
@@ -51,6 +52,13 @@ class TestComputeHistogram:
         h1 = compute_histogram(Image(pixels))
         h2 = compute_histogram(Image(shuffled.reshape(7, 6)))
         assert h1 == h2
+
+    def test_strips_count_as_the_whole_image(self, monkeypatch):
+        # 37 pixels a strip do not divide 11·13, so the last strip is short.
+        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 37)
+        pixels = np.random.default_rng(44).integers(0, 256, (11, 13), np.uint8)
+        expected = np.bincount(pixels.ravel(), minlength=256)
+        assert compute_histogram(Image(pixels)).bins.tolist() == expected.tolist()
 
 
 class TestHistogramCsv:

@@ -18,10 +18,18 @@ import pytest
 
 import grayfilt._bytes
 import grayfilt._swar
-from grayfilt import FormatError, Image, read_pgm, save_pgm, write_pgm
+from grayfilt import (
+    FormatError,
+    Image,
+    compute_histogram,
+    histogram_csv,
+    read_pgm,
+    save_pgm,
+    write_pgm,
+)
 from grayfilt._bytes import decode_pgm, load_pgm, p2_scan, pgm_chunks
 from grayfilt._swar import _EDGE_TAPS, _FIXED_TAPS
-from grayfilt.cli import _run
+from grayfilt.cli import _cmd_histogram, _run
 from grayfilt.convolution import _STRIP_PIXELS
 from grayfilt.pipeline import OPS, _apply
 from support import swar_side_at_cut
@@ -51,15 +59,16 @@ CASES = [
     ("stretch", {"gamma": 2.0}, TABLE),
     ("lut", {"table": "lut.txt"}, TABLE),
     ("laplacian", {"variant": "eight", "display": "clamp"}, IO + STRIPS),
-    # The rescale needs the whole range: one int32 correlation.
-    ("laplacian", {"variant": "eight", "display": "rescale"}, IO + I32 + STRIPS),
+    # The rescale needs the whole range: one int32 correlation, whose
+    # display holds one uint64 strip.
+    ("laplacian", {"variant": "eight", "display": "rescale"}, IO + I32 + STRIPS / 4),
     ("sharpen", {"variant": "four"}, IO + STRIPS),
     ("sharpen", {"variant": "eight"}, IO + STRIPS),
     ("unsharp", {"radius": 1, "display": "clamp"}, IO + STRIPS),
     ("unsharp", {"radius": 5, "display": "clamp"}, IO + STRIPS),
     # The rescale needs the whole range: one int16 difference, the blurred
-    # copy dropped first; the display holds one uint64 and one float64 strip.
-    ("unsharp", {"radius": 1, "display": "rescale"}, IO + I16 + STRIPS / 2),
+    # copy dropped first; the display holds one uint64 strip.
+    ("unsharp", {"radius": 1, "display": "rescale"}, IO + I16 + STRIPS / 4),
     ("convolve", {"kernel": "real5.txt", "border": "replicate", "display": "clamp"},
      IO + STRIPS),
     # The rescale needs the whole range: one float64 correlation.
@@ -144,6 +153,25 @@ def test_cli_path_peak_bytes_per_pixel(files, tmp_path, monkeypatch, op, params,
         tracemalloc.stop()
     assert dst.read_bytes() == write_pgm(step(read_pgm(data)), "P5")
     assert peak / SIDE**2 <= 2 * U8 + strips
+
+
+def test_cli_histogram_peak_bytes_per_pixel(files, tmp_path, monkeypatch):
+    # `histogram` with numpy forced at any size: the raster it read, and
+    # np.bincount's intp copy of one strip at a time (0.5 B/px here), not of
+    # the whole raster (8 B/px); 64 KiB is for small objects.
+    _, data = files
+    src, dst = tmp_path / "in.pgm", tmp_path / "h.csv"
+    src.write_bytes(data)
+    monkeypatch.setattr(grayfilt._swar, "_CUT", 0)
+    args = SimpleNamespace(input=str(src), csv=str(dst), render=None)
+    tracemalloc.start()
+    try:
+        _cmd_histogram(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dst.read_text() == histogram_csv(compute_histogram(read_pgm(data)))
+    assert peak / SIDE**2 <= U8 + (8 * _STRIP_PIXELS + 64 * 1024) / SIDE**2
 
 
 def test_load_pgm_peak_is_one_buffer(files, tmp_path):
