@@ -65,18 +65,19 @@ def rot180(kernel: Kernel) -> Kernel:
     return Kernel(kernel.coeffs[::-1, ::-1])
 
 
-#: Pixels per strip of rows, the cache block of every strip loop (correlation,
-#: display mapping, box blur) and the correlation's unit of parallel work. A
-#: loop allocates its strip buffers once per call (once per thread): for a
-#: float64 correlation about 512 KB each for the padded source, the sums and
-#: one product, so they stay in a core's L2 cache.
+#: Pixels per strip, the cache block of every numpy strip loop (correlation,
+#: display mapping, box blur, table ops, histogram) and the correlation's unit
+#: of parallel work: whole rows, at least one, counted in pixels of a row as the
+#: loop's buffers hold it, padding included. A loop allocates its strip buffers
+#: once per call (once per thread): for a float64 correlation about 512 KB each
+#: for the padded source, the sums and one product, so they stay in a core's L2 cache.
 _STRIP_PIXELS = 2**16
 
 
-def _row_strips(height: int, width: int) -> list:
-    """[s0, s1) row ranges of about ``_STRIP_PIXELS`` pixels of ``width``
-    each, and at least one row, covering ``height`` rows."""
-    step = max(1, _STRIP_PIXELS // width)
+def _row_strips(height: int, row: int) -> list:
+    """[s0, s1) ranges of ``_STRIP_PIXELS // row`` rows, at least one, covering ``height``
+    rows (the last may be shorter); ``row`` is a row's length in the loop's buffers."""
+    step = max(1, _STRIP_PIXELS // row)
     return [(s0, min(s0 + step, height)) for s0 in range(0, height, step)]
 
 
@@ -161,7 +162,7 @@ def _correlate_strips(img: Image, kernel: Kernel, border: str, workers: int,
                     flat = _clamp_levels(flat, flat, prod[:rows * stride])
                 out[s0:s1] = flat.reshape(rows, stride)[:, :width]
 
-    strips = _row_strips(height, width)
+    strips = _row_strips(height, stride)
     threads = min(workers, len(strips), os.cpu_count() or 1)
     if threads == 1:
         run(strips)

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import convolution
 from ._swar import CHART_HEIGHT, histogram_chart, histogram_csv as _csv
+from .convolution import _row_strips
 from .core import GRAY_LEVELS, Histogram, Image
 from .imgio import _image
 
@@ -14,9 +14,8 @@ from .imgio import _image
 def compute_histogram(img: Image) -> Histogram:
     """Count pixels per gray level; counts always sum to width * height.
     ``np.bincount`` widens what it counts to intp, so it counts a strip at a time."""
-    flat, step = img.pixels.ravel(), convolution._STRIP_PIXELS
-    return Histogram(sum(np.bincount(flat[s:s + step], minlength=GRAY_LEVELS)
-                         for s in range(0, flat.size, step)))
+    return Histogram(sum(np.bincount(img.pixels[s0:s1].ravel(), minlength=GRAY_LEVELS)
+                         for s0, s1 in _row_strips(img.height, img.width)))
 
 
 def histogram_csv(hist: Histogram) -> str:

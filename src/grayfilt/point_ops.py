@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._bytes import NEGATE_TABLE, lut_table, stretch_table
-from .convolution import _STRIP_PIXELS
+from .convolution import _row_strips
 from .core import Image
 from .imgio import _image
 from .kinds import POSITIVE_FLOAT
@@ -19,9 +19,9 @@ from .kinds import POSITIVE_FLOAT
 
 def _apply_table(img: Image, table: bytes) -> Image:
     """Map every pixel r to ``table[r]`` in a copy of the input, a strip at a time."""
-    out = bytearray(img.pixels.ravel().data)
-    for s in range(0, len(out), _STRIP_PIXELS):
-        out[s:s + _STRIP_PIXELS] = out[s:s + _STRIP_PIXELS].translate(table)
+    out, w = bytearray(img.pixels.ravel().data), img.width
+    for s0, s1 in _row_strips(img.height, w):
+        out[s0 * w:s1 * w] = out[s0 * w:s1 * w].translate(table)
     return _image(img.width, img.height, out)
 
 

@@ -14,7 +14,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from grayfilt import BinaryImage, FormatError, Image, PipelineSpec, _swar, convolution, point_ops
+from grayfilt import BinaryImage, FormatError, Image, PipelineSpec, _swar, convolution
 from grayfilt._bytes import refused
 from grayfilt.cli import main
 from grayfilt.kinds import FLAG, POSITIVE_FLOAT, POSITIVE_INT, THRESHOLD
@@ -242,8 +242,9 @@ def stage_label(stage) -> str:
 
 #: The engines the CLI's ``_run_raster`` runs: "bytes" at the default cut,
 #: so that a small image takes every bytes form; "numpy" at a cut of 0; and
-#: "seams", numpy with strips of 5 pixels, so that strip seams fall inside
-#: any image of more than 5 pixels (between every row at width 5 or more).
+#: "seams", numpy with strips of 5 pixels: 5 // row whole rows and at least
+#: one, so that a seam falls between every two rows where a row, padding
+#: included, holds 3 pixels or more.
 ENGINES = {"bytes": {}, "numpy": {"cut": 0}, "seams": {"cut": 0, "strip": 5}}
 
 
@@ -258,7 +259,6 @@ def run_stages(stages, pixels, cut=None, strip=None) -> bytes:
             patch.setattr(_swar, "_CUT", cut)
         if strip is not None:
             patch.setattr(convolution, "_STRIP_PIXELS", strip)
-            patch.setattr(point_ops, "_STRIP_PIXELS", strip)
         return bytes(_run_raster(_compile(PipelineSpec(stages)), width, height, pixels.tobytes()))
 
 

@@ -293,7 +293,8 @@ def test_criterion_11_pipeline_composition(tmp_path):
 
 @criterion(12, "bit-identical results across 1, 2, and max-core execution", 30.0)
 def test_criterion_12_parallel_determinism(monkeypatch):
-    # Strips of 4 rows of 64 pixels, so workers 2 and max share each image.
+    # Strips of 256 pixels: 3 padded rows of 66 for a 3-wide kernel, 4 rows of
+    # 64 elsewhere, so workers 2 and max share each image.
     monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 256)
     rng = np.random.default_rng(1012)
     max_workers = max(os.cpu_count() or 2, 2)

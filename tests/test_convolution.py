@@ -193,8 +193,8 @@ class TestCorrelate:
         k = Kernel(rng.normal(size=(3, 3)))
         serial = correlate(img, k)
 
-        # Strips of 2 rows: 4 strips, the last one short.
-        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 10)
+        # Strips of 2 padded rows of 5 + 3 - 1 pixels: 4 strips, the last one short.
+        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 14)
         for cpus, workers, pool_size in [(8, 3, 3), (8, 5000, 4), (2, 3, 2), (2, 5000, 2)]:
             monkeypatch.setattr(grayfilt.convolution.os, "cpu_count", lambda: cpus)
             sizes.clear()
@@ -202,7 +202,7 @@ class TestCorrelate:
             assert sizes == [pool_size]
 
         # One thread (one worker, one CPU or an unknown count) or one strip: no pool.
-        for cpus, workers, strip_pixels in [(8, 1, 10), (1, 4, 10), (None, 4, 10), (8, 4, 35)]:
+        for cpus, workers, strip_pixels in [(8, 1, 14), (1, 4, 14), (None, 4, 14), (8, 4, 49)]:
             monkeypatch.setattr(grayfilt.convolution.os, "cpu_count", lambda: cpus)
             monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", strip_pixels)
             sizes.clear()
@@ -584,12 +584,12 @@ class TestPaddedStrips:
     def test_sums_and_clamp_match_oracle(self, monkeypatch, shape, kshape, border, workers):
         rng = np.random.default_rng(37)
         img = Image(rng.integers(0, 256, shape, np.uint8))
-        width = shape[1]
+        stride = shape[1] + kshape[1] - 1
         kernels = [rng.integers(-4, 5, kshape).astype(float),
                    np.round(rng.normal(0.0, 1.0, kshape), 3)]
-        # Strips of 2 or 3 rows leave a short last strip of a 13-, 7- or
-        # 2-row image; then one-row strips, and the default one strip.
-        for strip_pixels in (2 * width, 3 * width, 1, 2**16):
+        # Strips of 2 or 3 padded rows leave a short last strip of a 13-, 7-
+        # or 2-row image; then one-row strips, and the default one strip.
+        for strip_pixels in (2 * stride, 3 * stride, 1, 2**16):
             monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", strip_pixels)
             for coeffs in kernels:
                 coeffs[kshape[0] // 2, kshape[1] // 2] += 1.0  # never all zero
@@ -599,6 +599,23 @@ class TestPaddedStrips:
                 for bias in (0, 4, 128, -127):
                     assert _clamp_display(img, coeffs, bias, border).pixels.tolist() == \
                         [[clamp_round_exact(Fraction(v) + bias) for v in row] for row in sums]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), small_images, odd_sides, borders, st.sampled_from([1, 2]), strip_pixels)
+    def test_kernels_wider_than_the_image_match_oracle(self, data, pixels, kh, border,
+                                                       workers, strip):
+        # A padded row of W + kw − 1 pixels, up to 4·W − 1, sets the strip
+        # height: one row where it is wider than the strip.
+        width = pixels.shape[1]
+        kw = data.draw(st.integers(width // 2 + 1, (3 * width - 1) // 2).map(lambda h: 2 * h + 1))
+        elements = data.draw(st.sampled_from([
+            st.integers(min_value=-9, max_value=9).map(float),
+            st.floats(min_value=-4, max_value=4).map(lambda c: round(c, 3))]))
+        coeffs = data.draw(hnp.arrays(np.float64, (kh, kw), elements=elements)
+                           .filter(lambda a: np.any(a != 0.0)))
+        with strips_of(strip):
+            out = correlate(Image(pixels), Kernel(coeffs), border, workers)
+        assert out.values.tolist() == correlate_brute(pixels.tolist(), coeffs.tolist(), border)
 
 
 class TestInt16Bound:

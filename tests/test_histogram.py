@@ -54,7 +54,7 @@ class TestComputeHistogram:
         assert h1 == h2
 
     def test_strips_count_as_the_whole_image(self, monkeypatch):
-        # 37 pixels a strip do not divide 11·13, so the last strip is short.
+        # Strips of 37 // 13 = 2 rows, so the last of the 11 rows is a strip alone.
         monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 37)
         pixels = np.random.default_rng(44).integers(0, 256, (11, 13), np.uint8)
         expected = np.bincount(pixels.ravel(), minlength=256)

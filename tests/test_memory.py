@@ -21,7 +21,9 @@ import grayfilt._swar
 from grayfilt import (
     FormatError,
     Image,
+    Kernel,
     compute_histogram,
+    correlate,
     histogram_csv,
     read_pgm,
     save_pgm,
@@ -153,6 +155,30 @@ def test_cli_path_peak_bytes_per_pixel(files, tmp_path, monkeypatch, op, params,
         tracemalloc.stop()
     assert dst.read_bytes() == write_pgm(step(read_pgm(data)), "P5")
     assert peak / SIDE**2 <= 2 * U8 + strips
+
+
+def test_correlate_strips_count_the_padded_row():
+    # A 1x20001 kernel pads each 64-pixel row to a stride of 20064, so a
+    # strip of _STRIP_PIXELS counted by the image row would hold every row
+    # at that stride (14.7 MiB of int32 buffers); counted by the padded row it
+    # holds 3. The only nonzero tap is the center, so the output is the
+    # input. At the replicate border the fill of the padding columns copies
+    # its broadcast source, rows x 10000 values, which this bound leaves out.
+    img = Image(np.random.default_rng(53).integers(0, 256, (64, 64), np.uint8))
+    coeffs = np.zeros((1, 20001))
+    coeffs[0, 10000] = 1
+    kernel, stride = Kernel(coeffs), 64 + 20001 - 1
+    tracemalloc.start()
+    try:
+        out = correlate(img, kernel, "zero")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.values.tolist() == img.pixels.tolist()
+    # The int32 output and coefficients, the three int32 strip buffers (the
+    # padded source, the sums and one product), and 64 KiB of small objects.
+    assert peak <= I32 * (img.pixels.size + coeffs.size + 3 * max(_STRIP_PIXELS, stride)) \
+        + 64 * 1024
 
 
 def test_cli_histogram_peak_bytes_per_pixel(files, tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import grayfilt.point_ops
+import grayfilt.convolution
 from grayfilt import (
     Image,
     PipelineSpec,
@@ -181,10 +181,10 @@ class TestExactTables:
 
     @pytest.mark.parametrize("strip", [None, 1000])
     def test_table_ops_across_strips_equal_the_indexed_table(self, monkeypatch, strip):
-        # 257x263 is more than one 65,536-pixel strip, and 263 columns divide
-        # neither strip size, so strips end inside rows.
+        # 257 rows of 263 are more than one strip of either size (249 rows
+        # of 65,536 pixels, or 3 rows of 1000), and the last strip is short.
         if strip:
-            monkeypatch.setattr(grayfilt.point_ops, "_STRIP_PIXELS", strip)
+            monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", strip)
         pixels = np.random.default_rng(5).integers(0, 256, (257, 263), dtype=np.uint8)
         table = np.random.default_rng(6).integers(0, 256, 256)
         img = Image(pixels.copy())
