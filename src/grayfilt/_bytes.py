@@ -149,6 +149,22 @@ def _ones(fields: int, b: int = 8) -> int:
     return int.from_bytes((b"\x01" + bytes(b // 8 - 1)) * fields, "little")
 
 
+#: Pixels per strip, the cache block of every strip loop, numpy's (correlation, display
+#: mapping, box blur, table ops, histogram) and the bytes engine's (``_swar.correlate_clamp``
+#: and ``edge_points``), and the correlation's unit of parallel work: whole rows, at least
+#: one, counted in pixels of a row as the loop's buffers hold it, padding included. A numpy
+#: loop allocates its strip buffers once per call (once per thread): for a float64 correlation
+#: about 512 KB each for the padded source, the sums and one product, in a core's L2 cache.
+_STRIP_PIXELS = 2**16
+
+
+def _row_strips(height: int, row: int) -> list:
+    """[s0, s1) ranges of ``_STRIP_PIXELS // row`` rows, at least one, covering ``height``
+    rows (the last may be shorter); ``row`` is a row's length in the loop's buffers."""
+    step = max(1, _STRIP_PIXELS // row)
+    return [(s0, min(s0 + step, height)) for s0 in range(0, height, step)]
+
+
 #: The whitespace bytes, as ``bytes.split()`` and a bytes ``\s`` take them.
 _WHITESPACE = b" \t\n\r\v\f"
 _SPACE = re.compile(rb"\s")

@@ -1,19 +1,19 @@
 """Exact integer filters on plain bytes, without numpy, for small images.
 
-SWAR, "SIMD within a register" (Fisher and Dietz, "Compiling for SIMD
-Within a Register", LCPC 1998): the padded raster is widened into one
-Python int with a b-bit field per pixel, b = 16, and a few big-int
-operations then compute every pixel's field at once. A tap at offset d is
-a right shift by 16·d. Starting from ones·(K + bias), where ``ones`` has a
-1 in every field, each positive tap is added and each negative tap
-subtracted, so every field of the total T holds K + bias + sum. K = 2**g
-is a power of two with K ≥ neg·255 + 256 and K > pos·255 + bias, for the
-sums pos·255 of the positive and neg·255 of the negative taps over 8-bit
-pixels. So every field stays in [256, 2**(g+1)), within its 16 bits where
-g ≤ 15, in any tap order: no field borrows from or carries into its
-neighbour, and every sum is exact. Bit g of a field is set where bias + sum
-is at least 0, and bit g of T − 256·ones where it is at least 256; these
-two guard-bit masks clamp the low byte of each field, which K leaves as it
+SWAR, "SIMD within a register" (Fisher and Dietz, "Compiling for SIMD Within a
+Register", LCPC 1998), one strip of ``_row_strips`` at a time: a strip and its
+halo rows, taken from the neighbouring rows, are padded and widened on their own
+into one Python int with a b-bit field per pixel, b = 16, and a few big-int
+operations compute all its fields at once. A tap at offset d is a right shift by
+16·d. Starting from ones·(K + bias), where ``ones`` has a 1 in every field, each
+positive tap is added and each negative tap subtracted, so every field of the
+total T holds K + bias + sum. K = 2**g is a power of two with K ≥ neg·255 + 256
+and K > pos·255 + bias, for the sums pos·255 of the positive and neg·255 of the
+negative taps over 8-bit pixels. So every field stays in [256, 2**(g+1)), within
+its 16 bits where g ≤ 15, in any tap order: no field borrows from or carries
+into its neighbour, and every sum is exact. Bit g of a field is set where
+bias + sum is at least 0, and bit g of T − 256·ones where it is at least 256;
+these two guard-bit masks clamp the low byte of each field, which K leaves as it
 is, to [0, 255]. A stencil whose guard bit passes 15 has no bytes form.
 
 A step's work grows with fields × taps, where numpy's barely grows at these
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ._bytes import _ones, binarize_table
+from ._bytes import _ones, _row_strips, binarize_table
 from .errors import DomainError
 from .kinds import GRAY_LEVELS, MAX_GRAY
 
@@ -90,19 +90,19 @@ def _widen(raster: bytes) -> int:
     return int.from_bytes(wide, "little")
 
 
-def _pad(width: int, height: int, raster: bytes, py: int, px: int) -> bytes:
-    """``raster`` with ``py`` rows above and below and ``px`` columns left and
-    right, copies of the edge pixels."""
-    rows = []
-    for y in range(0, width * height, width):
-        row = raster[y:y + width]
-        rows.append(row[:1] * px + row + row[-1:] * px)
-    return b"".join([rows[0]] * py + rows + [rows[-1]] * py)
-
-
-def _crop(flat: bytes, width: int, height: int, stride: int) -> bytes:
-    """The first ``width`` bytes of each of the first ``height`` padded rows of ``stride``."""
-    return b"".join([flat[y:y + width] for y in range(0, stride * height, stride)])
+def _by_strips(width: int, height: int, raster, py: int, px: int, step) -> bytearray:
+    """The raster of ``step`` run on each strip of ``_row_strips(height, width + 2·px)``. It
+    takes the strip's rows with ``py`` halo rows and ``px`` columns either side, under the
+    replicate border, and returns a byte a field; the first ``width`` of each row are kept."""
+    stride = width + 2 * px
+    out = bytearray()
+    for s0, s1 in _row_strips(height, stride):
+        first, last = max(s0 - py, 0), min(s1 + py, height)
+        rows = [raster[y:y + width] for y in range(first * width, last * width, width)]
+        rows = [rows[0]] * (first - s0 + py) + rows + [rows[-1]] * (s1 + py - last)
+        flat = step(b"".join([row[:1] * px + row + row[-1:] * px for row in rows]))
+        out += b"".join([flat[y:y + width] for y in range(0, stride * (s1 - s0), stride)])
+    return out
 
 
 def correlate_clamp(width: int, height: int, raster: bytes, kernel, bias: int = 0):
@@ -119,26 +119,25 @@ def correlate_clamp(width: int, height: int, raster: bytes, kernel, bias: int = 
     fields = (height + 2 * py) * stride
     if g > 15 or not _under_cut(fields, len(taps) + _FIXED_TAPS, height + 2 * py):
         return None
-    padded = _pad(width, height, raster, py, px)
-    x = _widen(padded)
-    del padded
-    ones = _ones(fields, 16)
-    total = ones * ((1 << g) + bias)
-    for i, j, c in taps:
-        term = x >> 16 * (i * stride + j)
-        if abs(c) != 1:
-            term *= abs(c)
-        total = total + term if c > 0 else total - term
-    del x, term
-    over = ((total - (ones << 8)) >> g) & ones
-    nonneg = (total >> g) & ones
-    del ones
-    total |= (over << 8) - over
-    del over
-    total &= (nonneg << 8) - nonneg
-    del nonneg
-    flat = total.to_bytes(2 * fields, "little")[::2]
-    return _crop(flat, width, height, stride)
+
+    def clamp(padded):
+        x = _widen(padded)
+        ones = _ones(len(padded), 16)
+        total = ones * ((1 << g) + bias)
+        for i, j, c in taps:
+            term = x >> 16 * (i * stride + j)
+            if abs(c) != 1:
+                term *= abs(c)
+            total = total + term if c > 0 else total - term
+        del x, term
+        over = ((total - (ones << 8)) >> g) & ones
+        nonneg = (total >> g) & ones
+        del ones
+        total |= over * 255
+        total &= nonneg * 255
+        return total.to_bytes(2 * len(padded), "little")[::2]
+
+    return _by_strips(width, height, raster, py, px, clamp)
 
 
 def edge_points(width: int, height: int, raster: bytes, threshold: int):
@@ -148,15 +147,15 @@ def edge_points(width: int, height: int, raster: bytes, threshold: int):
     stride = width + 2
     if not _under_cut((height + 2) * stride, _EDGE_TAPS, height + 2):
         return None
-    padded = _pad(width, height, raster.translate(binarize_table(threshold)), 1, 1)
-    fields = len(padded)
-    x = int.from_bytes(padded, "little")
-    del padded
-    # Field p is the top left of a 3x3 window: its center is at p + stride + 1.
-    near = (x >> 8) | (x >> 8 * stride) | (x >> 8 * (stride + 2)) | (x >> 8 * (2 * stride + 1))
-    near &= ~(x >> 8 * (stride + 1))
-    del x
-    return _crop(near.to_bytes(fields, "little"), width, height, stride)
+
+    def edges(padded):
+        x = int.from_bytes(padded, "little")
+        # Field p is the top left of a 3x3 window: its center is at p + stride + 1.
+        near = (x >> 8) | (x >> 8 * stride) | (x >> 8 * (stride + 2)) | (x >> 8 * (2 * stride + 1))
+        near ^= near & (x >> 8 * (stride + 1))
+        return near.to_bytes(len(padded), "little")
+
+    return _by_strips(width, height, raster.translate(binarize_table(threshold)), 1, 1, edges)
 
 
 def same_size(a, b) -> None:

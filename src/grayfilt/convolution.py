@@ -41,6 +41,7 @@ import os
 
 import numpy as np
 
+from ._bytes import _row_strips
 from ._swar import LAPLACIANS
 from .core import MAX_GRAY, Image, Kernel, SignedImage, _clamp_levels
 from .kinds import BORDER, DISPLAY, POSITIVE_INT, VARIANT
@@ -63,22 +64,6 @@ def rot180(kernel: Kernel) -> Kernel:
     """Rotate a kernel by 180 degrees: coefficient (i, j) moves to
     (kheight-1-i, kwidth-1-j). Applying it twice gives the original back."""
     return Kernel(kernel.coeffs[::-1, ::-1])
-
-
-#: Pixels per strip, the cache block of every numpy strip loop (correlation,
-#: display mapping, box blur, table ops, histogram) and the correlation's unit
-#: of parallel work: whole rows, at least one, counted in pixels of a row as the
-#: loop's buffers hold it, padding included. A loop allocates its strip buffers
-#: once per call (once per thread): for a float64 correlation about 512 KB each
-#: for the padded source, the sums and one product, so they stay in a core's L2 cache.
-_STRIP_PIXELS = 2**16
-
-
-def _row_strips(height: int, row: int) -> list:
-    """[s0, s1) ranges of ``_STRIP_PIXELS // row`` rows, at least one, covering ``height``
-    rows (the last may be shorter); ``row`` is a row's length in the loop's buffers."""
-    step = max(1, _STRIP_PIXELS // row)
-    return [(s0, min(s0 + step, height)) for s0 in range(0, height, step)]
 
 
 def _accumulator(coeffs: np.ndarray, bias: int | None = None) -> type:
@@ -141,8 +126,8 @@ def _correlate_strips(img: Image, kernel: Kernel, border: str, workers: int,
                 inner[top:bottom] = pixels[first:last]
                 inner[:top] = pixels[0] if replicate else 0
                 inner[bottom:] = pixels[height - 1] if replicate else 0
-                padded[:, :pw] = padded[:, pw:pw + 1] if replicate else 0
-                padded[:, pw + width:] = padded[:, pw + width - 1:pw + width] if replicate else 0
+                padded[:, :pw] = inner[:, :1].copy() if replicate else 0
+                padded[:, pw + width:] = inner[:, -1:].copy() if replicate else 0
                 flat = acc[:rows * stride]
                 flat.fill(0)
                 n = (rows - 1) * stride + width  # the last row's padding is not summed

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._bytes import _row_strips
 from ._swar import SHARPEN
-from .convolution import _clamp_display, _row_strips, clamp_to_display
+from .convolution import _clamp_display, clamp_to_display
 from .core import MAX_GRAY, Image, SignedImage
 from .errors import DomainError
 from .kinds import BORDER, DISPLAY, POSITIVE_INT, VARIANT

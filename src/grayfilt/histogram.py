@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._bytes import _row_strips
 from ._swar import CHART_HEIGHT, histogram_chart, histogram_csv as _csv
-from .convolution import _row_strips
 from .core import GRAY_LEVELS, Histogram, Image
 from .imgio import _image
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bytes import NEGATE_TABLE, lut_table, stretch_table
-from .convolution import _row_strips
+from ._bytes import NEGATE_TABLE, _row_strips, lut_table, stretch_table
 from .core import Image
 from .imgio import _image
 from .kinds import POSITIVE_FLOAT

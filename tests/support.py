@@ -10,11 +10,12 @@ oracles use exact rational arithmetic.
 from fractions import Fraction
 from itertools import product
 from math import isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from grayfilt import BinaryImage, FormatError, Image, PipelineSpec, _swar, convolution
+from grayfilt import BinaryImage, FormatError, Image, PipelineSpec, _bytes, _swar
 from grayfilt._bytes import refused
 from grayfilt.cli import main
 from grayfilt.kinds import FLAG, POSITIVE_FLOAT, POSITIVE_INT, THRESHOLD
@@ -242,23 +243,31 @@ def stage_label(stage) -> str:
 
 #: The engines the CLI's ``_run_raster`` runs: "bytes" at the default cut,
 #: so that a small image takes every bytes form; "numpy" at a cut of 0; and
-#: "seams", numpy with strips of 5 pixels: 5 // row whole rows and at least
-#: one, so that a seam falls between every two rows where a row, padding
-#: included, holds 3 pixels or more.
-ENGINES = {"bytes": {}, "numpy": {"cut": 0}, "seams": {"cut": 0, "strip": 5}}
+#: "seams" and "bytes seams", numpy and bytes with strips of 5 pixels: 5 // row
+#: whole rows and at least one, so that a seam falls between every two rows
+#: where a row, padding included, holds 3 pixels or more, as every row of a
+#: padded step does.
+ENGINES = {"bytes": {}, "numpy": {"cut": 0}, "seams": {"cut": 0, "strip": 5},
+           "bytes seams": {"strip": 5}}
+
+
+def strips_of(pixels):
+    """Patch the strip size of every strip loop, numpy's and the bytes
+    engine's, so that a small image spans many strips."""
+    return mock.patch.object(_bytes, "_STRIP_PIXELS", pixels)
 
 
 def run_stages(stages, pixels, cut=None, strip=None) -> bytes:
     """The output raster of the stage mappings ``stages`` on the uint8 array
     ``pixels``, as the CLI computes it (``_run_raster``), with ``_swar._CUT``
-    set to ``cut`` and the strip size of the numpy loops to ``strip`` where
+    set to ``cut`` and the strip size of every strip loop to ``strip`` where
     each is given."""
     height, width = pixels.shape
     with pytest.MonkeyPatch.context() as patch:
         if cut is not None:
             patch.setattr(_swar, "_CUT", cut)
         if strip is not None:
-            patch.setattr(convolution, "_STRIP_PIXELS", strip)
+            patch.setattr(_bytes, "_STRIP_PIXELS", strip)
         return bytes(_run_raster(_compile(PipelineSpec(stages)), width, height, pixels.tobytes()))
 
 

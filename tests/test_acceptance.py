@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-import grayfilt.convolution
+import grayfilt._bytes
 from grayfilt import (
     Image,
     Kernel,
@@ -295,7 +295,7 @@ def test_criterion_11_pipeline_composition(tmp_path):
 def test_criterion_12_parallel_determinism(monkeypatch):
     # Strips of 256 pixels: 3 padded rows of 66 for a 3-wide kernel, 4 rows of
     # 64 elsewhere, so workers 2 and max share each image.
-    monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 256)
+    monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", 256)
     rng = np.random.default_rng(1012)
     max_workers = max(os.cpu_count() or 2, 2)
     worker_counts = (1, 2, max_workers)

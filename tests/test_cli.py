@@ -17,10 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import grayfilt
+import grayfilt._bytes
 import grayfilt._swar
 import grayfilt.bench
 import grayfilt.cli
-import grayfilt.convolution
 from grayfilt import (
     FormatError,
     Image,
@@ -376,7 +376,7 @@ class TestExitCodes:
     def test_overflow_in_a_later_strip_is_one_domain_error(self, tmp_path, capsys, monkeypatch):
         # One-row strips; the first rows sum to 0, and each strip is clamped
         # to gray levels before the next one is correlated.
-        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 4)
+        monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", 4)
         pixels = np.zeros((6, 4), np.uint8)
         pixels[4:] = 200
         img = tmp_path / "in.pgm"

@@ -1,7 +1,6 @@
 import concurrent.futures
 import sys
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import grayfilt._bytes
 import grayfilt.convolution
 from grayfilt import (
     LAPLACIAN_EIGHT,
@@ -44,6 +44,7 @@ from support import (
     rand_image,
     rand_kernel,
     round_half_away_exact,
+    strips_of,
 )
 
 small_images = hnp.arrays(
@@ -64,11 +65,6 @@ real_coeffs = odd_sides.flatmap(
 borders = st.sampled_from(["replicate", "zero"])
 #: Strip sizes from one pixel (one-row strips) to a few rows of a small image.
 strip_pixels = st.integers(min_value=1, max_value=40)
-
-
-def strips_of(pixels):
-    """Patch the strip size, so that a small image spans many strips."""
-    return mock.patch.object(grayfilt.convolution, "_STRIP_PIXELS", pixels)
 
 
 def impulse(side, value=1):
@@ -145,7 +141,7 @@ class TestCorrelate:
 
     def test_worker_counts_are_bit_identical(self, monkeypatch):
         # Strips of at most 2 rows, so several threads share every image.
-        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 8)
+        monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", 8)
         rng = np.random.default_rng(15)
         img = rand_image(rng, max_side=20, min_side=4)
         k = Kernel(rng.normal(size=(3, 5)))
@@ -156,7 +152,7 @@ class TestCorrelate:
     @pytest.mark.parametrize("strip_pixels", [1, 5, 13])
     def test_row_strips_do_not_change_sums(self, monkeypatch, strip_pixels):
         # Strips of one row up to a few rows, with a short last strip.
-        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", strip_pixels)
+        monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", strip_pixels)
         rng = np.random.default_rng(19)
         for _ in range(10):
             img = rand_image(rng, max_side=9, min_side=2)
@@ -194,7 +190,7 @@ class TestCorrelate:
         serial = correlate(img, k)
 
         # Strips of 2 padded rows of 5 + 3 - 1 pixels: 4 strips, the last one short.
-        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 14)
+        monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", 14)
         for cpus, workers, pool_size in [(8, 3, 3), (8, 5000, 4), (2, 3, 2), (2, 5000, 2)]:
             monkeypatch.setattr(grayfilt.convolution.os, "cpu_count", lambda: cpus)
             sizes.clear()
@@ -204,7 +200,7 @@ class TestCorrelate:
         # One thread (one worker, one CPU or an unknown count) or one strip: no pool.
         for cpus, workers, strip_pixels in [(8, 1, 14), (1, 4, 14), (None, 4, 14), (8, 4, 49)]:
             monkeypatch.setattr(grayfilt.convolution.os, "cpu_count", lambda: cpus)
-            monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", strip_pixels)
+            monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", strip_pixels)
             sizes.clear()
             assert correlate(img, k, workers=workers) == serial
             assert sizes == []
@@ -212,7 +208,7 @@ class TestCorrelate:
     def test_threads_sharing_the_output_match_serial(self, monkeypatch):
         # Eight threads (more than most hosts have cores), switching often,
         # each adding its strips' taps into its own rows of the one output.
-        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 40)
+        monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", 40)
         monkeypatch.setattr(grayfilt.convolution.os, "cpu_count", lambda: 8)
         rng = np.random.default_rng(17)
         img = Image(rng.integers(0, 256, (96, 40), np.uint8))
@@ -441,7 +437,7 @@ class TestClampToDisplay:
         # 7 rows of 5 in strips of 2 rows: three seams inside the image, a
         # last strip of one row, and the minimum and the maximum in the
         # first and the last strip.
-        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 10)
+        monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", 10)
         rng = np.random.default_rng(43)
         if rule == "clamp":
             values = rng.integers(-300, 700, (7, 5)) / 2  # halves are ties
@@ -520,7 +516,7 @@ class TestFusedDisplay:
     @pytest.mark.parametrize("border", ["replicate", "zero"])
     @pytest.mark.parametrize("display", ["clamp", "rescale"])
     def test_convolve_op_matches_library_chain(self, tmp_path, monkeypatch, border, display):
-        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 7)
+        monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", 7)
         rng = np.random.default_rng(31)
         path = tmp_path / "k.txt"
         for _ in range(10):
@@ -538,7 +534,7 @@ class TestFusedDisplay:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflow_in_a_later_strip_is_the_finite_error(self, monkeypatch, workers):
         # One-row strips: the top rows sum to 0, the bottom ones overflow.
-        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 4)
+        monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", 4)
         pixels = np.zeros((8, 4), np.uint8)
         pixels[5:] = 200
         img, k = Image(pixels), Kernel([[1e308, 1e308, 1e308]])
@@ -558,7 +554,7 @@ class TestFusedDisplay:
         assert _clamp_display(img, k.coeffs).pixels.tolist() == [[0, 255, 255], [255, 255, 0]]
 
     def test_each_float_strip_is_checked_finite_once(self, monkeypatch):
-        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 4)
+        monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", 4)
         img = Image(np.arange(32, dtype=np.uint8).reshape(8, 4))
         checked = []
         isfinite = np.isfinite
@@ -590,7 +586,7 @@ class TestPaddedStrips:
         # Strips of 2 or 3 padded rows leave a short last strip of a 13-, 7-
         # or 2-row image; then one-row strips, and the default one strip.
         for strip_pixels in (2 * stride, 3 * stride, 1, 2**16):
-            monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", strip_pixels)
+            monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", strip_pixels)
             for coeffs in kernels:
                 coeffs[kshape[0] // 2, kshape[1] // 2] += 1.0  # never all zero
                 sums = correlate_brute(img.pixels.tolist(), coeffs.tolist(), border)
@@ -696,7 +692,7 @@ class TestIntegerRescale:
     @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
     @pytest.mark.parametrize("span", [5, 6])
     def test_one_row_strips(self, monkeypatch, dtype, span):
-        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 1)
+        monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", 1)
         values = np.arange(-3, span - 2).astype(dtype).reshape(-1, 1)
         out = clamp_to_display(SignedImage(values), "rescale")
         assert out.pixels.tolist() == rescale_oracle(values.tolist())

@@ -1,12 +1,9 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import grayfilt.convolution
 from grayfilt import (
     SHADOW_NE_KERNEL,
     BinaryImage,
@@ -22,7 +19,13 @@ from grayfilt import (
     shadow_ne,
 )
 
-from support import clamp_round_exact, correlate_brute, edge_map_brute, edge_points_brute
+from support import (
+    clamp_round_exact,
+    correlate_brute,
+    edge_map_brute,
+    edge_points_brute,
+    strips_of,
+)
 
 bit_arrays = hnp.arrays(
     np.uint8,
@@ -150,7 +153,7 @@ class TestStripSeams:
     @given(seam_bits, st.integers(min_value=1, max_value=40))
     def test_edge_map_and_points_match_brute_force_across_strips(self, bits, strip_pixels):
         u = BinaryImage(bits)
-        with mock.patch.object(grayfilt.convolution, "_STRIP_PIXELS", strip_pixels):
+        with strips_of(strip_pixels):
             got_map, got_points = edge_map(u), edge_points(u)
         assert got_map.bits.tolist() == edge_map_brute(bits.tolist())
         assert got_points.bits.tolist() == edge_points_brute(bits.tolist())

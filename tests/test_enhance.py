@@ -1,5 +1,4 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import grayfilt.convolution
+import grayfilt._bytes
 from grayfilt import (
     DomainError,
     Image,
@@ -21,7 +20,7 @@ from grayfilt import (
     unsharp_mask,
 )
 
-from support import box_mean_brute, box_mean_by_counts, rand_image
+from support import box_mean_brute, box_mean_by_counts, rand_image, strips_of
 
 COMPOSITE_SHARPEN = Kernel([[0, -1, 0], [-1, 5, -1], [0, -1, 0]])
 
@@ -115,7 +114,7 @@ class TestBoxBlur:
     def test_strips_match_mean_oracle(self, pixels, radius, border, strip_pixels):
         # The running column sums are carried from strip to strip; strips of
         # one row up to a few rows, radii up to beyond the image.
-        with mock.patch.object(grayfilt.convolution, "_STRIP_PIXELS", strip_pixels):
+        with strips_of(strip_pixels):
             out = box_blur(Image(pixels), radius, border)
         assert out.pixels.tolist() == box_mean_brute(pixels.tolist(), radius, border)
 
@@ -123,7 +122,7 @@ class TestBoxBlur:
     @pytest.mark.parametrize("shape", [(1, 40), (40, 1)])
     @pytest.mark.parametrize("strip_pixels", [1, 7, 2**16])
     def test_single_row_and_column_across_strips(self, monkeypatch, shape, border, strip_pixels):
-        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", strip_pixels)
+        monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", strip_pixels)
         rng = np.random.default_rng(26)
         pixels = rng.integers(0, 256, shape, np.uint8)
         for radius in (1, 3, 50):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis.extra import numpy as hnp
 
-import grayfilt.convolution
+import grayfilt._bytes
 from grayfilt import (
     Histogram,
     Image,
@@ -55,7 +55,7 @@ class TestComputeHistogram:
 
     def test_strips_count_as_the_whole_image(self, monkeypatch):
         # Strips of 37 // 13 = 2 rows, so the last of the 11 rows is a strip alone.
-        monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", 37)
+        monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", 37)
         pixels = np.random.default_rng(44).integers(0, 256, (11, 13), np.uint8)
         expected = np.bincount(pixels.ravel(), minlength=256)
         assert compute_histogram(Image(pixels)).bins.tolist() == expected.tolist()

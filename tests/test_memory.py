@@ -29,10 +29,9 @@ from grayfilt import (
     save_pgm,
     write_pgm,
 )
-from grayfilt._bytes import decode_pgm, load_pgm, p2_scan, pgm_chunks
+from grayfilt._bytes import _STRIP_PIXELS, _row_strips, decode_pgm, load_pgm, p2_scan, pgm_chunks
 from grayfilt._swar import _EDGE_TAPS, _FIXED_TAPS
 from grayfilt.cli import _cmd_histogram, _run
-from grayfilt.convolution import _STRIP_PIXELS
 from grayfilt.pipeline import OPS, _apply
 from support import swar_side_at_cut
 
@@ -157,28 +156,31 @@ def test_cli_path_peak_bytes_per_pixel(files, tmp_path, monkeypatch, op, params,
     assert peak / SIDE**2 <= 2 * U8 + strips
 
 
-def test_correlate_strips_count_the_padded_row():
+@pytest.mark.parametrize("border", ["replicate", "zero"])
+def test_correlate_strips_count_the_padded_row(border):
     # A 1x20001 kernel pads each 64-pixel row to a stride of 20064, so a
     # strip of _STRIP_PIXELS counted by the image row would hold every row
     # at that stride (14.7 MiB of int32 buffers); counted by the padded row it
     # holds 3. The only nonzero tap is the center, so the output is the
-    # input. At the replicate border the fill of the padding columns copies
-    # its broadcast source, rows x 10000 values, which this bound leaves out.
+    # input. The replicate border fills the padding columns from copies of
+    # the edge columns: from a broadcast source in the same buffer, numpy
+    # would copy the source whole, rows x 10000 values (about 120 KB here).
     img = Image(np.random.default_rng(53).integers(0, 256, (64, 64), np.uint8))
     coeffs = np.zeros((1, 20001))
     coeffs[0, 10000] = 1
     kernel, stride = Kernel(coeffs), 64 + 20001 - 1
+    (_, rows), *_ = _row_strips(64, stride)
     tracemalloc.start()
     try:
-        out = correlate(img, kernel, "zero")
+        out = correlate(img, kernel, border)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert out.values.tolist() == img.pixels.tolist()
-    # The int32 output and coefficients, the three int32 strip buffers (the
-    # padded source, the sums and one product), and 64 KiB of small objects.
-    assert peak <= I32 * (img.pixels.size + coeffs.size + 3 * max(_STRIP_PIXELS, stride)) \
-        + 64 * 1024
+    # The int32 output and coefficients, the three int32 strip buffers of
+    # one strip's padded rows (the padded source, the sums and one product),
+    # and 64 KiB of small objects.
+    assert peak <= I32 * (img.pixels.size + coeffs.size + 3 * rows * stride) + 64 * 1024
 
 
 def test_cli_histogram_peak_bytes_per_pixel(files, tmp_path, monkeypatch):
@@ -357,32 +359,41 @@ def test_scanner_peak_bytes_per_pixel():
     assert peak / side**2 <= 2 * U8
 
 
+#: What a padded bytes step holds of the whole image: the decoded raster, and
+#: the output, the P5 file's raster, which grows a strip at a time in a
+#: bytearray that may hold an eighth more than its bytes.
+PADDED_STEP = U8 + 9 * U8 / 8
 #: Each bytes step just below its cut (grayfilt._swar): op, params, its cost
-#: a field, the ints it holds at once counted in full-size fields, and the
-#: bytes of a field.
-#: Python ints are allocated whole, so tracemalloc sees each one. At the peak
-#: a correlation holds the widened raster, ones, the total, a shifted tap and
-#: the next total; edges holds the raster, the OR so far, a shifted copy,
-#: the next OR and a fifth for the AND-NOT; add holds one widened raster and,
-#: while widening the other, its fields, their copy for int.from_bytes and
-#: the int.
+#: a field, the whole-image bytes it holds per pixel, the ints it holds at
+#: once counted in fields of what it widens (a strip, or the whole raster for
+#: add), and the bytes of a field. edges also holds the thresholded raster,
+#: which it pads a strip at a time; add holds the decoded raster and its output.
+#: Python ints are allocated whole, so tracemalloc sees each one. At the
+#: peak a correlation holds the widened strip, ones, the total, a shifted tap
+#: and the next total; edges holds the strip, the OR so far, a shifted copy,
+#: the next OR and a fifth while it clears the centers; add holds one widened
+#: raster and, while widening the other, its fields, their copy for
+#: int.from_bytes and the int.
 SWAR_CASES = [
-    ("sharpen", {"variant": "eight"}, 9 + _FIXED_TAPS, 5, I16),
-    ("laplacian", {"variant": "four", "display": "clamp"}, 5 + _FIXED_TAPS, 5, I16),
-    ("shadow", {"invert": True}, 2 + _FIXED_TAPS, 5, I16),
-    ("edges", {"threshold": 128}, _EDGE_TAPS, 5, U8),
-    ("add", {"image": "second.pgm"}, 1 + _FIXED_TAPS, 4, I16),
+    ("sharpen", {"variant": "eight"}, 9 + _FIXED_TAPS, PADDED_STEP, 5, I16),
+    ("laplacian", {"variant": "four", "display": "clamp"}, 5 + _FIXED_TAPS, PADDED_STEP, 5, I16),
+    ("shadow", {"invert": True}, 2 + _FIXED_TAPS, PADDED_STEP, 5, I16),
+    ("edges", {"threshold": 128}, _EDGE_TAPS, PADDED_STEP + U8, 5, U8),
+    ("add", {"image": "second.pgm"}, 1 + _FIXED_TAPS, 2 * U8, 4, I16),
 ]
 
 
-@pytest.mark.parametrize("op, params, cost, ints, field", SWAR_CASES,
+@pytest.mark.parametrize("op, params, cost, whole, ints, field", SWAR_CASES,
                          ids=[op for op, *_ in SWAR_CASES])
-def test_bytes_step_peak_bytes_per_pixel_below_the_cut(tmp_path, op, params, cost, ints, field):
+def test_bytes_step_peak_bytes_per_pixel_below_the_cut(tmp_path, op, params, cost, whole, ints,
+                                                       field):
     # The largest square image below the step's cut, decoded, run through
-    # the step's bytes form and encoded, as a CLI process runs it. Besides
-    # the ints: the decoded raster, and one more byte per pixel for the
-    # padded raster, the output and the P5 file. Every step but add pads
-    # the image by one pixel.
+    # the step's bytes form and encoded, as a CLI process runs it. Every
+    # step but add pads the image by one pixel and works one strip of
+    # _row_strips at a time. Besides its whole-image bytes, such a step holds
+    # one strip's worth: its ints, at 32 bits per 30 of a Python int's
+    # digits, and a byte a field for each of the strip's padded bytes, its
+    # rows and the previous strip's output, with 64 KiB for small objects.
     side = swar_side_at_cut(cost, 0 if op == "add" else 1)
     rng = np.random.default_rng(47)
     save_pgm(tmp_path / "second.pgm", Image(rng.integers(0, 256, (side, side), np.uint8)))
@@ -398,4 +409,10 @@ def test_bytes_step_peak_bytes_per_pixel_below_the_cut(tmp_path, op, params, cos
     finally:
         tracemalloc.stop()
     assert out == write_pgm(step(read_pgm(data)), "P5")[-side * side:]
-    assert peak / side**2 <= ints * field + 2 * U8
+    if op == "add":
+        assert peak / side**2 <= whole + ints * field
+    else:
+        (s0, s1), *_ = _row_strips(side, side + 2)
+        strip = (s1 - s0 + 2) * (side + 2)
+        assert peak / side**2 <= whole + ((ints * field * 16 / 15 + 3 * U8) * strip
+                                          + 64 * 1024) / side**2

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import grayfilt.convolution
+import grayfilt._bytes
 from grayfilt import (
     Image,
     PipelineSpec,
@@ -184,7 +184,7 @@ class TestExactTables:
         # 257 rows of 263 are more than one strip of either size (249 rows
         # of 65,536 pixels, or 3 rows of 1000), and the last strip is short.
         if strip:
-            monkeypatch.setattr(grayfilt.convolution, "_STRIP_PIXELS", strip)
+            monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", strip)
         pixels = np.random.default_rng(5).integers(0, 256, (257, 263), dtype=np.uint8)
         table = np.random.default_rng(6).integers(0, 256, 256)
         img = Image(pixels.copy())

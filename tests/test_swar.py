@@ -44,6 +44,7 @@ from support import (
     op_stages,
     round_half_away_exact,
     run_cli,
+    strips_of,
     swar_cost,
     swar_side_at_cut,
 )
@@ -58,6 +59,14 @@ int_kernels = st.tuples(odd_sides, odd_sides).flatmap(
     .filter(lambda a: a.any()).map(lambda a: tuple(map(tuple, a.tolist()))))
 biases = st.sampled_from([0, 128])
 thresholds = st.integers(0, 255)
+#: Images of 1 to 12 rows, and strips of 1 to 5 rows: heights that are and
+#: are not multiples of the strip both come up.
+tall_images = hnp.arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 6)))
+strip_rows = st.integers(1, 5)
+#: 1x1, 1x3, 3x1 and 3x3 stencils, whose guard bit stays at most 15 with either bias.
+stencils = st.sampled_from([(1, 1), (1, 3), (3, 1), (3, 3)]).flatmap(
+    lambda shape: hnp.arrays(np.int64, shape, elements=st.integers(-4, 4))
+    .filter(lambda a: a.any()).map(lambda a: tuple(map(tuple, a.tolist()))))
 
 
 def _raster(pixels):
@@ -173,6 +182,36 @@ class TestCorrelateClamp:
         for stencil, bias, step in clamps:
             assert _guard_bit(stencil, bias) <= 12
             assert step.raster(*_raster(pixels)) == step(Image(pixels)).pixels.tobytes()
+
+
+class TestStrips:
+    # _STRIP_PIXELS is patched to ``rows`` padded rows, so a seam falls after
+    # every ``rows`` rows, and each strip takes its halo rows from its neighbours.
+    @settings(max_examples=150, deadline=None)
+    @given(tall_images, stencils, biases, strip_rows)
+    @example(np.arange(24, dtype=np.uint8).reshape(6, 4) * 10, ((1, -2, 1),) * 3, 128, 3)
+    @example(np.arange(28, dtype=np.uint8).reshape(7, 4) * 9, ((1, -2, 1),) * 3, 0, 3)
+    @example(np.arange(10, dtype=np.uint8).reshape(5, 2) * 25, ((-3,),), 128, 1)
+    def test_correlate_clamp_across_strips(self, pixels, kernel, bias, rows):
+        height, width = pixels.shape
+        with strips_of(rows * (width + len(kernel[0]) - 1)):
+            out = swar.correlate_clamp(width, height, pixels.tobytes(), kernel, bias)
+        sums = correlate_brute(pixels.tolist(), kernel)
+        assert list(out) == [clamp_round_exact(bias + int(v)) for row in sums for v in row]
+        assert out == _clamp_display(Image(pixels), kernel, bias).pixels.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(tall_images, thresholds, strip_rows)
+    @example(np.arange(24, dtype=np.uint8).reshape(6, 4) * 10, 100, 2)
+    @example(np.arange(28, dtype=np.uint8).reshape(7, 4) * 9, 100, 2)
+    def test_edge_points_across_strips(self, pixels, threshold, rows):
+        height, width = pixels.shape
+        with strips_of(rows * (width + 2)):
+            out = swar.edge_points(width, height, pixels.tobytes(), threshold)
+        bits = [[int(v >= threshold) for v in row] for row in pixels.tolist()]
+        assert list(out) == [255 * v for row in edge_points_brute(bits) for v in row]
+        img = Image(pixels)
+        assert out == bits_to_image(edge_points(binarize(img, threshold))).pixels.tobytes()
 
 
 class TestShadowSW:
