@@ -4,8 +4,9 @@ A point op is a 256-byte table (entry r is the level r maps to); a chain of
 them composes to one table, applied with ``bytes.translate``. The CLI runs a
 chain of table ops with this module alone; imgio and point_ops build on it.
 
-:func:`decode_pgm` is the one PGM reader: every command and ``read_pgm``
-call runs it, on a file it reads itself or on bytes. Whitespace is the six
+One PGM reader, on a file it reads itself or on bytes: ``read_pgm`` and ``load_pgm``
+run it as :func:`decode_pgm`, for the first image, and every command as :func:`frames`,
+for each image of a stream, from what the last read past. Whitespace is the six
 ASCII bytes space, \\t, \\n, \\r, \\v and \\f, as ``bytes.split()`` and a
 bytes ``\\s`` take them; '#' starts a comment that runs to the next \\n,
 only between header tokens. One compiled pattern reads each header token,
@@ -180,19 +181,20 @@ _P2_CLASS = bytes((c - 48) << 4 | 1 if 48 <= c <= 57 else 2 if c in _WHITESPACE 
 
 
 def _p2_piece(text, offset: int, need: int):
-    """The levels of the first ``need`` P2 tokens of ``text``, a piece from
-    byte ``offset`` on cut at a whitespace byte or the end of the data. SWAR
-    decodes it whole, or else up to the whitespace after the need-th token,
-    where those tokens are all 1 to 3 digits up to 255; else :func:`p2_scan` does."""
-    levels = _p2_levels(text)
-    if levels is None:
-        # A bad token may lie past the need-th, which rest[-1] follows: bytes.split's
-        # whitespace is _P2_CLASS's. A header may declare more than split can count.
+    """The levels of the first ``need`` P2 tokens of ``text``, a piece from byte ``offset``
+    on cut at a whitespace byte or the end of the data, and the bytes they take: all, or
+    up to a token past them. SWAR decodes it whole, or else up to the whitespace after the
+    need-th token, where those tokens are all 1 to 3 digits up to 255; else :func:`p2_scan` does."""
+    levels, used = _p2_levels(text), len(text)
+    if levels is None or len(levels) > need:
+        # A bad token or a next frame may lie past the need-th, which rest[-1] follows:
+        # bytes.split's whitespace is _P2_CLASS's. A header may declare more than split can count.
         rest = text.split(None, min(need, len(text)))
         if len(rest) > need:
-            text = text[:len(text) - len(rest[-1])]
-            levels = _p2_levels(text)
-    return p2_scan(text, offset, need) if levels is None else levels[:need]
+            used -= len(rest[-1])
+            text = text[:used]
+            levels = _p2_levels(text) if levels is None else levels
+    return (p2_scan(text, offset, need) if levels is None else levels[:need]), used
 
 
 def _p2_levels(text: bytes):
@@ -257,6 +259,28 @@ def decode_pgm(data, fh=None):
     decoded by :func:`_p2_piece` up to the width*height-th token. Given a binary
     file ``fh`` too, the PGM is ``data`` and then what ``fh`` reads, as far as the image
     needs, into a buffer of its own, ``_SLICE`` bytes at first: a P5 raster is that buffer."""
+    return _decode(data, fh)[:3]
+
+
+def frames(fh):
+    """Yield (width, height, raster) for each image of the PGM stream that the binary file
+    ``fh`` reads, each read as :func:`decode_pgm` reads one, from what the last left over.
+    A next image starts only where a P2 or P5 magic follows, after any whitespace. Its byte
+    offsets count from its magic, and its faults are prefixed with "frame k: "."""
+    rest, k = b"", 0
+    while k == 0 or rest[:2] in _MAGICS:
+        k += 1
+        try:
+            width, height, raster, rest = _decode(rest, fh)
+        except FormatError as exc:
+            raise (FormatError(f"frame {k}: {exc}") if k > 1 else exc) from None
+        yield width, height, raster
+        while len(rest := rest.lstrip(_WHITESPACE)) < 2 and (got := fh.read(_SLICE)):
+            rest += got
+
+
+def _decode(data, fh):
+    """:func:`decode_pgm`'s (width, height, raster), and what it read past the image."""
     buf, base, filled, ended, room = data, 0, len(data), fh is None, 0
     if fh is not None:
         # A regular file's size, and a byte for the read that finds its end.
@@ -316,11 +340,12 @@ def decode_pgm(data, fh=None):
         end = pos + 1 + count
         short(end, "bytes")
         if fh is None:
-            return width, height, bytearray(memoryview(data)[pos + 1:end])
+            return width, height, bytearray(memoryview(data)[pos + 1:end]), data[end:]
+        rest = buf[end:filled]
         # CPython drops a bytearray's prefix in O(1), by moving its start.
         del buf[end:]
         del buf[:pos + 1]
-        return width, height, buf
+        return width, height, buf, rest
 
     # P2 text from byte start on is read as it is taken and cut into pieces at a whitespace
     # byte _SLICE bytes on or later, splitting no token, or at the end: the last piece.
@@ -333,8 +358,9 @@ def decode_pgm(data, fh=None):
             # A bytearray, one copy whatever buf is: its translate, the decode's
             # first step, runs about a quarter faster than that of bytes.
             text = bytearray(memoryview(buf)[start - base:end - base])
-            raster += _p2_piece(text, start, count - len(raster))
-            start = end
+            levels, used = _p2_piece(text, start, count - len(raster))
+            raster += levels
+            start += used
     except FormatError:
         short(pos + 2 * count, "pixels")  # a P2 pixel takes a separator and a digit
         raise
@@ -342,7 +368,7 @@ def decode_pgm(data, fh=None):
         short(pos + 2 * count, "pixels")  # before the message below names the count
         raise FormatError(f"truncated raster: need {count} pixels, "
                           f"found {len(raster)} by byte {base + filled}")
-    return width, height, raster
+    return width, height, raster, buf[start - base:filled]
 
 
 #: The hundreds, tens and ones digit of each level, NUL for a leading zero.

@@ -165,16 +165,20 @@ def same_size(a, b) -> None:
                           f"{a[0]}x{a[1]} vs {b[0]}x{b[1]}")
 
 
-def add(width: int, height: int, raster: bytes, second) -> bytes:
-    """The saturating sum min(a + b, 255) of the image and ``second``, a
-    (width, height, raster), in 16-bit fields; None above the cut."""
+def add(width: int, height: int, raster: bytes, second) -> bytearray:
+    """The saturating sum min(a + b, 255) of the image and ``second``, a (width,
+    height, raster), in 16-bit fields a strip at a time; None above the cut."""
     same_size((width, height), second[:2])
     if not _under_cut(width * height, 1 + _FIXED_TAPS):
         return None
-    total = _widen(raster) + _widen(second[2])
-    over = (total >> 8) & _ones(len(raster), 16)  # a sum of at most 510 sets bit 8 from 256
-    total |= (over << 8) - over
-    return total.to_bytes(2 * len(raster), "little")[::2]
+    out, a, b = bytearray(), memoryview(raster), memoryview(second[2])
+    for y0, y1 in _row_strips(height, width):
+        s0, s1 = y0 * width, y1 * width
+        total = _widen(a[s0:s1]) + _widen(b[s0:s1])
+        over = (total >> 8) & _ones(s1 - s0, 16)  # a sum of at most 510 sets bit 8 from 256
+        total |= (over << 8) - over
+        out += total.to_bytes(2 * (s1 - s0), "little")[::2]
+    return out
 
 
 def histogram(raster: bytes):

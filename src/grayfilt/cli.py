@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 I/O or file-format error, or memory
 exhausted, 3 domain error (e.g. adding images of different sizes).
 Diagnostics go to stderr and processed data goes to files only, so the tool
 composes in scripts. An output symlink is followed; a new or regular file is
-written atomically (temp file + rename), a FIFO or a device in place.
+written atomically (temp file + rename), a FIFO or a device in place. A command
+reads every frame of its input, a stream of PGM images: a filter writes the output
+of each in turn, ``histogram`` sums their counts, and ``add -j`` takes its first.
 """
 
 from __future__ import annotations
@@ -198,13 +200,15 @@ def _usage_error(command: str, message: str):
 # ---------------------------------------------------------------------------
 
 def _run(args, compiled):
-    """Write ``args.output``: ``args.input`` run through ``compiled``, every
-    stage built as [(label, table or step)] before the input is read, so a
-    filter and its one-stage pipeline report the same first error."""
-    width, height, raster = _bytes.load_pgm(args.input)
-    raster = _run_raster(compiled, width, height, raster)
-    _bytes.write_bytes_atomic(args.output,
-                              *_bytes.pgm_chunks(width, height, raster, args.format.upper()))
+    """Write ``args.output``, at once: each frame of ``args.input`` run through ``compiled``,
+    every stage built as [(label, table or step)] before the input is read, so a filter and
+    its one-stage pipeline report the same first error, and a faulty frame writes nothing."""
+    chunks = []
+    with open(args.input, "rb", buffering=0) as fh:
+        for width, height, raster in _bytes.frames(fh):
+            raster = _run_raster(compiled, width, height, raster)
+            chunks += _bytes.pgm_chunks(width, height, raster, args.format.upper())
+    _bytes.write_bytes_atomic(args.output, *chunks)
     return EXIT_OK
 
 
@@ -233,7 +237,8 @@ def _cmd_histogram(args):
     # The chart would replace the table: a usage error, before the input is read.
     if args.render and _one_file(args.csv, args.render):
         _usage_error("histogram", "argument --render: names the same file as --csv")
-    counts = _histogram(*_bytes.load_pgm(args.input))
+    with open(args.input, "rb", buffering=0) as fh:  # the counts of every frame, summed
+        counts = [sum(level) for level in zip(*(_histogram(*frame) for frame in _bytes.frames(fh)))]
     _bytes.write_bytes_atomic(args.csv, _swar.histogram_csv(counts).encode("ascii"))
     if args.render:
         chart = _swar.histogram_chart(counts)

@@ -123,7 +123,6 @@ class TestSubcommands:
         k = parse_kernel(kern.read_text())
         assert load_pgm(out) == clamp_to_display(convolve(img, k, border), display)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: only the first frame is written")
     def test_negate_writes_every_frame(self, tmp_path):
         src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
         src.write_bytes(b"P5\n2 1\n255\n\x01\x02" + b"P5\n2 1\n255\n\x03\x04")
@@ -785,6 +784,65 @@ class TestInputBuffer:
         finally:
             writer.join(timeout=60)
         assert out.read_bytes() == write_pgm(laplacian_sharpen(img))
+
+
+class TestFrames:
+    """A command reads every frame of its input, whichever engine runs: a
+    filter writes each frame's output in turn, histogram counts every frame,
+    and a fault in any frame leaves no output."""
+
+    @pytest.fixture(params=[None, 0], ids=["bytes-first", "numpy"])
+    def cut(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(grayfilt._swar, "_CUT", request.param)
+
+    @pytest.fixture
+    def stream(self, tmp_path):
+        rng = np.random.default_rng(66)
+        images = [Image(rng.integers(0, 256, (12, 10), np.uint8)),
+                  Image(rng.integers(0, 256, (7, 9), np.uint8))]
+        src = tmp_path / "in.pgm"
+        src.write_bytes(write_pgm(images[0], "P5") + write_pgm(images[1], "P2"))
+        return images, src
+
+    @pytest.mark.parametrize("argv, library, fmt", [
+        (["negate"], negate, "P5"),
+        (["sharpen", "--variant", "eight", "--format", "p2"],
+         lambda img: laplacian_sharpen(img, "eight"), "P2"),
+        (["pipeline", "--spec", "spec.json"],
+         lambda img: laplacian_sharpen(negate(img), "eight"), "P5"),
+    ], ids=["negate", "sharpen", "pipeline"])
+    def test_a_filter_writes_every_frame(self, tmp_path, cut, stream, argv, library, fmt):
+        images, src = stream
+        (tmp_path / "spec.json").write_text(
+            '{"stages": [{"op": "negate"}, {"op": "sharpen", "variant": "eight"}]}')
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        out = tmp_path / "out.pgm"
+        assert run_cli([argv[0], "-i", str(src), "-o", str(out), *argv[1:]]) == 0
+        assert out.read_bytes() == b"".join(write_pgm(library(img), fmt) for img in images)
+
+    def test_histogram_counts_every_frame(self, tmp_path, cut, stream):
+        images, src = stream
+        csv, chart = tmp_path / "h.csv", tmp_path / "h.pgm"
+        assert run_cli(["histogram", "-i", str(src), "--csv", str(csv),
+                        "--render", str(chart)]) == 0
+        pixels = np.concatenate([img.pixels.ravel() for img in images])
+        both = compute_histogram(Image(pixels[None]))
+        assert csv.read_text() == histogram_csv(both)
+        assert load_pgm(chart) == render_histogram(both)
+
+    @pytest.mark.parametrize("argv", [["negate", "-o"], ["histogram", "--csv"]],
+                             ids=["negate", "histogram"])
+    def test_a_fault_in_frame_two_leaves_no_output(self, tmp_path, cut, capsys, argv):
+        src, out = tmp_path / "in.pgm", tmp_path / "out"
+        src.write_bytes(b"P5\n2 1\n255\n\x01\x02" + b"P5\n2 1\n255\n\x03")
+        out.write_bytes(b"old")
+        capsys.readouterr()
+        assert run_cli([argv[0], "-i", str(src), argv[1], str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "grayfilt: frame 2: truncated raster: need 2 bytes, file ends at byte 12"]
+        assert out.read_bytes() == b"old"
+        assert sorted(os.listdir(tmp_path)) == ["in.pgm", "out"]
 
 
 class TestCollector:

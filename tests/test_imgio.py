@@ -2,6 +2,7 @@ import io
 import os
 import random
 import stat
+import threading
 import time
 from unittest import mock
 
@@ -23,7 +24,7 @@ from grayfilt import (
     write_pgm,
 )
 from grayfilt import _bytes
-from grayfilt._bytes import decode_pgm, p2_scan
+from grayfilt._bytes import decode_pgm, frames, p2_scan
 from support import WHITESPACE, header_int_brute
 
 pixel_arrays = hnp.arrays(
@@ -530,6 +531,79 @@ class TestReadPgm:
             assert decode_pgm(data)[2] == pixels.tobytes()
         assert len(pieces) > 1 and len(decodes) == len(pieces)
         assert pieces[-1][0].split()[-1] == b"9"
+
+
+def read_frames(path):
+    """The (width, height, raster) of every frame of the file at ``path``."""
+    with open(path, "rb", buffering=0) as fh:
+        return [(width, height, bytes(raster)) for width, height, raster in frames(fh)]
+
+
+class TestFrames:
+    """``frames`` reads a stream of PGM images, each as ``decode_pgm`` reads
+    one, from what the one before left over."""
+
+    @fuzz
+    @given(st.lists(st.tuples(small_arrays, st.sampled_from(["P2", "P5"])), min_size=1,
+                    max_size=4),
+           st.sampled_from([b"", b"\n", b" \t\n"]),
+           st.sampled_from([b"", b"# end\n", b"x", b"7 8"]),
+           st.sampled_from([_bytes._SLICE, 7, 61]), st.randoms(use_true_random=False))
+    def test_a_stream_reads_back_as_its_frames(self, images, sep, tail, slice_bytes, rng):
+        # A piece of P2 text, or a P5 read, may run on into the next frame:
+        # however the reads and the pieces are cut, each frame comes back.
+        data = sep.join(write_pgm(Image(pixels), fmt) for pixels, fmt in images) + tail
+        expected = [(pixels.shape[1], pixels.shape[0], pixels.tobytes()) for pixels, _ in images]
+        with mock.patch.object(_bytes, "_SLICE", slice_bytes):
+            got = [(w, h, bytes(raster)) for w, h, raster in frames(Trickle(data, rng))]
+        assert got == expected
+
+    @pytest.fixture
+    def two_frames(self):
+        rng = np.random.default_rng(66)
+        images = [Image(rng.integers(0, 256, (150, 200), np.uint8)),
+                  Image(rng.integers(0, 256, (90, 70), np.uint8))]
+        data = write_pgm(images[0], "P5") + b"\n" + write_pgm(images[1], "P2") + b"# end\n"
+        return data, [(img.width, img.height, img.pixels.tobytes()) for img in images]
+
+    def test_two_frames_from_a_file(self, tmp_path, two_frames):
+        data, expected = two_frames
+        src = tmp_path / "in.pgm"
+        src.write_bytes(data)
+        assert read_frames(src) == expected
+        assert load_pgm(src) == read_pgm(data) == Image(
+            np.frombuffer(expected[0][2], np.uint8).reshape(150, 200))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_two_frames_from_a_fifo(self, tmp_path, two_frames):
+        data, expected = two_frames
+        fifo = tmp_path / "in.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            assert read_frames(fifo) == expected
+        finally:
+            writer.join(timeout=60)
+
+    @pytest.mark.parametrize("second, message", [
+        (b"P5\n2 x\n255\n\x03\x04", "frame 2: height: non-numeric token b'x' at byte 5"),
+        (b"P5x", "frame 2: expected whitespace after magic at byte 2"),
+        (b"P5\n2 1\n255\n\x03", "frame 2: truncated raster: need 2 bytes, file ends at byte 12"),
+        (b"\nP2\n2 1\n255\n3", "frame 2: truncated raster: need 2 pixels, file ends at byte 12"),
+    ], ids=["bad-header", "no-whitespace", "short-p5", "short-p2"])
+    def test_a_fault_in_a_later_frame_names_it(self, tmp_path, second, message):
+        # Offsets count from the frame's own magic.
+        src = tmp_path / "in.pgm"
+        src.write_bytes(b"P5\n2 1\n255\n\x01\x02" + second)
+        with pytest.raises(FormatError) as caught:
+            read_frames(src)
+        assert str(caught.value) == message
 
 
 class TestWritePgm:

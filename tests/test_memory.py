@@ -364,37 +364,38 @@ def test_scanner_peak_bytes_per_pixel():
 #: bytearray that may hold an eighth more than its bytes.
 PADDED_STEP = U8 + 9 * U8 / 8
 #: Each bytes step just below its cut (grayfilt._swar): op, params, its cost
-#: a field, the whole-image bytes it holds per pixel, the ints it holds at
-#: once counted in fields of what it widens (a strip, or the whole raster for
-#: add), and the bytes of a field. edges also holds the thresholded raster,
-#: which it pads a strip at a time; add holds the decoded raster and its output.
-#: Python ints are allocated whole, so tracemalloc sees each one. At the
-#: peak a correlation holds the widened strip, ones, the total, a shifted tap
-#: and the next total; edges holds the strip, the OR so far, a shifted copy,
-#: the next OR and a fifth while it clears the centers; add holds one widened
-#: raster and, while widening the other, its fields, their copy for
+#: a field, the pixels it pads each side, the whole-image bytes it holds per
+#: pixel, the ints it holds at once counted in fields of the strip it widens,
+#: and the bytes of a field. edges also holds the thresholded raster, which it
+#: pads a strip at a time; add holds the second raster from before the input
+#: is read. Python ints are allocated whole, so tracemalloc sees each one. At
+#: the peak a correlation holds the widened strip, ones, the total, a shifted
+#: tap and the next total; edges holds the strip, the OR so far, a shifted
+#: copy, the next OR and a fifth while it clears the centers; add holds one
+#: widened strip and, while widening the other, its fields, their copy for
 #: int.from_bytes and the int.
 SWAR_CASES = [
-    ("sharpen", {"variant": "eight"}, 9 + _FIXED_TAPS, PADDED_STEP, 5, I16),
-    ("laplacian", {"variant": "four", "display": "clamp"}, 5 + _FIXED_TAPS, PADDED_STEP, 5, I16),
-    ("shadow", {"invert": True}, 2 + _FIXED_TAPS, PADDED_STEP, 5, I16),
-    ("edges", {"threshold": 128}, _EDGE_TAPS, PADDED_STEP + U8, 5, U8),
-    ("add", {"image": "second.pgm"}, 1 + _FIXED_TAPS, 2 * U8, 4, I16),
+    ("sharpen", {"variant": "eight"}, 9 + _FIXED_TAPS, 1, PADDED_STEP, 5, I16),
+    ("laplacian", {"variant": "four", "display": "clamp"}, 5 + _FIXED_TAPS, 1, PADDED_STEP, 5,
+     I16),
+    ("shadow", {"invert": True}, 2 + _FIXED_TAPS, 1, PADDED_STEP, 5, I16),
+    ("edges", {"threshold": 128}, _EDGE_TAPS, 1, PADDED_STEP + U8, 5, U8),
+    ("add", {"image": "second.pgm"}, 1 + _FIXED_TAPS, 0, PADDED_STEP, 4, I16),
 ]
 
 
-@pytest.mark.parametrize("op, params, cost, whole, ints, field", SWAR_CASES,
+@pytest.mark.parametrize("op, params, cost, pad, whole, ints, field", SWAR_CASES,
                          ids=[op for op, *_ in SWAR_CASES])
-def test_bytes_step_peak_bytes_per_pixel_below_the_cut(tmp_path, op, params, cost, whole, ints,
-                                                       field):
+def test_bytes_step_peak_bytes_per_pixel_below_the_cut(tmp_path, op, params, cost, pad, whole,
+                                                       ints, field):
     # The largest square image below the step's cut, decoded, run through
-    # the step's bytes form and encoded, as a CLI process runs it. Every
-    # step but add pads the image by one pixel and works one strip of
-    # _row_strips at a time. Besides its whole-image bytes, such a step holds
-    # one strip's worth: its ints, at 32 bits per 30 of a Python int's
-    # digits, and a byte a field for each of the strip's padded bytes, its
-    # rows and the previous strip's output, with 64 KiB for small objects.
-    side = swar_side_at_cut(cost, 0 if op == "add" else 1)
+    # the step's bytes form and encoded, as a CLI process runs it, one strip
+    # of _row_strips at a time, padded by ``pad`` pixels. Besides its
+    # whole-image bytes, a step holds one strip's worth: its ints, at 32 bits
+    # per 30 of a Python int's digits, and a byte a field for each of the
+    # strip's padded bytes, its rows and the previous strip's output, with
+    # 64 KiB for small objects.
+    side = swar_side_at_cut(cost, pad)
     rng = np.random.default_rng(47)
     save_pgm(tmp_path / "second.pgm", Image(rng.integers(0, 256, (side, side), np.uint8)))
     data = write_pgm(Image(rng.integers(0, 256, (side, side), np.uint8)), "P5")
@@ -409,10 +410,7 @@ def test_bytes_step_peak_bytes_per_pixel_below_the_cut(tmp_path, op, params, cos
     finally:
         tracemalloc.stop()
     assert out == write_pgm(step(read_pgm(data)), "P5")[-side * side:]
-    if op == "add":
-        assert peak / side**2 <= whole + ints * field
-    else:
-        (s0, s1), *_ = _row_strips(side, side + 2)
-        strip = (s1 - s0 + 2) * (side + 2)
-        assert peak / side**2 <= whole + ((ints * field * 16 / 15 + 3 * U8) * strip
-                                          + 64 * 1024) / side**2
+    (s0, s1), *_ = _row_strips(side, side + 2 * pad)
+    strip = (s1 - s0 + 2 * pad) * (side + 2 * pad)
+    assert peak / side**2 <= whole + ((ints * field * 16 / 15 + 3 * U8) * strip
+                                      + 64 * 1024) / side**2
