@@ -145,8 +145,10 @@ def p2_scan(text, offset: int, count: int) -> bytearray:
     return values
 
 
+@functools.lru_cache(8)
 def _ones(fields: int, b: int = 8) -> int:
-    """The int with a 1 in each of ``fields`` b-bit fields."""
+    """The int with a 1 in each of ``fields`` b-bit fields, kept for the last few
+    lengths: a strip loop or a P2 text takes each of a few lengths many times."""
     return int.from_bytes((b"\x01" + bytes(b // 8 - 1)) * fields, "little")
 
 
@@ -172,8 +174,6 @@ _SPACE = re.compile(rb"\s")
 #: Bytes of the first read of a regular file, at most, and of a piece of P2
 #: text, at least: the text is read a piece at a time, into about two pieces.
 _SLICE = 1 << 14
-#: ``_ones`` of the last few piece widths; ``_p2_levels`` keeps none over two pieces.
-_piece_ones = functools.lru_cache(8)(_ones)
 #: The class of each byte of P2 text: a digit is 1 plus 16 times its value,
 #: whitespace 2 and any other byte 4.
 _P2_CLASS = bytes((c - 48) << 4 | 1 if 48 <= c <= 57 else 2 if c in _WHITESPACE else 4
@@ -199,8 +199,9 @@ def _p2_piece(text, offset: int, need: int):
 
 def _p2_levels(text: bytes):
     """The levels of the tokens of ``text``, or None where one of them is
-    not 1 to 3 digits with a value of at most 255. Whitespace or the end of
-    the data follows ``text``.
+    not 1 to 3 digits with a value of at most 255, as a piece of over ``_SLICE + 3``
+    bytes ends in one: its mask is not built. Whitespace or the end of the data
+    follows ``text``.
 
     SWAR (see ``_swar``) on one int with a byte per byte of ``text``, its
     class in ``_P2_CLASS``: a token ends at byte i where byte i is a digit
@@ -213,11 +214,13 @@ def _p2_levels(text: bytes):
     may be: every other byte is set to 0xFF and deleted by ``translate``,
     and a 4-bit shift of what is left puts each level in the first byte of
     its pair."""
+    if len(text) > _SLICE + 3:
+        return None
     cls = text.translate(_P2_CLASS) + b"\x02"
     if b"\x04" in cls:
         return None
     width = len(cls)
-    ones = (_piece_ones if width <= 2 * _SLICE else _ones)(width)
+    ones = _ones(width)
     x = int.from_bytes(cls, "little")
     digit = x & ones
     ends = digit & x >> 9
@@ -258,8 +261,9 @@ def decode_pgm(data, fh=None):
     it is: a P5 raster is copied out of it, and P2 text a piece at a time, each
     decoded by :func:`_p2_piece` up to the width*height-th token. Given a binary
     file ``fh`` too, the PGM is ``data`` and then what ``fh`` reads, as far as the image
-    needs, into a buffer of its own, ``_SLICE`` bytes at first: a P5 raster is that buffer."""
-    return _decode(data, fh)[:3]
+    needs, into a buffer of its own, ``_SLICE`` bytes at first: a P5 raster is that buffer.
+    ``data`` is read through a memoryview, so what lies past the image is not copied."""
+    return _decode(memoryview(data), fh)[:3]
 
 
 def frames(fh):

@@ -130,11 +130,11 @@ def correlate_clamp(width: int, height: int, raster: bytes, kernel, bias: int = 
                 term *= abs(c)
             total = total + term if c > 0 else total - term
         del x, term
+        # ones stays cached, so over goes before the next mask; OR-ing low bytes keeps bit g.
         over = ((total - (ones << 8)) >> g) & ones
-        nonneg = (total >> g) & ones
-        del ones
         total |= over * 255
-        total &= nonneg * 255
+        del over
+        total &= ((total >> g) & ones) * 255
         return total.to_bytes(2 * len(padded), "little")[::2]
 
     return _by_strips(width, height, raster, py, px, clamp)

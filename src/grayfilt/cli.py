@@ -205,8 +205,11 @@ def _run(args, compiled):
     its one-stage pipeline report the same first error, and a faulty frame writes nothing."""
     chunks = []
     with open(args.input, "rb", buffering=0) as fh:
-        for width, height, raster in _bytes.frames(fh):
-            raster = _run_raster(compiled, width, height, raster)
+        for k, (width, height, raster) in enumerate(_bytes.frames(fh), start=1):
+            try:
+                raster = _run_raster(compiled, width, height, raster)
+            except DomainError as exc:
+                raise (DomainError(f"frame {k}: {exc}") if k > 1 else exc) from None
             chunks += _bytes.pgm_chunks(width, height, raster, args.format.upper())
     _bytes.write_bytes_atomic(args.output, *chunks)
     return EXIT_OK

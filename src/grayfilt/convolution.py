@@ -10,27 +10,27 @@ nested-loop evaluation in that same order (and exact for an integer kernel
 with ``sum(|c|) * 255`` below 2**53, whose partial sums are all integers
 that a double holds).
 
-Every correlation runs one strip loop, ``_correlate_strips``. It writes each
-strip's source rows, borders included, into one flat buffer of the
-accumulator's dtype, so each tap is one contiguous slice add, and no padded
-copy of the image is made. Its buffers are allocated once per call, or per
-thread. It checks each strip of sums finite, and its ``bias`` alone picks
-what it stores: the sums when it is None, else the strip clamped to gray
-levels in place, with the same rounding rule, over the flat strip.
+Every correlation runs one strip loop, ``_correlate_strips``, which each op
+calls with its stencil. It writes each strip's source rows, borders included,
+into one flat buffer of the accumulator's dtype, so each tap is one
+contiguous slice add, and no padded copy of the image is made. Its buffers
+are allocated once per call, or per thread. It checks each strip of sums
+finite, and its ``bias`` alone picks what it stores: the sums when it is
+None, else the strip clamped to gray levels in place, with the same rounding
+rule, over the flat strip.
 :func:`correlate` passes no bias: its output is a :class:`SignedImage`, and
 :func:`clamp_to_display` maps it to gray levels one strip of rows at a time.
 An integer intermediate is rescaled in exact integers, as
 (510·(v − min) + span) // (2·span) with span = max − min. The clamp displays
 (``laplacian_sharpen``, ``shadow_ne``, ``shadow_invert``, the clamp of the
-``laplacian`` and ``convolve`` ops, and ``edges``) all go through one entry,
-``_clamp_display``, which passes a bias, so no full-size signed
-intermediate is built.
+``laplacian`` and ``convolve`` ops, and ``edges``) pass a bias, so no
+full-size signed intermediate is built.
 The ``laplacian`` and ``convolve`` ops' rescale is ``clamp_to_display`` of
-:func:`correlate` of the op's stencil, as in :func:`laplacian` and :func:`convolve`.
+the sums of the op's stencil, as in :func:`laplacian` and :func:`convolve`.
 
 The built-in stencils are declared once, as integer tuples, in
 :mod:`grayfilt._swar`, beside the numpy-free clamp display the CLI runs on a
-small image; it takes the same tuple and bias as ``_clamp_display``. Both
+small image; it takes the same tuple and bias as ``_correlate_strips``. Both
 are exact, so both engines give the same bytes. The library functions here
 always run numpy.
 """
@@ -46,12 +46,10 @@ from ._swar import LAPLACIANS
 from .core import MAX_GRAY, Image, Kernel, SignedImage, _clamp_levels
 from .kinds import BORDER, DISPLAY, POSITIVE_INT, VARIANT
 
-#: The stencil of each ``VARIANT``, as declared in :data:`grayfilt._swar.LAPLACIANS`.
-_LAPLACIANS = {name: Kernel(s) for name, s in LAPLACIANS.items()}
 #: Center -4 stencil: f(x+1,y) + f(x-1,y) + f(x,y+1) + f(x,y-1) - 4 f(x,y).
-LAPLACIAN_FOUR = _LAPLACIANS["four"]
+LAPLACIAN_FOUR = Kernel(LAPLACIANS["four"])
 #: Center -8 stencil surrounded by 1s; responds to diagonals as well.
-LAPLACIAN_EIGHT = _LAPLACIANS["eight"]
+LAPLACIAN_EIGHT = Kernel(LAPLACIANS["eight"])
 
 #: Spans [min, max] below this keep the rescale numerator (values - min) * 255
 #: finite; at this span itself the product rounds up to inf.
@@ -78,11 +76,13 @@ def _accumulator(coeffs: np.ndarray, bias: int | None = None) -> type:
     return np.float64
 
 
-def _correlate_strips(img: Image, kernel: Kernel, border: str, workers: int,
-                      bias: int | None = None) -> SignedImage | Image:
-    """Correlate ``img`` with ``kernel`` strip by strip, accumulating in
-    ``_accumulator(kernel.coeffs, bias)``: the sums as a :class:`SignedImage`
-    when ``bias`` is None, else ``clamp_round(bias + sums)`` as an :class:`Image`.
+def _correlate_strips(img: Image, stencil, border: str = "replicate", bias: int | None = None,
+                      workers: int = 1) -> SignedImage | Image:
+    """Correlate ``img`` with ``Kernel(stencil)`` strip by strip, accumulating in
+    ``_accumulator(coeffs, bias)``: the sums as a :class:`SignedImage` when
+    ``bias`` is None, else ``clamp_round(bias + sums)`` as an :class:`Image`.
+    ``stencil`` is an op's coefficient rows: a built-in integer tuple, which
+    ``_swar.correlate_clamp`` also takes, or a parsed kernel's ``coeffs``.
 
     Each strip's padded rows s0 − kh//2 .. s1 − 1 + kh//2, with kw//2 border
     columns on either side under the border policy (copies of the nearest
@@ -101,7 +101,8 @@ def _correlate_strips(img: Image, kernel: Kernel, border: str, workers: int,
     lock, and each thread allocates its own buffers once."""
     border = BORDER.check(border, "border")
     workers = POSITIVE_INT.check(workers, "workers")
-    coeffs = kernel.coeffs.astype(_accumulator(kernel.coeffs, bias))
+    coeffs = Kernel(stencil).coeffs  # checked, then dropped for its cast
+    coeffs = coeffs.astype(_accumulator(coeffs, bias))
     pixels = img.pixels
     height, width = pixels.shape
     kh, kw = coeffs.shape
@@ -181,19 +182,7 @@ def correlate(img: Image, kernel: Kernel, border: str = "replicate",
         A SignedImage with the same dimensions as the input: int32 values
         for an integer kernel within the int32 bound, else float64.
     """
-    return _correlate_strips(img, kernel, border, workers)
-
-
-def _clamp_display(img: Image, stencil, bias: int = 0, border: str = "replicate") -> Image:
-    """``clamp_round(bias + correlate(img, Kernel(stencil), border))``, the one
-    numpy clamp display. ``stencil`` is what ``pipeline._kernel_step`` passes:
-    a built-in integer tuple, which the bytes engine's ``correlate_clamp``
-    also takes, or a parsed kernel's float64 ``coeffs``, which only this form runs. It is
-    ``_correlate_strips`` with a bias, so each strip is clamped in place while
-    it is in cache and no full-size accumulator exists, and an integer
-    stencil whose sums and bias stay below 2**15 accumulates in int16. A
-    non-finite float sum raises the same DomainError as ``correlate``."""
-    return _correlate_strips(img, Kernel(stencil), border, 1, bias)
+    return _correlate_strips(img, kernel.coeffs, border, workers=workers)
 
 
 def convolve(img: Image, kernel: Kernel, border: str = "replicate",
@@ -210,7 +199,8 @@ def laplacian(img: Image, variant: str = "four", border: str = "replicate",
     stencil that also spans diagonals. Both coefficient sets sum to zero,
     so constant regions map to exactly 0 under the replicate border.
     """
-    return correlate(img, _LAPLACIANS[VARIANT.check(variant, "variant")], border, workers)
+    return _correlate_strips(img, LAPLACIANS[VARIANT.check(variant, "variant")], border,
+                             workers=workers)
 
 
 def clamp_to_display(signed: SignedImage, mode: str = "clamp") -> Image:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._swar import LAPLACIANS, SHADOW_BIAS, SHADOW_NE, SHADOW_SW, SHADOW_SW_BIAS, same_size
-from .convolution import _clamp_display
+from .convolution import _correlate_strips
 from .core import BinaryImage, Image, Kernel
 from .kinds import THRESHOLD
 
@@ -24,7 +24,7 @@ def binarize(img: Image, threshold: int = 128) -> BinaryImage:
 def edge_map(u: BinaryImage) -> BinaryImage:
     """Bits that differ from a 4-neighbor (outside ones equal the center): where
     the bits' Laplacian-four is nonzero, as differing neighbors add one sign."""
-    lap = _clamp_display(Image._trusted(u.bits), LAPLACIANS["four"], 4).pixels
+    lap = _correlate_strips(Image._trusted(u.bits), LAPLACIANS["four"], bias=4).pixels
     lap.setflags(write=True)  # a new array: compared in place, as in edge_points
     return BinaryImage._trusted(np.not_equal(lap, 4, out=lap.view(np.bool_)).view(np.uint8))
 
@@ -32,7 +32,7 @@ def edge_map(u: BinaryImage) -> BinaryImage:
 def edge_points(u: BinaryImage) -> BinaryImage:
     """Black pixels with a white 4-neighbor: where the bits' Laplacian-four is
     positive, as it is k at a 0 bit with k white 4-neighbors and k - 4 at a 1 bit."""
-    g = _clamp_display(Image._trusted(u.bits), LAPLACIANS["four"]).pixels
+    g = _correlate_strips(Image._trusted(u.bits), LAPLACIANS["four"], bias=0).pixels
     g.setflags(write=True)  # a new array: compared in place, as in edge_map
     return BinaryImage._trusted(np.greater(g, 0, out=g.view(np.bool_)).view(np.uint8))
 
@@ -59,10 +59,10 @@ def shadow_ne(img: Image) -> Image:
     to highlights on one diagonal and shadows on the other. Each strip of
     rows is clamped to gray levels as soon as it is correlated.
     """
-    return _clamp_display(img, SHADOW_NE, SHADOW_BIAS)
+    return _correlate_strips(img, SHADOW_NE, bias=SHADOW_BIAS)
 
 
 def shadow_invert(img: Image) -> Image:
     """Negative of the shadow rendering; swaps highlight and shadow sides.
     It is the opposite-lit shadow, SW minus NE plus 127, clamped once."""
-    return _clamp_display(img, SHADOW_SW, SHADOW_SW_BIAS)
+    return _correlate_strips(img, SHADOW_SW, bias=SHADOW_SW_BIAS)

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._bytes import _row_strips
 from ._swar import SHARPEN
-from .convolution import _clamp_display, clamp_to_display
+from .convolution import _correlate_strips, clamp_to_display
 from .core import MAX_GRAY, Image, SignedImage
 from .errors import DomainError
 from .kinds import BORDER, DISPLAY, POSITIVE_INT, VARIANT
@@ -41,11 +41,6 @@ def box_blur(img: Image, radius: int = 1, border: str = "replicate") -> Image:
         DomainError: if a window sum does not fit in 64 bits (a radius over
             about 9.5e7).
     """
-    return Image._trusted(_box_means(img, radius, border))
-
-
-def _box_means(img: Image, radius: int, border: str) -> np.ndarray:
-    """The pixels of :func:`box_blur`, a new writable uint8 array."""
     radius = POSITIVE_INT.check(radius, "radius")
     replicate = BORDER.check(border, "border") == "replicate"
     n = 2 * radius + 1
@@ -103,7 +98,7 @@ def _box_means(img: Image, radius: int, border: str) -> np.ndarray:
         flat += area // 2
         flat //= area
         out[s0:s1] = windows
-    return out
+    return Image._trusted(out)
 
 
 def _window_sums(sums: np.ndarray, n: int, length: int, spare: np.ndarray,
@@ -154,7 +149,8 @@ def unsharp_mask(img: Image, radius: int = 1, display: str = "clamp",
     """
     display = DISPLAY.check(display, "display")
     f = img.pixels
-    blurred = _box_means(img, radius, border)
+    blurred = box_blur(img, radius, border).pixels
+    blurred.setflags(write=True)  # a new array: the clamp reuses it
     if display == "clamp":
         # clamp(f - blur) = max(f - blur, 0) = f - min(f, blur), all in uint8,
         # in place in the blurred copy.
@@ -173,4 +169,4 @@ def laplacian_sharpen(img: Image, variant: str = "four",
     negative center coefficient; flat regions pass through unchanged. It is
     one integer correlation with δ − L, clamped strip by strip.
     """
-    return _clamp_display(img, SHARPEN[VARIANT.check(variant, "variant")], border=border)
+    return _correlate_strips(img, SHARPEN[VARIANT.check(variant, "variant")], border, bias=0)

@@ -83,8 +83,8 @@ def _kernel_step(stencil, bias=0, border="replicate", display="clamp"):
     bytes form: a kernel file's float64 coefficients stay on numpy."""
     if display == "rescale":
         return Step(lambda img: api.clamp_to_display(
-            api.correlate(img, api.Kernel(stencil), border), "rescale"))
-    step = Step(lambda img: api.convolution._clamp_display(img, stencil, bias, border))
+            api.convolution._correlate_strips(img, stencil, border), "rescale"))
+    step = Step(lambda img: api.convolution._correlate_strips(img, stencil, border, bias))
     if isinstance(stencil, tuple) and border == "replicate":
         step = step._replace(raster=lambda width, height, raster: _swar.correlate_clamp(
             width, height, raster, stencil, bias))

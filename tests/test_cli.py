@@ -844,6 +844,28 @@ class TestFrames:
         assert out.read_bytes() == b"old"
         assert sorted(os.listdir(tmp_path)) == ["in.pgm", "out"]
 
+    @pytest.mark.parametrize("argv, stage", [
+        (["add", "-j", "{j}"], ""),
+        (["pipeline", "--spec", "{spec}"], "stage 2 (add): "),
+    ], ids=["add", "pipeline"])
+    @pytest.mark.parametrize("sizes, frame", [((2, 3), "frame 2: "), ((3, 2), "")],
+                             ids=["frame-two", "frame-one"])
+    def test_a_domain_error_names_its_frame_past_the_first(self, tmp_path, cut, capsys,
+                                                           argv, stage, sizes, frame):
+        src, j, out = tmp_path / "in.pgm", tmp_path / "j.pgm", tmp_path / "out.pgm"
+        src.write_bytes(b"".join(write_pgm(Image([[7] * w]), "P5") for w in sizes))
+        j.write_bytes(write_pgm(Image([[1, 2]]), "P5"))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"stages": [{"op": "negate"}, {"op": "add", "image": str(j)}]}))
+        out.write_bytes(b"old")
+        argv = [{"{j}": str(j), "{spec}": str(spec)}.get(a, a) for a in argv]
+        capsys.readouterr()
+        assert run_cli([argv[0], "-i", str(src), "-o", str(out), *argv[1:]]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"grayfilt: {frame}{stage}cannot add images of different sizes: 3x1 vs 2x1"]
+        assert out.read_bytes() == b"old"
+        assert sorted(os.listdir(tmp_path)) == ["in.pgm", "j.pgm", "out.pgm", "spec.json"]
+
 
 class TestCollector:
     """An in-process ``main`` pauses the cyclic collector while the command

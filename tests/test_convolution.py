@@ -32,7 +32,7 @@ from grayfilt.convolution import (
     _RESCALE_EXACT_SPAN,
     _RESCALE_INT_SPAN,
     _accumulator,
-    _clamp_display,
+    _correlate_strips,
 )
 from grayfilt.edges import SHADOW_BIAS
 from grayfilt.pipeline import OPS, _kernel_step
@@ -459,7 +459,7 @@ class TestClampToDisplay:
 
 
 class TestFusedDisplay:
-    """Every clamp display goes through ``_clamp_display``, which clamps
+    """Every clamp display is ``_correlate_strips`` with a bias, which clamps
     each strip of rows as soon as it is correlated; a rescale display is
     ``clamp_to_display`` of the correlation. The clamp must equal the
     unfused chain at every worker count, and both the brute-force oracle, at
@@ -486,7 +486,7 @@ class TestFusedDisplay:
         with strips_of(strip):
             signed = correlate(img, k, border, workers)
             if mode == "clamp":
-                out = _clamp_display(img, coeffs, bias, border)
+                out = _correlate_strips(img, coeffs, border, bias)
                 assert clamp_round(bias + signed.values).tolist() == out.pixels.tolist()
             else:
                 out = clamp_to_display(signed, mode)
@@ -538,7 +538,7 @@ class TestFusedDisplay:
         pixels = np.zeros((8, 4), np.uint8)
         pixels[5:] = 200
         img, k = Image(pixels), Kernel([[1e308, 1e308, 1e308]])
-        for run in (lambda: _clamp_display(img, k.coeffs),
+        for run in (lambda: _correlate_strips(img, k.coeffs, bias=0),
                     lambda: correlate(img, k, workers=workers)):
             with pytest.raises(DomainError, match="^signed image values must be finite$"):
                 run()
@@ -551,7 +551,7 @@ class TestFusedDisplay:
         img, k = Image([[0, 0, 1], [1, 0, 0]]), Kernel([[1e308, 0, 1e308]])
         assert correlate(img, k, workers=workers).values.tolist() == \
             [[0, 1e308, 1e308], [1e308, 1e308, 0]]
-        assert _clamp_display(img, k.coeffs).pixels.tolist() == [[0, 255, 255], [255, 255, 0]]
+        assert _correlate_strips(img, k.coeffs, bias=0).pixels.tolist() == [[0, 255, 255], [255, 255, 0]]
 
     def test_each_float_strip_is_checked_finite_once(self, monkeypatch):
         monkeypatch.setattr(grayfilt._bytes, "_STRIP_PIXELS", 4)
@@ -559,7 +559,7 @@ class TestFusedDisplay:
         checked = []
         isfinite = np.isfinite
         monkeypatch.setattr(np, "isfinite", lambda a: checked.append(a.shape) or isfinite(a))
-        _clamp_display(img, ((0.5, 0.25, 0.25),))
+        _correlate_strips(img, ((0.5, 0.25, 0.25),), bias=0)
         # The 1x3 kernel is checked as it is built, then each one-row strip once.
         assert checked == [(1, 3)] + [(1, 4)] * 8
 
@@ -593,7 +593,7 @@ class TestPaddedStrips:
                 assert correlate(img, Kernel(coeffs), border, workers).values.tolist() == sums
                 # The bias is added over the flat strip, padding columns included.
                 for bias in (0, 4, 128, -127):
-                    assert _clamp_display(img, coeffs, bias, border).pixels.tolist() == \
+                    assert _correlate_strips(img, coeffs, border, bias).pixels.tolist() == \
                         [[clamp_round_exact(Fraction(v) + bias) for v in row] for row in sums]
 
     @settings(max_examples=60, deadline=None)
@@ -633,7 +633,7 @@ class TestInt16Bound:
         stencil = ((coeff,),)
         assert _accumulator(np.array(stencil, float), bias) is dtype
         expected = [[min(max(coeff * p + bias, 0), 255) for p in row] for row in pixels.tolist()]
-        out = _clamp_display(Image(pixels), stencil, bias, border)
+        out = _correlate_strips(Image(pixels), stencil, border, bias)
         assert out.pixels.tolist() == expected
         raster = _kernel_step(stencil, bias, border).raster(3, 2, pixels.tobytes())
         if (coeff, bias, border) == (128, 127, "replicate"):

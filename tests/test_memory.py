@@ -240,19 +240,21 @@ def test_read_pgm_copies_a_p5_once(files, kind):
     # decode_pgm cuts a P5 raster out of a private bytearray in place, so
     # read_pgm makes that one copy of its input, of whatever type, and no
     # other: a warm call peaks at the raster (1 B/px) and a few KiB, and
-    # the input is left as it was.
-    _, original = files
-    data = kind(original)
-    read_pgm(data)
-    tracemalloc.start()
-    try:
-        img = read_pgm(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert img.pixels.tobytes() == original[-SIDE * SIDE:]
-    assert bytes(data) == original
-    assert peak < 1.1 * SIDE**2 * U8
+    # the input is left as it was. A second image after the first is not
+    # copied either.
+    _, one = files
+    for original in (one, one + one):
+        data = kind(original)
+        read_pgm(data)
+        tracemalloc.start()
+        try:
+            img = read_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert img.pixels.tobytes() == one[-SIDE * SIDE:]
+        assert bytes(data) == original
+        assert peak < 1.1 * SIDE**2 * U8
 
 
 #: The P2 text of a level is at most 4 B: up to three digits and a separator.
@@ -288,18 +290,21 @@ def test_read_pgm_p2_peak_bytes_per_pixel(files, kind):
     # read_pgm decodes P2 with the table path's decoder, which holds the
     # raster (1 B/px) and one piece's ints at a time: a dozen or so of 16
     # KiB, and the masks of a few piece widths. It copies one piece of the
-    # text at a time, never the whole text, whatever type holds it.
+    # text at a time, never the whole text, whatever type holds it. A
+    # second image adds only the tokens of the piece where the first ends,
+    # split to find that end, not a copy of the text past it.
     _, data = files
     pixels = read_pgm(data).pixels
-    data = kind(write_pgm(Image(pixels), "P2"))
-    tracemalloc.start()
-    try:
-        img = read_pgm(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(img.pixels, pixels)
-    assert peak / SIDE**2 <= 1.4 * U8
+    text = write_pgm(Image(pixels), "P2")
+    for data, bound in ((kind(text), 1.4 * U8), (kind(text + text), 1.6 * U8)):
+        tracemalloc.start()
+        try:
+            img = read_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(img.pixels, pixels)
+        assert peak / SIDE**2 <= bound
 
 
 def test_load_pgm_p2_peak_bytes_per_pixel(files, tmp_path):
@@ -322,10 +327,10 @@ def test_load_pgm_p2_peak_bytes_per_pixel(files, tmp_path):
 
 
 def test_a_digit_run_longer_than_two_pieces_leaves_no_mask_that_wide():
-    # The run's piece is as wide as the run: SWAR builds its all-ones mask
-    # and refuses it, and the scanner reports the token. The decoder keeps
-    # the masks of recent piece widths, but none over two pieces wide, so
-    # the call leaves nothing the run's size allocated.
+    # The run's piece is as wide as the run: SWAR refuses it by its length,
+    # before it builds a mask, and the scanner reports the token. The masks
+    # of recent lengths are kept, but none is built over a piece's width
+    # and a token's, so the call leaves nothing the run's size allocated.
     run = b"1" * (1 << 20)
     assert len(run) > 2 * grayfilt._bytes._SLICE
     data = b"P2\n2 1\n255\n7 " + run + b"\n"

@@ -34,7 +34,7 @@ from grayfilt import (
     unsharp_mask,
 )
 from grayfilt._bytes import NEGATE_TABLE
-from grayfilt.convolution import _clamp_display
+from grayfilt.convolution import _correlate_strips
 from grayfilt.pipeline import OPS, _compile, _run_raster
 from support import (
     clamp_round_exact,
@@ -114,7 +114,7 @@ class TestCorrelateClamp:
         if _guard_bit(kernel, bias) > 15:
             assert out is None
         else:
-            assert out == _clamp_display(Image(pixels), kernel, bias).pixels.tobytes()
+            assert out == _correlate_strips(Image(pixels), kernel, bias=bias).pixels.tobytes()
 
     # The 16-bit bound, and one step past it: 2**g ≥ neg·255 + 256 and
     # 2**g > pos·255 + bias, with g ≤ 15. ``width`` is the narrowest field of
@@ -142,7 +142,7 @@ class TestCorrelateClamp:
                 assert out is None
             else:
                 assert out == step(Image(pixels)).pixels.tobytes()
-                assert out == _clamp_display(Image(pixels), kernel, bias).pixels.tobytes()
+                assert out == _correlate_strips(Image(pixels), kernel, bias=bias).pixels.tobytes()
 
     def test_non_integer_stencil_is_left_to_numpy(self, pair):
         # A parsed kernel's coefficients are float64, even where each is an
@@ -198,7 +198,7 @@ class TestStrips:
             out = swar.correlate_clamp(width, height, pixels.tobytes(), kernel, bias)
         sums = correlate_brute(pixels.tolist(), kernel)
         assert list(out) == [clamp_round_exact(bias + int(v)) for row in sums for v in row]
-        assert out == _clamp_display(Image(pixels), kernel, bias).pixels.tobytes()
+        assert out == _correlate_strips(Image(pixels), kernel, bias=bias).pixels.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(tall_images, thresholds, strip_rows)
@@ -288,7 +288,7 @@ class TestCut:
             height += 1
         column = np.random.default_rng(3).integers(0, 256, (height, 1), np.uint8)
         out = swar.correlate_clamp(*_raster(column), kernel)
-        assert out == _clamp_display(Image(column), kernel).pixels.tobytes()
+        assert out == _correlate_strips(Image(column), kernel, bias=0).pixels.tobytes()
 
     def test_every_4mp_input_but_edges_is_above_its_cut(self):
         # add, of one tap and no padding, is the cheapest 16-bit step.
