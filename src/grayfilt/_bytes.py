@@ -4,15 +4,16 @@ A point op is a 256-byte table (entry r is the level r maps to); a chain of
 them composes to one table, applied with ``bytes.translate``. The CLI runs a
 chain of table ops with this module alone; imgio and point_ops build on it.
 
-One PGM reader, on a file it reads itself or on bytes: ``read_pgm`` and ``load_pgm``
-run it as :func:`decode_pgm`, for the first image, and every command as :func:`frames`,
-for each image of a stream, from what the last read past. Whitespace is the six
+One PGM reader, on bytes or on a file: ``read_pgm`` runs it as :func:`decode_pgm` on
+bytes, for the first image, and ``load_pgm`` and every command as :func:`frames` on a
+file, for each image of a stream, from what the last read past. Whitespace is the six
 ASCII bytes space, \\t, \\n, \\r, \\v and \\f, as ``bytes.split()`` and a
 bytes ``\\s`` take them; '#' starts a comment that runs to the next \\n,
 only between header tokens. One compiled pattern reads each header token,
 so a header of any length is scanned in linear time. P2 text is read and
 decoded a piece at a time, each cut at a whitespace byte ``_SLICE`` bytes on
-or later, with big-int SWAR (a few shifts and masks a piece, not an object
+or later or, before a read that may wait, at the last one in hand if every token
+the image needs ends by it, with big-int SWAR (a few shifts and masks a piece, not an object
 per token) while each token is 1 to 3 digits with a value of at most 255;
 tokens after the width*height-th are ignored. A piece with any other token
 goes to the token scanner, which decodes that piece alone: it gives every
@@ -171,6 +172,8 @@ def _row_strips(height: int, row: int) -> list:
 #: The whitespace bytes, as ``bytes.split()`` and a bytes ``\s`` take them.
 _WHITESPACE = b" \t\n\r\v\f"
 _SPACE = re.compile(rb"\s")
+#: 0 for a whitespace byte, 1 for any other: a token ends at each b"\x01\x00" it maps to.
+_NOT_SPACE = bytes(c not in _WHITESPACE for c in range(GRAY_LEVELS))
 #: Bytes of the first read of a regular file, at most, and of a piece of P2
 #: text, at least: the text is read a piece at a time, into about two pieces.
 _SLICE = 1 << 14
@@ -255,22 +258,18 @@ def _header(data, end: int):
     return magic, width, height, size, pos
 
 
-def decode_pgm(data, fh=None):
-    """Check a P2 or P5 PGM and return (width, height, raster), the raster a
-    bytearray of one level per pixel, row-major. ``data``, bytes-like, is left as
-    it is: a P5 raster is copied out of it, and P2 text a piece at a time, each
-    decoded by :func:`_p2_piece` up to the width*height-th token. Given a binary
-    file ``fh`` too, the PGM is ``data`` and then what ``fh`` reads, as far as the image
-    needs, into a buffer of its own, ``_SLICE`` bytes at first: a P5 raster is that buffer.
-    ``data`` is read through a memoryview, so what lies past the image is not copied."""
-    return _decode(memoryview(data), fh)[:3]
+def decode_pgm(data):
+    """Check a P2 or P5 PGM and return (width, height, raster), the raster a bytearray of one
+    level per pixel, row-major. ``data``, bytes-like, is left as it is, read through a memoryview:
+    a P5 raster is copied out of it, and P2 text a piece at a time, up to the W*H-th token."""
+    return _decode(memoryview(data), None)[:3]
 
 
 def frames(fh):
     """Yield (width, height, raster) for each image of the PGM stream that the binary file
-    ``fh`` reads, each read as :func:`decode_pgm` reads one, from what the last left over.
-    A next image starts only where a P2 or P5 magic follows, after any whitespace. Its byte
-    offsets count from its magic, and its faults are prefixed with "frame k: "."""
+    ``fh`` reads, decoded as by :func:`decode_pgm` from what the last read past, before any
+    read, then from ``fh`` as far as it needs. A next image starts only at a P2 or P5 magic,
+    after any whitespace; its byte offsets count from it, and its faults start "frame k: "."""
     rest, k = b"", 0
     while k == 0 or rest[:2] in _MAGICS:
         k += 1
@@ -289,7 +288,7 @@ def _decode(data, fh):
     if fh is not None:
         # A regular file's size, and a byte for the read that finds its end.
         room = os.fstat(fh.fileno()).st_size + 1 if fh.seekable() else 1
-        buf = bytearray(data).ljust(len(data) + min(room, _SLICE))
+        buf = bytearray(data) or bytearray(min(room, _SLICE))
 
     def more(keep=0, least=0):
         # Read on, keeping buf[keep:filled]: a full buf moves it to its front
@@ -323,14 +322,14 @@ def _decode(data, fh):
             raise FormatError(f"truncated raster: need {count} {unit}, "
                               f"file ends at byte {base + filled}") from None
 
-    # The header is judged up to the last whitespace byte each time buf
-    # fills, as a FIFO may deliver the 25 of 255 before the 5, and whole at
-    # the end: only a header that the bytes end in reads on.
+    # Before each read, the header is judged up to the last whitespace byte in hand, as a FIFO
+    # may deliver the 25 of 255 before the 5; past _SLICE bytes only as buf fills, doubling, so
+    # a header that never ends is read in linear time. At the end it is judged whole.
     while True:
-        if ended or filled == len(buf) > 2:
+        if ended or 2 < filled and (filled <= _SLICE or filled == len(buf)):
             # Two bytes may be part of a magic. With no whitespace from byte
             # 2 on, the first three refuse the header.
-            cut = filled if ended else max(max(map(buf.rfind, _WHITESPACE)) + 1, 3)
+            cut = filled if ended else max(3, *(buf.rfind(c, 0, filled) + 1 for c in _WHITESPACE))
             try:
                 magic, width, height, size, pos = _header(buf, cut)
                 break
@@ -352,17 +351,24 @@ def _decode(data, fh):
         return width, height, buf, rest
 
     # P2 text from byte start on is read as it is taken and cut into pieces at a whitespace
-    # byte _SLICE bytes on or later, splitting no token, or at the end: the last piece.
+    # byte _SLICE bytes on or later, splitting no token, or at the end: the last piece. Before a
+    # read that may wait (room is 1 but for a regular file's), at the last one in hand if every
+    # token needed, 2 bytes or more each, ends by it.
     raster, start, cut = bytearray(), pos, True
     try:
-        while cut and len(raster) < count:
+        while cut and (need := count - len(raster)):
             while not (cut := _SPACE.search(buf, start - base + _SLICE, filled)) and not ended:
+                lo, hi = start - base, min(filled, start - base + _SLICE)  # no whitespace past hi
+                ends = room == 1 and hi - lo >= 2 * need and buf[lo:hi].translate(_NOT_SPACE)
+                if ends and ends.count(b"\x01\x00") >= need:
+                    cut = _SPACE.match(buf, lo + ends.rindex(0))
+                    break
                 more(start - base)
             end = base + (cut.start() if cut else filled)
             # A bytearray, one copy whatever buf is: its translate, the decode's
             # first step, runs about a quarter faster than that of bytes.
             text = bytearray(memoryview(buf)[start - base:end - base])
-            levels, used = _p2_piece(text, start, count - len(raster))
+            levels, used = _p2_piece(text, start, need)
             raster += levels
             start += used
     except FormatError:
@@ -400,10 +406,10 @@ def pgm_chunks(width: int, height: int, raster, format: str) -> tuple:
 
 
 def load_pgm(path):
-    """Read and decode a PGM file: (width, height, raster), as :func:`decode_pgm`
-    reads a file. A P5 raster is the buffer the file was read into."""
+    """Read and decode a PGM file: (width, height, raster), the first image of
+    :func:`frames`. A P5 raster is the buffer the file was read into."""
     with open(path, "rb", buffering=0) as fh:
-        return decode_pgm(b"", fh)
+        return next(frames(fh))
 
 
 #: The most bytes a text input (kernel, LUT table, pipeline spec) may hold: 16 MiB.

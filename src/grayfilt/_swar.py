@@ -90,15 +90,16 @@ def _widen(raster: bytes) -> int:
     return int.from_bytes(wide, "little")
 
 
-def _by_strips(width: int, height: int, raster, py: int, px: int, step) -> bytearray:
-    """The raster of ``step`` run on each strip of ``_row_strips(height, width + 2·px)``. It
-    takes the strip's rows with ``py`` halo rows and ``px`` columns either side, under the
-    replicate border, and returns a byte a field; the first ``width`` of each row are kept."""
-    stride = width + 2 * px
-    out = bytearray()
+def _by_strips(width: int, height: int, raster, py: int, px: int, step, table=None) -> bytearray:
+    """The raster of ``step`` run on each strip of ``_row_strips(height, width + 2·px)``: its
+    rows, through the 256-byte ``table`` if any, with ``py`` halo rows and ``px`` columns either
+    side under the replicate border. ``step`` returns a byte a field; each row keeps ``width``."""
+    stride, out = width + 2 * px, bytearray()
     for s0, s1 in _row_strips(height, stride):
         first, last = max(s0 - py, 0), min(s1 + py, height)
-        rows = [raster[y:y + width] for y in range(first * width, last * width, width)]
+        source = raster[first * width:last * width]
+        source = source.translate(table) if table else source
+        rows = [source[y:y + width] for y in range(0, len(source), width)]
         rows = [rows[0]] * (first - s0 + py) + rows + [rows[-1]] * (s1 + py - last)
         flat = step(b"".join([row[:1] * px + row + row[-1:] * px for row in rows]))
         out += b"".join([flat[y:y + width] for y in range(0, stride * (s1 - s0), stride)])
@@ -155,7 +156,7 @@ def edge_points(width: int, height: int, raster: bytes, threshold: int):
         near ^= near & (x >> 8 * (stride + 1))
         return near.to_bytes(len(padded), "little")
 
-    return _by_strips(width, height, raster.translate(binarize_table(threshold)), 1, 1, edges)
+    return _by_strips(width, height, raster, 1, 1, edges, binarize_table(threshold))
 
 
 def same_size(a, b) -> None:

@@ -66,14 +66,11 @@ class Op(namedtuple("Op", "help params build")):
 
 
 class Step(namedtuple("Step", "image raster", defaults=(lambda width, height, raster: None,))):
-    """A step with two forms: calling it runs ``image``, Image -> Image, on
-    numpy; ``raster(width, height, raster)`` gives its output raster without
-    numpy, or None above its cut (:mod:`grayfilt._swar`) or, by default, always."""
+    """A step with two forms: ``image``, Image -> Image, runs it on numpy;
+    ``raster(width, height, raster)`` gives its output raster without numpy,
+    or None above its cut (:mod:`grayfilt._swar`) or, by default, always."""
 
     __slots__ = ()
-
-    def __call__(self, img: Image) -> Image:
-        return self.image(img)
 
 
 def _kernel_step(stencil, bias=0, border="replicate", display="clamp"):
@@ -251,7 +248,8 @@ def _apply(compiled: list, img: Image) -> Image:
     """Run compiled stages on ``img`` with the numpy engine."""
     for label, built in compiled:
         try:
-            img = api.point_ops._apply_table(img, built) if isinstance(built, bytes) else built(img)
+            img = (api.point_ops._apply_table(img, built) if isinstance(built, bytes)
+                   else built.image(img))
         except DomainError as exc:
             raise DomainError(f"{label}{exc}") from None
     return img

@@ -511,7 +511,7 @@ class TestFusedDisplay:
         img = Image(pixels)
         step = OPS["laplacian"].build({"variant": variant, "display": display})
         with strips_of(strip):
-            assert step(img) == clamp_to_display(laplacian(img, variant), display)
+            assert step.image(img) == clamp_to_display(laplacian(img, variant), display)
 
     @pytest.mark.parametrize("border", ["replicate", "zero"])
     @pytest.mark.parametrize("display", ["clamp", "rescale"])
@@ -529,7 +529,7 @@ class TestFusedDisplay:
                 step = OPS["convolve"].build({"kernel": str(path), "border": border,
                                               "display": display})
                 expected = clamp_to_display(convolve(img, Kernel(coeffs), border), display)
-                assert step(img) == expected
+                assert step.image(img) == expected
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflow_in_a_later_strip_is_the_finite_error(self, monkeypatch, workers):

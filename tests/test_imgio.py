@@ -4,6 +4,7 @@ import random
 import stat
 import threading
 import time
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -146,6 +147,24 @@ class Endless(io.RawIOBase):
         return len(buffer)
 
 
+class Held(io.RawIOBase):
+    """A pipe whose writer has sent ``data`` and holds it open: each read gives
+    what it can of ``data``, and a read past it, which would wait, fails."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        if not self.data:
+            raise AssertionError("a read waits on the writer")
+        n = min(len(buffer), len(self.data))
+        buffer[:n], self.data = self.data[:n], self.data[n:]
+        return n
+
+
 def outcome(decode):
     """What ``decode()`` returns, or the message of the FormatError it raises."""
     try:
@@ -278,7 +297,7 @@ class TestReadPgm:
             message = str(info.value)
             assert message.startswith(start) and message.endswith(end), message
             assert len(message) < 150
-            assert outcome(lambda: decode_pgm(b"", Trickle(data, random.Random(0)))) == message
+            assert outcome(lambda: next(frames(Trickle(data, random.Random(0))))) == message
 
     @fuzz
     @given(st.lists(header_pieces, max_size=12).map(b"".join), st.integers(0, 60),
@@ -446,13 +465,14 @@ class TestReadPgm:
            st.sampled_from([_bytes._SLICE, 1 << 16, 7, 61]), st.integers(0, 30),
            st.randoms(use_true_random=False))
     def test_reading_in_chunks_equals_decoding_in_memory(self, data, slice_bytes, head, rng):
-        # decode_pgm reading a file that gives 1 to 9 bytes a read, after
-        # the first ``head`` bytes given in memory, decodes the same pixels,
-        # or raises the same message and byte offset, as on all the bytes in
-        # memory: however the header, the reads and the pieces are cut.
+        # The reader on a file that gives 1 to 9 bytes a read, after the
+        # first ``head`` bytes handed in, as a frame after the first is, decodes
+        # the same pixels, or raises the same message and byte offset, as on
+        # all the bytes in memory: however the header, the reads and the pieces are cut.
         with mock.patch.object(_bytes, "_SLICE", slice_bytes):
             expected = outcome(lambda: decode_pgm(data))
-            assert outcome(lambda: decode_pgm(data[:head], Trickle(data[head:], rng))) == expected
+            fh = Trickle(data[head:], rng)
+            assert outcome(lambda: _bytes._decode(data[:head], fh)[:3]) == expected
 
     @pytest.mark.parametrize("end", [b"", b"x", b" "], ids=["cut", "x", "space"])
     @pytest.mark.parametrize("pgm", [
@@ -470,7 +490,7 @@ class TestReadPgm:
             expected = outcome(lambda: decode_pgm(data))
             assert outcome(lambda: _bytes.load_pgm(src)) == expected, data
             trickle = Trickle(data, random.Random(cut))
-            assert outcome(lambda: decode_pgm(b"", trickle)) == expected, data
+            assert outcome(lambda: next(frames(trickle))) == expected, data
 
     @pytest.mark.parametrize("slice_bytes", [_bytes._SLICE, 1 << 16, 7])
     def test_a_bad_token_in_text_too_short_for_the_raster_reads_on(self, slice_bytes):
@@ -481,12 +501,12 @@ class TestReadPgm:
         with mock.patch.object(_bytes, "_SLICE", slice_bytes):
             data = head + b"0 " * 5000
             message = "truncated raster: need 10000 pixels, file ends at byte 10017"
-            assert outcome(lambda: decode_pgm(b"", Trickle(data, random.Random(1)))) == message
+            assert outcome(lambda: next(frames(Trickle(data, random.Random(1))))) == message
             # An endless input is read, its bytes dropped as they come, up to
             # 2 bytes a pixel; then the token is the fault.
             endless = Endless(head, b"0 ")
             with pytest.raises(FormatError, match=r"^non-numeric pixel token b'x' at byte 15$"):
-                decode_pgm(b"", endless)
+                next(frames(endless))
             # The raster's text starts at byte 14, the whitespace after 255. The
             # reads past it fill the buffer once: about two pieces.
             assert 14 + 2 * 10000 <= endless.given <= 14 + 2 * 10000 + 2 * _bytes._SLICE
@@ -590,6 +610,44 @@ class TestFrames:
             assert read_frames(fifo) == expected
         finally:
             writer.join(timeout=60)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("formats", [("P5",), ("P2",), ("P5", "P2"), ("P2", "P5")],
+                             ids=["P5", "P2", "P5-P2", "P2-P5"])
+    def test_frames_in_hand_need_no_read(self, formats, k):
+        # A reader is handed k frames by a writer that holds the pipe open:
+        # each frame, of any size, comes from the bytes in hand, with no read
+        # that would wait on the writer.
+        rng = np.random.default_rng(k)
+        for side in (1, 2, 3, 5, 8, 13, 40, 150):
+            images = [rng.integers(0, 256, (side + j, side + 2 * j), np.uint8) for j in range(k)]
+            data = b"".join(write_pgm(Image(pixels), formats[j % len(formats)])
+                            for j, pixels in enumerate(images))
+            got = [(w, h, bytes(raster)) for w, h, raster in islice(frames(Held(data)), k)]
+            assert got == [(p.shape[1], p.shape[0], p.tobytes()) for p in images]
+
+    @pytest.mark.parametrize("formats", [("P5", "P5"), ("P2", "P2"), ("P5", "P2"), ("P2", "P5")],
+                             ids=["P5", "P2", "P5-P2", "P2-P5"])
+    @pytest.mark.parametrize("side", [1, 4, 40])
+    def test_every_frame_comes_before_the_writer_closes(self, formats, side):
+        # An os.pipe whose writer has sent two frames and holds it open. A
+        # timer closes it, so a reader that waits on it still ends, late.
+        rng = np.random.default_rng(side)
+        images = [rng.integers(0, 256, (side + j, side + 1), np.uint8) for j in range(2)]
+        reader, writer = os.pipe()
+        os.write(writer, b"".join(write_pgm(Image(p), f) for p, f in zip(images, formats)))
+        closed = []
+        timer = threading.Timer(2, lambda: (closed.append(True), os.close(writer)))
+        timer.start()
+        try:
+            with open(reader, "rb", buffering=0) as fh:
+                got = [(bytes(raster), bool(closed)) for _, _, raster in islice(frames(fh), 2)]
+        finally:
+            timer.cancel()
+            timer.join()
+            if not closed:
+                os.close(writer)
+        assert got == [(p.tobytes(), False) for p in images]
 
     @pytest.mark.parametrize("second, message", [
         (b"P5\n2 x\n255\n\x03\x04", "frame 2: height: non-numeric token b'x' at byte 5"),

@@ -152,7 +152,7 @@ def test_cli_path_peak_bytes_per_pixel(files, tmp_path, monkeypatch, op, params,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dst.read_bytes() == write_pgm(step(read_pgm(data)), "P5")
+    assert dst.read_bytes() == write_pgm(step.image(read_pgm(data)), "P5")
     assert peak / SIDE**2 <= 2 * U8 + strips
 
 
@@ -371,20 +371,20 @@ PADDED_STEP = U8 + 9 * U8 / 8
 #: Each bytes step just below its cut (grayfilt._swar): op, params, its cost
 #: a field, the pixels it pads each side, the whole-image bytes it holds per
 #: pixel, the ints it holds at once counted in fields of the strip it widens,
-#: and the bytes of a field. edges also holds the thresholded raster, which it
-#: pads a strip at a time; add holds the second raster from before the input
-#: is read. Python ints are allocated whole, so tracemalloc sees each one. At
-#: the peak a correlation holds the widened strip, ones, the total, a shifted
-#: tap and the next total; edges holds the strip, the OR so far, a shifted
-#: copy, the next OR and a fifth while it clears the centers; add holds one
-#: widened strip and, while widening the other, its fields, their copy for
-#: int.from_bytes and the int.
+#: and the bytes of a field. edges thresholds each strip's rows as it takes
+#: them, so it holds no thresholded raster; add holds the second raster from
+#: before the input is read. Python ints are allocated whole, so tracemalloc
+#: sees each one. At the peak a correlation holds the widened strip, ones, the
+#: total, a shifted tap and the next total; edges holds the strip, the OR so
+#: far, a shifted copy, the next OR and a fifth while it clears the centers;
+#: add holds one widened strip and, while widening the other, its fields,
+#: their copy for int.from_bytes and the int.
 SWAR_CASES = [
     ("sharpen", {"variant": "eight"}, 9 + _FIXED_TAPS, 1, PADDED_STEP, 5, I16),
     ("laplacian", {"variant": "four", "display": "clamp"}, 5 + _FIXED_TAPS, 1, PADDED_STEP, 5,
      I16),
     ("shadow", {"invert": True}, 2 + _FIXED_TAPS, 1, PADDED_STEP, 5, I16),
-    ("edges", {"threshold": 128}, _EDGE_TAPS, 1, PADDED_STEP + U8, 5, U8),
+    ("edges", {"threshold": 128}, _EDGE_TAPS, 1, PADDED_STEP, 5, U8),
     ("add", {"image": "second.pgm"}, 1 + _FIXED_TAPS, 0, PADDED_STEP, 4, I16),
 ]
 
@@ -414,7 +414,7 @@ def test_bytes_step_peak_bytes_per_pixel_below_the_cut(tmp_path, op, params, cos
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out == write_pgm(step(read_pgm(data)), "P5")[-side * side:]
+    assert out == write_pgm(step.image(read_pgm(data)), "P5")[-side * side:]
     (s0, s1), *_ = _row_strips(side, side + 2 * pad)
     strip = (s1 - s0 + 2 * pad) * (side + 2 * pad)
     assert peak / side**2 <= whole + ((ints * field * 16 / 15 + 3 * U8) * strip

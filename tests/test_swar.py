@@ -141,7 +141,7 @@ class TestCorrelateClamp:
             if width != 16 or border == "zero":
                 assert out is None
             else:
-                assert out == step(Image(pixels)).pixels.tobytes()
+                assert out == step.image(Image(pixels)).pixels.tobytes()
                 assert out == _correlate_strips(Image(pixels), kernel, bias=bias).pixels.tobytes()
 
     def test_non_integer_stencil_is_left_to_numpy(self, pair):
@@ -154,7 +154,7 @@ class TestCorrelateClamp:
                                               "display": display})
                 assert step.raster(4, 3, img.pixels.tobytes()) is None
                 kernel = parse_kernel(pair["kernel"].read_text())
-                assert step(img) == clamp_to_display(convolve(img, kernel, border), display)
+                assert step.image(img) == clamp_to_display(convolve(img, kernel, border), display)
 
     def test_every_built_in_stencil_has_a_bytes_form(self, pair):
         # Every kernel op's clamp of a built-in stencil, generated from OPS,
@@ -181,7 +181,7 @@ class TestCorrelateClamp:
         pixels = np.random.default_rng(9).integers(0, 256, (6, 7), np.uint8)
         for stencil, bias, step in clamps:
             assert _guard_bit(stencil, bias) <= 12
-            assert step.raster(*_raster(pixels)) == step(Image(pixels)).pixels.tobytes()
+            assert step.raster(*_raster(pixels)) == step.image(Image(pixels)).pixels.tobytes()
 
 
 class TestStrips:
@@ -322,7 +322,7 @@ class TestEdgesAddHistogram:
         assert list(out) == [255 * v for row in edge_points_brute(bits) for v in row]
         img = Image(pixels)
         assert out == bits_to_image(edge_points(binarize(img, threshold))).pixels.tobytes()
-        assert out == OPS["edges"].build({"threshold": threshold})(img).pixels.tobytes()
+        assert out == OPS["edges"].build({"threshold": threshold}).image(img).pixels.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(images, thresholds)
