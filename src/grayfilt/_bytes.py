@@ -174,8 +174,8 @@ _WHITESPACE = b" \t\n\r\v\f"
 _SPACE = re.compile(rb"\s")
 #: 0 for a whitespace byte, 1 for any other: a token ends at each b"\x01\x00" it maps to.
 _NOT_SPACE = bytes(c not in _WHITESPACE for c in range(GRAY_LEVELS))
-#: Bytes of the first read of a regular file, at most, and of a piece of P2
-#: text, at least: the text is read a piece at a time, into about two pieces.
+#: Bytes of the first read, and of a piece of P2 text at least: the text is
+#: read a piece at a time, into about two pieces.
 _SLICE = 1 << 14
 #: The class of each byte of P2 text: a digit is 1 plus 16 times its value,
 #: whitespace 2 and any other byte 4.
@@ -260,9 +260,11 @@ def _header(data, end: int):
 
 def decode_pgm(data):
     """Check a P2 or P5 PGM and return (width, height, raster), the raster a bytearray of one
-    level per pixel, row-major. ``data``, bytes-like, is left as it is, read through a memoryview:
-    a P5 raster is copied out of it, and P2 text a piece at a time, up to the W*H-th token."""
-    return _decode(memoryview(data), None)[:3]
+    level per pixel, row-major. ``data``, bytes-like, is left as it is, read through a memoryview
+    of its bytes (a copy of them where they are not contiguous): a P5 raster is copied out of it,
+    and P2 text a piece at a time, up to the W*H-th token."""
+    view = memoryview(data)
+    return _decode(view.cast("B") if view.c_contiguous else memoryview(view.tobytes()), None)[:3]
 
 
 def frames(fh):
@@ -288,7 +290,7 @@ def _decode(data, fh):
     if fh is not None:
         # A regular file's size, and a byte for the read that finds its end.
         room = os.fstat(fh.fileno()).st_size + 1 if fh.seekable() else 1
-        buf = bytearray(data) or bytearray(min(room, _SLICE))
+        buf = bytearray(data) or bytearray(_SLICE)
 
     def more(keep=0, least=0):
         # Read on, keeping buf[keep:filled]: a full buf moves it to its front

@@ -20,7 +20,8 @@ A step's work grows with fields × taps, where numpy's barely grows at these
 sizes once its import is paid for, and a padded step also slices and joins
 each row in Python. So each step runs only where fields × its cost a field
 + rows × ``_ROW_TAPS`` is at most ``_CUT``, and returns None above it, for
-the numpy engine to take over. A 16-bit field costs its taps plus
+the numpy engine to take over; ``_by_strips`` prices a padded step from the
+fields and rows it pads. A 16-bit field costs its taps plus
 ``_FIXED_TAPS``; edges' 8-bit field costs ``_EDGE_TAPS``. The stencils of the built-in
 kernel ops (the Laplacians, sharpening, the shadow and its negative) are
 declared here, as integer tuples that both engines read: ``pipeline._kernel_step``
@@ -90,16 +91,17 @@ def _widen(raster: bytes) -> int:
     return int.from_bytes(wide, "little")
 
 
-def _by_strips(width: int, height: int, raster, py: int, px: int, step, table=None) -> bytearray:
+def _by_strips(width: int, height: int, raster, py: int, px: int, cost: int, step):
     """The raster of ``step`` run on each strip of ``_row_strips(height, width + 2·px)``: its
-    rows, through the 256-byte ``table`` if any, with ``py`` halo rows and ``px`` columns either
-    side under the replicate border. ``step`` returns a byte a field; each row keeps ``width``."""
+    rows, with ``py`` halo rows and ``px`` columns either side under the replicate border;
+    None where those padded fields at ``cost`` and padded rows are above the cut. ``step``
+    returns a byte a field; each row keeps ``width``."""
     stride, out = width + 2 * px, bytearray()
+    if not _under_cut((height + 2 * py) * stride, cost, height + 2 * py):
+        return None
     for s0, s1 in _row_strips(height, stride):
         first, last = max(s0 - py, 0), min(s1 + py, height)
-        source = raster[first * width:last * width]
-        source = source.translate(table) if table else source
-        rows = [source[y:y + width] for y in range(0, len(source), width)]
+        rows = [raster[y * width:(y + 1) * width] for y in range(first, last)]
         rows = [rows[0]] * (first - s0 + py) + rows + [rows[-1]] * (s1 + py - last)
         flat = step(b"".join([row[:1] * px + row + row[-1:] * px for row in rows]))
         out += b"".join([flat[y:y + width] for y in range(0, stride * (s1 - s0), stride)])
@@ -115,11 +117,10 @@ def correlate_clamp(width: int, height: int, raster: bytes, kernel, bias: int = 
     pos = sum(c for _, _, c in taps if c > 0)
     neg = -sum(c for _, _, c in taps if c < 0)
     g = max(neg * MAX_GRAY + GRAY_LEVELS - 1, pos * MAX_GRAY + bias).bit_length()
+    if g > 15:
+        return None
     py, px = len(kernel) // 2, len(kernel[0]) // 2
     stride = width + 2 * px
-    fields = (height + 2 * py) * stride
-    if g > 15 or not _under_cut(fields, len(taps) + _FIXED_TAPS, height + 2 * py):
-        return None
 
     def clamp(padded):
         x = _widen(padded)
@@ -138,25 +139,23 @@ def correlate_clamp(width: int, height: int, raster: bytes, kernel, bias: int = 
         total &= ((total >> g) & ones) * 255
         return total.to_bytes(2 * len(padded), "little")[::2]
 
-    return _by_strips(width, height, raster, py, px, clamp)
+    return _by_strips(width, height, raster, py, px, len(taps) + _FIXED_TAPS, clamp)
 
 
 def edge_points(width: int, height: int, raster: bytes, threshold: int):
     """The edges op: binarize at ``threshold`` to 0/255, then mark 255 where
     a pixel is 0 and a 4-neighbor is not, in 8-bit fields; None above the cut.
     A neighbor outside the image is a copy of the pixel, so never differs."""
-    stride = width + 2
-    if not _under_cut((height + 2) * stride, _EDGE_TAPS, height + 2):
-        return None
+    stride, table = width + 2, binarize_table(threshold)
 
     def edges(padded):
-        x = int.from_bytes(padded, "little")
+        x = int.from_bytes(padded.translate(table), "little")
         # Field p is the top left of a 3x3 window: its center is at p + stride + 1.
         near = (x >> 8) | (x >> 8 * stride) | (x >> 8 * (stride + 2)) | (x >> 8 * (2 * stride + 1))
         near ^= near & (x >> 8 * (stride + 1))
         return near.to_bytes(len(padded), "little")
 
-    return _by_strips(width, height, raster, 1, 1, edges, binarize_table(threshold))
+    return _by_strips(width, height, raster, 1, 1, _EDGE_TAPS, edges)
 
 
 def same_size(a, b) -> None:

@@ -206,6 +206,16 @@ class TestReadPgm:
         img = read_pgm(b"P2\n1 1\n255\n7\n")
         assert img.pixels.tolist() == [[7]]
 
+    @pytest.mark.parametrize("fmt", ["P5", "P2"])
+    def test_any_memoryview_is_read_by_its_bytes(self, fmt):
+        # Whatever a view's item size, shape or strides, its bytes are the PGM.
+        img = Image(np.arange(24, dtype=np.uint8).reshape(4, 6) * 10)
+        data = write_pgm(img, fmt)
+        a = np.frombuffer(data + b"\n" * (len(data) % 2), np.uint8)
+        for view in (memoryview(a.view(np.uint16)), memoryview(a.reshape(2, -1)),
+                     memoryview(np.repeat(a, 2))[::2]):
+            assert np.array_equal(read_pgm(view).pixels, img.pixels)
+
     def test_p5_truncated(self):
         data = b"P5\n2 2\n255\n" + bytes([0, 64, 128])
         with pytest.raises(FormatError, match="truncated"):

@@ -371,8 +371,8 @@ PADDED_STEP = U8 + 9 * U8 / 8
 #: Each bytes step just below its cut (grayfilt._swar): op, params, its cost
 #: a field, the pixels it pads each side, the whole-image bytes it holds per
 #: pixel, the ints it holds at once counted in fields of the strip it widens,
-#: and the bytes of a field. edges thresholds each strip's rows as it takes
-#: them, so it holds no thresholded raster; add holds the second raster from
+#: and the bytes of a field. edges thresholds each padded strip in its step,
+#: so it holds no thresholded raster; add holds the second raster from
 #: before the input is read. Python ints are allocated whole, so tracemalloc
 #: sees each one. At the peak a correlation holds the widened strip, ones, the
 #: total, a shifted tap and the next total; edges holds the strip, the OR so

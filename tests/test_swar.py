@@ -253,7 +253,7 @@ class TestCut:
 
     @pytest.mark.parametrize("kernel, taps", [
         (swar.SHARPEN["eight"], 9), (swar.SHARPEN["four"], 5), (swar.LAPLACIANS["four"], 5),
-        (swar.SHADOW_NE, 2)])
+        (swar.SHADOW_NE, 2), (swar.LAPLACIANS["eight"], 9), (swar.SHADOW_SW, 2)])
     def test_correlation(self, monkeypatch, kernel, taps):
         pixels = np.arange(35, dtype=np.uint8).reshape(5, 7) * 7
         cost = swar_cost(7, 5, taps + swar._FIXED_TAPS, 1)
