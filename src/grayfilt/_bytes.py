@@ -271,17 +271,15 @@ def frames(fh):
     """Yield (width, height, raster) for each image of the PGM stream that the binary file
     ``fh`` reads, decoded as by :func:`decode_pgm` from what the last read past, before any
     read, then from ``fh`` as far as it needs. A next image starts only at a P2 or P5 magic,
-    after any whitespace; its byte offsets count from it, and its faults start "frame k: "."""
-    rest, k = b"", 0
-    while k == 0 or rest[:2] in _MAGICS:
-        k += 1
-        try:
-            width, height, raster, rest = _decode(rest, fh)
-        except FormatError as exc:
-            raise (FormatError(f"frame {k}: {exc}") if k > 1 else exc) from None
+    after any whitespace, and its byte offsets count from it."""
+    rest = b""
+    while True:
+        width, height, raster, rest = _decode(rest, fh)
         yield width, height, raster
         while len(rest := rest.lstrip(_WHITESPACE)) < 2 and (got := fh.read(_SLICE)):
             rest += got
+        if rest[:2] not in _MAGICS:
+            return
 
 
 def _decode(data, fh):
@@ -290,7 +288,7 @@ def _decode(data, fh):
     if fh is not None:
         # A regular file's size, and a byte for the read that finds its end.
         room = os.fstat(fh.fileno()).st_size + 1 if fh.seekable() else 1
-        buf = bytearray(data) or bytearray(_SLICE)
+        buf = bytearray(data).ljust(_SLICE)  # a slice, however few bytes are in hand
 
     def more(keep=0, least=0):
         # Read on, keeping buf[keep:filled]: a full buf moves it to its front

@@ -7,6 +7,7 @@ composes in scripts. An output symlink is followed; a new or regular file is
 written atomically (temp file + rename), a FIFO or a device in place. A command
 reads every frame of its input, a stream of PGM images: a filter writes the output
 of each in turn, ``histogram`` sums their counts, and ``add -j`` takes its first.
+The fault of a frame k > 1 starts "frame k: ", and a faulty frame writes nothing.
 """
 
 from __future__ import annotations
@@ -199,26 +200,33 @@ def _usage_error(command: str, message: str):
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _frames(path, run) -> list:
+    """``run(width, height, raster)`` of each frame of the PGM stream at ``path``, in order.
+    A FormatError or DomainError of frame k > 1, in its read or its run, starts "frame k: "."""
+    results = []
+    with open(path, "rb", buffering=0) as fh:
+        try:
+            for frame in _bytes.frames(fh):
+                results.append(run(*frame))
+        except (FormatError, DomainError) as exc:
+            raise (type(exc)(f"frame {len(results) + 1}: {exc}") if results else exc) from None
+    return results
+
+
 def _run(args, compiled):
     """Write ``args.output``, at once: each frame of ``args.input`` run through ``compiled``,
     every stage built as [(label, table or step)] before the input is read, so a filter and
     its one-stage pipeline report the same first error, and a faulty frame writes nothing."""
-    chunks = []
-    with open(args.input, "rb", buffering=0) as fh:
-        for k, (width, height, raster) in enumerate(_bytes.frames(fh), start=1):
-            try:
-                raster = _run_raster(compiled, width, height, raster)
-            except DomainError as exc:
-                raise (DomainError(f"frame {k}: {exc}") if k > 1 else exc) from None
-            chunks += _bytes.pgm_chunks(width, height, raster, args.format.upper())
-    _bytes.write_bytes_atomic(args.output, *chunks)
-    return EXIT_OK
+    fmt = args.format.upper()
+    outputs = _frames(args.input, lambda width, height, raster: _bytes.pgm_chunks(
+        width, height, _run_raster(compiled, width, height, raster), fmt))
+    _bytes.write_bytes_atomic(args.output, *(chunk for chunks in outputs for chunk in chunks))
 
 
 def _cmd_filter(args):
     op = OPS[args.command]
     built = op.build({param.name: getattr(args, param.name) for param in op.params})
-    return _run(args, [("", built)])
+    _run(args, [("", built)])
 
 
 def _one_file(a: str, b: str) -> bool:
@@ -240,26 +248,22 @@ def _cmd_histogram(args):
     # The chart would replace the table: a usage error, before the input is read.
     if args.render and _one_file(args.csv, args.render):
         _usage_error("histogram", "argument --render: names the same file as --csv")
-    with open(args.input, "rb", buffering=0) as fh:  # the counts of every frame, summed
-        counts = [sum(level) for level in zip(*(_histogram(*frame) for frame in _bytes.frames(fh)))]
+    counts = [sum(level) for level in zip(*_frames(args.input, _histogram))]
     _bytes.write_bytes_atomic(args.csv, _swar.histogram_csv(counts).encode("ascii"))
     if args.render:
         chart = _swar.histogram_chart(counts)
         _bytes.write_bytes_atomic(args.render, *_bytes.pgm_chunks(
             GRAY_LEVELS, _swar.CHART_HEIGHT, chart, args.format.upper()))
-    return EXIT_OK
 
 
 def _cmd_pipeline(args):
-    return _run(args, _compile(parse_pipeline(_bytes.load_text(args.spec))))
+    _run(args, _compile(parse_pipeline(_bytes.load_text(args.spec))))
 
 
 def _cmd_bench(args):
     from .bench import bench_convolve
 
-    report = bench_convolve(args.size, args.ksize, args.iters, args.workers)
-    sys.stderr.write(report)
-    return EXIT_OK
+    sys.stderr.write(bench_convolve(args.size, args.ksize, args.iters, args.workers))
 
 
 def main(argv=None) -> int:
@@ -279,7 +283,7 @@ def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
         try:
-            return args.handler(args)
+            args.handler(args)
         except (FormatError, OSError) as exc:
             print(f"grayfilt: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -289,6 +293,7 @@ def main(argv=None) -> int:
         except DomainError as exc:
             print(f"grayfilt: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
+        return EXIT_OK
     finally:
         if argv is None:
             gc.freeze()

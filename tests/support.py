@@ -307,3 +307,17 @@ def header_int_brute(data: bytes, pos: int, what: str):
     except (UnicodeDecodeError, ValueError):
         raise FormatError(f"{what}: {refused(token, 'token')} at byte {start}") from None
     return value, end
+
+
+#: A sound 2x1 frame, and faulty frames to follow it with the fault of each, whose
+#: byte offsets count from that frame's own magic.
+FRAME_ONE = b"P5\n2 1\n255\n\x01\x02"
+LATER_FRAME_FAULTS = [
+    pytest.param(b"P5\n2 x\n255\n\x03\x04", "height: non-numeric token b'x' at byte 5",
+                 id="bad-header"),
+    pytest.param(b"P5x", "expected whitespace after magic at byte 2", id="no-whitespace"),
+    pytest.param(b"P5\n2 1\n255\n\x03", "truncated raster: need 2 bytes, file ends at byte 12",
+                 id="short-p5"),
+    pytest.param(b"\nP2\n2 1\n255\n3", "truncated raster: need 2 pixels, file ends at byte 12",
+                 id="short-p2"),
+]

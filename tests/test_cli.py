@@ -61,7 +61,7 @@ from grayfilt.kinds import (
     THRESHOLD,
 )
 from grayfilt.pipeline import FLAG, OPS
-from support import correlate_brute, rand_image, run_cli
+from support import FRAME_ONE, LATER_FRAME_FAULTS, correlate_brute, rand_image, run_cli
 
 
 @pytest.fixture
@@ -833,14 +833,15 @@ class TestFrames:
 
     @pytest.mark.parametrize("argv", [["negate", "-o"], ["histogram", "--csv"]],
                              ids=["negate", "histogram"])
-    def test_a_fault_in_frame_two_leaves_no_output(self, tmp_path, cut, capsys, argv):
+    @pytest.mark.parametrize("second, message", LATER_FRAME_FAULTS)
+    def test_a_fault_in_frame_two_leaves_no_output(self, tmp_path, cut, capsys, argv, second,
+                                                   message):
         src, out = tmp_path / "in.pgm", tmp_path / "out"
-        src.write_bytes(b"P5\n2 1\n255\n\x01\x02" + b"P5\n2 1\n255\n\x03")
+        src.write_bytes(FRAME_ONE + second)
         out.write_bytes(b"old")
         capsys.readouterr()
         assert run_cli([argv[0], "-i", str(src), argv[1], str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "grayfilt: frame 2: truncated raster: need 2 bytes, file ends at byte 12"]
+        assert capsys.readouterr().err.splitlines() == [f"grayfilt: frame 2: {message}"]
         assert out.read_bytes() == b"old"
         assert sorted(os.listdir(tmp_path)) == ["in.pgm", "out"]
 

@@ -26,7 +26,7 @@ from grayfilt import (
 )
 from grayfilt import _bytes
 from grayfilt._bytes import decode_pgm, frames, p2_scan
-from support import WHITESPACE, header_int_brute
+from support import FRAME_ONE, LATER_FRAME_FAULTS, WHITESPACE, header_int_brute
 
 pixel_arrays = hnp.arrays(
     np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16))
@@ -163,6 +163,16 @@ class Held(io.RawIOBase):
         n = min(len(buffer), len(self.data))
         buffer[:n], self.data = self.data[:n], self.data[n:]
         return n
+
+
+class Counted(Held):
+    """A :class:`Held` pipe that counts its reads."""
+
+    reads = 0
+
+    def readinto(self, buffer):
+        self.reads += 1
+        return super().readinto(buffer)
 
 
 def outcome(decode):
@@ -659,19 +669,33 @@ class TestFrames:
                 os.close(writer)
         assert got == [(p.tobytes(), False) for p in images]
 
-    @pytest.mark.parametrize("second, message", [
-        (b"P5\n2 x\n255\n\x03\x04", "frame 2: height: non-numeric token b'x' at byte 5"),
-        (b"P5x", "frame 2: expected whitespace after magic at byte 2"),
-        (b"P5\n2 1\n255\n\x03", "frame 2: truncated raster: need 2 bytes, file ends at byte 12"),
-        (b"\nP2\n2 1\n255\n3", "frame 2: truncated raster: need 2 pixels, file ends at byte 12"),
-    ], ids=["bad-header", "no-whitespace", "short-p5", "short-p2"])
-    def test_a_fault_in_a_later_frame_names_it(self, tmp_path, second, message):
-        # Offsets count from the frame's own magic.
+    @pytest.mark.parametrize("second, message", LATER_FRAME_FAULTS)
+    def test_a_fault_in_a_later_frame_counts_from_its_magic(self, tmp_path, second, message):
+        # The reader does not name the frame; the CLI does (test_cli.TestFrames).
         src = tmp_path / "in.pgm"
-        src.write_bytes(b"P5\n2 1\n255\n\x01\x02" + second)
+        src.write_bytes(FRAME_ONE + second)
         with pytest.raises(FormatError) as caught:
             read_frames(src)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("fmt", ["P5", "P2"])
+    @pytest.mark.parametrize("tail", [2, 3, 100])
+    def test_a_later_frame_reads_as_a_first_one(self, fmt, tail):
+        # Frame 1, one column, ends ``tail`` bytes short of the two slices its
+        # reads take, so frame 2 starts from those bytes: its buffer is still
+        # a slice from its first read, not one that doubles from ``tail``.
+        pixels = np.random.default_rng(tail).integers(0, 256, (200, 300), np.uint8)
+        second = write_pgm(Image(pixels), fmt)
+        first = write_pgm(Image(np.zeros((2 * _bytes._SLICE - tail - 15, 1), np.uint8)), "P5")
+        assert len(first) == 2 * _bytes._SLICE - tail
+        alone = Counted(second)
+        next(frames(alone))
+        stream = Counted(first + second)
+        reader = frames(stream)
+        next(reader)
+        before = stream.reads
+        assert bytes(next(reader)[2]) == pixels.tobytes()
+        assert stream.reads - before <= alone.reads + 1
 
 
 class TestWritePgm:
