@@ -113,15 +113,18 @@ def token_int(token, noun: str, prefix: str = "", start: int | None = None) -> i
 #: Whitespace and '#' comments, then a header token. The token is empty only
 #: at the end of the data, so the match never fails and never backtracks.
 _HEADER_TOKEN = re.compile(rb"\s*(?:#[^\n]*\s*)*([^\s#]*)")
-#: The message of a header that the data ends in, which more bytes may complete.
-_HEADER_END = "unexpected end of header"
 
 
-def _header_int(data: bytes, pos: int, end: int, what: str):
+def _header_int(data: bytes, pos: int, end: int, what: str, final: bool = True):
+    """The header integer ``what`` in ``data[pos:end]`` and the byte after it, or None where
+    more bytes may complete it: no token is in hand, or, unless ``final``, its token runs to
+    ``end``. ``final`` data is all there is, so with no token in hand the header ends too soon."""
     match = _HEADER_TOKEN.match(data, pos, end)
-    if not match.group(1):
-        raise FormatError(f"{_HEADER_END} at byte {end}")
-    return token_int(match.group(1), "token", f"{what}: ", match.start(1)), match.end()
+    if match.group(1) and (final or match.end() < end):
+        return token_int(match.group(1), "token", f"{what}: ", match.start(1)), match.end()
+    if final:
+        raise FormatError(f"unexpected end of header at byte {end}")
+    return None
 
 
 #: A P2 raster token: a run of bytes that ``bytes.split()`` does not split.
@@ -237,19 +240,24 @@ def _p2_levels(text: bytes):
     return (int.from_bytes(nibbles, "little") >> 4).to_bytes(len(nibbles), "little")[::2]
 
 
-def _header(data, end: int):
+def _header(data, end: int, final: bool):
     """Check the header of a PGM in ``data[:end]``, read in place: the magic, whitespace
     after it, and the width, height and maxval tokens, dimensions >= 1 and maxval
     255. Return (magic, width, height, size, pos), ``size`` the "WxH" text and
-    ``pos`` the byte after maxval; else raise the FormatError of the first fault."""
+    ``pos`` the byte after maxval; None where more bytes may complete a token, unless
+    ``data[:end]`` is ``final``; else raise the FormatError of the first fault."""
     magic = bytes(data[:min(2, end)])
     if magic not in _MAGICS:
         raise FormatError(f"bad magic {magic!r} at byte 0: expected P2 or P5")
     if not _SPACE.match(data, 2, end):
         raise FormatError("expected whitespace after magic at byte 2")
-    width, pos = _header_int(data, 2, end, "width")
-    height, pos = _header_int(data, pos, end, "height")
-    maxval, pos = _header_int(data, pos, end, "maxval")
+    values, pos = [], 2
+    for what in ("width", "height", "maxval"):
+        if not (token := _header_int(data, pos, end, what, final)):
+            return None
+        value, pos = token
+        values.append(value)
+    width, height, maxval = values
     size = f"{reprlib.repr(width)}x{reprlib.repr(height)}"
     if width < 1 or height < 1:
         raise FormatError(f"dimensions must be >= 1, got {size}")
@@ -322,21 +330,15 @@ def _decode(data, fh):
             raise FormatError(f"truncated raster: need {count} {unit}, "
                               f"file ends at byte {base + filled}") from None
 
-    # Before each read, the header is judged up to the last whitespace byte in hand, as a FIFO
-    # may deliver the 25 of 255 before the 5; past _SLICE bytes only as buf fills, doubling, so
-    # a header that never ends is read in linear time. At the end it is judged whole.
-    while True:
-        if ended or 2 < filled and (filled <= _SLICE or filled == len(buf)):
-            # Two bytes may be part of a magic. With no whitespace from byte
-            # 2 on, the first three refuse the header.
-            cut = filled if ended else max(3, *(buf.rfind(c, 0, filled) + 1 for c in _WHITESPACE))
-            try:
-                magic, width, height, size, pos = _header(buf, cut)
-                break
-            except FormatError as exc:
-                if ended or not str(exc).startswith(_HEADER_END):
-                    raise
+    # Before each read, the header in hand is judged, and is None where more bytes may complete
+    # it, as a FIFO may deliver the 25 of 255 before the 5: a token is judged once whitespace or
+    # '#' follows it. Two bytes may be part of a magic. Past _SLICE bytes it is judged only as buf
+    # fills, doubling, so a header that never ends is read in linear time. At the end it is
+    # judged whole.
+    while (not (ended or 2 < filled and (filled <= _SLICE or filled == len(buf)))
+           or not (header := _header(buf, filled, ended))):
         more()
+    magic, width, height, size, pos = header
     count = width * height
 
     if magic == b"P5":

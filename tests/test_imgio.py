@@ -646,6 +646,30 @@ class TestFrames:
             got = [(w, h, bytes(raster)) for w, h, raster in islice(frames(Held(data)), k)]
             assert got == [(p.shape[1], p.shape[0], p.tobytes()) for p in images]
 
+    @pytest.mark.parametrize("data, message", [
+        (b"P5\n2 x#co", "height: non-numeric token b'x' at byte 5"),
+        (b"P5\n99999x#", "width: non-numeric token b'99999x' at byte 3"),
+        (b"P5\n2 x ", "height: non-numeric token b'x' at byte 5"),
+    ], ids=["comment", "hash", "space"])
+    def test_a_header_fault_in_hand_needs_no_read(self, data, message):
+        # A header token ends at whitespace or at the '#' of a comment: once
+        # either follows it, its fault is refused with no read that would wait.
+        with pytest.raises(FormatError) as caught:
+            next(frames(Held(data)))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("n", [
+        16_000,
+        pytest.param(17_000, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="FOUND: past _SLICE bytes a header is judged only as the buffer fills, "
+                   "so one longer than 16 KiB waits on a writer that holds the pipe open")),
+    ])
+    def test_a_long_header_in_hand_needs_no_read(self, n):
+        data = b"P5\n#" + b"c" * n + b"\n1 1\n255\n\x07"
+        width, height, raster = next(frames(Held(data)))
+        assert (width, height, bytes(raster)) == (1, 1, b"\x07")
+
     @pytest.mark.parametrize("formats", [("P5", "P5"), ("P2", "P2"), ("P5", "P2"), ("P2", "P5")],
                              ids=["P5", "P2", "P5-P2", "P2-P5"])
     @pytest.mark.parametrize("side", [1, 4, 40])
