@@ -34,7 +34,7 @@ import reprlib
 import stat
 
 from .errors import FormatError
-from .kinds import GRAY_LEVELS, MAX_GRAY, _is_int
+from .kinds import GRAY_LEVELS, MAX_GRAY, _is_int, kernel_rule
 
 NEGATE_TABLE = bytes(range(MAX_GRAY, -1, -1))
 #: The first two bytes of a PGM: plain (P2) or raw (P5).
@@ -439,6 +439,62 @@ def parse_lut(text: str) -> bytes:
         return lut_table(values)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+
+
+def parse_kernel(text: str) -> list:
+    """Parse a kernel file: a "kheight kwidth" line (both positive), then
+    kheight rows of kwidth whitespace-separated reals, into its rows of
+    floats, checked by :func:`grayfilt.kinds.kernel_rule`.
+
+    Raises:
+        FormatError: non-positive dimensions, wrong token count, non-numeric
+            token or one a float reads as inf or nan (messages name the line),
+            or a broken kernel rule, such as even dimensions or an all-zero
+            kernel (naming a token a float reads as 0, if any).
+    """
+    import math
+
+    lines = text.splitlines()
+    if not lines or not lines[0].split():
+        raise FormatError("line 1: missing kernel dimensions")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise FormatError(f"line 1: expected 'kheight kwidth', got {len(header)} tokens")
+    kheight, kwidth = dims = [token_int(tok, "dimension", "line 1: ") for tok in header]
+    kh, kw = map(reprlib.repr, dims)  # messages echo a 4000-digit dimension short
+    if kheight < 1 or kwidth < 1:
+        raise FormatError(f"line 1: dimensions must be positive, got {kh}x{kw}")
+
+    rows, underflow = [], None
+    for lineno, line in enumerate(lines[1:], start=2):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(rows) == kheight:
+            raise FormatError(f"line {lineno}: expected {kh} rows, found extra data")
+        if len(tokens) != kwidth:
+            raise FormatError(f"line {lineno}: expected {kw} coefficients, got {len(tokens)}")
+        try:
+            rows.append([float(tok) for tok in tokens])
+        except ValueError:
+            raise FormatError(f"line {lineno}: non-numeric coefficient") from None
+        # A float reads a token past its range as inf, and a nonzero one below it as 0.
+        for tok, value in zip(tokens, rows[-1]):
+            if not math.isfinite(value) or (not value and float(tok.lower().partition("e")[0])):
+                misread = f"line {lineno}: coefficient {reprlib.repr(tok)} is {value} as a float"
+                if value:
+                    raise FormatError(f"{misread}: kernel coefficients must be finite")
+                underflow = underflow or misread
+    if len(rows) < kheight:
+        raise FormatError(f"expected {kh} coefficient rows, got {len(rows)}")
+    nonzero = any(map(any, rows))
+    if underflow and not nonzero:
+        raise FormatError(f"{underflow}: kernel must have at least one nonzero coefficient")
+    try:
+        kernel_rule(kheight, kwidth, True, nonzero)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    return rows
 
 
 def _descriptor(path: str):

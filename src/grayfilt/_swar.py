@@ -26,7 +26,10 @@ fields and rows it pads. A 16-bit field costs its taps plus
 kernel ops (the Laplacians, sharpening, the shadow and its negative) are
 declared here, as integer tuples that both engines read: ``pipeline._kernel_step``
 builds every kernel op's forms from one stencil, bias, border and display,
-and gives the bytes form only to these, with the replicate border.
+and gives every clamp under the replicate border a bytes form. The taps
+alone decide whether it runs: :func:`correlate_clamp` gives None for a
+non-integer tap as for a guard bit past 15, so a kernel file of integers
+(spelled ``3``, ``3.0`` or ``3e0``) runs here as a built-in stencil does.
 The histogram chart drawn here is also the library's ``render_histogram``.
 """
 
@@ -110,10 +113,13 @@ def _by_strips(width: int, height: int, raster, py: int, px: int, cost: int, ste
 
 def correlate_clamp(width: int, height: int, raster: bytes, kernel, bias: int = 0):
     """``clamp_round(bias + correlate(...))`` of the image under the replicate
-    border for an integer ``kernel`` of odd-length rows, as the raster of the
-    result; None above the cut, or where the guard bit g, with 2**g ≥
-    neg·255 + 256 and 2**g > pos·255 + ``bias``, passes 15."""
-    taps = [(i, j, c) for i, row in enumerate(kernel) for j, c in enumerate(row) if c]
+    border for a ``kernel`` of odd-length rows, as the raster of the result;
+    None for a tap that is not an integer (a float such as 2.0 is one), above
+    the cut, or where the guard bit g, with 2**g ≥ neg·255 + 256 and
+    2**g > pos·255 + ``bias``, passes 15."""
+    if any(c % 1 for row in kernel for c in row):
+        return None
+    taps = [(i, j, int(c)) for i, row in enumerate(kernel) for j, c in enumerate(row) if c]
     pos = sum(c for _, _, c in taps if c > 0)
     neg = -sum(c for _, _, c in taps if c < 0)
     g = max(neg * MAX_GRAY + GRAY_LEVELS - 1, pos * MAX_GRAY + bias).bit_length()

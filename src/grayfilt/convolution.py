@@ -30,9 +30,9 @@ the sums of the op's stencil, as in :func:`laplacian` and :func:`convolve`.
 
 The built-in stencils are declared once, as integer tuples, in
 :mod:`grayfilt._swar`, beside the numpy-free clamp display the CLI runs on a
-small image; it takes the same tuple and bias as ``_correlate_strips``. Both
-are exact, so both engines give the same bytes. The library functions here
-always run numpy.
+small image; it takes the same rows and bias as ``_correlate_strips``, a
+kernel file's integer rows too. Both are exact, so both engines give the
+same bytes. The library functions here always run numpy.
 """
 
 from __future__ import annotations
@@ -81,8 +81,9 @@ def _correlate_strips(img: Image, stencil, border: str = "replicate", bias: int 
     """Correlate ``img`` with ``Kernel(stencil)`` strip by strip, accumulating in
     ``_accumulator(coeffs, bias)``: the sums as a :class:`SignedImage` when
     ``bias`` is None, else ``clamp_round(bias + sums)`` as an :class:`Image`.
-    ``stencil`` is an op's coefficient rows: a built-in integer tuple, which
-    ``_swar.correlate_clamp`` also takes, or a parsed kernel's ``coeffs``.
+    ``stencil`` is an op's coefficient rows, which ``_swar.correlate_clamp``
+    also takes: a built-in integer tuple, a kernel file's rows rotated by
+    180 degrees, or a :class:`Kernel`'s ``coeffs``.
 
     Each strip's padded rows s0 − kh//2 .. s1 − 1 + kh//2, with kw//2 border
     columns on either side under the border policy (copies of the nearest

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .kinds import GRAY_LEVELS, MAX_GRAY
+from .kinds import GRAY_LEVELS, MAX_GRAY, kernel_rule
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -127,13 +127,7 @@ class Kernel(_Grid):
 
     def __init__(self, coeffs):
         arr = self._shape_checked(np.asarray(coeffs, dtype=np.float64))
-        kh, kw = arr.shape
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ValueError(f"kernel dimensions must be odd, got {kh}x{kw}")
-        if not np.isfinite(arr).all():
-            raise ValueError("kernel coefficients must be finite")
-        if not np.any(arr != 0.0):
-            raise ValueError("kernel must have at least one nonzero coefficient")
+        kernel_rule(*arr.shape, np.isfinite(arr).all(), arr.any())
         self.coeffs = _frozen(arr.copy())
 
     kwidth = _Grid.width

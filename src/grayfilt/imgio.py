@@ -13,12 +13,10 @@ writers hand the image's own pixels to its ``pgm_chunks``.
 
 from __future__ import annotations
 
-import reprlib
-
 import numpy as np
 
 from . import _bytes
-from ._bytes import load_text, token_int, write_bytes_atomic  # noqa: F401
+from ._bytes import load_text, write_bytes_atomic  # noqa: F401
 from .core import Image, Kernel
 from .errors import FormatError
 from .kinds import choice
@@ -67,55 +65,14 @@ def save_pgm(path, img: Image, format: str = "P5") -> None:
 
 def parse_kernel(text: str) -> Kernel:
     """Parse a kernel file: a "kheight kwidth" line (both odd and positive),
-    then kheight rows of kwidth whitespace-separated reals.
+    then kheight rows of kwidth whitespace-separated reals, as a :class:`Kernel`.
 
     Raises:
-        FormatError: non-positive dimensions, wrong token count, non-numeric
-            token or one a float reads as inf or nan (messages name the line),
-            or anything :class:`Kernel` rejects, such as even dimensions or an
-            all-zero kernel (naming a token a float reads as 0, if any).
+        FormatError: :func:`grayfilt._bytes.parse_kernel`'s, which reads and
+            checks the file without numpy: a fault of its grammar (messages
+            name the line) or of the kernel rule.
     """
-    lines = text.splitlines()
-    if not lines or not lines[0].split():
-        raise FormatError("line 1: missing kernel dimensions")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise FormatError(f"line 1: expected 'kheight kwidth', got {len(header)} tokens")
-    kheight, kwidth = dims = [token_int(tok, "dimension", "line 1: ") for tok in header]
-    kh, kw = map(reprlib.repr, dims)  # messages echo a 4000-digit dimension short
-    if kheight < 1 or kwidth < 1:
-        raise FormatError(f"line 1: dimensions must be positive, got {kh}x{kw}")
-
-    rows, underflow = [], None
-    for lineno, line in enumerate(lines[1:], start=2):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(rows) == kheight:
-            raise FormatError(f"line {lineno}: expected {kh} rows, found extra data")
-        if len(tokens) != kwidth:
-            raise FormatError(
-                f"line {lineno}: expected {kw} coefficients, got {len(tokens)}"
-            )
-        try:
-            rows.append([float(tok) for tok in tokens])
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-numeric coefficient") from None
-        # A float reads a token past its range as inf, and a nonzero one below it as 0.
-        for tok, value in zip(tokens, rows[-1]):
-            if not np.isfinite(value) or (not value and float(tok.lower().partition("e")[0])):
-                misread = f"line {lineno}: coefficient {reprlib.repr(tok)} is {value} as a float"
-                if value:
-                    raise FormatError(f"{misread}: kernel coefficients must be finite")
-                underflow = underflow or misread
-    if len(rows) < kheight:
-        raise FormatError(f"expected {kh} coefficient rows, got {len(rows)}")
-    if underflow and not any(map(any, rows)):
-        raise FormatError(f"{underflow}: kernel must have at least one nonzero coefficient")
-    try:
-        return Kernel(rows)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return Kernel(_bytes.parse_kernel(text))
 
 
 def parse_lut(text: str) -> np.ndarray:

@@ -95,6 +95,18 @@ def _is_path(v) -> bool:
     return True
 
 
+def kernel_rule(kheight: int, kwidth: int, finite: bool, nonzero: bool) -> None:
+    """The rule of every kernel, a ``Kernel`` or a kernel file's rows: odd
+    dimensions, which put the anchor at the center tap, coefficients that
+    are all ``finite``, and a ``nonzero`` one; else a ValueError."""
+    if kheight % 2 == 0 or kwidth % 2 == 0:
+        raise ValueError(f"kernel dimensions must be odd, got {kheight}x{kwidth}")
+    if not finite:
+        raise ValueError("kernel coefficients must be finite")
+    if not nonzero:
+        raise ValueError("kernel must have at least one nonzero coefficient")
+
+
 PATH = Kind(lambda v, name: _must(_is_path(v), name, "a file path", v))
 FLAG = Kind(lambda v, name: _must(isinstance(v, bool), name, "true or false", v))
 

@@ -9,9 +9,9 @@ is bit-identical to composing the corresponding library calls by hand.
 
 A point op builds a 256-byte table, and a run of them composes to one; any
 other op a :class:`Step`. One builder, :func:`_kernel_step`, maps each kernel
-op's stencil, bias, border and display to both engines; its clamp display of
-a built-in stencil under the replicate border, ``edges`` and ``add`` also
-have an exact numpy-free form (:mod:`grayfilt._swar`).
+op's stencil (its rows of coefficients), bias, border and display to both
+engines; its clamp display of an integer stencil under the replicate border,
+``edges`` and ``add`` also have an exact numpy-free form (:mod:`grayfilt._swar`).
 On numpy ``edges`` is the library chain ``binarize``, ``edge_points``, ``bits_to_image``.
 This module alone knows both engines: :func:`run_pipeline` runs every stage
 on numpy, and the CLI runs :func:`_run_raster` and :func:`_histogram`, bytes
@@ -75,14 +75,15 @@ class Step(namedtuple("Step", "image raster", defaults=(lambda width, height, ra
 
 def _kernel_step(stencil, bias=0, border="replicate", display="clamp"):
     """The :class:`Step` of a kernel op, the ``display`` of ``bias`` plus the
-    image correlated with ``stencil`` under ``border``. Only a clamp of a
-    built-in stencil, an integer tuple, under the replicate border has a
-    bytes form: a kernel file's float64 coefficients stay on numpy."""
+    image correlated with ``stencil``, its rows of coefficients, under
+    ``border``. A clamp under the replicate border has a bytes form, which
+    gives None where :func:`grayfilt._swar.correlate_clamp` does: for a
+    non-integer tap, a guard bit past 15, or an input above its cut."""
     if display == "rescale":
         return Step(lambda img: api.clamp_to_display(
             api.convolution._correlate_strips(img, stencil, border), "rescale"))
     step = Step(lambda img: api.convolution._correlate_strips(img, stencil, border, bias))
-    if isinstance(stencil, tuple) and border == "replicate":
+    if border == "replicate":
         step = step._replace(raster=lambda width, height, raster: _swar.correlate_clamp(
             width, height, raster, stencil, bias))
     return step
@@ -128,8 +129,9 @@ OPS = {
         (Param("kernel", PATH, help="kernel file: 'kheight kwidth' line, then coefficient rows",
                metavar="FILE"),
          Param("border", BORDER, "replicate"), _DISPLAY),
-        lambda p: _kernel_step(api.rot180(api.parse_kernel(_bytes.load_text(p["kernel"]))).coeffs,
-                               border=p["border"], display=p["display"])),
+        lambda p: _kernel_step(
+            tuple(row[::-1] for row in _bytes.parse_kernel(_bytes.load_text(p["kernel"]))[::-1]),
+            border=p["border"], display=p["display"])),
     "binarize": Op(
         "threshold to a 0/255 image",
         (Param("threshold", THRESHOLD, 128, "pixels >= threshold become 255 (default 128)"),),

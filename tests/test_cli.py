@@ -1480,10 +1480,12 @@ class TestProcessLevel:
         rng = np.random.default_rng(65)
         img, second = (Image(rng.integers(0, 256, (7, 11), np.uint8)) for _ in range(2))
         files = {name: str(tmp_path / name) for name in ("in-P5.pgm", "in-P2.pgm", "j.pgm",
-                                                         "s.json")}
+                                                         "s.json", "sobel.txt")}
         for fmt in ("P5", "P2"):
             save_pgm(files[f"in-{fmt}.pgm"], img, fmt)
         save_pgm(files["j.pgm"], second, "P2")
+        sobel = "3 3\n-1 0 1\n-2 0 2\n-1 0 1\n"
+        (tmp_path / "sobel.txt").write_text(sobel)
         stages = [{"op": "sharpen", "variant": "eight"}, {"op": "edges", "threshold": 90},
                   {"op": "negate"}]
         (tmp_path / "s.json").write_text(json.dumps({"stages": stages}))
@@ -1494,6 +1496,8 @@ class TestProcessLevel:
             "shadow-invert": (["--invert"], shadow_invert),
             "edges": (["--threshold", "90"], lambda i: bits_to_image(edge_points(binarize(i, 90)))),
             "add": (["-j", files["j.pgm"]], lambda i: image_add(i, second)),
+            "convolve": (["--kernel", files["sobel.txt"]],
+                         lambda i: clamp_to_display(convolve(i, parse_kernel(sobel)), "clamp")),
             "pipeline": (["--spec", files["s.json"]], lambda i: negate(
                 bits_to_image(edge_points(binarize(laplacian_sharpen(i, "eight"), 90))))),
         }

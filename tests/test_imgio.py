@@ -1,7 +1,10 @@
 import io
+import json
 import os
 import random
 import stat
+import subprocess
+import sys
 import threading
 import time
 from itertools import islice
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import grayfilt
 from grayfilt import (
     FormatError,
     Image,
@@ -875,6 +879,40 @@ class TestFuzz:
         assert table.dtype == np.uint8 and table.shape == (256,)
 
 
+#: Kernel files whose dimensions are too long to echo whole, and how each message starts.
+LONG_DIMENSIONS = [
+    ("9" * 5000 + " 3\n1 1 1\n", "line 1: too many digits in dimension '999"),
+    ("3 +" + "9" * 5000 + "\n", "line 1: too many digits in dimension '+999"),
+    ("x" * 5000 + " 3\n1 1 1\n", "line 1: non-numeric dimension 'xxx"),
+    ("3 " + "1_" * 4400 + "1\n", "line 1: too many digits in dimension '1_1"),
+    # Dimensions int() accepts, but too long to echo whole.
+    ("9" * 4000 + " 3\n1 1 1\n", "expected 999"),
+    ("3 " + "9" * 4000 + "\n1 1 1\n", "line 2: expected 999"),
+    ("-" + "9" * 4000 + " 3\n", "line 1: dimensions must be positive, got -999"),
+]
+#: Kernel files without a dimension line.
+NO_DIMENSIONS = ["", "\n3 3\n0 1 0\n1 -4 1\n0 1 0\n", " \t\n1 1\n1\n"]
+#: Kernel files with a token that a float misreads, and their messages.
+MISREAD = [
+    ("1 1\n1e400\n", "line 2: coefficient '1e400' is inf as a float: "
+                      "kernel coefficients must be finite"),
+    ("1 3\n1e-400 2 -1E999\n", "line 2: coefficient '-1E999' is -inf as a float: "
+                               "kernel coefficients must be finite"),
+    ("3 1\n0\n1\nnan\n", "line 4: coefficient 'nan' is nan as a float: "
+                         "kernel coefficients must be finite"),
+    ("1 1\n1e-400\n", "line 2: coefficient '1e-400' is 0.0 as a float: "
+                       "kernel must have at least one nonzero coefficient"),
+    ("3 1\n0.0e9\n\n-2_5e-999\n1e-400\n", "line 4: coefficient '-2_5e-999' is -0.0 as "
+                                           "a float: kernel must have at least one nonzero "
+                                           "coefficient"),
+]
+#: Every faulty kernel file of TestParseKernel: even dimensions, a short row, a
+#: non-numeric token, a missing row, an extra row, an all-zero kernel, and the lists above.
+FAULTY_KERNELS = ["2 2\n1 0\n0 1\n", "3 3\n0 1 0\n1 -4\n0 1 0\n", "1 1\nx\n", "3 3\n0 1 0\n",
+                  "1 1\n1\n2\n", "1 3\n0 0 0\n", *(text for text, _ in LONG_DIMENSIONS),
+                  *NO_DIMENSIONS, *(text for text, _ in MISREAD)]
+
+
 class TestParseKernel:
     def test_four_neighbor_laplacian(self):
         text = "3 3\n0 1 0\n1 -4 1\n0 1 0\n"
@@ -904,23 +942,13 @@ class TestParseKernel:
             parse_kernel("3 3\n0 1 0\n")
 
     def test_dimensions_are_echoed_short(self):
-        cases = [
-            ("9" * 5000 + " 3\n1 1 1\n", "line 1: too many digits in dimension '999"),
-            ("3 +" + "9" * 5000 + "\n", "line 1: too many digits in dimension '+999"),
-            ("x" * 5000 + " 3\n1 1 1\n", "line 1: non-numeric dimension 'xxx"),
-            ("3 " + "1_" * 4400 + "1\n", "line 1: too many digits in dimension '1_1"),
-            # Dimensions int() accepts, but too long to echo whole.
-            ("9" * 4000 + " 3\n1 1 1\n", "expected 999"),
-            ("3 " + "9" * 4000 + "\n1 1 1\n", "line 2: expected 999"),
-            ("-" + "9" * 4000 + " 3\n", "line 1: dimensions must be positive, got -999"),
-        ]
-        for text, start in cases:
+        for text, start in LONG_DIMENSIONS:
             with pytest.raises(FormatError) as info:
                 parse_kernel(text)
             message = str(info.value)
             assert message.startswith(start) and len(message) < 120, message
 
-    @pytest.mark.parametrize("text", ["", "\n3 3\n0 1 0\n1 -4 1\n0 1 0\n", " \t\n1 1\n1\n"],
+    @pytest.mark.parametrize("text", NO_DIMENSIONS,
                              ids=["empty", "blank-first-line", "spaces-first-line"])
     def test_missing_dimensions_are_named(self, text):
         with pytest.raises(FormatError) as info:
@@ -935,19 +963,7 @@ class TestParseKernel:
         with pytest.raises(FormatError, match="^kernel must have at least one nonzero coefficient$"):
             parse_kernel("1 3\n0 0 0\n")
 
-    @pytest.mark.parametrize("text, message", [
-        ("1 1\n1e400\n", "line 2: coefficient '1e400' is inf as a float: "
-                          "kernel coefficients must be finite"),
-        ("1 3\n1e-400 2 -1E999\n", "line 2: coefficient '-1E999' is -inf as a float: "
-                                   "kernel coefficients must be finite"),
-        ("3 1\n0\n1\nnan\n", "line 4: coefficient 'nan' is nan as a float: "
-                             "kernel coefficients must be finite"),
-        ("1 1\n1e-400\n", "line 2: coefficient '1e-400' is 0.0 as a float: "
-                           "kernel must have at least one nonzero coefficient"),
-        ("3 1\n0.0e9\n\n-2_5e-999\n1e-400\n", "line 4: coefficient '-2_5e-999' is -0.0 as "
-                                               "a float: kernel must have at least one nonzero "
-                                               "coefficient"),
-    ])
+    @pytest.mark.parametrize("text, message", MISREAD)
     def test_a_token_a_float_misreads_is_named(self, text, message):
         # A finite token past a float's range reads as inf, and a nonzero one
         # below it as 0: the message names the line and the token.
@@ -960,6 +976,37 @@ class TestParseKernel:
 
     def test_blank_lines_tolerated(self):
         assert parse_kernel("1 1\n\n1\n\n") == Kernel([[1.0]])
+
+    def test_the_cli_refuses_each_faulty_file_without_numpy(self, tmp_path):
+        # In one python -S child, so that no site module loads numpy first:
+        # `grayfilt convolve` of each faulty file exits 2 with parse_kernel's
+        # message, writes nothing and never loads numpy.
+        save_pgm(tmp_path / "in.pgm", Image([[1, 2, 3]]))
+        argvs, expected = [], []
+        for k, text in enumerate(FAULTY_KERNELS):
+            path = tmp_path / f"k{k}.txt"
+            path.write_text(text)
+            argvs.append(["convolve", "-i", str(tmp_path / "in.pgm"),
+                          "-o", str(tmp_path / "out.pgm"), "--kernel", str(path)])
+            with pytest.raises(FormatError) as info:
+                parse_kernel(text)
+            expected.append([2, f"grayfilt: {info.value}\n"])
+        code = """if True:
+            import io, json, sys
+            from grayfilt.cli import main
+            results = []
+            for argv in json.loads(sys.argv[1]):
+                sys.stderr = io.StringIO()
+                results.append([main(argv), sys.stderr.getvalue()])
+            sys.stderr = sys.__stderr__
+            print(json.dumps([results, "numpy" in sys.modules]))
+            """
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(grayfilt.__file__))}
+        proc = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(argvs)],
+                              capture_output=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [expected, False]
+        assert not (tmp_path / "out.pgm").exists()
 
 
 class TestParseLut:

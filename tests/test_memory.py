@@ -32,7 +32,7 @@ from grayfilt import (
 from grayfilt._bytes import _STRIP_PIXELS, _row_strips, decode_pgm, load_pgm, p2_scan, pgm_chunks
 from grayfilt._swar import _EDGE_TAPS, _FIXED_TAPS
 from grayfilt.cli import _cmd_histogram, _run
-from grayfilt.pipeline import OPS, _apply
+from grayfilt.pipeline import OPS, _apply, _run_raster
 from support import swar_side_at_cut
 
 SIDE = 1024
@@ -181,6 +181,28 @@ def test_correlate_strips_count_the_padded_row(border):
     # one strip's padded rows (the padded source, the sums and one product),
     # and 64 KiB of small objects.
     assert peak <= I32 * (img.pixels.size + coeffs.size + 3 * rows * stride) + 64 * 1024
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND: _correlate_strips' padded-source buffer holds the kh - 1 halo rows that "
+    "_row_strips does not count (ROADMAP.md, open FOUND lines)"))
+def test_a_tall_kernel_file_holds_no_more_than_its_strips(tmp_path):
+    # A 20001x1 kernel file whose only nonzero tap is the center, so the
+    # output is the input. Its bytes form is priced above the cut, (256 +
+    # 20000)·256·17 fields' worth, so numpy runs it, in one strip of 256 rows
+    # whose padded source holds 20000 halo rows more (about 10 MiB of int16).
+    path = tmp_path / "tall.txt"
+    path.write_text("20001 1\n" + "0\n" * 10000 + "1\n" + "0\n" * 10000)
+    raster = np.random.default_rng(59).integers(0, 256, 256 * 256, np.uint8).tobytes()
+    step = OPS["convolve"].build({"kernel": str(path), "border": "replicate", "display": "clamp"})
+    tracemalloc.start()
+    try:
+        out = _run_raster([("", step)], 256, 256, raster)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bytes(out) == raster
+    assert peak <= 4 * 2**20
 
 
 def test_cli_histogram_peak_bytes_per_pixel(files, tmp_path, monkeypatch):

@@ -11,13 +11,15 @@ each runs on every engine of ``support.ENGINES``: the bytes forms, numpy,
 and numpy with strip seams inside the image. A rounding that depends on
 tap order breaks a relation, so these catch it without replaying the
 engine's own arithmetic, as the oracles do. The decimal-kernel relation
-waits for exact kernel files: it fails today (ROADMAP item 16).
+waits for exact kernel files: it fails today (ROADMAP item 16). A kernel
+file that spells a built-in stencil is that op, on every engine too.
 """
 
 import numpy as np
 import pytest
 
 from grayfilt import Image, save_pgm
+from grayfilt._swar import LAPLACIANS, SHARPEN
 from support import ENGINES, op_stages, run_stages, stage_label
 
 SYMMETRIES = {
@@ -74,3 +76,22 @@ def test_op_commutes_with_the_symmetries_of_the_square(tmp_path, stage, engine):
                                **ENGINES[engine])
             expected = t(np.frombuffer(plain, np.uint8).reshape(scene.shape))
             assert moved == np.ascontiguousarray(expected).tobytes(), (name, scene.shape)
+
+
+#: The built-in stencils with bias 0, by the op and variant that declare them.
+BUILT_IN = {(op, variant): stencils[variant]
+            for op, stencils in (("sharpen", SHARPEN), ("laplacian", LAPLACIANS))
+            for variant in ("four", "eight")}
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
+@pytest.mark.parametrize("op, variant", list(BUILT_IN), ids=[" ".join(k) for k in BUILT_IN])
+def test_a_kernel_file_of_a_built_in_stencil_is_that_op(tmp_path, op, variant, engine):
+    # Each stencil is its own rot180, so convolving with its file correlates with it.
+    stencil = BUILT_IN[op, variant]
+    assert stencil == tuple(row[::-1] for row in stencil[::-1])
+    path = tmp_path / "k.txt"
+    path.write_text("3 3\n" + "".join(" ".join(map(str, row)) + "\n" for row in stencil))
+    for scene in SCENES:
+        assert (run_stages([{"op": "convolve", "kernel": str(path)}], scene, **ENGINES[engine])
+                == run_stages([{"op": op, "variant": variant}], scene, **ENGINES[engine]))

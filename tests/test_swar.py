@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -44,6 +44,7 @@ from support import (
     op_stages,
     round_half_away_exact,
     run_cli,
+    stage_label,
     strips_of,
     swar_cost,
     swar_side_at_cut,
@@ -144,16 +145,18 @@ class TestCorrelateClamp:
                 assert out == step.image(Image(pixels)).pixels.tobytes()
                 assert out == _correlate_strips(Image(pixels), kernel, bias=bias).pixels.tobytes()
 
-    def test_non_integer_stencil_is_left_to_numpy(self, pair):
-        # A parsed kernel's coefficients are float64, even where each is an
-        # integer: convolve builds a Step with no bytes form, at any border and display.
+    def test_non_integer_stencil_is_left_to_numpy(self, tmp_path):
+        # A kernel file with a 0.5 tap has no bytes form, at any border and
+        # display: convolve's Step gives None and runs numpy.
         img = Image(np.arange(12, dtype=np.uint8).reshape(3, 4) * 20)
+        path = tmp_path / "real.txt"
+        path.write_text("3 3\n1 -2 0\n0 0.5 -1\n2 0 -3\n")
+        kernel = parse_kernel(path.read_text())
         for border in ("replicate", "zero"):
             for display in ("clamp", "rescale"):
-                step = OPS["convolve"].build({"kernel": str(pair["kernel"]), "border": border,
+                step = OPS["convolve"].build({"kernel": str(path), "border": border,
                                               "display": display})
                 assert step.raster(4, 3, img.pixels.tobytes()) is None
-                kernel = parse_kernel(pair["kernel"].read_text())
                 assert step.image(img) == clamp_to_display(convolve(img, kernel, border), display)
 
     def test_every_built_in_stencil_has_a_bytes_form(self, pair):
@@ -165,7 +168,7 @@ class TestCorrelateClamp:
 
         def record(stencil, bias=0, border="replicate", display="clamp"):
             step = kernel_step(stencil, bias, border, display)
-            built.append((stencil, bias, display, step))
+            built.append((op, stencil, bias, display, step))
             return step
 
         paths = {"table": (str(pair["table"]),), "kernel": (str(pair["kernel"]),),
@@ -173,15 +176,54 @@ class TestCorrelateClamp:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pipeline, "_kernel_step", record)
             for stage in op_stages(paths):
-                OPS[stage.pop("op")].build(stage)
-        clamps = [(stencil, bias, step) for stencil, bias, display, step in built
-                  if isinstance(stencil, tuple) and display == "clamp"]
+                op = stage.pop("op")
+                OPS[op].build(stage)
+        # A kernel file's stencil is the file's, not a built-in one.
+        clamps = [(stencil, bias, step) for op, stencil, bias, display, step in built
+                  if op != "convolve" and display == "clamp"]
         assert {stencil for stencil, _, _ in clamps} == {
             *swar.LAPLACIANS.values(), *swar.SHARPEN.values(), swar.SHADOW_NE, swar.SHADOW_SW}
         pixels = np.random.default_rng(9).integers(0, 256, (6, 7), np.uint8)
         for stencil, bias, step in clamps:
             assert _guard_bit(stencil, bias) <= 12
             assert step.raster(*_raster(pixels)) == step.image(Image(pixels)).pixels.tobytes()
+
+
+#: Three spellings of an integer coefficient in a kernel file, each read as that integer.
+SPELLINGS = [str, "{}.0".format, "{}e0".format]
+
+
+class TestKernelFiles:
+    # Drawn kernels fall on both sides of the 16-bit bound, spelled at random
+    # tap by tap: a kernel file's taps, not their spelling or Python type,
+    # decide whether its clamp under the replicate border runs on bytes.
+    # ``half`` picks the tap made 0.5 in the file's real-valued copy.
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(images, int_kernels, st.lists(st.sampled_from(SPELLINGS), min_size=25, max_size=25),
+           st.integers(0, 24))
+    @example(ROW, WIDE, [str] * 25, 4)
+    @example(COLUMN, ((0, 0, 0), (0, 129, 0), (0, 0, 0)), ["{}e0".format] * 25, 0)
+    def test_an_integer_file_runs_on_bytes_where_its_clamp_fits(self, tmp_path, pixels, kernel,
+                                                                spellings, half):
+        kh, kw = len(kernel), len(kernel[0])
+        rows = [[spellings[i * kw + j](c) for j, c in enumerate(row)]
+                for i, row in enumerate(kernel)]
+        real = [row[:] for row in rows]
+        real[half % kh][half // kh % kw] = "0.5"
+        wide = _guard_bit(kernel, 0) > 15
+        for name, text, integer in (("int", rows, True), ("real", real, False)):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(f"{kh} {kw}\n" + "".join(" ".join(row) + "\n" for row in text))
+            for border in ("replicate", "zero"):
+                for display in ("clamp", "rescale"):
+                    step = OPS["convolve"].build({"kernel": str(path), "border": border,
+                                                  "display": display})
+                    out = step.raster(*_raster(pixels))
+                    if not integer or wide or border == "zero" or display == "rescale":
+                        assert out is None
+                    else:
+                        assert out == step.image(Image(pixels)).pixels.tobytes()
 
 
 class TestStrips:
@@ -405,8 +447,8 @@ def pair(tmp_path):
 
 
 #: (CLI command line after the paths, one-stage pipeline params) of each op
-#: with a bytes form, then of the kernel ops that run numpy at any cut: a
-#: kernel file's float64 coefficients, and the rescale display.
+#: with a bytes form, then of the kernel ops that run numpy at any cut: the
+#: zero border and the rescale display.
 BYTES_OPS = [
     (["sharpen"], {"op": "sharpen"}),
     (["sharpen", "--variant", "eight"], {"op": "sharpen", "variant": "eight"}),
@@ -415,6 +457,7 @@ BYTES_OPS = [
     (["shadow", "--invert"], {"op": "shadow", "invert": True}),
     (["edges", "--threshold", "90"], {"op": "edges", "threshold": 90}),
     (["add", "-j", "{second}"], {"op": "add", "image": "{second}"}),
+    (["convolve", "--kernel", "{kernel}"], {"op": "convolve", "kernel": "{kernel}"}),
 ]
 NUMPY_KERNEL_OPS = [
     (["convolve", "--kernel", "{kernel}", "--border", "zero"],
@@ -439,6 +482,16 @@ class TestCliOnBothSidesOfTheCut:
             assert run_cli([argv[0], "-i", str(pair["in"]), "-o", str(out), "--format", fmt,
                             *argv[1:]]) == 0
             assert load_pgm(out) == expected
+
+    @pytest.mark.parametrize("stage, bytes_form",
+                             [(stage, True) for _, stage in BYTES_OPS]
+                             + [(stage, False) for _, stage in NUMPY_KERNEL_OPS],
+                             ids=[stage_label(stage) for _, stage in BYTES_OPS + NUMPY_KERNEL_OPS])
+    def test_a_small_input_takes_the_bytes_form_of_each_bytes_op(self, pair, stage, bytes_form):
+        paths = {"{second}": str(pair["second"]), "{kernel}": str(pair["kernel"])}
+        ((_, step),) = _compile(PipelineSpec([{k: paths.get(v, v) for k, v in stage.items()}]))
+        img = load_pgm(pair["in"])
+        assert (step.raster(img.width, img.height, img.pixels.tobytes()) is not None) == bytes_form
 
     @pytest.mark.parametrize("cut", [0, 2**40])
     def test_histogram_writes_the_library_files(self, monkeypatch, tmp_path, pair, cut):
